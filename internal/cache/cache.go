@@ -286,67 +286,9 @@ func (s *Store) Do(key string, decode func([]byte) error, compute func() ([]byte
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-
-	if value, computeNS, ok := s.load(key); ok {
-		if err := decode(value); err != nil {
-			// The envelope parsed but the payload does not decode —
-			// e.g. written by an incompatible build. Same treatment as
-			// a truncated file: recompute.
-			s.note(func(st *Stats) { st.Corrupt++ })
-			s.met.corrupt.Inc()
-			s.warnf("entry %s: decoding value: %v (recomputing)", key, err)
-		} else {
-			f.data, f.hit, f.saved = value, true, computeNS
-			s.note(func(st *Stats) {
-				st.Hits++
-				st.BytesRead += int64(len(value))
-				st.TimeSavedNS += computeNS
-			})
-			s.met.hits.Inc()
-			s.met.readBytes.Add(uint64(len(value)))
-			s.met.timeSavedNS.Add(uint64(computeNS))
-			return true, nil
-		}
-	}
-
-	if s.leased() {
-		data, hit, computeNS, err := s.leasedCompute(key, compute)
-		if err != nil {
-			f.err = err
-			return false, err
-		}
-		f.data, f.hit, f.saved = data, hit, computeNS
-		if hit {
-			s.note(func(st *Stats) {
-				st.Hits++
-				st.BytesRead += int64(len(data))
-				st.TimeSavedNS += computeNS
-			})
-			s.met.hits.Inc()
-			s.met.readBytes.Add(uint64(len(data)))
-			s.met.timeSavedNS.Add(uint64(computeNS))
-		} else {
-			s.note(func(st *Stats) { st.Misses++ })
-			s.met.misses.Inc()
-		}
-		return hit, decode(data)
-	}
-
-	data, computeNS, err := s.computePersist(key, compute)
-	if err != nil {
-		f.err = err
-		return false, err
-	}
-	f.data, f.saved = data, computeNS
-	s.note(func(st *Stats) { st.Misses++ })
-	s.met.misses.Inc()
-	return false, decode(data)
+	defer s.land(key, f)
+	hit, _, err := s.lead(key, f, decode, compute, true)
+	return hit, err
 }
 
 // TryDo is Do without blocking on someone else's in-flight compute: it
@@ -376,105 +318,81 @@ func (s *Store) TryDo(key string, decode func([]byte) error, compute func() ([]b
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
+	defer s.land(key, f)
+	hit, busy, err := s.lead(key, f, decode, compute, false)
+	return !busy, hit, err
+}
 
-	if value, computeNS, ok := s.load(key); ok {
-		if err := decode(value); err != nil {
-			s.note(func(st *Stats) { st.Corrupt++ })
-			s.met.corrupt.Inc()
-			s.warnf("entry %s: decoding value: %v (recomputing)", key, err)
-		} else {
-			f.data, f.hit, f.saved = value, true, computeNS
-			s.note(func(st *Stats) {
-				st.Hits++
-				st.BytesRead += int64(len(value))
-				st.TimeSavedNS += computeNS
-			})
-			s.met.hits.Inc()
-			s.met.readBytes.Add(uint64(len(value)))
-			s.met.timeSavedNS.Add(uint64(computeNS))
-			return true, true, nil
-		}
+// land retires key's flight and releases its followers.
+func (s *Store) land(key string, f *flight) {
+	s.mu.Lock()
+	delete(s.flights, key)
+	s.mu.Unlock()
+	close(f.done)
+}
+
+// lead is the flight leader's path shared by Do and TryDo: serve the
+// entry from disk, or compute and (in read-write mode) persist it —
+// under a cross-process lease when leases are active. With wait=false a
+// key held by another live process is left alone (busy=true) instead of
+// waited out.
+func (s *Store) lead(key string, f *flight, decode func([]byte) error, compute func() ([]byte, error), wait bool) (hit, busy bool, err error) {
+	if s.serve(key, f, decode) {
+		return true, false, nil
 	}
-
+	var hb *heartbeat
 	if s.leased() {
-		for {
-			l, acquired, aerr := s.acquireLease(key)
-			if aerr != nil {
-				s.warnf("acquiring lease %s: %v (computing without coordination)", key, aerr)
-				break
-			}
-			if acquired {
-				s.note(func(st *Stats) { st.LeaseAcquired++ })
-				s.met.leaseAcquired.Inc()
-				stop := s.startHeartbeat(l)
-				data, computeNS, err := s.computePersist(key, compute)
-				stop()
-				s.releaseLease(key)
-				if err != nil {
-					f.err = err
-					return true, false, err
-				}
-				f.data, f.saved = data, computeNS
-				s.note(func(st *Stats) { st.Misses++ })
-				s.met.misses.Inc()
-				return true, false, decode(data)
-			}
-			held, ok, corrupt := s.readLease(key)
-			switch {
-			case corrupt:
-				s.note(func(st *Stats) { st.LeaseCorrupt++ })
-				s.met.leaseCorrupt.Inc()
-				s.warnf("lease %s: corrupt (reaping and recomputing)", key)
-				s.reapLease(key)
-				continue
-			case !ok:
-				// Released between acquire and read: the holder just
-				// finished or failed. Serve its entry if present,
-				// otherwise retry the claim.
-				if value, computeNS, loaded := s.load(key); loaded {
-					if err := decode(value); err == nil {
-						f.data, f.hit, f.saved = value, true, computeNS
-						s.note(func(st *Stats) {
-							st.Hits++
-							st.BytesRead += int64(len(value))
-							st.TimeSavedNS += computeNS
-						})
-						s.met.hits.Inc()
-						s.met.readBytes.Add(uint64(len(value)))
-						s.met.timeSavedNS.Add(uint64(computeNS))
-						return true, true, nil
-					}
-				}
-				continue
-			case s.Clock()-held.BeatNS > s.Lease.TTLNS:
-				s.note(func(st *Stats) { st.LeaseTakeovers++ })
-				s.met.leaseTakeovers.Inc()
-				s.warnf("lease %s: stale (owner %s, silent beyond ttl; taking over)", key, held.Owner)
-				s.reapLease(key)
-				continue
-			default:
-				s.note(func(st *Stats) { st.LeaseWaited++ })
-				s.met.leaseWaited.Inc()
-				return false, false, nil
-			}
+		l, res := s.claim(key, f, decode, wait)
+		switch res {
+		case claimServed:
+			return true, false, nil
+		case claimBusy:
+			return false, true, nil
+		case claimHeld:
+			hb = s.startHeartbeat(l)
 		}
 	}
-
 	data, computeNS, err := s.computePersist(key, compute)
+	if hb != nil {
+		hb.stop()
+		s.releaseLease(key)
+	}
 	if err != nil {
 		f.err = err
-		return true, false, err
+		return false, false, err
 	}
 	f.data, f.saved = data, computeNS
 	s.note(func(st *Stats) { st.Misses++ })
 	s.met.misses.Inc()
-	return true, false, decode(data)
+	return false, false, decode(data)
+}
+
+// serve loads key's entry and, when its value decodes, records the hit
+// on f and in the stats. An entry whose envelope parses but whose
+// payload does not decode — e.g. written by an incompatible build — is
+// treated like a truncated file: counted corrupt and left to be
+// recomputed.
+func (s *Store) serve(key string, f *flight, decode func([]byte) error) bool {
+	value, computeNS, ok := s.load(key)
+	if !ok {
+		return false
+	}
+	if err := decode(value); err != nil {
+		s.note(func(st *Stats) { st.Corrupt++ })
+		s.met.corrupt.Inc()
+		s.warnf("entry %s: decoding value: %v (recomputing)", key, err)
+		return false
+	}
+	f.data, f.hit, f.saved = value, true, computeNS
+	s.note(func(st *Stats) {
+		st.Hits++
+		st.BytesRead += int64(len(value))
+		st.TimeSavedNS += computeNS
+	})
+	s.met.hits.Inc()
+	s.met.readBytes.Add(uint64(len(value)))
+	s.met.timeSavedNS.Add(uint64(computeNS))
+	return true
 }
 
 // Has reports whether an entry file exists for key — the cheap

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // Cross-process single-flight.
@@ -193,37 +194,56 @@ func (s *Store) releaseLease(key string) {
 	os.Remove(s.leasePath(key))
 }
 
-// startHeartbeat refreshes l every HeartbeatNS until the returned stop
-// function runs. The heartbeat period is slept in PollNS slices with a
-// stop check between them, so stop() returns within one poll interval
-// rather than stalling a finished compute for a whole heartbeat.
-func (s *Store) startHeartbeat(l lease) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
+// heartbeat is a lease holder's refresh goroutine.
+type heartbeat struct {
+	// mu guards stopped and is held across each refresh, so no refresh
+	// can land after stop returns.
+	mu      sync.Mutex
+	stopped bool
+	// exited is closed when the goroutine returns.
+	exited chan struct{}
+}
+
+// startHeartbeat refreshes l every HeartbeatNS until stop. The period
+// is slept in PollNS slices so a stopped goroutine exits within one
+// slice, but stop never waits for the sleeper: the holder releases its
+// lease as soon as the entry is persisted.
+func (s *Store) startHeartbeat(l lease) *heartbeat {
+	h := &heartbeat{exited: make(chan struct{})}
 	step := s.Lease.PollNS
 	if step <= 0 || step > s.Lease.HeartbeatNS {
 		step = s.Lease.HeartbeatNS
 	}
 	go func() {
-		defer close(finished)
-		for {
-			for slept := int64(0); slept < s.Lease.HeartbeatNS; slept += step {
-				s.Lease.Sleep(step)
-				select {
-				case <-done:
-					return
-				default:
-				}
+		defer close(h.exited)
+		for slept := int64(0); ; {
+			s.Lease.Sleep(step)
+			slept += step
+			h.mu.Lock()
+			if h.stopped {
+				h.mu.Unlock()
+				return
 			}
-			if err := s.refreshLease(l); err != nil {
+			var err error
+			if slept >= s.Lease.HeartbeatNS {
+				slept = 0
+				err = s.refreshLease(l)
+			}
+			h.mu.Unlock()
+			if err != nil {
 				s.warnf("refreshing lease %s: %v", l.Key, err)
 			}
 		}
 	}()
-	return func() {
-		close(done)
-		<-finished
-	}
+	return h
+}
+
+// stop ends the heartbeat without waiting for its sleeper; a refresh
+// already in progress completes first.
+func (h *heartbeat) stop() {
+	h.mu.Lock()
+	h.stopped = true
+	h.mu.Unlock()
 }
 
 // readLease loads and validates the lease for key. ok=false with
@@ -259,39 +279,48 @@ func (s *Store) reapLease(key string) bool {
 	return true
 }
 
-// leasedCompute is the miss path of Do when cross-process single-flight
-// is active: claim the key and compute, or wait out another process's
-// claim and serve its entry. It returns the value bytes, whether they
-// came from another process's compute (a hit), and the recorded compute
-// nanoseconds for time-saved accounting.
-func (s *Store) leasedCompute(key string, compute func() ([]byte, error)) (value []byte, hit bool, computeNS int64, err error) {
+// claimResult is how the lease protocol left a missed key.
+type claimResult int
+
+const (
+	// claimHeld: this store holds the lease and computes.
+	claimHeld claimResult = iota
+	// claimServed: another process's entry was served.
+	claimServed
+	// claimBusy: a live foreign lease holds the key and the caller
+	// would not wait.
+	claimBusy
+	// claimNone: lease trouble; compute without coordination.
+	claimNone
+)
+
+// claim runs the cross-process protocol for a missed key: claim it, or
+// wait out another process's claim and serve its entry (with wait=false,
+// step aside from a live holder instead). Stale and corrupt leases are
+// reaped and the claim retried. Filesystem trouble around the lease
+// dance must never fail a run, so it degrades to an uncoordinated
+// compute.
+func (s *Store) claim(key string, f *flight, decode func([]byte) error, wait bool) (lease, claimResult) {
 	waited := false
 	for {
-		l, acquired, aerr := s.acquireLease(key)
-		if aerr != nil {
-			// Filesystem trouble around the lease dance must never fail
-			// a run: warn and fall back to an uncoordinated compute.
-			s.warnf("acquiring lease %s: %v (computing without coordination)", key, aerr)
-			value, computeNS, err = s.computePersist(key, compute)
-			return value, false, computeNS, err
+		l, acquired, err := s.acquireLease(key)
+		if err != nil {
+			s.warnf("acquiring lease %s: %v (computing without coordination)", key, err)
+			return lease{}, claimNone
 		}
 		if acquired {
+			// A holder may have persisted and released between the
+			// caller's first lookup and this acquire; computing would
+			// then duplicate its entry.
+			if s.serve(key, f, decode) {
+				s.releaseLease(key)
+				return lease{}, claimServed
+			}
 			s.note(func(st *Stats) { st.LeaseAcquired++ })
 			s.met.leaseAcquired.Inc()
-			stop := s.startHeartbeat(l)
-			value, computeNS, err = s.computePersist(key, compute)
-			stop()
-			s.releaseLease(key)
-			return value, false, computeNS, err
+			return l, claimHeld
 		}
-		// Key is claimed elsewhere. Wait for the entry, judging the
-		// holder's pulse each round.
-		if !waited {
-			waited = true
-			s.note(func(st *Stats) { st.LeaseWaited++ })
-			s.met.leaseWaited.Inc()
-		}
-		l, ok, corrupt := s.readLease(key)
+		held, ok, corrupt := s.readLease(key)
 		switch {
 		case corrupt:
 			s.note(func(st *Stats) { st.LeaseCorrupt++ })
@@ -303,17 +332,25 @@ func (s *Store) leasedCompute(key string, compute func() ([]byte, error)) (value
 			// Released between our acquire attempt and the read: the
 			// holder finished (entry should be there) or failed (we
 			// should claim). Check the entry, then retry the acquire.
-		case s.Clock()-l.BeatNS > s.Lease.TTLNS:
+		case s.Clock()-held.BeatNS > s.Lease.TTLNS:
 			s.note(func(st *Stats) { st.LeaseTakeovers++ })
 			s.met.leaseTakeovers.Inc()
-			s.warnf("lease %s: stale (owner %s, silent beyond ttl; taking over)", key, l.Owner)
+			s.warnf("lease %s: stale (owner %s, silent beyond ttl; taking over)", key, held.Owner)
 			s.reapLease(key)
 			continue
 		default:
+			if !waited {
+				waited = true
+				s.note(func(st *Stats) { st.LeaseWaited++ })
+				s.met.leaseWaited.Inc()
+			}
+			if !wait {
+				return lease{}, claimBusy
+			}
 			s.Lease.Sleep(s.Lease.PollNS)
 		}
-		if value, computeNS, ok := s.load(key); ok {
-			return value, true, computeNS, nil
+		if s.serve(key, f, decode) {
+			return lease{}, claimServed
 		}
 	}
 }
@@ -321,7 +358,7 @@ func (s *Store) leasedCompute(key string, compute func() ([]byte, error)) (value
 // computePersist runs compute, timestamps it, and persists the entry in
 // read-write mode — the shared tail of the coordinated and
 // uncoordinated miss paths. Stats for the miss itself are counted by
-// the caller's caller (Do), matching the original single-process flow.
+// the caller (lead).
 func (s *Store) computePersist(key string, compute func() ([]byte, error)) (value []byte, computeNS int64, err error) {
 	var start int64
 	if s.Clock != nil {

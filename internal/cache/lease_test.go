@@ -478,3 +478,108 @@ func TestStatsAddAndLeaseString(t *testing.T) {
 		t.Errorf("JSON round trip = %+v, want %+v", back, sum)
 	}
 }
+
+// TestLeaseRecheckAfterAcquire pins the race prompt lease release
+// exposes: the waiter's first lookup misses, then — before its acquire
+// — the holder persists and releases. The waiter's acquire succeeds and
+// it must serve the holder's entry instead of computing a duplicate.
+// The interleaving is forced through the waiter's Clock, which the
+// acquire reads first.
+func TestLeaseRecheckAfterAcquire(t *testing.T) {
+	for _, mode := range []string{"Do", "TryDo"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			now := int64(1_000_000)
+			holder, waiter := fakeLeasedStore(dir, &now), fakeLeasedStore(dir, &now)
+			key := testKey(t, "recheck-"+mode)
+			var computes atomic.Int64
+			var once sync.Once
+			waiter.Clock = func() int64 {
+				once.Do(func() {
+					do(t, holder, key, func() (payload, error) {
+						computes.Add(1)
+						return payload{N: 1}, nil
+					})
+				})
+				return atomic.LoadInt64(&now)
+			}
+			var got payload
+			decode := func(data []byte) error { return json.Unmarshal(data, &got) }
+			compute := func() ([]byte, error) {
+				computes.Add(1)
+				return json.Marshal(payload{N: 2})
+			}
+			var hit bool
+			var err error
+			if mode == "Do" {
+				hit, err = waiter.Do(key, decode, compute)
+			} else {
+				var done bool
+				done, hit, err = waiter.TryDo(key, decode, compute)
+				if !done {
+					t.Error("TryDo stepped aside from a released key")
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := computes.Load(); n != 1 {
+				t.Errorf("computes = %d, want exactly 1", n)
+			}
+			if !hit || got.N != 1 {
+				t.Errorf("waiter: hit=%v got=%+v, want a hit of the holder's value", hit, got)
+			}
+			if st := waiter.Stats(); st.Hits != 1 || st.Misses != 0 || st.LeaseAcquired != 0 {
+				t.Errorf("waiter stats = %+v, want 1 hit, no miss, no lease counted", st)
+			}
+			if _, err := os.Stat(waiter.leasePath(key)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("re-checked lease survives: %v", err)
+			}
+		})
+	}
+}
+
+// TestHeartbeatStopDoesNotWaitForSleeper: stop returns while the
+// heartbeat is mid-sleep, and the goroutine, once it wakes, exits
+// without refreshing, so a released lease never comes back.
+func TestHeartbeatStopDoesNotWaitForSleeper(t *testing.T) {
+	dir := t.TempDir()
+	now := int64(1_000_000)
+	s := fakeLeasedStore(dir, &now)
+	sleeping := make(chan struct{}, 1)
+	wake := make(chan struct{})
+	s.Lease = &LeasePolicy{TTLNS: 100, HeartbeatNS: 10, PollNS: 10, Sleep: func(int64) {
+		select {
+		case sleeping <- struct{}{}:
+		default:
+		}
+		<-wake
+	}}
+	key := testKey(t, "heartbeat-stop")
+	l, ok, err := s.acquireLease(key)
+	if err != nil || !ok {
+		t.Fatalf("acquire: ok=%v err=%v", ok, err)
+	}
+	h := s.startHeartbeat(l)
+	<-sleeping
+	stopped := make(chan struct{})
+	go func() {
+		h.stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stop waited for the heartbeat's sleeper")
+	}
+	s.releaseLease(key)
+	close(wake)
+	select {
+	case <-h.exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat goroutine did not exit after stop")
+	}
+	if _, err := os.Stat(s.leasePath(key)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("lease file came back after release: %v", err)
+	}
+}

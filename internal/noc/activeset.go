@@ -1,5 +1,7 @@
 package noc
 
+import "fmt"
+
 // The active set makes one simulated cycle cost proportional to
 // activity instead of mesh size: Step sweeps only the units whose
 // per-cycle phases can have an effect. Membership is tracked in plain
@@ -25,7 +27,8 @@ package noc
 //     cycle is either elided because it is a no-op (control-link ticks
 //     with cur == next, policy re-runs that resend the same mask) or
 //     deferred and batched (NBTI span accounting, sensor sampling at
-//     due cycles).
+//     due cycles — and none at all after the first for static sensor
+//     configs, whose sweeps can never change an output).
 
 // newFullMask returns a mask of the given word count with bits
 // 0..nodes-1 set.
@@ -81,5 +84,30 @@ func (n *Network) debugCheckSkipped() {
 		if !n.nis[id].quiescent() {
 			panic("noc: skipped NI is not quiescent (missing wake)")
 		}
+	}
+}
+
+// debugCheckHeld asserts (under -tags nbtidebug) that every sensor bank
+// of a static network still holds what an elided sweep would compute,
+// i.e. no Vth0 changed behind RestoreAging's back.
+func (n *Network) debugCheckHeld() {
+	check := func(iu *InputUnit) {
+		for _, b := range iu.banks {
+			md, ld := b.Evaluate()
+			if hmd, hld := b.Held(); md != hmd || ld != hld {
+				panic(fmt.Sprintf("noc: elided sweep of node %d port %v would publish md=%d ld=%d, held md=%d ld=%d",
+					iu.owner, iu.port, md, ld, hmd, hld))
+			}
+		}
+	}
+	for i := range n.routers {
+		for _, iu := range n.routers[i].in {
+			if iu != nil {
+				check(iu)
+			}
+		}
+	}
+	for i := range n.nis {
+		check(n.nis[i].ej)
 	}
 }

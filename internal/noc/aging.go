@@ -66,8 +66,16 @@ func (n *Network) AgingSnapshot() AgingState {
 // RestoreAging loads a snapshot into the network's devices. The
 // snapshot must address existing buffers; Vth0 values are restored too,
 // so a snapshot carries its silicon with it (overriding the PV draw).
+// A static network whose sweeps are elided re-arms the next
+// period-aligned sample, so the banks rank the restored Vth0 exactly
+// when a sweeping network would.
 func (n *Network) RestoreAging(st AgingState) error {
 	n.flushNBTI()
+	if n.nextSample == sampleNever {
+		p := n.cfg.Sensor.SamplePeriod
+		n.nextSample = n.cycle + 1 + (p-n.cycle%p)%p
+		n.heldSample = sampleNever
+	}
 	for _, rec := range st.VCs {
 		if rec.Node < 0 || rec.Node >= len(n.routers) {
 			return fmt.Errorf("noc: snapshot node %d out of range", rec.Node)

@@ -3,13 +3,23 @@ package noc
 import (
 	"encoding/json"
 	"testing"
+
+	"nbtinoc/internal/metrics"
+	"nbtinoc/internal/nbti"
+	"nbtinoc/internal/sensor"
 )
 
 // settleTestNet builds a small network, pushes one packet through it and
 // steps until the active sets drain, returning the idle network.
 func settleTestNet(t *testing.T) *Network {
 	t.Helper()
-	n, err := New(testConfig(2, 2, 2))
+	return settleNet(t, testConfig(2, 2, 2))
+}
+
+// settleNet is settleTestNet over an explicit configuration.
+func settleNet(t *testing.T, cfg Config) *Network {
+	t.Helper()
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,47 +44,93 @@ func agingJSON(t *testing.T, n *Network) string {
 	return string(b)
 }
 
+// sensorConfigs are the sensor regimes fast-forward must be exact for:
+// the static default, which samples once and then holds its outputs,
+// the noisy reference sensor, whose noise draws at every sample cycle
+// are observable, and a closed-loop (Horizon > 0) sensor, which reads
+// the duty cycle at every sample.
+func sensorConfigs() []struct {
+	name string
+	cfg  sensor.Config
+} {
+	return []struct {
+		name string
+		cfg  sensor.Config
+	}{
+		{"static", DefaultConfig().Sensor},
+		{"noisy", sensor.DefaultConfig()},
+		{"horizon", sensor.Config{SamplePeriod: 1024, LSB: 0.5e-3, Horizon: 3 * nbti.SecondsPerYear}},
+	}
+}
+
 // RunUntil over an idle network must be indistinguishable from stepping
 // every cycle: same cycle counter, same aging spans, same sensor state.
 func TestRunUntilMatchesStepByStep(t *testing.T) {
-	a := settleTestNet(t)
-	b := settleTestNet(t)
-	if a.Cycle() != b.Cycle() {
-		t.Fatalf("settle cycles differ: %d vs %d", a.Cycle(), b.Cycle())
-	}
-	// Span several sensor-sampling periods so sample cycles land mid-skip.
-	target := a.Cycle() + 5*a.Config().Sensor.SamplePeriod + 37
-	a.RunUntil(target)
-	for b.Cycle() < target {
-		b.Step()
-	}
-	if a.Cycle() != target || b.Cycle() != target {
-		t.Fatalf("cycles: RunUntil %d, Step loop %d, want %d", a.Cycle(), b.Cycle(), target)
-	}
-	if a.FastForwardedCycles() == 0 {
-		t.Error("RunUntil never fast-forwarded an idle network")
-	}
-	if b.FastForwardedCycles() != 0 {
-		t.Error("plain Step loop counted fast-forwarded cycles")
-	}
-	if ga, gb := agingJSON(t, a), agingJSON(t, b); ga != gb {
-		t.Errorf("aging state diverged:\n ff:  %s\n sbs: %s", ga, gb)
-	}
-	// Both networks must agree on every sensor designation too.
-	for _, port := range []Port{East, Local} {
-		if iu := a.Router(3).Input(port); iu == nil {
-			continue
-		}
-		if ma, mb := a.MostDegradedVC(3, port, 0), b.MostDegradedVC(3, port, 0); ma != mb {
-			t.Errorf("port %v: most-degraded %d vs %d", port, ma, mb)
-		}
+	for _, sc := range sensorConfigs() {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := testConfig(2, 2, 2)
+			cfg.Sensor = sc.cfg
+			// Each network counts its sensor samples in its own
+			// registry: equal counts witness that the same sweeps ran.
+			t.Cleanup(func() { metrics.SetDefault(nil) })
+			ra := metrics.New()
+			metrics.SetDefault(ra)
+			a := settleNet(t, cfg)
+			rb := metrics.New()
+			metrics.SetDefault(rb)
+			b := settleNet(t, cfg)
+			metrics.SetDefault(nil)
+			if a.Cycle() != b.Cycle() {
+				t.Fatalf("settle cycles differ: %d vs %d", a.Cycle(), b.Cycle())
+			}
+			// Span several sensor-sampling periods so sample cycles
+			// (swept or elided) land mid-skip.
+			target := a.Cycle() + 5*a.Config().Sensor.SamplePeriod + 37
+			a.RunUntil(target)
+			for b.Cycle() < target {
+				b.Step()
+			}
+			if a.Cycle() != target || b.Cycle() != target {
+				t.Fatalf("cycles: RunUntil %d, Step loop %d, want %d", a.Cycle(), b.Cycle(), target)
+			}
+			if a.FastForwardedCycles() == 0 {
+				t.Error("RunUntil never fast-forwarded an idle network")
+			}
+			if b.FastForwardedCycles() != 0 {
+				t.Error("plain Step loop counted fast-forwarded cycles")
+			}
+			if ga, gb := agingJSON(t, a), agingJSON(t, b); ga != gb {
+				t.Errorf("aging state diverged:\n ff:  %s\n sbs: %s", ga, gb)
+			}
+			if sa, sb := ra.CounterValue(sensor.MetricSamples), rb.CounterValue(sensor.MetricSamples); sa != sb || sa == 0 {
+				t.Errorf("sensor samples: RunUntil %d, Step loop %d", sa, sb)
+			}
+			// Both networks must agree on every sensor designation too.
+			for r := NodeID(0); int(r) < a.Nodes(); r++ {
+				for port := Port(0); port < NumPorts; port++ {
+					if a.Router(r).Input(port) == nil {
+						continue
+					}
+					if ma, mb := a.MostDegradedVC(r, port, 0), b.MostDegradedVC(r, port, 0); ma != mb {
+						t.Errorf("router %d port %v: most-degraded %d vs %d", r, port, ma, mb)
+					}
+				}
+			}
+		})
 	}
 }
 
 // A jump must execute the sensor-sampling cycle as a real Step: the
-// clock lands exactly on nextSample, never beyond it.
+// clock lands exactly on nextSample, never beyond it. That is the
+// contract of sampled configs — here the noisy reference sensor, whose
+// noise draws are observable.
 func TestRunUntilHonoursSampleCadence(t *testing.T) {
-	n := settleTestNet(t)
+	cfg := testConfig(2, 2, 2)
+	cfg.Sensor = sensor.DefaultConfig()
+	n := settleNet(t, cfg)
+	if n.elideSweeps {
+		t.Fatal("noisy sensor config elides sweeps")
+	}
 	period := n.Config().Sensor.SamplePeriod
 	// Jump far past many sample boundaries; the per-VC NBTI trackers are
 	// flushed at each sample, so total tracked cycles must cover the whole
@@ -97,29 +153,68 @@ func TestRunUntilHonoursSampleCadence(t *testing.T) {
 	}
 }
 
-// Waking exactly on nextSample: an injection scheduled for the very
-// cycle the sensor sweep runs must be processed normally afterwards.
-func TestRunUntilWakeOnSampleCycle(t *testing.T) {
+// A static sensor config schedules no sweep after its first, so an idle
+// network jumps a span of many sample periods with exactly one executed
+// Step: the target cycle itself.
+func TestRunUntilStaticJumpsWholeSpan(t *testing.T) {
 	n := settleTestNet(t)
-	period := n.Config().Sensor.SamplePeriod
-	// Land the clock exactly on a sample boundary.
-	target := (n.Cycle()/period + 3) * period
+	if !n.elideSweeps {
+		t.Fatal("static sensor config does not elide sweeps")
+	}
+	start, ff := n.Cycle(), n.FastForwardedCycles()
+	target := start + 10*n.Config().Sensor.SamplePeriod
 	n.RunUntil(target)
 	if n.Cycle() != target {
-		t.Fatalf("cycle %d, want sample boundary %d", n.Cycle(), target)
+		t.Fatalf("cycle %d, want %d", n.Cycle(), target)
 	}
-	if err := n.Inject(1, 2, 0, 4); err != nil {
-		t.Fatal(err)
+	if executed := (target - start) - (n.FastForwardedCycles() - ff); executed != 1 {
+		t.Errorf("%d real steps across 10 sample periods, want 1", executed)
 	}
-	if n.Idle() {
-		t.Fatal("injection did not wake the NI")
-	}
-	before := n.TotalEjectedPackets()
-	for i := 0; i < 4096 && !n.Quiescent(); i++ {
-		n.Step()
-	}
-	if n.TotalEjectedPackets() != before+1 {
-		t.Errorf("packet injected on a sample boundary not delivered")
+}
+
+// Waking exactly on a sample cycle: an injection scheduled for the very
+// cycle the sensor sweep runs (or, for a static bank, would run) must be
+// processed normally afterwards, and exactly as a step-by-step run
+// processes it.
+func TestRunUntilWakeOnSampleCycle(t *testing.T) {
+	for _, sc := range sensorConfigs() {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := testConfig(2, 2, 2)
+			cfg.Sensor = sc.cfg
+			a := settleNet(t, cfg)
+			b := settleNet(t, cfg)
+			period := a.Config().Sensor.SamplePeriod
+			// Land the clock exactly on a sample boundary.
+			target := (a.Cycle()/period + 3) * period
+			a.RunUntil(target)
+			for b.Cycle() < target {
+				b.Step()
+			}
+			if a.Cycle() != target {
+				t.Fatalf("cycle %d, want sample boundary %d", a.Cycle(), target)
+			}
+			for _, n := range []*Network{a, b} {
+				if err := n.Inject(1, 2, 0, 4); err != nil {
+					t.Fatal(err)
+				}
+				if n.Idle() {
+					t.Fatal("injection did not wake the NI")
+				}
+				before := n.TotalEjectedPackets()
+				for i := 0; i < 4096 && !n.Quiescent(); i++ {
+					n.Step()
+				}
+				if n.TotalEjectedPackets() != before+1 {
+					t.Errorf("packet injected on a sample boundary not delivered")
+				}
+			}
+			if a.Cycle() != b.Cycle() {
+				t.Fatalf("drained at cycle %d after RunUntil, %d step by step", a.Cycle(), b.Cycle())
+			}
+			if ga, gb := agingJSON(t, a), agingJSON(t, b); ga != gb {
+				t.Errorf("aging state diverged:\n ff:  %s\n sbs: %s", ga, gb)
+			}
+		})
 	}
 }
 

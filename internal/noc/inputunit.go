@@ -253,7 +253,10 @@ func (iu *InputUnit) Port() Port { return iu.port }
 func (iu *InputUnit) NumVCs() int { return len(iu.vcs) }
 
 // Device returns the NBTI device of flattened VC vc, with the open
-// accounting span flushed so the tracker is current.
+// accounting span flushed so the tracker is current. The device's Vth0
+// is construction- or RestoreAging-time state: static sensor banks hold
+// the ranking they took of it (see Network.nextSample), so callers must
+// not rewrite it in place.
 func (iu *InputUnit) Device(vc int) *nbti.Device {
 	if iu.clk != nil {
 		iu.flushVC(vc, *iu.clk)

@@ -1,6 +1,9 @@
 package noc
 
-import "nbtinoc/internal/metrics"
+import (
+	"nbtinoc/internal/metrics"
+	"nbtinoc/internal/sensor"
+)
 
 // Exported instrument names, for monitors and progress readers that
 // look series up by name (cmd/* wire these into metrics.Progress).
@@ -40,6 +43,9 @@ type netMetrics struct {
 	routersSkipped *metrics.Counter
 	nisActive      *metrics.Counter
 	nisSkipped     *metrics.Counter
+	// sensorSamples is the banks' own sample counter, advanced by the
+	// network for the sweeps a static sensor config elides.
+	sensorSamples *metrics.Counter
 }
 
 // newNetMetrics resolves the network-level instruments from the process
@@ -59,6 +65,7 @@ func newNetMetrics() netMetrics {
 		routersSkipped: steps.With("router", "skipped"),
 		nisActive:      steps.With("ni", "active"),
 		nisSkipped:     steps.With("ni", "skipped"),
+		sensorSamples:  sensor.SamplesCounter(),
 	}
 }
 

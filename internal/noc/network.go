@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"nbtinoc/internal/nbti"
@@ -69,9 +70,28 @@ type Network struct {
 	// bits directly (ascending NodeID — a deterministic order by
 	// construction).
 	rtrSnap, niSnap []uint64
-	// nextSample is the next sensor-sampling cycle; between samples the
-	// banks hold their outputs, so the publish phase is skipped.
+	// nextSample is the next cycle whose sensor sweep executes; between
+	// samples the banks hold their outputs, so the publish phase is
+	// skipped. With a static sensor config (sensor.Config.Static) every
+	// sweep after the first is a provable no-op: each reading is its
+	// device's Vth0, so the comparator outputs cannot change and the
+	// Down_Up links settle after the first publish. elideSweeps networks
+	// therefore set nextSample to sampleNever after each executed sweep;
+	// RestoreAging, the only in-package writer of Vth0, re-arms it.
+	// Skipping the sweep's span flush is exact too: splitting a span adds
+	// the same integers, and every tracker reader flushes first.
 	nextSample uint64
+	// elideSweeps is set for static sensor configs. Tests clear it right
+	// after New to obtain the reference that sweeps every period.
+	elideSweeps bool
+	// heldSample is the next modelled sample cycle whose elided sweep is
+	// not yet accounted: the modelled hardware still samples, so the
+	// sample counter advances arithmetically through it (and nbtidebug
+	// builds re-check the held outputs there). sampleNever while sweeps
+	// execute, or when nothing consumes it (no registry, normal build).
+	heldSample uint64
+	// sensors is the number of sensors one sweep reads.
+	sensors uint64
 
 	// deliverHook, when set, is invoked once per delivered packet (at
 	// tail-flit ejection) — the attachment point for closed-loop traffic
@@ -96,6 +116,10 @@ type Network struct {
 // node: the ejection input buffers and the injection output unit, and
 // the index used when sampling their process variation.
 const ejPort = int(NumPorts)
+
+// sampleNever is the nextSample/heldSample value of a sweep that is not
+// scheduled.
+const sampleNever = math.MaxUint64
 
 // unitSlots is the per-node unit-arena stride: the five router ports
 // plus the NI-side slot.
@@ -224,6 +248,8 @@ func New(cfg Config) (*Network, error) {
 	n.rtrSnap = make([]uint64, words)
 	n.niSnap = make([]uint64, words)
 	n.nextSample = 1
+	n.heldSample = sampleNever
+	n.elideSweeps = cfg.Sensor.Static()
 
 	// Attach sensors to every input unit (router ports and NI ejection).
 	// The iteration order fixes the rng split sequence and must not
@@ -235,11 +261,13 @@ func New(cfg Config) (*Network, error) {
 				if err := iu.attachSensors(cfg.Sensor, seeder); err != nil {
 					return nil, err
 				}
+				n.sensors += uint64(total)
 			}
 		}
 		if err := n.nis[id].ej.attachSensors(cfg.Sensor, seeder); err != nil {
 			return nil, err
 		}
+		n.sensors += uint64(total)
 	}
 	return n, nil
 }
@@ -446,16 +474,9 @@ func (n *Network) Step() {
 		}
 	}
 	if cycle == n.nextSample {
-		// The sampling sweep covers every unit, active or not: sensor
-		// cadence is global, and a changed comparator output wakes the
-		// upstream consumer.
-		for i := range n.routers {
-			n.routers[i].samplePhase(cycle)
-		}
-		for i := range n.nis {
-			n.nis[i].samplePhase(cycle)
-		}
-		n.nextSample += n.cfg.Sensor.SamplePeriod
+		n.sampleSweep(cycle)
+	} else if cycle == n.heldSample {
+		n.holdSamples(cycle)
 	}
 	for w, word := range n.rtrSnap {
 		for b := word; b != 0; b &= b - 1 {
@@ -475,6 +496,41 @@ func (n *Network) Step() {
 	}
 	if nbtiDebug {
 		n.debugCheckSkipped()
+	}
+}
+
+// sampleSweep runs every unit's sensor banks, active or not: sensor
+// cadence is global, and a changed comparator output wakes the upstream
+// consumer. A static network then stops sweeping (see nextSample).
+func (n *Network) sampleSweep(cycle uint64) {
+	for i := range n.routers {
+		n.routers[i].samplePhase(cycle)
+	}
+	for i := range n.nis {
+		n.nis[i].samplePhase(cycle)
+	}
+	period := n.cfg.Sensor.SamplePeriod
+	if !n.elideSweeps {
+		n.nextSample += period
+		return
+	}
+	n.nextSample = sampleNever
+	if n.met.sensorSamples != nil || nbtiDebug {
+		n.heldSample = cycle + period
+	}
+}
+
+// holdSamples accounts the elided sweeps of a static network at every
+// modelled sample cycle from heldSample through upTo: the sample
+// counter advances as if each had run, and nbtidebug builds recompute
+// the banks to prove the held outputs are what a sweep would publish.
+func (n *Network) holdSamples(upTo uint64) {
+	period := n.cfg.Sensor.SamplePeriod
+	k := (upTo-n.heldSample)/period + 1
+	n.heldSample += k * period
+	n.met.sensorSamples.Add(k * n.sensors)
+	if nbtiDebug {
+		n.debugCheckHeld()
 	}
 }
 
@@ -514,11 +570,13 @@ func (n *Network) FastForwardedCycles() uint64 { return n.ffCycles }
 // or control message is in flight, every link is settled, every policy
 // steady, and NBTI accounting is span-batched so the skipped recovery
 // span is charged exactly when the next flush closes it. The one global
-// exception is the sensor-sampling cadence, so jumps land just before
+// exception is an executing sensor sweep, so jumps land just before
 // nextSample (or target) and execute that cycle as a real Step — whose
 // sample sweep may wake units, degrading gracefully to cycle-by-cycle
-// stepping until the network is idle again. Equivalence with calling
-// Step target-cycle times is pinned by tests and the nbtidebug build.
+// stepping until the network is idle again. A static network schedules
+// no sweep after its first (see nextSample), so it jumps straight to
+// target. Equivalence with calling Step target-cycle times is pinned by
+// tests and the nbtidebug build.
 func (n *Network) RunUntil(target uint64) {
 	for n.cycle < target {
 		if !n.Idle() {
@@ -539,6 +597,9 @@ func (n *Network) RunUntil(target uint64) {
 			n.met.ffCycles.Add(skip)
 			n.met.routersSkipped.Add(skip * uint64(len(n.routers)))
 			n.met.nisSkipped.Add(skip * uint64(len(n.nis)))
+			if n.cycle >= n.heldSample {
+				n.holdSamples(n.cycle)
+			}
 		}
 		n.Step()
 	}
@@ -718,11 +779,18 @@ func (n *Network) DutyCycle(node NodeID, port Port, vc int) float64 {
 // MostDegradedVC returns the most degraded VC (index within the vnet
 // slice) of a router input port, as the port's sensor bank reports it.
 // Open NBTI spans are flushed first in case the read triggers a fresh
-// sample of closed-loop (Horizon > 0) sensors.
+// sample of closed-loop (Horizon > 0) sensors. A static network's banks
+// hold their outputs from the first sweep on, so the read returns them
+// without sampling, as it would between the sweeps the hardware runs.
 func (n *Network) MostDegradedVC(node NodeID, port Port, vnet int) int {
 	iu := n.routers[node].in[port]
+	bank := iu.banks[vnet]
+	if n.elideSweeps && n.cycle > 0 {
+		md, _ := bank.Held()
+		return md
+	}
 	iu.flushNBTI(n.cycle)
-	return iu.banks[vnet].MostDegraded(n.cycle)
+	return bank.MostDegraded(n.cycle)
 }
 
 // Vth0 returns the process-variation initial threshold voltage sampled

@@ -61,6 +61,22 @@ func IdealConfig() Config {
 	return Config{SamplePeriod: 1}
 }
 
+// Static reports whether every reading is a pure function of the
+// device's Vth0: no read noise and no ΔVth projection (quantisation is
+// deterministic). A static bank's comparator outputs can then change
+// only when some Vth0 is rewritten, so an owner that knows every such
+// write may hold them instead of re-sampling.
+func (c Config) Static() bool {
+	return floats.ExactZero(c.NoiseSigma) && floats.ExactZero(c.Horizon)
+}
+
+// SamplesCounter resolves the MetricSamples counter from the process
+// default registry (nil, a no-op, when instrumentation is disabled).
+func SamplesCounter() *metrics.Counter {
+	return metrics.Default().Counter(MetricSamples,
+		"Actual sensor measurements taken by bank refreshes.")
+}
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
@@ -128,12 +144,19 @@ func (s *Sensor) Read(cycle uint64) float64 {
 	if s.cfg.NoiseSigma > 0 {
 		v += s.src.Norm(0, s.cfg.NoiseSigma)
 	}
-	if s.cfg.LSB > 0 {
-		v = math.Round(v/s.cfg.LSB) * s.cfg.LSB
-	}
+	v = s.quantise(v)
 	s.last = v
 	s.lastSample = cycle
 	s.primed = true
+	return v
+}
+
+// quantise rounds v to the readout's LSB (identity for an ideal
+// readout).
+func (s *Sensor) quantise(v float64) float64 {
+	if s.cfg.LSB > 0 {
+		return math.Round(v/s.cfg.LSB) * s.cfg.LSB
+	}
 	return v
 }
 
@@ -158,10 +181,9 @@ func NewBank(devs []*nbti.Device, cfg Config, src *rng.Source) (*Bank, error) {
 		return nil, errors.New("sensor: empty bank")
 	}
 	b := &Bank{
-		sensors: make([]*Sensor, len(devs)),
-		period:  cfg.SamplePeriod,
-		mSamples: metrics.Default().Counter(MetricSamples,
-			"Actual sensor measurements taken by bank refreshes."),
+		sensors:  make([]*Sensor, len(devs)),
+		period:   cfg.SamplePeriod,
+		mSamples: SamplesCounter(),
 	}
 	for i, d := range devs {
 		var child *rng.Source
@@ -189,21 +211,49 @@ func (b *Bank) refresh(cycle uint64) {
 	if b.primed && cycle-b.lastUpdate < b.period {
 		return
 	}
-	maxI, maxV := 0, math.Inf(-1)
-	minI, minV := 0, math.Inf(1)
+	e := newExtremes()
 	for i, s := range b.sensors {
-		v := s.Read(cycle)
-		if v > maxV {
-			maxI, maxV = i, v
-		}
-		if v < minV {
-			minI, minV = i, v
-		}
+		e.add(i, s.Read(cycle))
 	}
-	b.md, b.ld = maxI, minI
+	b.md, b.ld = e.maxI, e.minI
 	b.lastUpdate = cycle
 	b.primed = true
 	b.mSamples.Add(uint64(len(b.sensors)))
+}
+
+// extremes is the comparator pair over one sweep of readings: the first
+// maximum and the first minimum, so ties resolve to the lowest index.
+type extremes struct {
+	maxI, minI int
+	maxV, minV float64
+}
+
+func newExtremes() extremes { return extremes{maxV: math.Inf(-1), minV: math.Inf(1)} }
+
+func (e *extremes) add(i int, v float64) {
+	if v > e.maxV {
+		e.maxI, e.maxV = i, v
+	}
+	if v < e.minV {
+		e.minI, e.minV = i, v
+	}
+}
+
+// Held returns the most- and least-degraded outputs of the last refresh
+// without sampling.
+func (b *Bank) Held() (md, ld int) { return b.md, b.ld }
+
+// Evaluate recomputes the comparator outputs from noiseless readings of
+// the devices' current state, touching neither the held outputs, the
+// sampling clocks nor the sample counter. For a static config it is
+// exactly what the next refresh would produce, which lets an owner
+// holding a static bank verify the hold.
+func (b *Bank) Evaluate() (md, ld int) {
+	e := newExtremes()
+	for i, s := range b.sensors {
+		e.add(i, s.quantise(s.trueVth()))
+	}
+	return e.maxI, e.minI
 }
 
 // MostDegraded returns the index of the VC whose sensor currently reads

@@ -247,3 +247,46 @@ func TestNewBankRejectsBadConfig(t *testing.T) {
 		t.Fatal("bad config accepted by NewBank")
 	}
 }
+
+func TestConfigStatic(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want bool
+	}{
+		{IdealConfig(), true},
+		{Config{SamplePeriod: 1024, LSB: 0.5e-3}, true},
+		{DefaultConfig(), false},
+		{Config{SamplePeriod: 4096, Horizon: 3 * nbti.SecondsPerYear}, false},
+	} {
+		if got := tc.cfg.Static(); got != tc.want {
+			t.Errorf("%+v.Static() = %v, want %v", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// Held and Evaluate read a bank without sampling it: Held returns the
+// last refresh, Evaluate what a refresh would produce now.
+func TestBankHeldAndEvaluate(t *testing.T) {
+	devs := devices(0.178, 0.186, 0.181, 0.179)
+	b, err := NewBank(devs, Config{SamplePeriod: 10, LSB: 0.5e-3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.MostDegraded(1)
+	if md, ld := b.Held(); md != 1 || ld != 0 {
+		t.Fatalf("Held = (%d, %d), want (1, 0)", md, ld)
+	}
+	if md, ld := b.Evaluate(); md != 1 || ld != 0 {
+		t.Fatalf("Evaluate = (%d, %d), want (1, 0)", md, ld)
+	}
+	devs[3].Vth0 = 0.2
+	if md, _ := b.Evaluate(); md != 3 {
+		t.Errorf("Evaluate after a Vth0 write = %d, want 3", md)
+	}
+	if md, _ := b.Held(); md != 1 {
+		t.Errorf("Evaluate disturbed the held output: %d", md)
+	}
+	if got := b.MostDegraded(5); got != 1 {
+		t.Errorf("Evaluate disturbed the sampling clock: MostDegraded(5) = %d, want the held 1", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nbtinoc/internal/noc"
+	"nbtinoc/internal/sensor"
 	"nbtinoc/internal/traffic"
 )
 
@@ -60,6 +61,9 @@ func TestFastForwardMatchesStepByStep(t *testing.T) {
 		rate     float64
 		reqResp  bool
 		wantFast bool // the fast-forward path must actually trigger
+		// sensor names a SensorVariants entry; empty keeps BaseConfig's
+		// static sensor, which samples once and then holds its outputs.
+		sensor string
 	}{
 		// Mostly-idle: the regime fast-forward exists for.
 		{name: "sensor-wise-idle", policy: "sensor-wise", rate: 0.002, wantFast: true},
@@ -73,6 +77,11 @@ func TestFastForwardMatchesStepByStep(t *testing.T) {
 		{name: "req-resp", policy: "sensor-wise", rate: 0.002, reqResp: true, wantFast: true},
 		// Zero-rate: the whole run is one fast-forwarded span.
 		{name: "zero-rate", policy: "sensor-wise", rate: 0, wantFast: true},
+		// Sampled sensors sweep every period: a jump must stop on each
+		// sample cycle, where the noisy sensor draws its read noise and
+		// the closed-loop one reads the duty cycle.
+		{name: "sensor-wise-idle-noisy", policy: "sensor-wise", rate: 0.002, wantFast: true, sensor: "reference"},
+		{name: "sensor-wise-idle-dynamic", policy: "sensor-wise", rate: 0.002, wantFast: true, sensor: "dynamic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +101,9 @@ func TestFastForwardMatchesStepByStep(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.PVSeed = 99
+				if tc.sensor != "" {
+					cfg.Sensor = sensorVariant(t, tc.sensor)
+				}
 				if tc.reqResp {
 					cfg.VNets = 2 // request + response classes
 				}
@@ -120,6 +132,18 @@ func TestFastForwardMatchesStepByStep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sensorVariant returns the SensorVariants configuration called name.
+func sensorVariant(t *testing.T, name string) sensor.Config {
+	t.Helper()
+	for _, v := range SensorVariants() {
+		if v.Name == name {
+			return v.Cfg
+		}
+	}
+	t.Fatalf("no sensor variant %q", name)
+	return sensor.Config{}
 }
 
 // The warm-up → measurement boundary must land in its own iteration so

@@ -151,7 +151,8 @@ func Run(rc RunConfig, probes []PortProbe) (*RunResult, error) {
 		// Event-horizon fast-forward: when the generator will provably
 		// not emit before cycle `next` and the network is idle, the
 		// iterations in between are no-ops (Tick emits nothing, Step
-		// touches nothing but the sensor cadence, which RunUntil honours)
+		// touches nothing but the sensor sweeps, which RunUntil executes
+		// where they can change something and skips for static sensors)
 		// — so jump straight to the first eventful iteration. The jump is
 		// clamped to the warm-up edge so the statistics reset at
 		// c+1 == Warmup still runs in its own iteration, and to total-1 so
