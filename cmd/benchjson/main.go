@@ -19,6 +19,12 @@
 // allocation counts). A benchmark that gets faster than the band is
 // reported as a warning — a hint the baseline is stale — but never
 // fails the run.
+//
+// `go test -bench` appends "-N" to every benchmark name when GOMAXPROCS
+// is N > 1. benchjson strips that suffix, on the parsed run and on the
+// baseline alike, so a pin recorded on one machine gates runs on any
+// other; N is kept in the run's procs field, next to the recording
+// machine's core count.
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -44,11 +51,17 @@ type Benchmark struct {
 
 // Run is one labelled `go test -bench` invocation.
 type Run struct {
-	Label      string      `json:"label"`
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Label  string `json:"label"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Procs is the GOMAXPROCS the benchmarks ran with, read off their
+	// name suffix (1 when there is none).
+	Procs int `json:"procs,omitempty"`
+	// Cores is the logical CPU count of the machine that recorded the
+	// run.
+	Cores      int         `json:"cores,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -100,6 +113,7 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 	parsed.Label = *label
+	parsed.Cores = runtime.NumCPU()
 
 	var file File
 	if *appendTo {
@@ -202,7 +216,32 @@ func parseBench(in io.Reader) (Run, error) {
 		}
 		run.Benchmarks = append(run.Benchmarks, b)
 	}
+	stripProcs(&run)
 	return run, sc.Err()
+}
+
+// stripProcs removes the "-N" GOMAXPROCS suffix from r's benchmark
+// names and records N in r.Procs. The suffix is only taken as one when
+// every name carries the same N, so a run at GOMAXPROCS=1 keeps a
+// sub-benchmark name that merely ends in a number.
+func stripProcs(r *Run) {
+	r.Procs = 1
+	procs := ""
+	for _, b := range r.Benchmarks {
+		i := strings.LastIndexByte(b.Name, '-')
+		n, err := strconv.Atoi(b.Name[i+1:])
+		if i < 0 || err != nil || n < 2 || (procs != "" && b.Name[i:] != procs) {
+			return
+		}
+		procs = b.Name[i:]
+	}
+	if procs == "" {
+		return
+	}
+	for i := range r.Benchmarks {
+		r.Benchmarks[i].Name = strings.TrimSuffix(r.Benchmarks[i].Name, procs)
+	}
+	r.Procs, _ = strconv.Atoi(procs[1:])
 }
 
 // loadBaseline reads a trajectory file and returns the benchmarks of
@@ -219,8 +258,10 @@ func loadBaseline(path string) (map[string]Benchmark, error) {
 	if len(file.Runs) == 0 {
 		return nil, fmt.Errorf("baseline %s has no runs", path)
 	}
+	pinned := file.Runs[len(file.Runs)-1]
+	stripProcs(&pinned)
 	base := make(map[string]Benchmark)
-	for _, b := range file.Runs[len(file.Runs)-1].Benchmarks {
+	for _, b := range pinned.Benchmarks {
 		base[b.Name] = b
 	}
 	return base, nil

@@ -236,3 +236,49 @@ func TestSecOpSkipsUnpinnedZeroAndSubFloor(t *testing.T) {
 		t.Errorf("sub-floor exemption not floor-controlled: %v", regs)
 	}
 }
+
+// On a multi-core machine `go test -bench` names a benchmark
+// BenchmarkX-2; it must still be gated by a BenchmarkX pin.
+func TestProcsSuffixMatchesPin(t *testing.T) {
+	const multiCore = `cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkX-2           	       1	 200000000 ns/op	     500 B/op	     500 allocs/op
+BenchmarkY/case-1-2    	       1	 100000000 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+	r, err := parseBench(strings.NewReader(multiCore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Procs != 2 || r.Benchmarks[0].Name != "BenchmarkX" || r.Benchmarks[1].Name != "BenchmarkY/case-1" {
+		t.Fatalf("suffix not stripped: procs %d, names %q, %q", r.Procs, r.Benchmarks[0].Name, r.Benchmarks[1].Name)
+	}
+	dir := t.TempDir()
+	baseline := writeBaseline(t, dir, Benchmark{Name: "BenchmarkX", NsPerOp: 2e8, AllocsPerOp: 100})
+	var errBuf strings.Builder
+	err = run([]string{"-o", filepath.Join(dir, "out.json"), "-baseline", baseline},
+		strings.NewReader(multiCore), &errBuf)
+	if err == nil || !strings.Contains(errBuf.String(), "allocs/op regression: BenchmarkX:") {
+		t.Fatalf("BenchmarkX-2 not gated by the BenchmarkX pin: %v\n%s", err, errBuf.String())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "out.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file File
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	if got := file.Runs[0]; got.Procs != 2 || got.Cores < 1 {
+		t.Errorf("run recorded procs %d, cores %d", got.Procs, got.Cores)
+	}
+}
+
+// Without a common suffix (GOMAXPROCS=1) names ending in a number stay
+// as they are.
+func TestNoProcsSuffixKeepsNames(t *testing.T) {
+	r := Run{Benchmarks: []Benchmark{{Name: "BenchmarkRate-16"}, {Name: "BenchmarkX"}}}
+	stripProcs(&r)
+	if r.Procs != 1 || r.Benchmarks[0].Name != "BenchmarkRate-16" {
+		t.Errorf("stripped a name at GOMAXPROCS=1: procs %d, %q", r.Procs, r.Benchmarks[0].Name)
+	}
+}

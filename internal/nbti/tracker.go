@@ -88,20 +88,24 @@ type Device struct {
 	Vth0 float64
 	// Tracker accumulates the device's stress history.
 	Tracker StressTracker
-	// Model holds the technology parameters used for ΔVth extraction.
-	Model Params
+	// Model points at the technology parameters used for ΔVth
+	// extraction, which every device of a network shares.
+	Model *Params
 }
 
-// NewDevice returns a Device with the given initial Vth and model.
+// NewDevice returns a Device with the given initial Vth and its own
+// copy of model.
 func NewDevice(vth0 float64, model Params) *Device {
 	d := &Device{}
-	d.Init(vth0, model)
+	d.Init(vth0, &model)
 	return d
 }
 
 // Init initialises the device in place with the given initial Vth and
 // model — the constructor for devices living in caller-owned arenas.
-func (d *Device) Init(vth0 float64, model Params) {
+// model is shared, not copied, so it must outlive the device and stay
+// unchanged.
+func (d *Device) Init(vth0 float64, model *Params) {
 	*d = Device{Vth0: vth0, Model: model}
 	d.Tracker.met = newTrackerMetrics()
 }

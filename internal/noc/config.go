@@ -10,8 +10,10 @@ import (
 )
 
 // PolicyFactory builds one recovery-policy instance. Each (output unit,
-// vnet) pair receives its own instance so that per-port policy state
-// (e.g. the round-robin active candidate) is independent, as in hardware.
+// vnet) pair receives its own instance so that per-port policy state is
+// independent, as in hardware — except that a policy declaring it keeps
+// no state (CycleFreePolicy or PhasePolicy) is built once per network
+// and shared, which no decision can tell apart.
 type PolicyFactory func() Policy
 
 // Config describes a network instance. The zero value is not usable;

@@ -4,3 +4,7 @@ package noc
 // its sensor config is static: the reference the sweep elision is
 // checked against. Call it right after New.
 func ForceSampling(n *Network) { n.elideSweeps = false }
+
+// SummaryWords returns the length of n's router active-set summary: one
+// word per 64 words of per-router bits.
+func SummaryWords(n *Network) int { return len(n.rtr.sum) }

@@ -105,7 +105,8 @@ type InputUnit struct {
 	// (points at the upstream's embedded mdIn link).
 	mdOut *mdLink
 	// banks are the per-vnet sensor banks (nil when sensors disabled).
-	banks []*sensor.Bank
+	//nbtilint:arena
+	banks []sensor.Bank
 	// writes and reads count buffer write/read events (flits in/out),
 	// feeding the energy model.
 	writes, reads uint64
@@ -147,40 +148,37 @@ type InputUnit struct {
 	clk *uint64
 	// wakeUp re-activates the upstream unit on the network active-set
 	// when this unit emits something the upstream must observe (a
-	// credit, a changed Down_Up value); nil outside a network.
-	wakeUp func()
+	// credit, a changed Down_Up value); the zero waker outside a network.
+	wakeUp waker
 	// mCredits mirrors credit returns into the process metrics registry;
 	// nil when instrumentation is disabled.
 	mCredits *metrics.Counter
 }
 
-// initInputUnit initialises an input unit in place over caller-owned
-// backing storage: vcs (TotalVCs buffers), fifo (TotalVCs*depth flits)
-// and devs (TotalVCs devices), all typically subslices of the network's
-// flat arenas. vth0 supplies the per-VC initial threshold voltages.
+// initInputUnit initialises the zero input unit iu in place over
+// caller-owned backing storage: vcs (TotalVCs buffers), fifo
+// (TotalVCs*depth flits) and devs (TotalVCs devices), all typically
+// subslices of the network's flat arenas, plus the flit pipeline's slot
+// ring carved from st. vth0 supplies the per-VC initial threshold
+// voltages.
 func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []vcBuffer, fifo []Flit, devs []nbti.Device, depth int, vth0 []float64) {
+	vcs []vcBuffer, fifo []Flit, devs []nbti.Device, depth int, vth0 []float64, st *unitStore) {
 	total := cfg.TotalVCs()
 	if len(vth0) != total {
 		panic(fmt.Sprintf("noc: %d Vth0 samples for %d VCs", len(vth0), total))
 	}
-	*iu = InputUnit{
-		owner:    owner,
-		port:     port,
-		cfg:      cfg,
-		vcs:      vcs[:total:total],
-		vcAll:    vcAllMask(total),
-		power:    powerLink{cur: ^uint64(0), next: ^uint64(0)},
-		mCredits: creditsReturnedCounter(),
-	}
-	iu.flitIn.slots = make([][]Flit, cfg.LinkLatency+cfg.PhitsPerFlit-1)
-	for i := 0; i < total; i++ {
-		devs[i].Init(vth0[i], cfg.NBTI)
-		iu.vcs[i] = vcBuffer{
-			fifo:   window(fifo, i, depth),
-			outVC:  -1,
-			device: &devs[i],
-		}
+	iu.owner, iu.port, iu.cfg = owner, port, cfg
+	iu.vcs = vcs[:total:total]
+	iu.vcAll = vcAllMask(total)
+	iu.power = powerLink{cur: ^uint64(0), next: ^uint64(0)}
+	iu.mCredits = creditsReturnedCounter()
+	iu.flitIn.slots = take(&st.flitSlots, cfg.LinkLatency+cfg.PhitsPerFlit-1)
+	for i := range iu.vcs {
+		devs[i].Init(vth0[i], &cfg.NBTI)
+		b := &iu.vcs[i]
+		b.fifo = window(fifo, i, depth)
+		b.outVC = -1
+		b.device = &devs[i]
 	}
 	iu.poweredMask = iu.vcAll
 	iu.pwrDirty = true
@@ -193,7 +191,7 @@ func newInputUnit(owner NodeID, port Port, cfg *Config, depth int, vth0 []float6
 	iu := &InputUnit{}
 	initInputUnit(iu, owner, port, cfg,
 		make([]vcBuffer, total), make([]Flit, total*depth), make([]nbti.Device, total),
-		depth, vth0)
+		depth, vth0, &unitStore{})
 	return iu
 }
 
@@ -229,19 +227,35 @@ func (iu *InputUnit) flushVC(vc int, upTo uint64) {
 }
 
 // attachSensors instantiates one sensor bank per vnet over the unit's
-// devices. src may be nil for noiseless sensor configs.
-func (iu *InputUnit) attachSensors(cfg sensor.Config, src sensorSeeder) error {
-	iu.banks = make([]*sensor.Bank, iu.cfg.VNets)
-	for vn := 0; vn < iu.cfg.VNets; vn++ {
-		devs := make([]*nbti.Device, iu.cfg.VCsPerVNet)
-		for i := range devs {
-			devs[i] = iu.vcs[iu.cfg.vcIndex(vn, i)].device
+// devices, carving banks, sensors and noise sources from st. With read
+// noise each bank splits one source off src and each of its sensors one
+// off that (src may be nil for noiseless configs).
+func (iu *InputUnit) attachSensors(cfg *sensor.Config, st *unitStore, src *rng.Source) error {
+	noisy := cfg.NoiseSigma > 0
+	iu.banks = take(&st.banks, iu.cfg.VNets)
+	for vn := range iu.banks {
+		var bankSrc rng.Source
+		if noisy {
+			src.SplitInto(&bankSrc)
 		}
-		b, err := sensor.NewBank(devs, cfg, src())
-		if err != nil {
+		sensors := take(&st.sensors, iu.cfg.VCsPerVNet)
+		var noise []rng.Source
+		if noisy {
+			noise = take(&st.noise, len(sensors))
+		}
+		for i := range sensors {
+			var sensorSrc *rng.Source
+			if noisy {
+				sensorSrc = &noise[i]
+				bankSrc.SplitInto(sensorSrc)
+			}
+			if err := sensors[i].Init(iu.vcs[iu.cfg.vcIndex(vn, i)].device, cfg, sensorSrc); err != nil {
+				return err
+			}
+		}
+		if err := iu.banks[vn].Init(sensors, *cfg); err != nil {
 			return err
 		}
-		iu.banks[vn] = b
 	}
 	return nil
 }
@@ -364,9 +378,7 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) *Flit {
 		*iu.upCred |= iu.upBit
 	}
 	iu.mCredits.Inc()
-	if iu.wakeUp != nil {
-		iu.wakeUp()
-	}
+	iu.wakeUp.wake()
 	return f
 }
 
@@ -423,10 +435,11 @@ func (iu *InputUnit) publishMostDegraded(cycle uint64) {
 	if iu.banks == nil {
 		return
 	}
-	for vn, bank := range iu.banks {
+	for vn := range iu.banks {
+		bank := &iu.banks[vn]
 		md, ld := bank.MostDegraded(cycle), bank.LeastDegraded(cycle)
-		if iu.wakeUp != nil && (iu.mdOut.nextMD[vn] != md || iu.mdOut.nextLD[vn] != ld) {
-			iu.wakeUp()
+		if iu.mdOut.nextMD[vn] != md || iu.mdOut.nextLD[vn] != ld {
+			iu.wakeUp.wake()
 		}
 		iu.mdOut.Send(vn, md, ld)
 	}
@@ -449,7 +462,3 @@ func (iu *InputUnit) bufferedFlits() int {
 	}
 	return n
 }
-
-// sensorSeeder supplies rng sources for sensor banks; it returns nil
-// when sensors are configured noiseless.
-type sensorSeeder func() *rng.Source

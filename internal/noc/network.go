@@ -8,6 +8,7 @@ import (
 	"nbtinoc/internal/nbti"
 	"nbtinoc/internal/pv"
 	"nbtinoc/internal/rng"
+	"nbtinoc/internal/sensor"
 )
 
 // Network is a complete mesh NoC instance: routers, network interfaces
@@ -51,8 +52,9 @@ type Network struct {
 	outvcs []outVC
 	//nbtilint:arena
 	devices []nbti.Device
-	//nbtilint:arena
-	fifos []Flit
+	// fifos holds the flit storage in groups of fifoGroup nodes; see
+	// New.
+	fifos [][]Flit
 	//nbtilint:arena
 	flows []niFlow
 
@@ -60,16 +62,15 @@ type Network struct {
 	nextPacketID uint64
 	vmap         *pv.VCMap
 
-	// rtrMask/niMask are the live active sets: bit id is set while the
-	// unit must be stepped. Units clear their own bit when quiescent;
-	// wake hooks (flit sends, mask/feedback changes, injections) set it.
-	rtrMask, niMask []uint64
-	// rtrSnap/niSnap capture the active sets at the top of each Step so
+	// rtr and ni are the two-level active sets (activeset.go): bit id is
+	// set while the unit must be stepped. Units clear their own bit when
+	// quiescent; wake hooks (flit sends, mask/feedback changes,
+	// injections) set it. Step snapshots both at the top of the cycle so
 	// units woken mid-cycle join the sweep the following cycle, matching
-	// the one-cycle link delays. Each phase iterates the snapshot's set
-	// bits directly (ascending NodeID — a deterministic order by
+	// the one-cycle link delays, and each phase iterates the snapshot's
+	// set bits directly (ascending NodeID — a deterministic order by
 	// construction).
-	rtrSnap, niSnap []uint64
+	rtr, ni activeSet
 	// nextSample is the next cycle whose sensor sweep executes; between
 	// samples the banks hold their outputs, so the publish phase is
 	// skipped. With a static sensor config (sensor.Config.Static) every
@@ -121,13 +122,20 @@ const ejPort = int(NumPorts)
 // scheduled.
 const sampleNever = math.MaxUint64
 
+// fifoGroup is the number of nodes whose flit storage shares one
+// allocation.
+const fifoGroup = 64
+
 // unitSlots is the per-node unit-arena stride: the five router ports
 // plus the NI-side slot.
 const unitSlots = int(NumPorts) + 1
 
 // New builds a network from the configuration. The same PVSeed yields
 // the same initial Vth values regardless of the policy, as the paper's
-// methodology requires.
+// methodology requires. Construction allocates no per-unit objects:
+// every per-unit slice is a window of a flat arena or of the unitStore
+// sized for the whole network, so the count grows only with the flit
+// storage groups (one per fifoGroup nodes).
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -140,14 +148,6 @@ func New(cfg Config) (*Network, error) {
 	total := cfg.TotalVCs()
 	n.vmap = pv.SampleNetwork(cfg.PV, cfg.PVSeed, nodes, unitSlots, total)
 
-	sensorSrc := rng.New(cfg.SensorSeed)
-	seeder := func() *rng.Source {
-		if cfg.Sensor.NoiseSigma > 0 {
-			return sensorSrc.Split()
-		}
-		return nil
-	}
-
 	// Unit arenas: slots for absent edge ports stay zero values (the
 	// uniform stride keeps indexing branch-free; the waste is small).
 	slots := nodes * unitSlots
@@ -157,10 +157,25 @@ func New(cfg Config) (*Network, error) {
 	n.outvcs = make([]outVC, slots*total)
 	n.devices = make([]nbti.Device, slots*total)
 	// FIFO storage: router-port slots use BufferDepth, the NI-side slot
-	// EjectBufferDepth.
+	// EjectBufferDepth. It is the largest arena (6.3 MB for a 32×32
+	// mesh) and is reached only through the units' windows, so it comes
+	// in groups of fifoGroup nodes: a long run's heap, with small
+	// long-lived objects scattered through its freed pages, often has no
+	// hole for one multi-megabyte block and maps fresh pages for it,
+	// raising peak RSS by its size.
 	nodeFifo := (int(NumPorts)*cfg.BufferDepth + cfg.EjectBufferDepth) * total
-	n.fifos = make([]Flit, nodes*nodeFifo)
+	n.fifos = make([][]Flit, (nodes+fifoGroup-1)/fifoGroup)
+	for g := range n.fifos {
+		n.fifos[g] = make([]Flit, min(fifoGroup, nodes-g*fifoGroup)*nodeFifo)
+	}
 	n.flows = make([]niFlow, nodes*total)
+
+	pols := newPolicySet(cfg.Policy, cfg.VCsPerVNet)
+	ejPols := pols
+	if !cfg.GateEjection {
+		ejPols = newPolicySet(NewBaseline, cfg.VCsPerVNet)
+	}
+	st := newUnitStore(&n.cfg, nodes, pols, ejPols)
 
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
@@ -169,55 +184,52 @@ func New(cfg Config) (*Network, error) {
 		coords[id] = CoordOf(NodeID(id), cfg.Width)
 	}
 	for id := 0; id < nodes; id++ {
-		initRouter(&n.routers[id], NodeID(id), coords[id], &n.cfg)
+		initRouter(&n.routers[id], NodeID(id), coords[id], &n.cfg, st)
 		n.routers[id].net = n
 		n.routers[id].coords = coords
-		initNI(&n.nis[id], NodeID(id), &n.cfg, window(n.flows, id, total))
+		initNI(&n.nis[id], NodeID(id), &n.cfg, window(n.flows, id, total), st)
 		n.nis[id].net = n
 	}
 
 	for id := 0; id < nodes; id++ {
 		r := &n.routers[id]
 		ni := &n.nis[id]
+		rtrWaker, niWaker := waker{&n.rtr, id}, waker{&n.ni, id}
 
 		// NI → router Local input port (gated like any router port).
-		ni.out = n.initOU(id, ejPort, NodeID(id), Local, cfg.BufferDepth, cfg.Policy)
+		ni.out = n.initOU(id, ejPort, NodeID(id), Local, cfg.BufferDepth, pols, st)
 		r.in[Local] = n.initIU(id, int(Local), NodeID(id), Local, cfg.BufferDepth,
-			n.vmap.PortVths(id, int(Local)))
+			n.vmap.PortVths(id, int(Local)), st)
 		n.connect(ni.out, r.in[Local])
-		ni.out.wakeDown = n.routerWaker(id)
+		ni.out.wakeDown = rtrWaker
 		ni.out.dnFlit, ni.out.dnPow, ni.out.dnBit = &r.flitPorts, &r.powPorts, 1<<uint(Local)
-		r.in[Local].wakeUp = n.niWaker(id)
+		r.in[Local].wakeUp = niWaker
 
 		// Router Local output port → NI ejection buffers.
-		ejPolicy := PolicyFactory(NewBaseline)
-		if cfg.GateEjection && cfg.Policy != nil {
-			ejPolicy = cfg.Policy
-		}
-		r.out[Local] = n.initOU(id, int(Local), NodeID(id), Local, cfg.EjectBufferDepth, ejPolicy)
+		r.out[Local] = n.initOU(id, int(Local), NodeID(id), Local, cfg.EjectBufferDepth, ejPols, st)
 		ni.ej = n.initIU(id, ejPort, NodeID(id), Local, cfg.EjectBufferDepth,
-			n.vmap.PortVths(id, ejPort))
+			n.vmap.PortVths(id, ejPort), st)
 		n.connect(r.out[Local], ni.ej)
-		r.out[Local].wakeDown = n.niWaker(id)
-		ni.ej.wakeUp = n.routerWaker(id)
+		r.out[Local].wakeDown = niWaker
+		ni.ej.wakeUp = rtrWaker
 		ni.ej.upCred, ni.ej.upMD, ni.ej.upBit = &r.credPorts, &r.mdPorts, 1<<uint(Local)
 
 		// Mesh links: create the outgoing channel for each direction.
 		c := r.Coord()
-		for _, dir := range []Port{North, East, South, West} {
+		for _, dir := range [...]Port{North, East, South, West} {
 			nb, ok := n.neighbour(c, dir)
 			if !ok {
 				continue
 			}
 			down := &n.routers[nb]
 			inPort := dir.Opposite()
-			r.out[dir] = n.initOU(id, int(dir), NodeID(id), dir, cfg.BufferDepth, cfg.Policy)
+			r.out[dir] = n.initOU(id, int(dir), NodeID(id), dir, cfg.BufferDepth, pols, st)
 			down.in[inPort] = n.initIU(int(nb), int(inPort), nb, inPort, cfg.BufferDepth,
-				n.vmap.PortVths(int(nb), int(inPort)))
+				n.vmap.PortVths(int(nb), int(inPort)), st)
 			n.connect(r.out[dir], down.in[inPort])
-			r.out[dir].wakeDown = n.routerWaker(int(nb))
+			r.out[dir].wakeDown = waker{&n.rtr, int(nb)}
 			r.out[dir].dnFlit, r.out[dir].dnPow, r.out[dir].dnBit = &down.flitPorts, &down.powPorts, 1<<uint(inPort)
-			down.in[inPort].wakeUp = n.routerWaker(id)
+			down.in[inPort].wakeUp = rtrWaker
 			down.in[inPort].upCred, down.in[inPort].upMD, down.in[inPort].upBit = &r.credPorts, &r.mdPorts, 1<<uint(dir)
 		}
 	}
@@ -242,11 +254,8 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	words := (nodes + 63) / 64
-	n.rtrMask = newFullMask(nodes, words)
-	n.niMask = newFullMask(nodes, words)
-	n.rtrSnap = make([]uint64, words)
-	n.niSnap = make([]uint64, words)
+	n.rtr = newActiveSet(nodes)
+	n.ni = newActiveSet(nodes)
 	n.nextSample = 1
 	n.heldSample = sampleNever
 	n.elideSweeps = cfg.Sensor.Static()
@@ -255,16 +264,17 @@ func New(cfg Config) (*Network, error) {
 	// The iteration order fixes the rng split sequence and must not
 	// change: nodes ascending, router ports 0..NumPorts-1, then the NI
 	// ejection unit.
+	sensorSrc := rng.New(cfg.SensorSeed)
 	for id := 0; id < nodes; id++ {
 		for p := Port(0); p < NumPorts; p++ {
 			if iu := n.routers[id].in[p]; iu != nil {
-				if err := iu.attachSensors(cfg.Sensor, seeder); err != nil {
+				if err := iu.attachSensors(&n.cfg.Sensor, st, sensorSrc); err != nil {
 					return nil, err
 				}
 				n.sensors += uint64(total)
 			}
 		}
-		if err := n.nis[id].ej.attachSensors(cfg.Sensor, seeder); err != nil {
+		if err := n.nis[id].ej.attachSensors(&n.cfg.Sensor, st, sensorSrc); err != nil {
 			return nil, err
 		}
 		n.sensors += uint64(total)
@@ -272,16 +282,117 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// fifoOf returns the FIFO arena slice of a unit slot: router ports use
+// unitStore is the construction-time backing of every per-unit slice
+// outside the packed hot-state arenas: policy instances, allocation
+// pointers, policy scratch and memo rows, Down_Up link values, link
+// pipeline slot rings, VA arbiters, source queues and sensor banks. New
+// sizes it once for the whole network, so wiring carves each unit's
+// windows with take instead of allocating them; the zero store
+// (standalone test units) allocates per slice.
+type unitStore struct {
+	policies    []Policy
+	phasePols   []PhasePolicy
+	ints        []int
+	bools       []bool
+	words       []uint64
+	flitSlots   [][]Flit
+	creditSlots [][]int
+	arbs        []RoundRobin
+	queues      [][]Packet
+	banks       []sensor.Bank
+	sensors     []sensor.Sensor
+	noise       []rng.Source
+}
+
+// newUnitStore sizes a store for a nodes-node network whose output
+// units draw their policies from sets. Sizes are per unit slot, absent
+// edge ports included, like the hot-state arenas.
+func newUnitStore(cfg *Config, nodes int, sets ...*policySet) *unitStore {
+	slots := nodes * unitSlots
+	vnets, v, total := cfg.VNets, cfg.VCsPerVNet, cfg.TotalVCs()
+	stride, phased := 1, false
+	for _, s := range sets {
+		if s.phases > 0 {
+			stride, phased = max(stride, s.phases), true
+		}
+	}
+	st := &unitStore{
+		policies: make([]Policy, slots*vnets),
+		// Per output unit: allocPtr plus the four Down_Up link values.
+		ints:  make([]int, slots*5*vnets),
+		bools: make([]bool, slots*3*v),
+		// Per output unit: four memo rows per (vnet, phase).
+		words:       make([]uint64, slots*4*vnets*stride),
+		flitSlots:   make([][]Flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
+		creditSlots: make([][]int, slots*cfg.LinkLatency),
+		arbs:        make([]RoundRobin, nodes*int(NumPorts)*vnets),
+		queues:      make([][]Packet, nodes*vnets),
+		banks:       make([]sensor.Bank, slots*vnets),
+		sensors:     make([]sensor.Sensor, slots*total),
+	}
+	if phased {
+		st.phasePols = make([]PhasePolicy, slots*vnets)
+	}
+	if cfg.Sensor.NoiseSigma > 0 {
+		st.noise = make([]rng.Source, slots*total)
+	}
+	return st
+}
+
+// policySet hands out the policy instances of one factory. A policy
+// that keeps no state — a CycleFreePolicy or PhasePolicy declarer, whose
+// decision is a pure function of its PolicyInput — is built once and
+// shared by every output unit; any other policy gets its own instance
+// per (output unit, vnet), as PolicyFactory promises.
+type policySet struct {
+	factory PolicyFactory
+	// shared is the one instance of a stateless policy; spare is the
+	// first instance of any other, built to classify the policy and
+	// handed out first.
+	shared, spare Policy
+	// phases is the memo phase count of the set's policies (memoPhases;
+	// 0 unless they are memoisable PhasePolicy declarers).
+	phases int
+}
+
+// newPolicySet builds the set for factory (nil means the baseline) over
+// vnet slices of v VCs.
+func newPolicySet(factory PolicyFactory, v int) *policySet {
+	if factory == nil {
+		factory = NewBaseline
+	}
+	p := factory()
+	s := &policySet{factory: factory, spare: p}
+	if _, phased := p.(PhasePolicy); phased || PolicyCycleFree(p) {
+		s.shared, s.spare = p, nil
+	}
+	_, s.phases = memoPhases(p, v)
+	return s
+}
+
+// next returns the policy instance for one (output unit, vnet).
+func (s *policySet) next() Policy {
+	if s.shared != nil {
+		return s.shared
+	}
+	if p := s.spare; p != nil {
+		s.spare = nil
+		return p
+	}
+	return s.factory()
+}
+
+// fifoOf returns the FIFO storage of a unit slot: router ports use
 // BufferDepth flits per VC, the NI-side slot EjectBufferDepth. It is a
-// packing helper in its own right — the FIFO arena's stride is
+// packing helper in its own right — the FIFO storage's stride is
 // per-node, not per-unit, because the two buffer depths differ.
 //
 //nbtilint:packed
 func (n *Network) fifoOf(node, slot int) []Flit {
 	total := n.cfg.TotalVCs()
 	nodeFifo := (int(NumPorts)*n.cfg.BufferDepth + n.cfg.EjectBufferDepth) * total
-	base := node * nodeFifo
+	group := n.fifos[node/fifoGroup]
+	base := node % fifoGroup * nodeFifo
 	var off, size int
 	if slot < int(NumPorts) {
 		off = slot * n.cfg.BufferDepth * total
@@ -290,20 +401,20 @@ func (n *Network) fifoOf(node, slot int) []Flit {
 		off = int(NumPorts) * n.cfg.BufferDepth * total
 		size = n.cfg.EjectBufferDepth * total
 	}
-	return n.fifos[base+off : base+off+size : base+off+size]
+	return group[base+off : base+off+size : base+off+size]
 }
 
 // initIU initialises the input unit at arena slot (node, slot) over its
 // arena subslices and returns it. Router-port slots (slot < NumPorts)
 // are wired into their router's port-summary masks; the NI ejection
 // slot has no router and leaves the back pointers nil.
-func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth0 []float64) *InputUnit {
+func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth0 []float64, st *unitStore) *InputUnit {
 	total := n.cfg.TotalVCs()
 	u := unitIndex(node, slot)
 	iu := &n.iunits[u]
 	initInputUnit(iu, owner, port, &n.cfg,
 		window(n.vcbufs, u, total), n.fifoOf(node, slot),
-		window(n.devices, u, total), depth, vth0)
+		window(n.devices, u, total), depth, vth0, st)
 	iu.clk = &n.cycle
 	if slot < int(NumPorts) {
 		r := &n.routers[node]
@@ -318,11 +429,11 @@ func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth
 
 // initOU initialises the output unit at arena slot (node, slot) over its
 // arena subslice and returns it.
-func (n *Network) initOU(node, slot int, owner NodeID, port Port, depth int, factory PolicyFactory) *OutputUnit {
+func (n *Network) initOU(node, slot int, owner NodeID, port Port, depth int, pols *policySet, st *unitStore) *OutputUnit {
 	total := n.cfg.TotalVCs()
 	u := unitIndex(node, slot)
 	ou := &n.ounits[u]
-	initOutputUnit(ou, owner, port, &n.cfg, window(n.outvcs, u, total), depth, factory)
+	initOutputUnit(ou, owner, port, &n.cfg, window(n.outvcs, u, total), depth, pols, st)
 	if slot < int(NumPorts) {
 		r := &n.routers[node]
 		ou.ownPol = &r.polPorts
@@ -409,7 +520,7 @@ func (n *Network) Inject(src, dst NodeID, vnet, length int) error {
 	if err := n.nis[src].inject(p); err != nil {
 		return err
 	}
-	n.wakeNI(src)
+	n.ni.wake(int(src))
 	if n.tracer != nil {
 		n.trace(EvInject, src, Local, -1, Flit{
 			PacketID: p.ID, Src: src, Dst: dst, VNet: int32(vnet),
@@ -439,38 +550,46 @@ func (n *Network) Step() {
 	n.cycle++
 	cycle := n.cycle
 
-	nRtr, nNI := 0, 0
-	for w := range n.rtrSnap {
-		n.rtrSnap[w] = n.rtrMask[w]
-		nRtr += bits.OnesCount64(n.rtrSnap[w])
-		n.niSnap[w] = n.niMask[w]
-		nNI += bits.OnesCount64(n.niSnap[w])
-	}
-
+	nRtr, nNI := n.rtr.snapshot(), n.ni.snapshot()
 	n.met.cycles.Inc()
 	n.met.routersActive.Add(uint64(nRtr))
 	n.met.routersSkipped.Add(uint64(len(n.routers) - nRtr))
 	n.met.nisActive.Add(uint64(nNI))
 	n.met.nisSkipped.Add(uint64(len(n.nis) - nNI))
 
-	for w, word := range n.rtrSnap {
-		for b := word; b != 0; b &= b - 1 {
-			n.routers[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
+	// Every loop below walks the snapshot summary's set bits, then the
+	// set bits of each summarised word: ascending NodeID order.
+	rtr, ni := &n.rtr, &n.ni
+	for i, sw := range rtr.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := rtr.snap[w]; b != 0; b &= b - 1 {
+				n.routers[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
+			}
 		}
 	}
-	for w, word := range n.niSnap {
-		for b := word; b != 0; b &= b - 1 {
-			n.nis[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
+	for i, sw := range ni.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := ni.snap[w]; b != 0; b &= b - 1 {
+				n.nis[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
+			}
 		}
 	}
-	for w, word := range n.rtrSnap {
-		for b := word; b != 0; b &= b - 1 {
-			n.routers[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
+	for i, sw := range rtr.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := rtr.snap[w]; b != 0; b &= b - 1 {
+				n.routers[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
+			}
 		}
 	}
-	for w, word := range n.niSnap {
-		for b := word; b != 0; b &= b - 1 {
-			n.nis[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
+	for i, sw := range ni.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := ni.snap[w]; b != 0; b &= b - 1 {
+				n.nis[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
+			}
 		}
 	}
 	if cycle == n.nextSample {
@@ -478,19 +597,23 @@ func (n *Network) Step() {
 	} else if cycle == n.heldSample {
 		n.holdSamples(cycle)
 	}
-	for w, word := range n.rtrSnap {
-		for b := word; b != 0; b &= b - 1 {
-			id := w<<6 + bits.TrailingZeros64(b)
-			if n.routers[id].quiescent() {
-				n.rtrMask[w] &^= 1 << uint(id&63)
+	for i, sw := range rtr.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := rtr.snap[w]; b != 0; b &= b - 1 {
+				if id := w<<6 + bits.TrailingZeros64(b); n.routers[id].quiescent() {
+					rtr.sleep(id)
+				}
 			}
 		}
 	}
-	for w, word := range n.niSnap {
-		for b := word; b != 0; b &= b - 1 {
-			id := w<<6 + bits.TrailingZeros64(b)
-			if n.nis[id].quiescent() {
-				n.niMask[w] &^= 1 << uint(id&63)
+	for i, sw := range ni.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := ni.snap[w]; b != 0; b &= b - 1 {
+				if id := w<<6 + bits.TrailingZeros64(b); n.nis[id].quiescent() {
+					ni.sleep(id)
+				}
 			}
 		}
 	}
@@ -547,17 +670,7 @@ func (n *Network) Run(cycles uint64) {
 // next Step would be a pure no-op apart from sensor sampling, which is
 // exactly the condition under which RunUntil may jump the clock.
 func (n *Network) Idle() bool {
-	for _, w := range n.rtrMask {
-		if w != 0 {
-			return false
-		}
-	}
-	for _, w := range n.niMask {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	return n.rtr.empty() && n.ni.empty()
 }
 
 // FastForwardedCycles returns the number of simulated cycles covered by
@@ -784,7 +897,7 @@ func (n *Network) DutyCycle(node NodeID, port Port, vc int) float64 {
 // without sampling, as it would between the sweeps the hardware runs.
 func (n *Network) MostDegradedVC(node NodeID, port Port, vnet int) int {
 	iu := n.routers[node].in[port]
-	bank := iu.banks[vnet]
+	bank := &iu.banks[vnet]
 	if n.elideSweeps && n.cycle > 0 {
 		md, _ := bank.Held()
 		return md

@@ -83,19 +83,17 @@ type NI struct {
 	stats NIStats
 }
 
-// initNI initialises the NI shell in place; its output unit and ejection
-// input unit are attached by the network wiring. flows is caller-owned
-// backing storage with TotalVCs entries.
-func initNI(ni *NI, id NodeID, cfg *Config, flows []niFlow) {
+// initNI initialises the zero NI shell ni in place, carving its source
+// queues from st; its output unit and ejection input unit are attached
+// by the network wiring. flows is caller-owned backing storage with
+// TotalVCs entries.
+func initNI(ni *NI, id NodeID, cfg *Config, flows []niFlow, st *unitStore) {
 	total := cfg.TotalVCs()
-	*ni = NI{
-		id:      id,
-		cfg:     cfg,
-		srcQ:    make([][]Packet, cfg.VNets),
-		flows:   flows[:total:total],
-		flowArb: RoundRobin{n: total},
-		ejArb:   RoundRobin{n: total},
-	}
+	ni.id, ni.cfg = id, cfg
+	ni.srcQ = take(&st.queues, cfg.VNets)
+	ni.flows = flows[:total:total]
+	ni.flowArb = RoundRobin{n: total}
+	ni.ejArb = RoundRobin{n: total}
 }
 
 // ID returns the NI's node id.

@@ -116,8 +116,8 @@ type OutputUnit struct {
 	lastNT uint64
 	// wakeDown re-activates the downstream unit on the network
 	// active-set when this unit emits something downstream must observe
-	// (a flit, a changed power mask); nil outside a network.
-	wakeDown func()
+	// (a flit, a changed power mask); the zero waker outside a network.
+	wakeDown waker
 	// dnFlit/dnPow point at the downstream ROUTER's flitPorts and
 	// powPorts summaries (dnBit is this channel's port bit there): flit
 	// and changed-power sends arm the downstream port so its next
@@ -135,72 +135,54 @@ type OutputUnit struct {
 	ownPolBit      uint64
 }
 
-// initOutputUnit initialises an output unit in place over caller-owned
-// vcs backing storage (TotalVCs entries, typically a subslice of the
-// network's flat arena).
+// initOutputUnit initialises the zero output unit ou in place over
+// caller-owned vcs backing storage (TotalVCs entries, typically a
+// subslice of the network's flat arena), taking one policy per vnet
+// from pols and every other per-unit slice from st.
 func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []outVC, depth int, factory PolicyFactory) {
-	total := cfg.TotalVCs()
-	*ou = OutputUnit{
-		owner:    owner,
-		port:     port,
-		cfg:      cfg,
-		depth:    depth,
-		vcs:      vcs[:total:total],
-		policies: make([]Policy, cfg.VNets),
-		allocPtr: make([]int, cfg.VNets),
-		inIdle:   make([]bool, cfg.VCsPerVNet),
-		inPow:    make([]bool, cfg.VCsPerVNet),
-		desired:  make([]bool, cfg.VCsPerVNet),
-	}
+	vcs []outVC, depth int, pols *policySet, st *unitStore) {
+	total, v := cfg.TotalVCs(), cfg.VCsPerVNet
+	ou.owner, ou.port, ou.cfg, ou.depth = owner, port, cfg, depth
+	ou.vcs = vcs[:total:total]
 	for i := range ou.vcs {
 		ou.vcs[i] = outVC{credits: int32(depth)}
 	}
 	if depth > 0 {
 		ou.creditMask = vcAllMask(total)
 	}
-	ou.creditIn.slots = make([][]int, cfg.LinkLatency)
-	mdBack := make([]int, 4*cfg.VNets)
-	ou.mdIn = mdLink{
-		curMD: window(mdBack, 0, cfg.VNets), nextMD: window(mdBack, 1, cfg.VNets),
-		curLD: window(mdBack, 2, cfg.VNets), nextLD: window(mdBack, 3, cfg.VNets),
-	}
+	ou.creditIn.slots = take(&st.creditSlots, cfg.LinkLatency)
+	ou.mdIn.curMD, ou.mdIn.nextMD = take(&st.ints, cfg.VNets), take(&st.ints, cfg.VNets)
+	ou.mdIn.curLD, ou.mdIn.nextLD = take(&st.ints, cfg.VNets), take(&st.ints, cfg.VNets)
 	ou.pwrMask = vcAllMask(total)
+	ou.allocPtr = take(&st.ints, cfg.VNets)
+	ou.inIdle, ou.inPow, ou.desired = take(&st.bools, v), take(&st.bools, v), take(&st.bools, v)
 	// The scratch-buffer views of PolicyInput never change after init.
-	ou.polIn.NumVCs = cfg.VCsPerVNet
+	ou.polIn.NumVCs = v
 	ou.polIn.Idle = ou.inIdle
 	ou.polIn.Powered = ou.inPow
-	if factory == nil {
-		factory = NewBaseline
-	}
+	ou.policies = take(&st.policies, cfg.VNets)
 	ou.steady = true
 	ou.pure = true
 	ou.memoStride = 1
 	for vn := range ou.policies {
-		ou.policies[vn] = factory()
-		ou.steady = ou.steady && PolicySteadyWhenIdle(ou.policies[vn])
-		ou.pure = ou.pure && PolicyCycleFree(ou.policies[vn])
-		if PolicyCycleFree(ou.policies[vn]) {
+		p := pols.next()
+		ou.policies[vn] = p
+		ou.steady = ou.steady && PolicySteadyWhenIdle(p)
+		ou.pure = ou.pure && PolicyCycleFree(p)
+		if PolicyCycleFree(p) {
 			ou.memoVnMask |= 1 << uint(vn)
-		} else if pp, ok := ou.policies[vn].(PhasePolicy); ok {
-			if _, cnt := pp.Phase(0, cfg.VCsPerVNet); cnt >= 1 && cnt <= 64 {
-				if ou.phasePols == nil {
-					ou.phasePols = make([]PhasePolicy, cfg.VNets)
-				}
-				ou.phasePols[vn] = pp
-				ou.memoVnMask |= 1 << uint(vn)
-				if cnt > ou.memoStride {
-					ou.memoStride = cnt
-				}
+		} else if pp, cnt := memoPhases(p, v); pp != nil {
+			if ou.phasePols == nil {
+				ou.phasePols = take(&st.phasePols, cfg.VNets)
 			}
+			ou.phasePols[vn] = pp
+			ou.memoVnMask |= 1 << uint(vn)
+			ou.memoStride = max(ou.memoStride, cnt)
 		}
 	}
 	rows := cfg.VNets * ou.memoStride
-	memo := make([]uint64, 4*rows)
-	ou.lastIdle = window(memo, 0, rows)
-	ou.lastPow = window(memo, 1, rows)
-	ou.lastMisc = window(memo, 2, rows)
-	ou.lastWant = window(memo, 3, rows)
+	ou.lastIdle, ou.lastPow = take(&st.words, rows), take(&st.words, rows)
+	ou.lastMisc, ou.lastWant = take(&st.words, rows), take(&st.words, rows)
 	for i := range ou.lastMisc {
 		// An impossible key (misc is always < 1<<17) forces the first
 		// run of every memo row to execute.
@@ -211,12 +193,25 @@ func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 	ou.mGate, ou.mWake = gatingCounters(ou.policies[0].Name())
 }
 
+// memoPhases returns p as a PhasePolicy with its phase count when its
+// decisions may be memoised per phase row (1 to 64 phases over v VCs),
+// or nil.
+func memoPhases(p Policy, v int) (PhasePolicy, int) {
+	if pp, ok := p.(PhasePolicy); ok {
+		if _, cnt := pp.Phase(0, v); cnt >= 1 && cnt <= 64 {
+			return pp, cnt
+		}
+	}
+	return nil, 0
+}
+
 // newOutputUnit builds a standalone upstream side of a channel whose
 // downstream buffers have the given depth (unit tests); networks
 // initialise units in place over their flat arenas instead.
 func newOutputUnit(owner NodeID, port Port, cfg *Config, depth int, factory PolicyFactory) *OutputUnit {
 	ou := &OutputUnit{}
-	initOutputUnit(ou, owner, port, cfg, make([]outVC, cfg.TotalVCs()), depth, factory)
+	initOutputUnit(ou, owner, port, cfg, make([]outVC, cfg.TotalVCs()), depth,
+		newPolicySet(factory, cfg.VCsPerVNet), &unitStore{})
 	return ou
 }
 
@@ -363,9 +358,7 @@ func (ou *OutputUnit) sendFlit(f *Flit, vc int, cycle uint64) {
 	}
 	ou.flitsSent++
 	ou.mFlits.Inc()
-	if ou.wakeDown != nil {
-		ou.wakeDown()
-	}
+	ou.wakeDown.wake()
 }
 
 // runPolicy executes the pre-VA recovery stage for every vnet and sends
@@ -457,10 +450,8 @@ func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
 		if ou.dnPow != nil {
 			*ou.dnPow |= ou.dnBit
 		}
-		if ou.wakeDown != nil {
-			// The downstream must tick the changed mask into effect.
-			ou.wakeDown()
-		}
+		// The downstream must tick the changed mask into effect.
+		ou.wakeDown.wake()
 	}
 	ou.settled = !transition
 	ou.polDirty = false

@@ -95,15 +95,16 @@ type Router struct {
 	saCand [NumPorts]int
 }
 
-// initRouter initialises the router shell in place; input/output units
-// are attached by the network wiring.
-func initRouter(r *Router, id NodeID, coord Coord, cfg *Config) {
-	*r = Router{id: id, coord: coord, cfg: cfg}
+// initRouter initialises the zero router shell r in place, carving its
+// VA arbiters from st; input/output units are attached by the network
+// wiring.
+func initRouter(r *Router, id NodeID, coord Coord, cfg *Config, st *unitStore) {
+	r.id, r.coord, r.cfg = id, coord, cfg
 	total := cfg.TotalVCs()
 	flat := int(NumPorts) * total
-	for p := Port(0); p < NumPorts; p++ {
-		r.vaArb[p] = make([]RoundRobin, cfg.VNets)
-		for vn := 0; vn < cfg.VNets; vn++ {
+	for p := range r.vaArb {
+		r.vaArb[p] = take(&st.arbs, cfg.VNets)
+		for vn := range r.vaArb[p] {
 			r.vaArb[p][vn] = RoundRobin{n: flat}
 		}
 		r.saVCArb[p] = RoundRobin{n: total}

@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"testing"
-
-	"nbtinoc/internal/rng"
-)
+import "testing"
 
 // mkChannel builds a connected OutputUnit/InputUnit pair outside a full
 // network, for white-box protocol tests.
@@ -248,7 +244,7 @@ func TestMDLinkPropagation(t *testing.T) {
 	cfg := unitConfig()
 	cfg.Sensor.SamplePeriod = 1
 	ou, iu, n := mkChannel(t, cfg, nil)
-	if err := iu.attachSensors(cfg.Sensor, func() *rng.Source { return nil }); err != nil {
+	if err := iu.attachSensors(&cfg.Sensor, &unitStore{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Force distinct Vth0 values so the comparator has a clear winner.

@@ -101,9 +101,13 @@ func MostDegraded(vths []float64) int {
 }
 
 // VCMap holds the sampled initial Vth for every VC buffer of every router
-// input port in a network, indexed as [router][port][vc].
+// input port in a network, addressed as (router, port, vc).
 type VCMap struct {
-	Vth [][][]float64
+	// Routers, Ports and VCs are the map's dimensions.
+	Routers, Ports, VCs int
+	// Vth holds every sample in draw order: router-major, then port,
+	// then vc — one flat slice, so a map of any size is one allocation.
+	Vth []float64
 }
 
 // SampleNetwork draws a full network's worth of initial Vth values for
@@ -114,18 +118,24 @@ func SampleNetwork(d Distribution, seed uint64, routers, ports, vcs int) *VCMap 
 		panic("pv: negative dimension")
 	}
 	src := rng.New(seed)
-	m := &VCMap{Vth: make([][][]float64, routers)}
-	for r := range m.Vth {
-		m.Vth[r] = make([][]float64, ports)
-		for p := range m.Vth[r] {
-			m.Vth[r][p] = d.SampleN(src, vcs)
-		}
+	m := &VCMap{Routers: routers, Ports: ports, VCs: vcs,
+		Vth: make([]float64, routers*ports*vcs)}
+	for i := range m.Vth {
+		m.Vth[i] = d.Sample(src)
 	}
 	return m
 }
 
+// offset returns the index in Vth of the first VC of (router, port).
+//
+//nbtilint:packed
+func (m *VCMap) offset(router, port int) int { return (router*m.Ports + port) * m.VCs }
+
 // At returns the initial Vth for a specific buffer.
-func (m *VCMap) At(router, port, vc int) float64 { return m.Vth[router][port][vc] }
+func (m *VCMap) At(router, port, vc int) float64 { return m.Vth[m.offset(router, port)+vc] }
 
 // PortVths returns the slice of initial Vths for one input port.
-func (m *VCMap) PortVths(router, port int) []float64 { return m.Vth[router][port] }
+func (m *VCMap) PortVths(router, port int) []float64 {
+	lo := m.offset(router, port)
+	return m.Vth[lo : lo+m.VCs : lo+m.VCs]
+}

@@ -92,8 +92,8 @@ func TestSampleNetworkShapeAndDeterminism(t *testing.T) {
 	d := Default45nm()
 	a := SampleNetwork(d, 77, 4, 5, 2)
 	b := SampleNetwork(d, 77, 4, 5, 2)
-	if len(a.Vth) != 4 || len(a.Vth[0]) != 5 || len(a.Vth[0][0]) != 2 {
-		t.Fatalf("bad shape: %dx%dx%d", len(a.Vth), len(a.Vth[0]), len(a.Vth[0][0]))
+	if a.Routers != 4 || a.Ports != 5 || a.VCs != 2 || len(a.Vth) != 4*5*2 {
+		t.Fatalf("bad shape: %dx%dx%d over %d samples", a.Routers, a.Ports, a.VCs, len(a.Vth))
 	}
 	for r := 0; r < 4; r++ {
 		for p := 0; p < 5; p++ {

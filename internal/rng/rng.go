@@ -79,7 +79,16 @@ func (r *Source) Uint64() uint64 {
 // deterministic function of r's current state, and r is advanced so that
 // successive Splits yield distinct children.
 func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ 0xD1B54A32D192ED03)
+	var c Source
+	r.SplitInto(&c)
+	return &c
+}
+
+// SplitInto is Split into caller-owned storage: it reseeds child with
+// the stream Split would return, advancing r identically, so owners of
+// many sources can keep them in one flat slice.
+func (r *Source) SplitInto(child *Source) {
+	child.Reseed(r.Uint64() ^ 0xD1B54A32D192ED03)
 }
 
 // StreamSeed derives the seed of the id-th member of the counter-based

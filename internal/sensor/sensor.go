@@ -95,7 +95,7 @@ func (c Config) Validate() error {
 // Sensor measures the threshold voltage of a single device.
 type Sensor struct {
 	dev  *nbti.Device
-	cfg  Config
+	cfg  *Config
 	src  *rng.Source
 	last float64
 	// lastSample is the cycle of the most recent actual measurement;
@@ -107,16 +107,28 @@ type Sensor struct {
 // New returns a sensor attached to dev. src supplies read noise and may
 // be nil when NoiseSigma is 0.
 func New(dev *nbti.Device, cfg Config, src *rng.Source) (*Sensor, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Sensor{}
+	if err := s.Init(dev, &cfg, src); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Init is New in place, for owners that keep their sensors in one flat
+// slice; s must be the zero Sensor. cfg is shared, not copied, so it
+// must outlive the sensor and stay unchanged.
+func (s *Sensor) Init(dev *nbti.Device, cfg *Config, src *rng.Source) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if dev == nil {
-		return nil, errors.New("sensor: nil device")
+		return errors.New("sensor: nil device")
 	}
 	if cfg.NoiseSigma > 0 && src == nil {
-		return nil, errors.New("sensor: NoiseSigma > 0 requires an rng source")
+		return errors.New("sensor: NoiseSigma > 0 requires an rng source")
 	}
-	return &Sensor{dev: dev, cfg: cfg, src: src}, nil
+	s.dev, s.cfg, s.src = dev, cfg, src
+	return nil
 }
 
 // Device returns the monitored device.
@@ -163,7 +175,7 @@ func (s *Sensor) quantise(v float64) float64 {
 // Bank groups the sensors of one router input port together with the
 // most- and least-degraded comparators.
 type Bank struct {
-	sensors []*Sensor
+	sensors []Sensor
 	// md and ld cache the comparator outputs between refreshes.
 	md, ld     int
 	lastUpdate uint64
@@ -177,33 +189,41 @@ type Bank struct {
 // NewBank builds a bank over the given devices, one sensor each. src is
 // split per sensor so noise streams are independent but reproducible.
 func NewBank(devs []*nbti.Device, cfg Config, src *rng.Source) (*Bank, error) {
-	if len(devs) == 0 {
-		return nil, errors.New("sensor: empty bank")
-	}
-	b := &Bank{
-		sensors:  make([]*Sensor, len(devs)),
-		period:   cfg.SamplePeriod,
-		mSamples: SamplesCounter(),
-	}
+	sensors := make([]Sensor, len(devs))
 	for i, d := range devs {
 		var child *rng.Source
 		if cfg.NoiseSigma > 0 {
 			child = src.Split()
 		}
-		s, err := New(d, cfg, child)
-		if err != nil {
+		if err := sensors[i].Init(d, &cfg, child); err != nil {
 			return nil, err
 		}
-		b.sensors[i] = s
+	}
+	b := &Bank{}
+	if err := b.Init(sensors, cfg); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// Init makes b the comparator bank over sensors, which the caller has
+// initialised (Sensor.Init) and owns — typically a window of a flat
+// slice holding every bank's sensors. b must be the zero Bank.
+func (b *Bank) Init(sensors []Sensor, cfg Config) error {
+	if len(sensors) == 0 {
+		return errors.New("sensor: empty bank")
+	}
+	b.sensors = sensors
+	b.period = cfg.SamplePeriod
+	b.mSamples = SamplesCounter()
+	return nil
 }
 
 // Size returns the number of sensors in the bank.
 func (b *Bank) Size() int { return len(b.sensors) }
 
 // Sensor returns the i-th sensor.
-func (b *Bank) Sensor(i int) *Sensor { return b.sensors[i] }
+func (b *Bank) Sensor(i int) *Sensor { return &b.sensors[i] }
 
 // refresh re-evaluates the comparators when the sampling period has
 // elapsed.
@@ -212,8 +232,8 @@ func (b *Bank) refresh(cycle uint64) {
 		return
 	}
 	e := newExtremes()
-	for i, s := range b.sensors {
-		e.add(i, s.Read(cycle))
+	for i := range b.sensors {
+		e.add(i, b.sensors[i].Read(cycle))
 	}
 	b.md, b.ld = e.maxI, e.minI
 	b.lastUpdate = cycle
@@ -250,7 +270,8 @@ func (b *Bank) Held() (md, ld int) { return b.md, b.ld }
 // holding a static bank verify the hold.
 func (b *Bank) Evaluate() (md, ld int) {
 	e := newExtremes()
-	for i, s := range b.sensors {
+	for i := range b.sensors {
+		s := &b.sensors[i]
 		e.add(i, s.quantise(s.trueVth()))
 	}
 	return e.maxI, e.minI
