@@ -89,9 +89,15 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	runner := sim.Runner{Store: store}
-
-	runOne := func(policy string) (*sim.RunSummary, error) {
+	side, err := sim.MeshSide(*cores)
+	if err != nil {
+		return err
+	}
+	// The two runs are independent (each owns its network), so they go
+	// through the Runner's pool like the table drivers.
+	policies := []string{*polA, *polB}
+	specs := make([]sim.Spec, len(policies))
+	for i, policy := range policies {
 		scen := &sim.Scenario{
 			Name:     "compare",
 			Cores:    *cores,
@@ -105,28 +111,12 @@ func run(args []string, out io.Writer) (err error) {
 			Seed:     *seed,
 			PVSeed:   *pvSeed,
 		}
-		side, err := sim.MeshSide(*cores)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := scen.Spec(sim.AllPortProbes(side, side))
-		if err != nil {
-			return nil, err
-		}
-		return runner.Run(spec)
-	}
-	// The two runs are independent (each owns its network), so they go
-	// through the scenario pool like the table drivers.
-	policies := []string{*polA, *polB}
-	results := make([]*sim.RunSummary, len(policies))
-	if err := (sim.Pool{Workers: *jobs}).Run(len(policies), func(i int) error {
-		res, err := runOne(policies[i])
-		if err != nil {
+		if specs[i], err = scen.Spec(sim.AllPortProbes(side, side)); err != nil {
 			return err
 		}
-		results[i] = res
-		return nil
-	}); err != nil {
+	}
+	results, err := sim.Runner{Store: store}.RunAll(specs, *jobs)
+	if err != nil {
 		return err
 	}
 	resA, resB := results[0], results[1]

@@ -192,20 +192,25 @@ func run(args []string, out io.Writer) (err error) {
 	// -emit-spec turns the CLI into a spec authoring tool: the same
 	// flag vocabulary, but the output is the declarative request body
 	// the nbtisimd daemon accepts instead of a simulation result.
-	if *emitSpec {
-		if live {
-			return fmt.Errorf("-emit-spec serialises declarative specs and cannot combine with live modes (-all-ports, -heatmap, -trace, -aging-in/-out, -flit-trace)")
+	if *emitSpec && live {
+		return fmt.Errorf("-emit-spec serialises declarative specs and cannot combine with live modes (-all-ports, -heatmap, -trace, -aging-in/-out, -flit-trace)")
+	}
+	// Every scenario compiles to a spec, the one run description: the
+	// cached path runs the specs through the Runner, live modes run
+	// each spec's RunConfig with their overrides.
+	specs := make([]sim.Spec, len(scens))
+	for i, scen := range scens {
+		if specs[i], err = scen.Spec([]sim.PortProbe{probe}); err != nil {
+			return err
 		}
+		if specs[i].Net.Routing, err = noc.ParseRouting(*routing); err != nil {
+			return err
+		}
+	}
+	if *emitSpec {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		for _, scen := range scens {
-			spec, err := scen.Spec([]sim.PortProbe{probe})
-			if err != nil {
-				return err
-			}
-			if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
-				return err
-			}
+		for _, spec := range specs {
 			if err := enc.Encode(spec); err != nil {
 				return err
 			}
@@ -229,29 +234,15 @@ func run(args []string, out io.Writer) (err error) {
 		runner.Record = recorder.Record
 	}
 
-	runScenario := func(scen *sim.Scenario) (*sim.RunResult, error) {
-		cfg, err := scen.BuildConfig()
+	runLive := func(spec sim.Spec) (*sim.RunResult, error) {
+		rc, err := spec.RunConfig()
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Routing, err = noc.ParseRouting(*routing); err != nil {
-			return nil, err
-		}
-		var gen traffic.Generator
 		if *traceIn != "" {
-			gen, err = loadTrace(*traceIn)
-		} else {
-			gen, err = scen.BuildGenerator()
-		}
-		if err != nil {
-			return nil, err
-		}
-		rc := sim.RunConfig{
-			Net:        cfg,
-			PolicyName: scen.Policy,
-			Warmup:     scen.Warmup,
-			Measure:    scen.Measure,
-			Gen:        gen,
+			if rc.Gen, err = loadTrace(*traceIn); err != nil {
+				return nil, err
+			}
 		}
 		if *agingIn != "" {
 			snap, err := loadAging(*agingIn)
@@ -270,7 +261,7 @@ func run(args []string, out io.Writer) (err error) {
 			defer bw.Flush()
 			rc.Tracer = &noc.WriterTracer{W: bw}
 		}
-		res, err := sim.Run(rc, []sim.PortProbe{probe})
+		res, err := sim.Run(rc, spec.Probes)
 		if err != nil {
 			return nil, err
 		}
@@ -284,51 +275,38 @@ func run(args []string, out io.Writer) (err error) {
 
 	// Scenarios execute through the same bounded pool as the table
 	// drivers and are rendered sequentially in input order afterwards.
-	// The cached default path carries only the serialisable summary;
-	// live modes additionally keep the network for their renderers.
-	type outcome struct {
-		sum *sim.RunSummary
-		res *sim.RunResult
-	}
-	results := make([]outcome, len(scens))
-	if err := (sim.Pool{Workers: *jobs}).Run(len(scens), func(i int) error {
-		if !live {
-			spec, err := scens[i].Spec([]sim.PortProbe{probe})
-			if err != nil {
-				return err
+	// The cached path carries only the serialisable summaries; live
+	// modes additionally keep the networks for their renderers.
+	var sums []*sim.RunSummary
+	results := make([]*sim.RunResult, len(specs))
+	if live {
+		sums = make([]*sim.RunSummary, len(specs))
+		err = sim.Pool{Workers: *jobs}.Run(len(specs), func(i int) error {
+			res, err := runLive(specs[i])
+			if err == nil {
+				results[i], sums[i] = res, res.Summary()
 			}
-			if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
-				return err
-			}
-			sum, err := runner.Run(spec)
-			if err != nil {
-				return err
-			}
-			results[i] = outcome{sum: sum}
-			return nil
-		}
-		res, err := runScenario(scens[i])
-		if err != nil {
 			return err
-		}
-		results[i] = outcome{sum: res.Summary(), res: res}
-		return nil
-	}); err != nil {
+		})
+	} else {
+		sums, err = runner.RunAll(specs, *jobs)
+	}
+	if err != nil {
 		return err
 	}
 
-	for i, r := range results {
+	for i, sum := range sums {
 		if multi {
 			fmt.Fprintf(out, "=== scenario %s ===\n", scens[i].Name)
 		}
 		var err error
 		switch {
 		case *allPorts:
-			err = renderAllPorts(out, r.res)
+			err = renderAllPorts(out, results[i])
 		case *heatmap:
-			err = renderHeatmap(out, r.res)
+			err = renderHeatmap(out, results[i])
 		default:
-			err = render(out, *format, r.sum)
+			err = render(out, *format, sum)
 		}
 		if err != nil {
 			return err

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nbtinoc/internal/sweep"
 )
 
 func runTables(t *testing.T, args ...string) string {
@@ -99,5 +102,34 @@ func TestCSVFlag(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "scenario,cores,rate,policy") {
 		t.Errorf("CSV content wrong:\n%s", data)
+	}
+}
+
+// TestSweepManifestIgnoresCacheMode: the manifest records every unit
+// the tables ran under its content address whatever the cache mode, so
+// -cache=off records the same keys as a cold -cache=rw run.
+func TestSweepManifestIgnoresCacheMode(t *testing.T) {
+	dir := t.TempDir()
+	keys := func(mode string) []string {
+		t.Helper()
+		path := filepath.Join(dir, mode+".json")
+		runTables(t, "-table", "coop", "-quick", "-cache", mode,
+			"-cache-dir", filepath.Join(dir, "cache"), "-sweep-manifest", path)
+		m, err := sweep.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []string
+		for _, u := range m.Units {
+			ks = append(ks, u.Key)
+		}
+		return ks
+	}
+	off, rw := keys("off"), keys("rw")
+	if len(off) != 24 {
+		t.Errorf("-cache=off manifest has %d units, want 24 (2 meshes x 3 rates x 4 policies)", len(off))
+	}
+	if !reflect.DeepEqual(off, rw) {
+		t.Errorf("unit keys differ across cache modes:\noff %v\nrw  %v", off, rw)
 	}
 }

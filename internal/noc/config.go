@@ -47,8 +47,11 @@ type Config struct {
 	// EjectBufferDepth is the per-VC depth of the NI ejection buffers.
 	EjectBufferDepth int
 	// Policy builds the pre-VA recovery policy for router-to-router and
-	// NI-to-router channels. nil means the always-on baseline.
-	Policy PolicyFactory
+	// NI-to-router channels. nil means the always-on baseline. A func
+	// has no canonical encoding, so the field stays out of the JSON form
+	// — and with it out of every sim.Spec cache key, which declares the
+	// policy in sim.PolicySpec instead.
+	Policy PolicyFactory `json:"-"`
 	// GateEjection applies Policy to router→NI ejection buffers as well.
 	// The paper gates router VC buffers only, so this defaults to false.
 	GateEjection bool

@@ -364,6 +364,51 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitStrictDecoding: a misspelled field, at the top level or
+// nested in net, and bytes after the spec object are refused as
+// bad_request instead of running a silently defaulted spec; the
+// -emit-spec body itself, trailing newline included, is accepted.
+func TestSubmitStrictDecoding(t *testing.T) {
+	srv := newTestServer(t, nil)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	emitted, err := json.MarshalIndent(testSpec(1), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(emitted) + "\n"
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"misspelled warmup", strings.Replace(body, `"warmup"`, `"warm_up"`, 1), http.StatusBadRequest},
+		{"misspelled net field", strings.Replace(body, `"PVSeed"`, `"PV_Seed"`, 1), http.StatusBadRequest},
+		{"trailing object", body + "{}", http.StatusBadRequest},
+		{"emitted spec", body, http.StatusAccepted},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d; body %s", tc.name, resp.StatusCode, tc.status, data)
+			continue
+		}
+		if tc.status == http.StatusBadRequest {
+			var eb errorBody
+			if err := json.Unmarshal(data, &eb); err != nil || eb.Code != "bad_request" {
+				t.Errorf("%s: error body %s", tc.name, data)
+			}
+		}
+	}
+}
+
 func specReader(t *testing.T, spec sim.Spec) io.Reader {
 	t.Helper()
 	data, err := json.Marshal(spec)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nbtinoc/internal/nbti"
-	"nbtinoc/internal/noc"
 )
 
 // VthRow is one scenario of the ΔVth saving analysis (the paper's
@@ -45,83 +44,38 @@ func RunVthSaving(vcs int, years float64, opt TableOptions) (*VthTable, error) {
 	out := &VthTable{Years: years}
 	wall := years * nbti.SecondsPerYear
 
-	// Job grid: one synthetic run per (cores, rate), then one
-	// application-mix run per architecture (rate < 0 marks the latter).
-	// The app-mix scenarios matter because the paper's headline 54.2%
-	// saving comes from ports whose most degraded VC is almost never
-	// exercised, which the bursty benchmark workloads produce (Table IV
-	// shows MD-VC duty-cycles below 1%).
-	type job struct {
-		cores int
-		rate  float64
-	}
-	var jobs []job
+	// One synthetic run per (cores, rate), then one application-mix run
+	// per architecture. The app-mix scenarios matter because the paper's
+	// headline 54.2% saving comes from ports whose most degraded VC is
+	// almost never exercised, which the bursty benchmark workloads
+	// produce (Table IV shows MD-VC duty-cycles below 1%).
+	var specs []Spec
 	for _, cores := range opt.Cores {
-		if _, err := MeshSide(cores); err != nil {
+		m, err := SquareMesh(cores)
+		if err != nil {
 			return nil, err
 		}
 		for _, rate := range opt.Rates {
-			jobs = append(jobs, job{cores, rate})
+			specs = append(specs, opt.syntheticSpec(m, vcs, rate, "sensor-wise"))
 		}
 	}
 	for _, cores := range opt.Cores {
-		if _, err := realProbes(cores); err != nil {
+		spec, err := opt.appSpec(cores, vcs, 0, "sensor-wise")
+		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, job{cores, -1})
+		specs = append(specs, spec)
 	}
-	ports := make([][]PortReading, len(jobs))
-	if err := opt.pool().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		var res *RunSummary
-		var err error
-		if j.rate >= 0 {
-			res, err = opt.runSynthetic(j.cores, vcs, j.rate,
-				PolicySpec{Name: "sensor-wise"},
-				[]PortProbe{{Node: 0, Port: noc.East}}, nil)
-		} else {
-			var side int
-			var probes []PortProbe
-			var cfg noc.Config
-			if side, err = MeshSide(j.cores); err != nil {
-				return err
-			}
-			if probes, err = realProbes(j.cores); err != nil {
-				return err
-			}
-			if cfg, err = BaseConfig(j.cores, vcs); err != nil {
-				return err
-			}
-			cfg.PVSeed = scenarioSeed(opt.SeedBase, j.cores, 0.99, 17)
-			opt.apply(&cfg)
-			res, err = opt.runner().Run(Spec{
-				Net:    cfg,
-				Policy: PolicySpec{Name: "sensor-wise"},
-				Gen: GenSpec{
-					Kind:   "app",
-					Width:  side,
-					Height: side,
-					Seed:   scenarioSeed(opt.SeedBase, j.cores, 0, 23),
-				},
-				Warmup:  opt.Warmup,
-				Measure: opt.Measure,
-				Probes:  probes,
-			})
-		}
-		if err != nil {
-			return err
-		}
-		ports[i] = res.Ports
-		return nil
-	}); err != nil {
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 
-	for i, j := range jobs {
-		for _, reading := range ports[i] {
-			scenario := fmt.Sprintf("%dcore-inj%.2f", j.cores, j.rate)
-			if j.rate < 0 {
-				scenario = fmt.Sprintf("%dc-app-%s", j.cores, reading.Probe.Label())
+	for i, spec := range specs {
+		for _, reading := range sums[i].Ports {
+			scenario := fmt.Sprintf("%dcore-inj%.2f", spec.Net.Nodes(), spec.Gen.Rate)
+			if spec.Gen.Kind == "app" {
+				scenario = fmt.Sprintf("%dc-app-%s", spec.Net.Nodes(), reading.Probe.Label())
 			}
 			alpha := reading.Duty[reading.MostDegraded] / 100
 			row := VthRow{
@@ -194,34 +148,20 @@ func CoopPolicies() []string {
 func RunCooperation(vcs int, opt TableOptions) (*CoopTable, error) {
 	out := &CoopTable{VCs: vcs}
 	policies := CoopPolicies()
-	type job struct {
-		cores  int
-		rate   float64
-		policy string
-	}
-	var jobs []job
+	var specs []Spec
 	for _, cores := range opt.Cores {
-		if _, err := MeshSide(cores); err != nil {
+		m, err := SquareMesh(cores)
+		if err != nil {
 			return nil, err
 		}
 		for _, rate := range opt.Rates {
 			for _, policy := range policies {
-				jobs = append(jobs, job{cores, rate, policy})
+				specs = append(specs, opt.syntheticSpec(m, vcs, rate, policy))
 			}
 		}
 	}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	readings := make([]PortReading, len(jobs))
-	if err := opt.pool().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := opt.runSynthetic(j.cores, vcs, j.rate, PolicySpec{Name: j.policy},
-			[]PortProbe{probe}, nil)
-		if err != nil {
-			return err
-		}
-		readings[i] = res.Ports[0]
-		return nil
-	}); err != nil {
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	next := 0
@@ -233,7 +173,7 @@ func RunCooperation(vcs int, opt TableOptions) (*CoopTable, error) {
 				MDVC:     -1,
 			}
 			for _, policy := range policies {
-				reading := readings[next]
+				reading := sums[next].Ports[0]
 				next++
 				if row.MDVC == -1 {
 					row.MDVC = reading.MostDegraded

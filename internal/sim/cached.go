@@ -2,14 +2,12 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"nbtinoc/internal/cache"
 	"nbtinoc/internal/core"
-	"nbtinoc/internal/nbti"
 	"nbtinoc/internal/noc"
-	"nbtinoc/internal/pv"
-	"nbtinoc/internal/sensor"
 	"nbtinoc/internal/traffic"
 )
 
@@ -23,7 +21,8 @@ const EngineVersion = "nbtinoc-engine-2"
 
 // PolicySpec is the declarative form of a recovery-policy choice: a
 // registry name, or a parameterised rr-no-sensor rotation period (the
-// one driver, RunRRPeriodStudy, that installs a custom factory).
+// knob RunRRPeriodStudy sweeps). Spec.RunConfig resolves it into the
+// policy the network runs.
 type PolicySpec struct {
 	// Name selects from the core registry; empty plus zero RRPeriod
 	// means the always-on baseline.
@@ -84,34 +83,57 @@ func (g GenSpec) Build() (traffic.Generator, error) {
 // Spec is a fully declarative simulation request: the unit of result
 // caching. Everything that influences the outcome is a field here (or
 // in the nested serialisable structs), which is what makes the content
-// address exact.
+// address exact. Its JSON form is the wire format of sweep manifests
+// and of the nbtisimd submission endpoint, and the same encoding of
+// Net is what SpecKey hashes — so every noc.Config field reaches the
+// key by construction, and a serialised spec re-keys to the address it
+// was recorded under.
 type Spec struct {
-	// Net is the network configuration. Its Policy factory field does
-	// not participate in the cache key; specs carrying one bypass the
-	// cache (see Runner.Run).
-	Net     noc.Config
-	Policy  PolicySpec
-	Gen     GenSpec
-	Warmup  uint64
-	Measure uint64
-	Probes  []PortProbe
+	// Net is the network configuration. Its Policy factory must stay
+	// nil — the policy is declared by Policy — and SpecKey, RunConfig
+	// and Runner refuse a spec that sets it.
+	Net     noc.Config  `json:"net"`
+	Policy  PolicySpec  `json:"policy"`
+	Gen     GenSpec     `json:"gen"`
+	Warmup  uint64      `json:"warmup"`
+	Measure uint64      `json:"measure"`
+	Probes  []PortProbe `json:"probes,omitempty"`
+}
+
+// errPolicyFactory refuses a spec carrying a raw policy factory: a func
+// has no content address, so caching it could serve another factory's
+// result, and it would re-run as something else after serialisation.
+var errPolicyFactory = errors.New("sim: spec sets Net.Policy; declare the policy in Spec.Policy instead")
+
+// RunConfig resolves the spec into the RunConfig that Run executes: the
+// policy from Policy alone, the generator from Gen. Callers that need
+// the live network (traces, heatmaps, aging snapshots) run it
+// themselves, adding the RunConfig fields that have no Spec
+// counterpart.
+func (s Spec) RunConfig() (RunConfig, error) {
+	if s.Net.Policy != nil {
+		return RunConfig{}, errPolicyFactory
+	}
+	gen, err := s.Gen.Build()
+	if err != nil {
+		return RunConfig{}, err
+	}
+	rc := RunConfig{Net: s.Net, Warmup: s.Warmup, Measure: s.Measure, Gen: gen}
+	if period := s.Policy.RRPeriod; period > 0 {
+		rc.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: period} }
+	} else {
+		rc.PolicyName = s.Policy.Name
+	}
+	return rc, nil
 }
 
 // Compute runs the spec and returns its summary, never consulting any
 // cache.
 func (s Spec) Compute() (*RunSummary, error) {
-	rc := RunConfig{Net: s.Net, Warmup: s.Warmup, Measure: s.Measure}
-	if s.Policy.RRPeriod > 0 {
-		period := s.Policy.RRPeriod
-		rc.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: period} }
-	} else {
-		rc.PolicyName = s.Policy.Name
-	}
-	gen, err := s.Gen.Build()
+	rc, err := s.RunConfig()
 	if err != nil {
 		return nil, err
 	}
-	rc.Gen = gen
 	res, err := Run(rc, s.Probes)
 	if err != nil {
 		return nil, err
@@ -119,59 +141,10 @@ func (s Spec) Compute() (*RunSummary, error) {
 	return res.Summary(), nil
 }
 
-// configKey mirrors noc.Config field-for-field, minus the Policy
-// factory (funcs have no canonical encoding; the policy enters the key
-// through PolicySpec instead). TestConfigKeyMirrorsConfig enforces the
-// mirror with reflection, so a new Config field cannot silently stay
-// out of the cache key and alias distinct scenarios.
-type configKey struct {
-	Width            int
-	Height           int
-	VNets            int
-	VCsPerVNet       int
-	BufferDepth      int
-	FlitWidthBits    int
-	LinkLatency      int
-	PhitsPerFlit     int
-	Routing          noc.RoutingAlgorithm
-	EjectRate        int
-	EjectBufferDepth int
-	GateEjection     bool
-	WakeupLatency    int
-	NBTI             nbti.Params
-	PV               pv.Distribution
-	PVSeed           uint64
-	Sensor           sensor.Config
-	SensorSeed       uint64
-}
-
-func configKeyOf(c noc.Config) configKey {
-	return configKey{
-		Width:            c.Width,
-		Height:           c.Height,
-		VNets:            c.VNets,
-		VCsPerVNet:       c.VCsPerVNet,
-		BufferDepth:      c.BufferDepth,
-		FlitWidthBits:    c.FlitWidthBits,
-		LinkLatency:      c.LinkLatency,
-		PhitsPerFlit:     c.PhitsPerFlit,
-		Routing:          c.Routing,
-		EjectRate:        c.EjectRate,
-		EjectBufferDepth: c.EjectBufferDepth,
-		GateEjection:     c.GateEjection,
-		WakeupLatency:    c.WakeupLatency,
-		NBTI:             c.NBTI,
-		PV:               c.PV,
-		PVSeed:           c.PVSeed,
-		Sensor:           c.Sensor,
-		SensorSeed:       c.SensorSeed,
-	}
-}
-
 // specKeyEnvelope is the canonical JSON shape hashed into a cache key.
 type specKeyEnvelope struct {
 	Engine  string      `json:"engine"`
-	Net     configKey   `json:"net"`
+	Net     noc.Config  `json:"net"`
 	Policy  PolicySpec  `json:"policy"`
 	Gen     GenSpec     `json:"gen"`
 	Warmup  uint64      `json:"warmup"`
@@ -182,14 +155,21 @@ type specKeyEnvelope struct {
 // specKeyFor derives the content address of a spec under an explicit
 // engine fingerprint (split out so invalidation tests can vary it).
 func specKeyFor(engine string, s Spec) (string, error) {
+	if s.Net.Policy != nil {
+		return "", errPolicyFactory
+	}
+	probes := s.Probes
+	if len(probes) == 0 {
+		probes = nil // "probes": [] decodes to the spec an omitted list does
+	}
 	return cache.KeyOf(specKeyEnvelope{
 		Engine:  engine,
-		Net:     configKeyOf(s.Net),
+		Net:     s.Net,
 		Policy:  s.Policy,
 		Gen:     s.Gen,
 		Warmup:  s.Warmup,
 		Measure: s.Measure,
-		Probes:  s.Probes,
+		Probes:  probes,
 	})
 }
 
@@ -202,63 +182,19 @@ func SpecKey(s Spec) (string, error) { return specKeyFor(EngineVersion, s) }
 type Runner struct {
 	Store *cache.Store
 	// Record, when non-nil, observes every successfully completed
-	// Run/TryRun: the spec, its content address (empty when the spec
-	// bypassed the cache), and whether the summary came from the cache.
-	// Sweep manifests are built on this hook. Drivers run specs from
-	// worker pools, so Record must be safe for concurrent use.
+	// Run/TryRun: the spec, its content address, and whether the
+	// summary came from the cache. Sweep manifests are built on this
+	// hook. Drivers run specs from worker pools, so Record must be safe
+	// for concurrent use.
 	Record func(spec Spec, key string, cached bool)
 }
 
-func (r Runner) record(spec Spec, key string, cached bool) {
-	if r.Record != nil {
-		r.Record(spec, key, cached)
-	}
-}
-
-// Run returns the spec's summary, from the cache when possible.
-// Specs carrying a raw Policy factory on the Config are executed
-// directly — a func cannot participate in the content address, and
-// serving another factory's result would be silently wrong.
+// Run returns the spec's summary, from the cache when possible. A spec
+// that cannot be keyed — it sets Net.Policy, or a field has no JSON
+// encoding — is an error, never computed.
 func (r Runner) Run(spec Spec) (*RunSummary, error) {
-	met := newRunnerMetrics()
-	if r.Store.Mode() == cache.Off || spec.Net.Policy != nil {
-		met.computed.Inc()
-		sum, err := spec.Compute()
-		if err == nil {
-			r.record(spec, "", false)
-		}
-		return sum, err
-	}
-	key, err := SpecKey(spec)
-	if err != nil {
-		met.computed.Inc()
-		sum, cerr := spec.Compute()
-		if cerr == nil {
-			r.record(spec, "", false)
-		}
-		return sum, cerr
-	}
-	var sum RunSummary
-	cached, err := r.Store.Do(key,
-		func(data []byte) error { return json.Unmarshal(data, &sum) },
-		func() ([]byte, error) {
-			s, err := spec.Compute()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(s)
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if cached {
-		met.cached.Inc()
-	} else {
-		met.computed.Inc()
-	}
-	r.record(spec, key, cached)
-	return &sum, nil
+	sum, _, err := r.run(spec, true)
+	return sum, err
 }
 
 // RunJob is the job-level entry the simulation service is built on:
@@ -285,46 +221,62 @@ func (r Runner) RunJob(spec Spec) (sum *RunSummary, cached bool, err error) {
 // TryRun is the non-blocking variant of Run for work-stealing sweeps:
 // it never waits on another process's lease. It returns done=false
 // (and a nil summary) when the spec's key is being computed elsewhere
-// right now — the caller moves on and revisits the unit later. Specs
-// that bypass the cache always compute and complete.
+// right now — the caller moves on and revisits the unit later.
 func (r Runner) TryRun(spec Spec) (sum *RunSummary, done bool, err error) {
-	met := newRunnerMetrics()
-	if r.Store.Mode() == cache.Off || spec.Net.Policy != nil {
-		met.computed.Inc()
-		sum, err = spec.Compute()
-		if err == nil {
-			r.record(spec, "", false)
-		}
-		return sum, true, err
-	}
+	return r.run(spec, false)
+}
+
+// run is Run (wait) and TryRun (!wait): key the spec first, in every
+// cache mode, then serve or compute it through Store.Do or Store.TryDo
+// — which compute unconditionally on a nil or Off store.
+func (r Runner) run(spec Spec, wait bool) (*RunSummary, bool, error) {
 	key, err := SpecKey(spec)
 	if err != nil {
-		met.computed.Inc()
-		sum, cerr := spec.Compute()
-		if cerr == nil {
-			r.record(spec, "", false)
-		}
-		return sum, true, cerr
+		return nil, true, err
 	}
-	var got RunSummary
-	done, cached, err := r.Store.TryDo(key,
-		func(data []byte) error { return json.Unmarshal(data, &got) },
-		func() ([]byte, error) {
-			s, err := spec.Compute()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(s)
-		},
-	)
+	var sum RunSummary
+	decode := func(data []byte) error { return json.Unmarshal(data, &sum) }
+	compute := func() ([]byte, error) {
+		s, err := spec.Compute()
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(s)
+	}
+	done, cached := true, false
+	if wait {
+		cached, err = r.Store.Do(key, decode, compute)
+	} else {
+		done, cached, err = r.Store.TryDo(key, decode, compute)
+	}
 	if err != nil || !done {
 		return nil, done, err
 	}
+	met := newRunnerMetrics()
 	if cached {
 		met.cached.Inc()
 	} else {
 		met.computed.Inc()
 	}
-	r.record(spec, key, cached)
-	return &got, true, nil
+	if r.Record != nil {
+		r.Record(spec, key, cached)
+	}
+	return &sum, true, nil
+}
+
+// RunAll runs every spec through the runner on a Pool of the given
+// width (see Pool.Workers) and returns the summaries in spec order, or
+// the error of the lowest-indexed failed spec. It is the execution half
+// of every table driver: enumerate specs, RunAll, reduce sequentially —
+// so the reduction sees the same summaries at any width.
+func (r Runner) RunAll(specs []Spec, workers int) ([]*RunSummary, error) {
+	sums := make([]*RunSummary, len(specs))
+	if err := (Pool{Workers: workers}).Run(len(specs), func(i int) error {
+		var err error
+		sums[i], err = r.Run(specs[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return sums, nil
 }

@@ -3,12 +3,14 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"nbtinoc/internal/cache"
 	"nbtinoc/internal/core"
+	"nbtinoc/internal/metrics"
 	"nbtinoc/internal/noc"
 )
 
@@ -79,53 +81,6 @@ func TestSpecKeyStableAndComponentSensitive(t *testing.T) {
 	}
 	if pinned, err := specKeyFor(EngineVersion, quickSpec()); err != nil || pinned != base {
 		t.Errorf("SpecKey does not use EngineVersion: %s vs %s (%v)", pinned, base, err)
-	}
-}
-
-// TestConfigKeyMirrorsConfig enforces, by reflection, that configKey
-// carries every noc.Config field except the Policy factory — so adding
-// a Config field without extending the cache key is a test failure, not
-// a silent cache-aliasing bug.
-func TestConfigKeyMirrorsConfig(t *testing.T) {
-	ct := reflect.TypeOf(noc.Config{})
-	kt := reflect.TypeOf(configKey{})
-
-	excluded := 0
-	for i := 0; i < ct.NumField(); i++ {
-		f := ct.Field(i)
-		if f.Type.Kind() == reflect.Func {
-			if f.Name != "Policy" {
-				t.Errorf("unexpected func field noc.Config.%s — decide how it enters the cache key", f.Name)
-			}
-			excluded++
-			continue
-		}
-		kf, ok := kt.FieldByName(f.Name)
-		if !ok {
-			t.Errorf("noc.Config.%s missing from configKey — new fields must join the cache key", f.Name)
-			continue
-		}
-		if kf.Type != f.Type {
-			t.Errorf("configKey.%s has type %v, Config has %v", f.Name, kf.Type, f.Type)
-		}
-	}
-	if want := ct.NumField() - excluded; kt.NumField() != want {
-		t.Errorf("configKey has %d fields, want %d (Config minus Policy)", kt.NumField(), want)
-	}
-
-	// configKeyOf must copy every mirrored field, not leave zero values.
-	cfg := noc.DefaultConfig()
-	cfg.Width, cfg.Height = 2, 2
-	key := configKeyOf(cfg)
-	kv := reflect.ValueOf(key)
-	cv := reflect.ValueOf(cfg)
-	for i := 0; i < kt.NumField(); i++ {
-		name := kt.Field(i).Name
-		got := kv.Field(i).Interface()
-		want := cv.FieldByName(name).Interface()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("configKeyOf dropped %s: got %v, want %v", name, got, want)
-		}
 	}
 }
 
@@ -209,45 +164,90 @@ func TestRunnerSingleFlightUnderPool(t *testing.T) {
 	}
 }
 
-// TestRunnerBypassesCacheForPolicyFactories: a raw func factory cannot
-// participate in a content address, so such specs must compute directly
-// and never touch the store.
-func TestRunnerBypassesCacheForPolicyFactories(t *testing.T) {
-	spec := quickSpec()
-	spec.Policy = PolicySpec{}
-	spec.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: 512} }
+// TestRunnerRefusesUnkeyableSpecs: a spec that cannot be keyed — a raw
+// policy factory on Net, or a NaN rate with no JSON encoding — is an
+// error from SpecKey, Compute, Run and TryRun in every cache mode, and
+// nothing is computed, cached or recorded. The store already holds the
+// factory spec's declarative twin, which must not be served for it.
+func TestRunnerRefusesUnkeyableSpecs(t *testing.T) {
+	factory := quickSpec()
+	factory.Policy = PolicySpec{}
+	factory.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: 512} }
+	twin := quickSpec()
+	twin.Policy = PolicySpec{RRPeriod: 512}
+	nan := quickSpec()
+	nan.Gen.Rate = math.NaN()
 
-	runner := Runner{Store: cache.Open(t.TempDir(), cache.ReadWrite)}
-	for i := 0; i < 2; i++ {
-		if _, err := runner.Run(spec); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	if _, err := (Runner{Store: cache.Open(dir, cache.ReadWrite)}).Run(twin); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	metrics.SetDefault(reg)
+	defer metrics.SetDefault(nil)
+
+	recorded := 0
+	record := func(Spec, string, bool) { recorded++ }
+	for name, spec := range map[string]Spec{"factory": factory, "nan rate": nan} {
+		if _, err := SpecKey(spec); err == nil {
+			t.Errorf("%s: SpecKey succeeded", name)
+		}
+		if name == "factory" {
+			if _, err := spec.Compute(); err == nil {
+				t.Errorf("%s: Compute succeeded", name)
+			}
+		}
+		for _, mode := range []cache.Mode{cache.Off, cache.ReadOnly, cache.ReadWrite} {
+			store := cache.Open(dir, mode)
+			r := Runner{Store: store, Record: record}
+			if mode == cache.Off {
+				r.Store = nil
+			}
+			if sum, err := r.Run(spec); err == nil || sum != nil {
+				t.Errorf("%s, cache %v: Run = %v, %v; want an error", name, mode, sum, err)
+			}
+			if sum, _, err := r.TryRun(spec); err == nil || sum != nil {
+				t.Errorf("%s, cache %v: TryRun = %v, %v; want an error", name, mode, sum, err)
+			}
+			if st := store.Stats(); st != (cache.Stats{}) {
+				t.Errorf("%s, cache %v: store touched: %+v", name, mode, st)
+			}
 		}
 	}
-	if st := runner.Store.Stats(); st != (cache.Stats{}) {
-		t.Errorf("factory-carrying spec touched the cache: %+v", st)
+	if recorded != 0 {
+		t.Errorf("Record fired %d times for unkeyable specs", recorded)
+	}
+	if n := reg.CounterValue(noc.MetricCycles); n != 0 {
+		t.Errorf("unkeyable specs simulated %d cycles", n)
+	}
+	if n := reg.CounterValue(MetricRunsComputed) + reg.CounterValue(MetricRunsCached); n != 0 {
+		t.Errorf("unkeyable specs completed %d runs", n)
 	}
 }
 
 // TestRRPeriodSpecMatchesFactory: the declarative RRPeriod form must
-// behave exactly like the hand-installed factory it replaces.
+// behave exactly like the hand-installed factory it replaces, run
+// through sim.Run with the factory on RunConfig.Net.
 func TestRRPeriodSpecMatchesFactory(t *testing.T) {
 	declarative := quickSpec()
 	declarative.Policy = PolicySpec{RRPeriod: 1024}
-
-	manual := quickSpec()
-	manual.Policy = PolicySpec{}
-	manual.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: 1024} }
-
 	a, err := declarative.Compute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := manual.Compute()
+
+	rc, err := quickSpec().RunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.PolicyName = ""
+	rc.Net.Policy = func() noc.Policy { return &core.RRNoSensor{RotatePeriod: 1024} }
+	res, err := Run(rc, quickSpec().Probes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
+	jb, _ := json.Marshal(res.Summary())
 	if !bytes.Equal(ja, jb) {
 		t.Errorf("RRPeriod spec diverges from manual factory:\n%s\n%s", ja, jb)
 	}

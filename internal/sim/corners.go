@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nbtinoc/internal/nbti"
-	"nbtinoc/internal/noc"
 )
 
 // CornerRow is one (temperature, Vdd) operating corner of the lifetime
@@ -53,31 +52,27 @@ func RunCorners(cores, vcs int, rate, budgetV float64,
 	if len(temps) == 0 || len(vdds) == 0 {
 		return nil, fmt.Errorf("sim: empty corner sweep")
 	}
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
 		return nil, err
 	}
 	policies := CornerPolicies()
+	specs := make([]Spec, len(policies))
+	for i, policy := range policies {
+		specs[i] = opt.syntheticSpec(m, vcs, rate, policy)
+	}
+	sums, err := opt.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	out := &CornerTable{
 		Cores: cores, VCs: vcs, Rate: rate,
 		BudgetMV: 1000 * budgetV,
 		AlphaMD:  make(map[string]float64, len(policies)),
 	}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	alphas := make([]float64, len(policies))
-	if err := opt.pool().Run(len(policies), func(i int) error {
-		res, err := opt.runSynthetic(cores, vcs, rate, PolicySpec{Name: policies[i]},
-			[]PortProbe{probe}, nil)
-		if err != nil {
-			return err
-		}
-		r := res.Ports[0]
-		alphas[i] = r.Duty[r.MostDegraded] / 100
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	for i, policy := range policies {
-		out.AlphaMD[policy] = alphas[i]
+		r := sums[i].Ports[0]
+		out.AlphaMD[policy] = r.Duty[r.MostDegraded] / 100
 	}
 
 	for _, tK := range temps {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nbtinoc/internal/area"
-	"nbtinoc/internal/noc"
 )
 
 // DSERow is one (VCs, buffer depth) design point of the exploration.
@@ -39,41 +38,26 @@ func RunDSE(cores int, rate float64, vcsList, depths []int, opt TableOptions) (*
 	if len(vcsList) == 0 || len(depths) == 0 {
 		return nil, fmt.Errorf("sim: empty design space")
 	}
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
 		return nil, err
 	}
-	out := &DSETable{Cores: cores, Rate: rate}
 	dsePolicies := []string{"rr-no-sensor", "sensor-wise"}
-	type job struct {
-		vcs, depth int
-		policy     string
-	}
-	var jobs []job
+	var specs []Spec
 	for _, vcs := range vcsList {
 		for _, depth := range depths {
 			for _, policy := range dsePolicies {
-				jobs = append(jobs, job{vcs, depth, policy})
+				spec := opt.syntheticSpec(m, vcs, rate, policy)
+				spec.Net.BufferDepth = depth
+				specs = append(specs, spec)
 			}
 		}
 	}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	type outcome struct {
-		reading PortReading
-		lat     float64
-	}
-	results := make([]outcome, len(jobs))
-	if err := opt.pool().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := opt.runSynthetic(cores, j.vcs, rate, PolicySpec{Name: j.policy},
-			[]PortProbe{probe}, func(cfg *noc.Config) { cfg.BufferDepth = j.depth })
-		if err != nil {
-			return err
-		}
-		results[i] = outcome{reading: res.Ports[0], lat: res.AvgLatency}
-		return nil
-	}); err != nil {
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
+	out := &DSETable{Cores: cores, Rate: rate}
 	next := 0
 	for _, vcs := range vcsList {
 		for _, depth := range depths {
@@ -81,15 +65,15 @@ func RunDSE(cores int, rate float64, vcsList, depths []int, opt TableOptions) (*
 			var lat float64
 			md := -1
 			for _, policy := range dsePolicies {
-				r := results[next]
-				next++
+				r := sums[next].Ports[0]
 				if md == -1 {
-					md = r.reading.MostDegraded
+					md = r.MostDegraded
 				}
-				duty[policy] = r.reading.Duty[md]
+				duty[policy] = r.Duty[md]
 				if policy == "sensor-wise" {
-					lat = r.lat
+					lat = sums[next].AvgLatency
 				}
+				next++
 			}
 			spec := area.RouterSpec{
 				Ports: 4, VCsPerPort: vcs, BufferDepth: depth, FlitBits: 64,

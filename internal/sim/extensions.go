@@ -41,42 +41,33 @@ func PerfPolicies() []string {
 // demonstrating that the NBTI recovery is (nearly) performance-neutral —
 // and what a non-zero sleep-transistor wake-up latency costs.
 func RunPerfImpact(cores, vcs, wakeup int, rates []float64, opt TableOptions) (*PerfTable, error) {
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
+		return nil, err
+	}
+	var specs []Spec
+	for _, rate := range rates {
+		for _, policy := range PerfPolicies() {
+			spec := opt.syntheticSpec(m, vcs, rate, policy)
+			spec.Net.WakeupLatency = wakeup
+			specs = append(specs, spec)
+		}
+	}
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	out := &PerfTable{Cores: cores, VCs: vcs, WakeupLatency: wakeup}
-	type job struct {
-		rate   float64
-		policy string
-	}
-	var jobs []job
-	for _, rate := range rates {
-		for _, policy := range PerfPolicies() {
-			jobs = append(jobs, job{rate, policy})
-		}
-	}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	rows := make([]PerfRow, len(jobs))
-	if err := opt.pool().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := opt.runSynthetic(cores, vcs, j.rate, PolicySpec{Name: j.policy},
-			[]PortProbe{probe}, func(cfg *noc.Config) { cfg.WakeupLatency = wakeup })
-		if err != nil {
-			return err
-		}
-		r := res.Ports[0]
-		rows[i] = PerfRow{
-			Policy:     j.policy,
-			Rate:       j.rate,
-			AvgLatency: res.AvgLatency,
-			Throughput: res.Throughput,
+	for i, spec := range specs {
+		r := sums[i].Ports[0]
+		out.Rows = append(out.Rows, PerfRow{
+			Policy:     spec.Policy.Name,
+			Rate:       spec.Gen.Rate,
+			AvgLatency: sums[i].AvgLatency,
+			Throughput: sums[i].Throughput,
 			DutyMD:     r.Duty[r.MostDegraded],
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		})
 	}
-	out.Rows = rows
 	return out, nil
 }
 
@@ -115,35 +106,35 @@ type EnergyTable struct {
 // the cost of the always-on sensors — the side-benefit analysis of the
 // power-gating mechanism the paper builds on.
 func RunEnergy(cores, vcs int, rate float64, opt TableOptions) (*EnergyTable, error) {
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
+		return nil, err
+	}
+	policies := []string{"baseline", "rr-no-sensor", "rr-no-sensor-no-traffic",
+		"sensor-wise-no-traffic", "sensor-wise"}
+	specs := make([]Spec, len(policies))
+	for i, policy := range policies {
+		specs[i] = opt.syntheticSpec(m, vcs, rate, policy)
+		specs[i].Probes = nil
+	}
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	out := &EnergyTable{Cores: cores, VCs: vcs, Rate: rate, Cycles: opt.Measure}
 	params := power.Default45nm()
-	policies := []string{"baseline", "rr-no-sensor", "rr-no-sensor-no-traffic",
-		"sensor-wise-no-traffic", "sensor-wise"}
-	rows := make([]EnergyRow, len(policies))
-	if err := opt.pool().Run(len(policies), func(i int) error {
-		policy := policies[i]
-		res, err := opt.runSynthetic(cores, vcs, rate, PolicySpec{Name: policy}, nil, nil)
-		if err != nil {
-			return err
-		}
+	for i, policy := range policies {
 		sensors := 0
 		if strings.HasPrefix(policy, "sensor-wise") {
 			// One sensor per router input VC buffer.
-			sensors = res.Nodes * int(noc.NumPorts) * res.TotalVCs
+			sensors = sums[i].Nodes * int(noc.NumPorts) * sums[i].TotalVCs
 		}
-		rep, err := power.Estimate(params, res.Events, sensors, opt.Measure)
+		rep, err := power.Estimate(params, sums[i].Events, sensors, opt.Measure)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows[i] = EnergyRow{Policy: policy, Report: rep, Sensors: sensors}
-		return nil
-	}); err != nil {
-		return nil, err
+		out.Rows = append(out.Rows, EnergyRow{Policy: policy, Report: rep, Sensors: sensors})
 	}
-	out.Rows = rows
 	return out, nil
 }
 

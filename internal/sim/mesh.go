@@ -78,8 +78,13 @@ func (m Mesh) Config(vcsPerVNet int) (noc.Config, error) {
 	if err := m.Validate(); err != nil {
 		return noc.Config{}, err
 	}
+	return m.config(vcsPerVNet), nil
+}
+
+// config is Config on a geometry already validated.
+func (m Mesh) config(vcsPerVNet int) noc.Config {
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = m.Width, m.Height
 	cfg.VCsPerVNet = vcsPerVNet
-	return cfg, nil
+	return cfg
 }

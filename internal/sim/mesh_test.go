@@ -57,19 +57,15 @@ func TestMeshConfig(t *testing.T) {
 func TestScenarioMeshGeometry(t *testing.T) {
 	// Explicit geometry: cores derived, rectangular allowed.
 	s := Scenario{Name: "m", Width: 8, Height: 4, VCs: 2, Measure: 1000, Workload: "uniform"}
-	cfg, err := s.BuildConfig()
+	spec, err := s.Spec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Width != 8 || cfg.Height != 4 || s.Cores != 32 {
-		t.Errorf("geometry not threaded: %dx%d cores %d", cfg.Width, cfg.Height, s.Cores)
+	if spec.Net.Width != 8 || spec.Net.Height != 4 || s.Cores != 32 {
+		t.Errorf("geometry not threaded: %dx%d cores %d", spec.Net.Width, spec.Net.Height, s.Cores)
 	}
-	gs, err := s.GenSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.Width != 8 || gs.Height != 4 {
-		t.Errorf("GenSpec geometry = %dx%d", gs.Width, gs.Height)
+	if spec.Gen.Width != 8 || spec.Gen.Height != 4 {
+		t.Errorf("GenSpec geometry = %dx%d", spec.Gen.Width, spec.Gen.Height)
 	}
 
 	// Cores disagreeing with the geometry is rejected; agreeing passes.

@@ -15,7 +15,7 @@ const (
 	// cache.
 	MetricRunsCached = "sim_runs_cached_total"
 	// MetricRunsComputed counts Runner.Run calls that executed the
-	// engine (cache miss, cache off, or uncacheable spec).
+	// engine (cache miss or cache off).
 	MetricRunsComputed = "sim_runs_computed_total"
 )
 

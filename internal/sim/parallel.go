@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the bounded worker-pool scheduler behind every table and
-// sweep driver in this package. A driver enumerates its full scenario
-// grid up front, pre-allocates one result slot per job index, and then
-// executes the jobs through the pool; because each job writes only to
-// its own slot and derives all randomness from per-scenario seeds, the
-// assembled output is byte-identical to a sequential run regardless of
+// Pool is the bounded worker-pool scheduler behind Runner.RunAll, and
+// so behind every table driver in this package, and behind the sweep
+// workers. Each job writes only to its own pre-allocated result slot
+// and derives all randomness from per-scenario seeds, so the assembled
+// output is byte-identical to a sequential run regardless of
 // completion order or worker count.
 type Pool struct {
 	// Workers caps the number of concurrently executing jobs.

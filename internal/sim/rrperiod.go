@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"nbtinoc/internal/noc"
 )
 
 // RRPeriodRow is one rotation-period point of the rr-no-sensor study.
@@ -36,27 +34,24 @@ func RunRRPeriodStudy(cores, vcs int, rate float64, periods []uint64, opt TableO
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("sim: empty period sweep")
 	}
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]Spec, len(periods))
+	for i, period := range periods {
+		// The rotation period is declared through PolicySpec, so the
+		// sweep stays cacheable by content.
+		specs[i] = opt.syntheticSpec(m, vcs, rate, "")
+		specs[i].Policy.RRPeriod = period
+	}
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	out := &RRPeriodTable{Cores: cores, VCs: vcs, Rate: rate}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	readings := make([]PortReading, len(periods))
-	if err := opt.pool().Run(len(periods), func(i int) error {
-		// The rotation period is declared through PolicySpec (not a raw
-		// factory mutation), so the sweep stays cacheable by content.
-		res, err := opt.runSynthetic(cores, vcs, rate,
-			PolicySpec{RRPeriod: periods[i]}, []PortProbe{probe}, nil)
-		if err != nil {
-			return err
-		}
-		readings[i] = res.Ports[0]
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	for i, period := range periods {
-		r := readings[i]
+		r := sums[i].Ports[0]
 		min, max := 100.0, 0.0
 		for _, d := range r.Duty {
 			if d < min {

@@ -8,6 +8,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"nbtinoc/internal/core"
 	"nbtinoc/internal/noc"
@@ -54,6 +56,36 @@ type PortProbe struct {
 
 // Label renders the probe in the paper's row style, e.g. "r0-E".
 func (p PortProbe) Label() string { return fmt.Sprintf("r%d-%v", p.Node, p.Port) }
+
+// ParsePortProbe parses the "node:port" probe syntax shared by the
+// CLIs and sweep grids — a node index and a compass port letter
+// (L, N, E, S, W, case-insensitive), e.g. "5:E".
+func ParsePortProbe(s string) (PortProbe, error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != 2 {
+		return PortProbe{}, fmt.Errorf("probe %q not in node:port form", s)
+	}
+	node, err := strconv.Atoi(parts[0])
+	if err != nil {
+		return PortProbe{}, fmt.Errorf("probe node %q: %v", parts[0], err)
+	}
+	var port noc.Port
+	switch strings.ToUpper(parts[1]) {
+	case "L":
+		port = noc.Local
+	case "N":
+		port = noc.North
+	case "E":
+		port = noc.East
+	case "S":
+		port = noc.South
+	case "W":
+		port = noc.West
+	default:
+		return PortProbe{}, fmt.Errorf("unknown port %q", parts[1])
+	}
+	return PortProbe{Node: noc.NodeID(node), Port: port}, nil
+}
 
 // PortReading is the measured state of one probed port.
 type PortReading struct {
@@ -262,12 +294,9 @@ func MeshSide(cores int) (int, error) {
 // BaseConfig returns the paper's router/technology configuration for a
 // square mesh with the given core count and VC count.
 func BaseConfig(cores, vcsPerVNet int) (noc.Config, error) {
-	side, err := MeshSide(cores)
+	m, err := SquareMesh(cores)
 	if err != nil {
 		return noc.Config{}, err
 	}
-	cfg := noc.DefaultConfig()
-	cfg.Width, cfg.Height = side, side
-	cfg.VCsPerVNet = vcsPerVNet
-	return cfg, nil
+	return m.config(vcsPerVNet), nil
 }

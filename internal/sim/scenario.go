@@ -7,14 +7,15 @@ import (
 	"os"
 
 	"nbtinoc/internal/nbti"
-	"nbtinoc/internal/noc"
 	"nbtinoc/internal/pv"
 	"nbtinoc/internal/traffic"
 )
 
-// Scenario is a fully serialisable experiment description: everything a
-// run needs, in one JSON file, so published results can name the exact
-// scenario that produced them.
+// Scenario is a hand-authored experiment description: everything a run
+// needs, in one JSON file with defaults filled in by Validate, so
+// published results can name the exact scenario that produced them. It
+// is only a way to build a Spec; Scenario.Spec compiles it, and every
+// run path executes the compiled spec.
 type Scenario struct {
 	// Name labels the scenario in reports.
 	Name string `json:"name"`
@@ -121,19 +122,17 @@ func (s *Scenario) mesh() (Mesh, error) {
 	return SquareMesh(s.Cores)
 }
 
-// BuildConfig materialises the network configuration.
-func (s *Scenario) BuildConfig() (noc.Config, error) {
+// Spec compiles the scenario into the declarative, cacheable simulation
+// request every run path executes, observed at the given probes.
+func (s *Scenario) Spec(probes []PortProbe) (Spec, error) {
 	if err := s.Validate(); err != nil {
-		return noc.Config{}, err
+		return Spec{}, err
 	}
 	m, err := s.mesh()
 	if err != nil {
-		return noc.Config{}, err
+		return Spec{}, err
 	}
-	cfg, err := m.Config(s.VCs)
-	if err != nil {
-		return noc.Config{}, err
-	}
+	cfg := m.config(s.VCs)
 	cfg.VNets = s.VNets
 	cfg.PVSeed = s.PVSeed
 	cfg.PhitsPerFlit = s.Phits
@@ -142,94 +141,27 @@ func (s *Scenario) BuildConfig() (noc.Config, error) {
 		cfg.NBTI = nbti.Default32nm()
 		cfg.PV = pv.Default32nm()
 	}
-	return cfg, nil
-}
-
-// GenSpec returns the declarative workload description the scenario's
-// generator is built from — the piece of the cache key that replaces
-// the live generator.
-func (s *Scenario) GenSpec() (GenSpec, error) {
-	if err := s.Validate(); err != nil {
-		return GenSpec{}, err
-	}
-	m, err := s.mesh()
-	if err != nil {
-		return GenSpec{}, err
-	}
+	gen := GenSpec{Kind: s.Workload, Width: m.Width, Height: m.Height, Seed: s.Seed}
 	switch s.Workload {
-	case "app":
-		return GenSpec{Kind: "app", Width: m.Width, Height: m.Height, Seed: s.Seed}, nil
+	case "app": // the benchmark mix sets its own injection
 	case "req-resp":
-		return GenSpec{Kind: "req-resp", Width: m.Width, Height: m.Height,
-			Rate: s.Rate, Seed: s.Seed}, nil
+		gen.Rate = s.Rate
 	default:
 		if _, err := traffic.ParsePattern(s.Workload); err != nil {
-			return GenSpec{}, err
+			return Spec{}, err
 		}
-		return GenSpec{
-			Kind:            "synthetic",
-			Pattern:         s.Workload,
-			Width:           m.Width,
-			Height:          m.Height,
-			Rate:            s.Rate,
-			PacketLen:       s.PacketLen,
-			Seed:            s.Seed,
-			HotspotNode:     0,
-			HotspotFraction: 0.3,
-		}, nil
-	}
-}
-
-// BuildGenerator materialises the workload.
-func (s *Scenario) BuildGenerator() (traffic.Generator, error) {
-	gs, err := s.GenSpec()
-	if err != nil {
-		return nil, err
-	}
-	return gs.Build()
-}
-
-// Spec returns the scenario as a declarative, cacheable simulation
-// request against the given probes.
-func (s *Scenario) Spec(probes []PortProbe) (Spec, error) {
-	cfg, err := s.BuildConfig()
-	if err != nil {
-		return Spec{}, err
-	}
-	gs, err := s.GenSpec()
-	if err != nil {
-		return Spec{}, err
+		gen.Kind, gen.Pattern = "synthetic", s.Workload
+		gen.Rate, gen.PacketLen = s.Rate, s.PacketLen
+		gen.HotspotFraction = 0.3
 	}
 	return Spec{
 		Net:     cfg,
 		Policy:  PolicySpec{Name: s.Policy},
-		Gen:     gs,
+		Gen:     gen,
 		Warmup:  s.Warmup,
 		Measure: s.Measure,
 		Probes:  probes,
 	}, nil
-}
-
-// Execute runs the scenario against the given probes, returning the
-// live network for callers that inspect more than the summary (traces,
-// heatmaps, aging snapshots). Cacheable paths go through Spec and a
-// Runner instead.
-func (s *Scenario) Execute(probes []PortProbe) (*RunResult, error) {
-	cfg, err := s.BuildConfig()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := s.BuildGenerator()
-	if err != nil {
-		return nil, err
-	}
-	return Run(RunConfig{
-		Net:        cfg,
-		PolicyName: s.Policy,
-		Warmup:     s.Warmup,
-		Measure:    s.Measure,
-		Gen:        gen,
-	}, probes)
 }
 
 // LoadScenario parses a scenario from JSON.

@@ -88,32 +88,43 @@ func TestLoadScenarioRejectsGarbage(t *testing.T) {
 func TestScenario32nmConfig(t *testing.T) {
 	s := validScenario()
 	s.TechNode = 32
-	cfg, err := s.BuildConfig()
+	spec, err := s.Spec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.PV.MeanVth != 0.160 {
-		t.Errorf("32 nm mean Vth0 = %v, want 0.160", cfg.PV.MeanVth)
+	if spec.Net.PV.MeanVth != 0.160 {
+		t.Errorf("32 nm mean Vth0 = %v, want 0.160", spec.Net.PV.MeanVth)
 	}
-	if cfg.NBTI.Vth0 != 0.160 {
-		t.Errorf("32 nm model Vth0 = %v", cfg.NBTI.Vth0)
+	if spec.Net.NBTI.Vth0 != 0.160 {
+		t.Errorf("32 nm model Vth0 = %v", spec.Net.NBTI.Vth0)
 	}
 	s45 := validScenario()
-	cfg45, err := s45.BuildConfig()
+	spec45, err := s45.Spec(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg45.PV.MeanVth != 0.180 {
-		t.Errorf("45 nm mean Vth0 = %v, want 0.180", cfg45.PV.MeanVth)
+	if spec45.Net.PV.MeanVth != 0.180 {
+		t.Errorf("45 nm mean Vth0 = %v, want 0.180", spec45.Net.PV.MeanVth)
 	}
 }
 
-func TestScenarioExecute(t *testing.T) {
-	s := validScenario()
-	res, err := s.Execute([]PortProbe{{Node: 0, Port: noc.East}})
+// execute runs a scenario the way every run path does: compile it to a
+// spec, then compute the spec.
+func execute(t *testing.T, s Scenario, probes []PortProbe) *RunSummary {
+	t.Helper()
+	spec, err := s.Spec(probes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum, err := spec.Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+func TestScenarioExecute(t *testing.T) {
+	res := execute(t, validScenario(), []PortProbe{{Node: 0, Port: noc.East}})
 	if res.Policy != "sensor-wise" || len(res.Ports) != 1 {
 		t.Errorf("unexpected result: %+v", res)
 	}
@@ -127,11 +138,7 @@ func TestScenarioExecuteReqResp(t *testing.T) {
 	s.Workload = "req-resp"
 	s.VNets = 2
 	s.Rate = 0.02
-	res, err := s.Execute(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EjectedPackets == 0 {
+	if res := execute(t, s, nil); res.EjectedPackets == 0 {
 		t.Error("req-resp scenario delivered nothing")
 	}
 }
@@ -140,11 +147,7 @@ func TestScenarioExecuteApp(t *testing.T) {
 	s := validScenario()
 	s.Workload = "app"
 	s.Measure = 20000
-	res, err := s.Execute(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workload != "app-mix" {
+	if res := execute(t, s, nil); res.Workload != "app-mix" {
 		t.Errorf("workload = %q", res.Workload)
 	}
 }
@@ -152,7 +155,7 @@ func TestScenarioExecuteApp(t *testing.T) {
 func TestScenarioBadWorkload(t *testing.T) {
 	s := validScenario()
 	s.Workload = "spiral"
-	if _, err := s.BuildGenerator(); err == nil {
+	if _, err := s.Spec(nil); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nbtinoc/internal/nbti"
-	"nbtinoc/internal/noc"
 	"nbtinoc/internal/sensor"
 )
 
@@ -62,46 +61,35 @@ type SensorTable struct {
 // non-idealities — the feasibility question behind Section III-D's
 // choice of the [20] sensor.
 func RunSensorStudy(cores, vcs int, rate float64, opt TableOptions) (*SensorTable, error) {
-	if _, err := MeshSide(cores); err != nil {
+	m, err := SquareMesh(cores)
+	if err != nil {
 		return nil, err
 	}
-	out := &SensorTable{Cores: cores, VCs: vcs, Rate: rate}
-	probe := PortProbe{Node: 0, Port: noc.East}
-
 	sensorSeed := scenarioSeed(opt.SeedBase, cores, rate, 29)
 	variants := SensorVariants()
 
-	// Job 0 is the rr-no-sensor reference (sensor configuration
-	// irrelevant); jobs 1..N are the sensor-wise runs, one per variant.
-	// The true MD VC falls out of the reference run, so the rows are
-	// assembled in a sequential pass after the pool drains.
-	readings := make([]PortReading, 1+len(variants))
-	if err := opt.pool().Run(len(readings), func(i int) error {
-		policy := "rr-no-sensor"
-		mutate := func(cfg *noc.Config) { cfg.SensorSeed = sensorSeed }
-		if i > 0 {
-			policy = "sensor-wise"
-			v := variants[i-1]
-			mutate = func(cfg *noc.Config) {
-				cfg.SensorSeed = sensorSeed
-				cfg.Sensor = v.Cfg
-			}
-		}
-		res, err := opt.runSynthetic(cores, vcs, rate, PolicySpec{Name: policy},
-			[]PortProbe{probe}, mutate)
-		if err != nil {
-			return err
-		}
-		readings[i] = res.Ports[0]
-		return nil
-	}); err != nil {
+	// Spec 0 is the rr-no-sensor reference (sensor configuration
+	// irrelevant); specs 1..N are the sensor-wise runs, one per variant.
+	// The true MD VC falls out of the reference run.
+	specs := []Spec{opt.syntheticSpec(m, vcs, rate, "rr-no-sensor")}
+	for _, v := range variants {
+		spec := opt.syntheticSpec(m, vcs, rate, "sensor-wise")
+		spec.Net.Sensor = v.Cfg
+		specs = append(specs, spec)
+	}
+	for i := range specs {
+		specs[i].Net.SensorSeed = sensorSeed
+	}
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
-
-	trueMD := argmax(readings[0].Vth0)
-	rrDuty := readings[0].Duty[trueMD]
+	out := &SensorTable{Cores: cores, VCs: vcs, Rate: rate}
+	ref := sums[0].Ports[0]
+	trueMD := argmax(ref.Vth0)
+	rrDuty := ref.Duty[trueMD]
 	for i, v := range variants {
-		r := readings[1+i]
+		r := sums[1+i].Ports[0]
 		row := SensorRow{
 			Variant:    v.Name,
 			TrueMD:     trueMD,

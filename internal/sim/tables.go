@@ -69,13 +69,6 @@ func DefaultTableOptions() TableOptions {
 	}
 }
 
-// apply copies the option's network-level knobs onto a config.
-func (o TableOptions) apply(cfg *noc.Config) {
-	if o.Phits > 0 {
-		cfg.PhitsPerFlit = o.Phits
-	}
-}
-
 // meshes returns the evaluated geometries: the explicit Meshes
 // override when present, otherwise the square meshes of the Cores list.
 func (o TableOptions) meshes() ([]Mesh, error) {
@@ -98,47 +91,25 @@ func (o TableOptions) meshes() ([]Mesh, error) {
 	return ms, nil
 }
 
-// pool returns the scheduler configured by the Parallelism knob.
-func (o TableOptions) pool() Pool { return Pool{Workers: o.Parallelism} }
-
-// runner returns the executor configured by the Cache knob.
-func (o TableOptions) runner() Runner { return Runner{Store: o.Cache, Record: o.Record} }
-
-// runSynthetic executes one simulation of the common synthetic scenario
-// shape shared by the table and sweep drivers: uniform traffic on a
-// square mesh, with the PV and traffic seeds derived deterministically
-// from (SeedBase, cores, rate) so every policy evaluated on a scenario
-// sees the same silicon and the same offered load. mutate, when
-// non-nil, adjusts the config after the common knobs are applied
-// (extra seeds, buffer depth, wake-up latency, ...). Each call builds
-// its own network and generator, so concurrent calls never share
-// mutable state.
-func (o TableOptions) runSynthetic(cores, vcs int, rate float64, policy PolicySpec,
-	probes []PortProbe, mutate func(*noc.Config)) (*RunSummary, error) {
-	m, err := SquareMesh(cores)
-	if err != nil {
-		return nil, err
-	}
-	return o.runSyntheticMesh(m, vcs, rate, policy, probes, mutate)
+// runAll executes the specs through the runner configured by the Cache
+// and Record knobs, Parallelism wide.
+func (o TableOptions) runAll(specs []Spec) ([]*RunSummary, error) {
+	return Runner{Store: o.Cache, Record: o.Record}.RunAll(specs, o.Parallelism)
 }
 
-// runSyntheticMesh is runSynthetic on an explicit geometry. The seeds
-// derive from the tile count, so the square path is bit-identical to
-// the historical cores-based one.
-func (o TableOptions) runSyntheticMesh(m Mesh, vcs int, rate float64, policy PolicySpec,
-	probes []PortProbe, mutate func(*noc.Config)) (*RunSummary, error) {
-	cfg, err := m.Config(vcs)
-	if err != nil {
-		return nil, err
-	}
+// syntheticSpec builds the common synthetic scenario shape shared by the
+// table and sweep drivers: uniform traffic on a valid mesh, observed at
+// the east input port of router 0, with the PV and traffic seeds
+// derived deterministically from (SeedBase, tile count, rate) so every
+// policy evaluated on a scenario sees the same silicon and the same
+// offered load. Drivers edit the returned spec for their extra knobs
+// (sensor seeds, buffer depth, wake-up latency, ...).
+func (o TableOptions) syntheticSpec(m Mesh, vcs int, rate float64, policy string) Spec {
+	cfg := o.netConfig(m, vcs)
 	cfg.PVSeed = scenarioSeed(o.SeedBase, m.Cores(), rate, 11)
-	o.apply(&cfg)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return o.runner().Run(Spec{
+	return Spec{
 		Net:    cfg,
-		Policy: policy,
+		Policy: PolicySpec{Name: policy},
 		Gen: GenSpec{
 			Kind:      "synthetic",
 			Pattern:   "uniform",
@@ -150,8 +121,43 @@ func (o TableOptions) runSyntheticMesh(m Mesh, vcs int, rate float64, policy Pol
 		},
 		Warmup:  o.Warmup,
 		Measure: o.Measure,
+		Probes:  []PortProbe{{Node: 0, Port: noc.East}},
+	}
+}
+
+// appSpec builds iteration it of the application-mix scenario on a
+// cores-tile square mesh, probed at the Table IV ports. Every iteration
+// shares one PV seed, so the most degraded VC stays put.
+func (o TableOptions) appSpec(cores, vcs, it int, policy string) (Spec, error) {
+	probes, err := realProbes(cores)
+	if err != nil {
+		return Spec{}, err
+	}
+	m, err := SquareMesh(cores)
+	if err != nil {
+		return Spec{}, err
+	}
+	cfg := o.netConfig(m, vcs)
+	cfg.PVSeed = scenarioSeed(o.SeedBase, cores, 0.99, 17)
+	return Spec{
+		Net:    cfg,
+		Policy: PolicySpec{Name: policy},
+		Gen: GenSpec{Kind: "app", Width: m.Width, Height: m.Height,
+			Seed: scenarioSeed(o.SeedBase, cores, float64(it), 23)},
+		Warmup:  o.Warmup,
+		Measure: o.Measure,
 		Probes:  probes,
-	})
+	}, nil
+}
+
+// netConfig is the paper's configuration on a valid mesh, with the
+// options' link serialization applied.
+func (o TableOptions) netConfig(m Mesh, vcs int) noc.Config {
+	cfg := m.config(vcs)
+	if o.Phits > 0 {
+		cfg.PhitsPerFlit = o.Phits
+	}
+	return cfg
 }
 
 // SyntheticRow is one scenario row of Table II/III.
@@ -191,31 +197,16 @@ func RunSyntheticTable(vcs int, opt TableOptions) (*SyntheticTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		mesh   Mesh
-		rate   float64
-		policy string
-	}
-	var jobs []job
+	var specs []Spec
 	for _, m := range meshes {
 		for _, rate := range opt.Rates {
 			for _, policy := range tbl.Policies {
-				jobs = append(jobs, job{m, rate, policy})
+				specs = append(specs, opt.syntheticSpec(m, vcs, rate, policy))
 			}
 		}
 	}
-	probe := PortProbe{Node: 0, Port: noc.East}
-	readings := make([]PortReading, len(jobs))
-	if err := opt.pool().Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := opt.runSyntheticMesh(j.mesh, vcs, j.rate, PolicySpec{Name: j.policy},
-			[]PortProbe{probe}, nil)
-		if err != nil {
-			return err
-		}
-		readings[i] = res.Ports[0]
-		return nil
-	}); err != nil {
+	sums, err := opt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	next := 0
@@ -229,7 +220,7 @@ func RunSyntheticTable(vcs int, opt TableOptions) (*SyntheticTable, error) {
 				MDVC:     -1,
 			}
 			for _, policy := range tbl.Policies {
-				reading := readings[next]
+				reading := sums[next].Ports[0]
 				next++
 				row.Duty[policy] = reading.Duty
 				if row.MDVC == -1 {
@@ -360,79 +351,30 @@ func RunRealTable(opt RealOptions) (*RealTable, error) {
 	}
 	tbl := &RealTable{Iterations: opt.Iterations, VCs: opt.VCs}
 	archs := []int{4, 16}
-
-	// Enumerate the full (architecture, iteration, policy) grid up
-	// front; each job owns its network and generator and fills its own
-	// result slot, so the Welford reduction below — which runs
-	// sequentially in enumeration order — is bit-identical to the
-	// legacy sequential loop.
-	type job struct {
-		cores  int
-		it     int
-		policy string
-		probes []PortProbe
-	}
-	var jobs []job
+	topt := TableOptions{Warmup: opt.Warmup, Measure: opt.Measure, SeedBase: opt.SeedBase,
+		Phits: opt.Phits, Parallelism: opt.Parallelism, Cache: opt.Cache, Record: opt.Record}
+	var specs []Spec
 	for _, cores := range archs {
-		if _, err := MeshSide(cores); err != nil {
-			return nil, err
-		}
-		probes, err := realProbes(cores)
-		if err != nil {
-			return nil, err
-		}
 		for it := 0; it < opt.Iterations; it++ {
 			for _, policy := range []string{"rr-no-sensor", "sensor-wise"} {
-				jobs = append(jobs, job{cores, it, policy, probes})
+				spec, err := topt.appSpec(cores, opt.VCs, it, policy)
+				if err != nil {
+					return nil, err
+				}
+				specs = append(specs, spec)
 			}
 		}
 	}
-	ports := make([][]PortReading, len(jobs))
-	pool := Pool{Workers: opt.Parallelism}
-	runner := Runner{Store: opt.Cache, Record: opt.Record}
-	if err := pool.Run(len(jobs), func(i int) error {
-		j := jobs[i]
-		side, err := MeshSide(j.cores)
-		if err != nil {
-			return err
-		}
-		cfg, err := BaseConfig(j.cores, opt.VCs)
-		if err != nil {
-			return err
-		}
-		cfg.PVSeed = scenarioSeed(opt.SeedBase, j.cores, 0.99, 17)
-		if opt.Phits > 0 {
-			cfg.PhitsPerFlit = opt.Phits
-		}
-		res, err := runner.Run(Spec{
-			Net:    cfg,
-			Policy: PolicySpec{Name: j.policy},
-			Gen: GenSpec{
-				Kind:   "app",
-				Width:  side,
-				Height: side,
-				Seed:   scenarioSeed(opt.SeedBase, j.cores, float64(j.it), 23),
-			},
-			Warmup:  opt.Warmup,
-			Measure: opt.Measure,
-			Probes:  j.probes,
-		})
-		if err != nil {
-			return err
-		}
-		ports[i] = res.Ports
-		return nil
-	}); err != nil {
+	sums, err := topt.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 
+	// The Welford reduction runs sequentially in enumeration order, so
+	// it is bit-identical at any Parallelism.
 	next := 0
 	for _, cores := range archs {
-		probes, err := realProbes(cores)
-		if err != nil {
-			return nil, err
-		}
-
+		probes := specs[next].Probes
 		type acc struct{ rr, sw []Welford }
 		accs := make([]acc, len(probes))
 		for i := range accs {
@@ -445,7 +387,7 @@ func RunRealTable(opt RealOptions) (*RealTable, error) {
 
 		for it := 0; it < opt.Iterations; it++ {
 			for _, policy := range []string{"rr-no-sensor", "sensor-wise"} {
-				for pi, reading := range ports[next] {
+				for pi, reading := range sums[next].Ports {
 					if mds[pi] == -1 {
 						mds[pi] = reading.MostDegraded
 					} else if mds[pi] != reading.MostDegraded {

@@ -161,14 +161,10 @@ func (g *Grid) point(index, mi, pi, wi, ri, vi, si, qi int) (Unit, error) {
 	if len(label) == 0 {
 		label = append(label, "base"...)
 	}
-	if err := s.Validate(); err != nil {
-		return Unit{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
+	spec, err := s.Spec(nil)
+	if err == nil {
+		spec.Probes, err = g.probes(spec.Net.Width, spec.Net.Height)
 	}
-	probes, err := g.probes(&s)
-	if err != nil {
-		return Unit{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
-	}
-	spec, err := s.Spec(probes)
 	if err != nil {
 		return Unit{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
 	}
@@ -179,17 +175,14 @@ func (g *Grid) point(index, mi, pi, wi, ri, vi, si, qi int) (Unit, error) {
 	return Unit{Index: index, Label: string(label), Key: key, Spec: spec}, nil
 }
 
-// probes resolves the grid's probe list for one validated scenario.
-func (g *Grid) probes(s *sim.Scenario) ([]sim.PortProbe, error) {
+// probes resolves the grid's probe list for one unit's width×height
+// mesh.
+func (g *Grid) probes(width, height int) ([]sim.PortProbe, error) {
 	if len(g.Probes) == 0 {
 		return nil, nil
 	}
 	if len(g.Probes) == 1 && g.Probes[0] == "all" {
-		cfg, err := s.BuildConfig()
-		if err != nil {
-			return nil, err
-		}
-		return sim.AllPortProbes(cfg.Width, cfg.Height), nil
+		return sim.AllPortProbes(width, height), nil
 	}
 	probes := make([]sim.PortProbe, 0, len(g.Probes))
 	for _, p := range g.Probes {

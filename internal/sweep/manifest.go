@@ -229,12 +229,8 @@ func NewRecorder(name string) *Recorder {
 }
 
 // Record observes one executed spec (signature matches
-// sim.Runner.Record). Specs that bypassed the cache (empty key) have no
-// content address and are not recordable.
+// sim.Runner.Record).
 func (r *Recorder) Record(spec sim.Spec, key string, cached bool) {
-	if key == "" {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.seen[key]; dup {
