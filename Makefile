@@ -99,7 +99,7 @@ cover:
 		if (min + 0 > 0) printf "cover: total %.1f%% meets COVER_MIN=%s%%\n", t, min }'
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt cold.txt warm.txt /tmp/bench_check.json
+	rm -f cover.out test_output.txt bench_output.txt cold.txt warm.txt compare_cold.txt compare_warm.txt /tmp/bench_check.json
 	rm -f spec.json ref.json got.json nbtisimd.log
 	rm -rf bin svc-cache
 

@@ -21,13 +21,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
-	"nbtinoc/internal/cache"
+	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/core"
-	"nbtinoc/internal/metrics"
 	"nbtinoc/internal/noc"
-	"nbtinoc/internal/prof"
 	"nbtinoc/internal/sim"
 )
 
@@ -47,8 +44,9 @@ type portResult struct {
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	var metFlags metrics.CLIFlags
-	metFlags.Register(fs)
+	cf := cli.Flags{Prog: "compare"}
+	cf.RegisterMetrics(fs)
+	cf.RegisterCache(fs)
 	var (
 		polA     = fs.String("a", "rr-no-sensor", "first policy: "+strings.Join(core.Names(), ", "))
 		polB     = fs.String("b", "sensor-wise", "second policy")
@@ -63,29 +61,18 @@ func run(args []string, out io.Writer) (err error) {
 		phits    = fs.Int("phits", 1, "link serialization factor")
 		worst    = fs.Int("top", 8, "show only the N ports with the largest |gap| (0 = all)")
 		jobs     = fs.Int("j", 0, "parallel workers for the two runs: 0 = one per core, 1 = sequential")
-
-		cacheMode = fs.String("cache", "rw", "result cache mode: off, ro or rw")
-		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
-		verbose   = fs.Bool("v", false, "print result-cache statistics to stderr")
+		verbose  = fs.Bool("v", false, "print result-cache statistics to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Setup must precede openCache and the two runs: instruments are
-	// resolved at construction time against the then-current default.
-	finishMet, err := metFlags.Setup(false, prof.HTTPHandler(), func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "compare: "+format+"\n", args...)
-	})
+	sess, err := cf.Start(false)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if merr := finishMet(); merr != nil && err == nil {
-			err = merr
-		}
-	}()
+	defer sess.Finish(&err)
 
-	store, err := openCache(*cacheMode, *cacheDir)
+	store, err := sess.OpenCache()
 	if err != nil {
 		return err
 	}
@@ -162,33 +149,9 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "  throughput: %s %.4f, %s %.4f flits/cycle/node\n",
 		*polA, resA.Throughput, *polB, resB.Throughput)
 	if *verbose && store != nil {
-		fmt.Fprintf(os.Stderr, "compare: cache: %s\n", store.Stats())
+		sess.Logf("cache: %s", store.Stats())
 	}
 	return nil
-}
-
-// openCache builds the result store selected by the -cache/-cache-dir
-// flags; mode off yields a nil store (the always-compute pass-through).
-func openCache(mode, dir string) (*cache.Store, error) {
-	m, err := cache.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if m == cache.Off {
-		return nil, nil
-	}
-	if dir == "" {
-		dir = cache.DefaultDir()
-	}
-	st := cache.Open(dir, m)
-	// The library never reads the wall clock (nbtilint's determinism
-	// rules); the CLI injects it so hits can report time saved.
-	//nbtilint:allow wallclock display-only: compute durations are recorded in cache entries so later hits can report wall-clock time saved; they never feed simulator state or outputs
-	st.Clock = func() int64 { return time.Now().UnixNano() }
-	st.Warnf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "compare: cache: "+format+"\n", args...)
-	}
-	return st, nil
 }
 
 // collect pairs up the per-port MD duty-cycles of the two runs. Both

@@ -34,13 +34,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"nbtinoc/internal/cache"
+	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/core"
 	"nbtinoc/internal/metrics"
 	"nbtinoc/internal/noc"
-	"nbtinoc/internal/prof"
 	"nbtinoc/internal/sim"
 	"nbtinoc/internal/sweep"
 	"nbtinoc/internal/traffic"
@@ -55,12 +53,12 @@ func main() {
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("nbtisim", flag.ContinueOnError)
+	cf := cli.Flags{Prog: "nbtisim"}
 	// -trace already means flit-trace replay here, so the runtime
 	// execution trace is exposed as -exectrace.
-	var profFlags prof.Flags
-	profFlags.Register(fs, "exectrace")
-	var metFlags metrics.CLIFlags
-	metFlags.Register(fs)
+	cf.RegisterProfile(fs, "exectrace")
+	cf.RegisterMetrics(fs)
+	cf.RegisterCache(fs)
 	var (
 		cores    = fs.Int("cores", 16, "number of cores (square mesh)")
 		mesh     = fs.String("mesh", "", "mesh geometry WxH, e.g. 16x16 or 8x4 (overrides -cores; rectangular allowed)")
@@ -89,48 +87,21 @@ func run(args []string, out io.Writer) (err error) {
 		flitLog  = fs.String("flit-trace", "", "write a flit-level pipeline event trace to this file (large!)")
 		jobs     = fs.Int("j", 0, "parallel workers for multi-scenario -config runs: 0 = one per core, 1 = sequential")
 
-		cacheMode = fs.String("cache", "rw", "result cache mode: off, ro or rw")
-		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
-		sweepOut  = fs.String("sweep-manifest", "", "record every cached scenario into a sweep manifest at this path (replayable with nbtisweep)")
-		emitSpec  = fs.Bool("emit-spec", false, "print the declarative spec JSON for each scenario and exit without simulating (submittable to nbtisimd)")
-		verbose   = fs.Bool("v", false, "print result-cache statistics to stderr")
+		sweepOut = fs.String("sweep-manifest", "", "record every cached scenario into a sweep manifest at this path (replayable with nbtisweep)")
+		emitSpec = fs.Bool("emit-spec", false, "print the declarative spec JSON for each scenario and exit without simulating (submittable to nbtisimd)")
+		verbose  = fs.Bool("v", false, "print result-cache statistics to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
 	// -v forces a registry so the progress line has counters to read.
-	// Setup must precede openCache and every scenario run: instruments
-	// are resolved at construction time against the then-current default.
-	finishMet, err := metFlags.Setup(*verbose, prof.HTTPHandler(), func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "nbtisim: "+format+"\n", args...)
-	})
+	sess, err := cf.Start(*verbose)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if merr := finishMet(); merr != nil && err == nil {
-			err = merr
-		}
-	}()
+	defer sess.Finish(&err)
 	if *verbose {
-		stop := startProgress("nbtisim", &metrics.Progress{
-			R:          metrics.Default(),
-			Cycles:     noc.MetricCycles,
-			JobsDone:   sim.MetricJobsDone,
-			JobsTotal:  sim.MetricJobsTotal,
-			SampleHeap: true,
-			Extra:      ffRatioExtra(metrics.Default()),
-		})
-		defer stop()
+		sess.Progress(&metrics.Progress{JobsDone: sim.MetricJobsDone, JobsTotal: sim.MetricJobsTotal})
 	}
 
 	var scens []*sim.Scenario
@@ -217,7 +188,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		return nil
 	}
-	store, err := openCache("nbtisim", *cacheMode, *cacheDir)
+	store, err := sess.OpenCache()
 	if err != nil {
 		return err
 	}
@@ -318,85 +289,13 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "nbtisim: recorded %d units into %s\n", len(m.Units), *sweepOut)
+			sess.Logf("recorded %d units into %s", len(m.Units), *sweepOut)
 		}
 	}
 	if *verbose && store != nil {
-		fmt.Fprintf(os.Stderr, "nbtisim: cache: %s\n", store.Stats())
+		sess.Logf("cache: %s", store.Stats())
 	}
 	return nil
-}
-
-// ffRatioExtra annotates the -v progress line with the fraction of
-// simulated cycles covered by event-horizon fast-forward. It stays
-// empty until the first bulk jump, so fully-busy runs keep the line
-// unchanged and runs without a registry cost nothing.
-func ffRatioExtra(r *metrics.Registry) func() string {
-	return func() string {
-		ff := r.CounterValue(noc.MetricCyclesFastForwarded)
-		cycles := r.CounterValue(noc.MetricCycles)
-		if ff == 0 || cycles == 0 {
-			return ""
-		}
-		return fmt.Sprintf("ff %.1f%%", 100*float64(ff)/float64(cycles))
-	}
-}
-
-// startProgress prints p to stderr every 2 seconds until the returned
-// stop function runs. The wall clock stays confined to package main —
-// metrics.Progress only receives injected timestamps.
-func startProgress(prog string, p *metrics.Progress) func() {
-	//nbtilint:allow wallclock display-only: progress timestamps pace a stderr status line and never feed simulator state or outputs
-	p.Start(time.Now().UnixNano())
-	//nbtilint:allow wallclock display-only: the ticker paces the stderr progress line only
-	tick := time.NewTicker(2 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				//nbtilint:allow wallclock display-only: rate-window timestamp for the stderr progress line only
-				fmt.Fprintf(os.Stderr, "%s: %s\n", prog, p.Line(time.Now().UnixNano()))
-			}
-		}
-	}()
-	return func() {
-		tick.Stop()
-		close(done)
-	}
-}
-
-// openCache builds the result store selected by the -cache/-cache-dir
-// flags; mode off yields a nil store (the always-compute pass-through).
-func openCache(prog, mode, dir string) (*cache.Store, error) {
-	m, err := cache.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if m == cache.Off {
-		return nil, nil
-	}
-	if dir == "" {
-		dir = cache.DefaultDir()
-	}
-	st := cache.Open(dir, m)
-	// The library never reads the wall clock (nbtilint's determinism
-	// rules); the CLI injects it so hits can report time saved.
-	//nbtilint:allow wallclock display-only: compute durations are recorded in cache entries so later hits can report wall-clock time saved; they never feed simulator state or outputs
-	st.Clock = func() int64 { return time.Now().UnixNano() }
-	if m == cache.ReadWrite {
-		// Lease files give cross-process single-flight: a concurrent
-		// nbtisweep campaign (or second CLI run) over the same cache
-		// directory never computes the same scenario twice.
-		//nbtilint:allow wallclock display-only: lease waiters sleep between polls; cache contents and rendered output are independent of any timing
-		st.Lease = cache.DefaultLeasePolicy(func(ns int64) { time.Sleep(time.Duration(ns)) })
-	}
-	st.Warnf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, prog+": cache: "+format+"\n", args...)
-	}
-	return st, nil
 }
 
 // renderHeatmap prints the mesh as a grid; each tile shows the worst

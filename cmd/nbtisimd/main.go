@@ -22,10 +22,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"nbtinoc/internal/cache"
-	"nbtinoc/internal/metrics"
+	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/prof"
 	"nbtinoc/internal/service"
 )
@@ -37,16 +35,16 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("nbtisimd", flag.ContinueOnError)
+	cf := cli.Flags{Prog: "nbtisimd"}
+	cf.RegisterCache(fs)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8310", "listen address (host:port; :0 picks a free port)")
 		jobs        = fs.Int("j", 0, "simulation workers: 0 = one per core")
 		queueCap    = fs.Int("queue", service.DefaultQueueCap, "job queue capacity (submissions beyond it get 429)")
 		clientLimit = fs.Int("client-limit", 64, "max queued+running jobs per client (X-Client-ID header or remote host); 0 = unlimited")
 		jobTimeout  = fs.Duration("job-timeout", 0, "fail jobs still running after this long (0 = no timeout)")
-		cacheMode   = fs.String("cache", "rw", "result cache mode: off, ro or rw")
-		cacheDir    = fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
 		verbose     = fs.Bool("v", false, "log job completions and print cache statistics on exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,16 +53,18 @@ func run(args []string, out io.Writer) error {
 
 	// The daemon always carries a live registry: /metrics is part of
 	// the service API, not an opt-in like the CLI's -metrics-addr.
-	metrics.SetDefault(metrics.New())
-	defer metrics.SetDefault(nil)
-
-	store, err := openCache("nbtisimd", *cacheMode, *cacheDir)
+	sess, err := cf.Start(true)
 	if err != nil {
 		return err
 	}
-	warnf := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "nbtisimd: "+format+"\n", a...)
+	defer sess.Finish(&err)
+
+	store, err := sess.OpenCache()
+	if err != nil {
+		return err
 	}
+	// internal/service never touches the time package (determinism
+	// lint); the binary hands it the host clock.
 	cfg := service.Config{
 		Store:        store,
 		Workers:      *jobs,
@@ -72,20 +72,11 @@ func run(args []string, out io.Writer) error {
 		ClientLimit:  *clientLimit,
 		JobTimeoutNS: int64(*jobTimeout),
 		Debug:        prof.HTTPHandler(),
+		Clock:        cli.Now,
+		After:        cli.After,
 	}
 	if *verbose {
-		cfg.Warnf = warnf
-	}
-	// internal/service never touches the time package (determinism
-	// lint); the binary owns the wall clock and hands it in, the same
-	// seam the cache lease policy uses.
-	//nbtilint:allow wallclock service boundary: job timestamps and timeouts are operational concerns of the daemon, injected so internal/service stays deterministic
-	cfg.Clock = func() int64 { return time.Now().UnixNano() }
-	cfg.After = func(ns int64) <-chan struct{} {
-		c := make(chan struct{})
-		//nbtilint:allow wallclock service boundary: per-job timeout timer, injected into internal/service
-		time.AfterFunc(time.Duration(ns), func() { close(c) })
-		return c
+		cfg.Warnf = sess.Logf
 	}
 
 	srv, err := service.New(cfg)
@@ -120,35 +111,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *verbose && store != nil {
-		fmt.Fprintf(os.Stderr, "nbtisimd: cache: %+v\n", store.Stats())
+		sess.Logf("cache: %s", store.Stats())
 	}
 	fmt.Fprintln(out, "nbtisimd: drained, bye")
 	return nil
-}
-
-// openCache mirrors the nbtisim CLI helper: same modes, same default
-// directory, so a daemon and CLI runs dedup against each other through
-// the lease files when they share a cache directory.
-func openCache(prog, mode, dir string) (*cache.Store, error) {
-	m, err := cache.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if m == cache.Off {
-		return nil, nil
-	}
-	if dir == "" {
-		dir = cache.DefaultDir()
-	}
-	st := cache.Open(dir, m)
-	//nbtilint:allow wallclock display-only: compute durations are recorded in cache entries so later hits can report wall-clock time saved; they never feed simulator state or outputs
-	st.Clock = func() int64 { return time.Now().UnixNano() }
-	if m == cache.ReadWrite {
-		//nbtilint:allow wallclock display-only: lease waiters sleep between polls; cache contents and rendered output are independent of any timing
-		st.Lease = cache.DefaultLeasePolicy(func(ns int64) { time.Sleep(time.Duration(ns)) })
-	}
-	st.Warnf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, prog+": cache: "+format+"\n", args...)
-	}
-	return st, nil
 }

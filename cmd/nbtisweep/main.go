@@ -36,14 +36,12 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/cache"
 	"nbtinoc/internal/metrics"
-	"nbtinoc/internal/noc"
-	"nbtinoc/internal/prof"
 	"nbtinoc/internal/sim"
 	"nbtinoc/internal/sweep"
 )
@@ -63,29 +61,11 @@ func main() {
 	}
 }
 
-// realEnv is the injected wall-clock/lease wiring shared by the
-// coordinator and worker roles; the libraries themselves never touch
-// time (nbtilint wallclock rule).
-func realEnv(ttl time.Duration) (func() int64, *cache.LeasePolicy) {
-	//nbtilint:allow wallclock display-only: timestamps feed lease heartbeats and cache time-saved accounting, never simulator state or report bytes
-	clock := func() int64 { return time.Now().UnixNano() }
-	//nbtilint:allow wallclock display-only: sleeping paces lease waiters; the merged report bytes are independent of any timing
-	lease := cache.DefaultLeasePolicy(func(ns int64) { time.Sleep(time.Duration(ns)) })
-	if ttl > 0 {
-		lease.TTLNS = int64(ttl)
-		if hb := lease.TTLNS / 5; hb < lease.HeartbeatNS {
-			lease.HeartbeatNS = hb
-		}
-	}
-	return clock, lease
-}
-
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("nbtisweep", flag.ContinueOnError)
-	var profFlags prof.Flags
-	profFlags.Register(fs, "trace")
-	var metFlags metrics.CLIFlags
-	metFlags.Register(fs)
+	cf := cli.Flags{Prog: "nbtisweep"}
+	cf.RegisterProfile(fs, "trace")
+	cf.RegisterMetrics(fs)
 	var (
 		gridPath     = fs.String("grid", "", "grid JSON describing the campaign (new campaigns)")
 		manifestPath = fs.String("manifest", "", "campaign manifest: created with -grid, resumed without")
@@ -130,26 +110,11 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	stopProf, err := profFlags.Start()
+	sess, err := cf.Start(*verbose)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-	finishMet, err := metFlags.Setup(*verbose, prof.HTTPHandler(), func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "nbtisweep: "+format+"\n", args...)
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if merr := finishMet(); merr != nil && err == nil {
-			err = merr
-		}
-	}()
+	defer sess.Finish(&err)
 
 	manifest, units, err := resolveCampaign(*gridPath, *manifestPath)
 	if err != nil {
@@ -159,7 +124,6 @@ func run(args []string, out io.Writer) (err error) {
 	if dir == "" {
 		dir = cache.DefaultDir()
 	}
-	clock, lease := realEnv(*leaseTTL)
 	c := &sweep.Coordinator{
 		Manifest:     manifest,
 		Units:        units,
@@ -168,37 +132,24 @@ func run(args []string, out io.Writer) (err error) {
 		Procs:        *procs,
 		Workers:      *jobs,
 		Strategy:     strategy,
-		Clock:        clock,
-		Lease:        lease,
+		Clock:        cli.Now,
+		Lease:        cli.LeasePolicy(*leaseTTL),
 	}
 	if *verbose {
-		c.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "nbtisweep: "+format+"\n", args...)
-		}
-		if r := metrics.Default(); r != nil {
-			stop := startProgress("nbtisweep", &metrics.Progress{
-				R:          r,
-				Cycles:     noc.MetricCycles,
-				JobsDone:   sweep.MetricUnitsDone,
-				JobsTotal:  sweep.MetricUnitsTotal,
-				SampleHeap: true,
-				Extra: func() string {
-					var parts []string
-					if ff := r.CounterValue(noc.MetricCyclesFastForwarded); ff > 0 {
-						if cycles := r.CounterValue(noc.MetricCycles); cycles > 0 {
-							parts = append(parts, fmt.Sprintf("ff %.1f%%", 100*float64(ff)/float64(cycles)))
-						}
-					}
-					w := r.CounterValue(cache.MetricLeaseWaited)
-					s := r.CounterValue(cache.MetricLeaseTakeovers)
-					if w > 0 || s > 0 {
-						parts = append(parts, fmt.Sprintf("lease wait %d steal %d", w, s))
-					}
-					return strings.Join(parts, " ")
-				},
-			})
-			defer stop()
-		}
+		c.Logf = sess.Logf
+		r := metrics.Default()
+		sess.Progress(&metrics.Progress{
+			JobsDone:  sweep.MetricUnitsDone,
+			JobsTotal: sweep.MetricUnitsTotal,
+			Extra: func() string {
+				w := r.CounterValue(cache.MetricLeaseWaited)
+				s := r.CounterValue(cache.MetricLeaseTakeovers)
+				if w == 0 && s == 0 {
+					return ""
+				}
+				return fmt.Sprintf("lease wait %d steal %d", w, s)
+			},
+		})
 	}
 	if *procs > 1 {
 		c.Spawn = execWorkerSpawn(*leaseTTL, *killWorker, *killAfter, *verbose)
@@ -313,8 +264,7 @@ func runWorker(args []string) error {
 	if *assignPath == "" || *reportPath == "" {
 		return fmt.Errorf("worker needs -assign and -report")
 	}
-	clock, lease := realEnv(*leaseTTL)
-	env := sweep.WorkerEnv{Clock: clock, Lease: lease}
+	env := sweep.WorkerEnv{Clock: cli.Now, Lease: cli.LeasePolicy(*leaseTTL)}
 	if *killAfter > 0 {
 		n := *killAfter
 		env.AfterUnit = func(completed int) {
@@ -336,29 +286,4 @@ func runWorker(args []string) error {
 		}
 	}
 	return sweep.ExecuteAssignment(*assignPath, *reportPath, env)
-}
-
-// startProgress prints p to stderr every 2 seconds until the returned
-// stop function runs; wall time stays confined to package main.
-func startProgress(prog string, p *metrics.Progress) func() {
-	//nbtilint:allow wallclock display-only: progress timestamps pace a stderr status line and never feed simulator state or outputs
-	p.Start(time.Now().UnixNano())
-	//nbtilint:allow wallclock display-only: the ticker paces the stderr progress line only
-	tick := time.NewTicker(2 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				//nbtilint:allow wallclock display-only: rate-window timestamp for the stderr progress line only
-				fmt.Fprintf(os.Stderr, "%s: %s\n", prog, p.Line(time.Now().UnixNano()))
-			}
-		}
-	}()
-	return func() {
-		tick.Stop()
-		close(done)
-	}
 }

@@ -20,7 +20,6 @@ import (
 // new version's pins here.
 var goldenPins = map[string]map[string]string{
 	"nbtinoc-engine-1": {
-		"golden_table2_quick.txt":        "a9cf96945fe9f6637f17c63774aea200b91d2342405e526ad34b066edd5e17ca",
 		"golden_coop_quick.txt":          "40d579cb705fc5d647d4515aec6d0a9609c62634e3823643dafd1630f0e7ad5c",
 		"golden_table2_mesh16_quick.txt": "e662872c32ac7b05110e8b4d00f5f7138b79a61ebc50797df2d08246271ccd6b",
 		"golden_all_quick.txt":           "8850fc9d44f046973c97b67a78862cab4772269d95a66251adcb84f9c11deaf7",
@@ -30,7 +29,6 @@ var goldenPins = map[string]map[string]string{
 	// process, different draw sequence), enabling event-horizon
 	// fast-forward.
 	"nbtinoc-engine-2": {
-		"golden_table2_quick.txt":        "e6dc1692e826f459f432f74148ffd1ef12361268913ae6958b6cf417e9589ee1",
 		"golden_coop_quick.txt":          "c60e9ff10eeb08b0ba573e18531446d202b217766cfcb373737ad1b452bcdcad",
 		"golden_table2_mesh16_quick.txt": "af3b25c8f327cd4447515405914ae7a49f0b8a03b8678dd519934f97cd7e3a72",
 		"golden_all_quick.txt":           "1edea050035abd0ebb4fb50427d38653a3f4f3f622c2ff85efd81de699dee447",

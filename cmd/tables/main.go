@@ -41,14 +41,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/area"
-	"nbtinoc/internal/cache"
 	"nbtinoc/internal/metrics"
-	"nbtinoc/internal/noc"
-	"nbtinoc/internal/prof"
 	"nbtinoc/internal/sim"
 	"nbtinoc/internal/sweep"
 )
@@ -62,10 +61,10 @@ func main() {
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	var profFlags prof.Flags
-	profFlags.Register(fs, "trace")
-	var metFlags metrics.CLIFlags
-	metFlags.Register(fs)
+	cf := cli.Flags{Prog: "tables"}
+	cf.RegisterProfile(fs, "trace")
+	cf.RegisterMetrics(fs)
+	cf.RegisterCache(fs)
 	var (
 		table   = fs.String("table", "all", "table to regenerate: 1, 2, 3, 4, area, vth, coop, perf, power, sensors, corners, dse, rr, all")
 		warmup  = fs.Uint64("warmup", 20_000, "warm-up cycles")
@@ -81,8 +80,6 @@ func run(args []string, out io.Writer) (err error) {
 		csvDir  = fs.String("csv", "", "also write machine-readable CSV files into this directory")
 		jobs    = fs.Int("j", 0, "parallel scenario workers: 0 = one per core, 1 = sequential (output is identical either way)")
 
-		cacheMode = fs.String("cache", "rw", "result cache mode: off, ro or rw")
-		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
 		sweepOut  = fs.String("sweep-manifest", "", "record every cached scenario into a sweep manifest at this path (replayable with nbtisweep)")
 		verbose   = fs.Bool("v", false, "print result-cache statistics to stderr")
 		engineVer = fs.Bool("engine-version", false, "print the engine fingerprint baked into cache keys, then exit")
@@ -94,44 +91,22 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintln(out, sim.EngineVersion)
 		return nil
 	}
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
 	// -v forces a registry so the progress line has counters to read.
-	// Setup must precede openCache and every table run: instruments are
-	// resolved at construction time against the then-current default.
-	finishMet, err := metFlags.Setup(*verbose, prof.HTTPHandler(), func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
-	})
+	sess, err := cf.Start(*verbose)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if merr := finishMet(); merr != nil && err == nil {
-			err = merr
-		}
-	}()
+	defer sess.Finish(&err)
 	// phase names the table currently regenerating, for the -v progress
 	// line served alongside cycles/sec and job completion.
 	var phase atomic.Value
 	phase.Store("")
 	if *verbose {
-		stop := startProgress("tables", &metrics.Progress{
-			R:          metrics.Default(),
-			Cycles:     noc.MetricCycles,
-			JobsDone:   sim.MetricJobsDone,
-			JobsTotal:  sim.MetricJobsTotal,
-			SampleHeap: true,
-			Phase:      func() string { s, _ := phase.Load().(string); return s },
-			Extra:      ffRatioExtra(metrics.Default()),
+		sess.Progress(&metrics.Progress{
+			JobsDone:  sim.MetricJobsDone,
+			JobsTotal: sim.MetricJobsTotal,
+			Phase:     func() string { s, _ := phase.Load().(string); return s },
 		})
-		defer stop()
 	}
 	if *quick {
 		*warmup, *measure, *iters = 2_000, 20_000, 3
@@ -139,7 +114,7 @@ func run(args []string, out io.Writer) (err error) {
 	if *full {
 		*warmup, *measure = 9_000_000, 21_000_000
 	}
-	store, err := openCache("tables", *cacheMode, *cacheDir)
+	store, err := sess.OpenCache()
 	if err != nil {
 		return err
 	}
@@ -166,50 +141,21 @@ func run(args []string, out io.Writer) (err error) {
 		opt.Meshes = []sim.Mesh{m}
 	}
 
-	writeCSV := func(name, content string) error {
-		if *csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(*csvDir, name), []byte(content), 0o644)
+	// Each section regenerates one table; csv names the file -csv
+	// writes its CSV form to, empty for tables without one.
+	type section struct {
+		id, title, csv string
+		run            func() (renderer, error)
 	}
-	render := func(tbl interface{ Render() string }, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, tbl.Render())
-		return nil
-	}
-	renderCSV := func(csvName string) func(tbl interface {
-		Render() string
-		CSV() string
-	}, err error) error {
-		return func(tbl interface {
-			Render() string
-			CSV() string
-		}, err error) error {
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, tbl.Render())
-			return writeCSV(csvName, tbl.CSV())
-		}
-	}
-
-	sections := []struct {
-		id, title string
-		run       func() error
-	}{
-		{"1", "=== Table I: experimental setup (as realised by this model) ===",
-			func() error { renderSetup(out, *phits); return nil }},
-		{"2", "=== Table II: synthetic traffic, 4 VCs ===",
-			func() error { return renderCSV("table2.csv")(sim.RunSyntheticTable(4, opt)) }},
-		{"3", "=== Table III: synthetic traffic, 2 VCs ===",
-			func() error { return renderCSV("table3.csv")(sim.RunSyntheticTable(2, opt)) }},
-		{"4", "=== Table IV: SPLASH2/WCET benchmark mixes, 2 VCs ===",
-			func() error {
+	sections := []section{
+		{"1", "=== Table I: experimental setup (as realised by this model) ===", "",
+			func() (renderer, error) { return setupTable(*phits), nil }},
+		{"2", "=== Table II: synthetic traffic, 4 VCs ===", "table2.csv",
+			func() (renderer, error) { return sim.RunSyntheticTable(4, opt) }},
+		{"3", "=== Table III: synthetic traffic, 2 VCs ===", "table3.csv",
+			func() (renderer, error) { return sim.RunSyntheticTable(2, opt) }},
+		{"4", "=== Table IV: SPLASH2/WCET benchmark mixes, 2 VCs ===", "table4.csv",
+			func() (renderer, error) {
 				ropt := sim.DefaultRealOptions()
 				ropt.Iterations = *iters
 				ropt.Warmup, ropt.Measure, ropt.SeedBase = *warmup, *measure, *seed
@@ -219,36 +165,36 @@ func run(args []string, out io.Writer) (err error) {
 				if recorder != nil {
 					ropt.Record = recorder.Record
 				}
-				return renderCSV("table4.csv")(sim.RunRealTable(ropt))
+				return sim.RunRealTable(ropt)
 			}},
-		{"area", "=== Section III-D: area overhead (45 nm, ORION-style model) ===",
-			func() error { return renderArea(out) }},
-		{"vth", "=== Conclusion: net NBTI ΔVth saving vs non-gated baseline ===",
-			func() error { return renderCSV("vth.csv")(sim.RunVthSaving(2, *years, opt)) }},
-		{"coop", "=== Conclusion: cooperation (traffic information) ablation ===",
-			func() error { return renderCSV("coop.csv")(sim.RunCooperation(2, opt)) }},
-		{"perf", "=== Extension: NBTI/performance trade-off (16 cores, 4 VCs) ===",
-			func() error {
-				return renderCSV("perf.csv")(sim.RunPerfImpact(16, 4, *wakeup,
-					[]float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3}, opt))
+		{"area", "=== Section III-D: area overhead (45 nm, ORION-style model) ===", "",
+			areaTable},
+		{"vth", "=== Conclusion: net NBTI ΔVth saving vs non-gated baseline ===", "vth.csv",
+			func() (renderer, error) { return sim.RunVthSaving(2, *years, opt) }},
+		{"coop", "=== Conclusion: cooperation (traffic information) ablation ===", "coop.csv",
+			func() (renderer, error) { return sim.RunCooperation(2, opt) }},
+		{"perf", "=== Extension: NBTI/performance trade-off (16 cores, 4 VCs) ===", "perf.csv",
+			func() (renderer, error) {
+				return sim.RunPerfImpact(16, 4, *wakeup,
+					[]float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3}, opt)
 			}},
-		{"power", "=== Extension: router energy and leakage saving (16 cores, 2 VCs) ===",
-			func() error { return render(sim.RunEnergy(16, 2, 0.1, opt)) }},
-		{"sensors", "=== Extension: sensor non-ideality robustness (16 cores, 4 VCs) ===",
-			func() error { return render(sim.RunSensorStudy(16, 4, 0.1, opt)) }},
-		{"corners", "=== Extension: lifetime across operating corners (16 cores, 2 VCs) ===",
-			func() error {
-				return render(sim.RunCorners(16, 2, 0.1, 0.050,
-					[]float64{300, 325, 350, 375, 400}, []float64{1.0, 1.1, 1.2}, opt))
+		{"power", "=== Extension: router energy and leakage saving (16 cores, 2 VCs) ===", "",
+			func() (renderer, error) { return sim.RunEnergy(16, 2, 0.1, opt) }},
+		{"sensors", "=== Extension: sensor non-ideality robustness (16 cores, 4 VCs) ===", "",
+			func() (renderer, error) { return sim.RunSensorStudy(16, 4, 0.1, opt) }},
+		{"corners", "=== Extension: lifetime across operating corners (16 cores, 2 VCs) ===", "",
+			func() (renderer, error) {
+				return sim.RunCorners(16, 2, 0.1, 0.050,
+					[]float64{300, 325, 350, 375, 400}, []float64{1.0, 1.1, 1.2}, opt)
 			}},
-		{"dse", "=== Extension: design-space exploration (16 cores) ===",
-			func() error {
-				return renderCSV("dse.csv")(sim.RunDSE(16, 0.1, []int{2, 4, 8}, []int{2, 4, 8}, opt))
+		{"dse", "=== Extension: design-space exploration (16 cores) ===", "dse.csv",
+			func() (renderer, error) {
+				return sim.RunDSE(16, 0.1, []int{2, 4, 8}, []int{2, 4, 8}, opt)
 			}},
-		{"rr", "=== Extension: rr-no-sensor rotation-period study (16 cores, 4 VCs) ===",
-			func() error {
-				return render(sim.RunRRPeriodStudy(16, 4, 0.1,
-					[]uint64{1, 4, 16, 64, 256, 1024}, opt))
+		{"rr", "=== Extension: rr-no-sensor rotation-period study (16 cores, 4 VCs) ===", "",
+			func() (renderer, error) {
+				return sim.RunRRPeriodStudy(16, 4, 0.1,
+					[]uint64{1, 4, 16, 64, 256, 1024}, opt)
 			}},
 	}
 
@@ -262,14 +208,19 @@ func run(args []string, out io.Writer) (err error) {
 		phase.Store("table " + s.id)
 		fmt.Fprintln(out, s.title)
 		before := store.Stats()
-		//nbtilint:allow wallclock display-only: wall time per table is printed for the operator and never feeds simulator state or table contents
-		start := time.Now()
-		if err := s.run(); err != nil {
+		start := cli.Now()
+		tbl, err := s.run()
+		if err != nil {
 			return err
 		}
+		fmt.Fprintln(out, tbl.Render())
+		if s.csv != "" && *csvDir != "" {
+			if err := writeCSV(*csvDir, s.csv, tbl.(csvRenderer).CSV()); err != nil {
+				return err
+			}
+		}
 		if all {
-			//nbtilint:allow wallclock display-only: elapsed seconds are a progress annotation on stdout, not part of any reproduced table
-			line := fmt.Sprintf("[table %s: %.2fs", s.id, time.Since(start).Seconds())
+			line := fmt.Sprintf("[table %s: %.2fs", s.id, time.Duration(cli.Now()-start).Seconds())
 			if store != nil {
 				line += ", cache " + store.Stats().Sub(before).String()
 			}
@@ -285,89 +236,32 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "tables: recorded %d units into %s\n", len(m.Units), *sweepOut)
+			sess.Logf("recorded %d units into %s", len(m.Units), *sweepOut)
 		}
 	}
 	if *verbose && store != nil {
-		fmt.Fprintf(os.Stderr, "tables: cache: %s\n", store.Stats())
+		sess.Logf("cache: %s", store.Stats())
 	}
 	return nil
 }
 
-// ffRatioExtra annotates the -v progress line with the fraction of
-// simulated cycles covered by event-horizon fast-forward. It stays
-// empty until the first bulk jump, so fully-busy runs keep the line
-// unchanged and runs without a registry cost nothing.
-func ffRatioExtra(r *metrics.Registry) func() string {
-	return func() string {
-		ff := r.CounterValue(noc.MetricCyclesFastForwarded)
-		cycles := r.CounterValue(noc.MetricCycles)
-		if ff == 0 || cycles == 0 {
-			return ""
-		}
-		return fmt.Sprintf("ff %.1f%%", 100*float64(ff)/float64(cycles))
-	}
+// renderer is one regenerated section; sections with a CSV file name
+// also implement csvRenderer.
+type renderer interface{ Render() string }
+
+type csvRenderer interface {
+	renderer
+	CSV() string
 }
 
-// startProgress prints p to stderr every 2 seconds until the returned
-// stop function runs. The wall clock stays confined to package main —
-// metrics.Progress only receives injected timestamps.
-func startProgress(prog string, p *metrics.Progress) func() {
-	//nbtilint:allow wallclock display-only: progress timestamps pace a stderr status line and never feed simulator state or outputs
-	p.Start(time.Now().UnixNano())
-	//nbtilint:allow wallclock display-only: the ticker paces the stderr progress line only
-	tick := time.NewTicker(2 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				//nbtilint:allow wallclock display-only: rate-window timestamp for the stderr progress line only
-				fmt.Fprintf(os.Stderr, "%s: %s\n", prog, p.Line(time.Now().UnixNano()))
-			}
-		}
-	}()
-	return func() {
-		tick.Stop()
-		close(done)
-	}
-}
+// text is a section rendered up front.
+type text string
 
-// openCache builds the result store selected by the -cache/-cache-dir
-// flags; mode off yields a nil store (the always-compute pass-through).
-func openCache(prog, mode, dir string) (*cache.Store, error) {
-	m, err := cache.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if m == cache.Off {
-		return nil, nil
-	}
-	if dir == "" {
-		dir = cache.DefaultDir()
-	}
-	st := cache.Open(dir, m)
-	// The library never reads the wall clock (nbtilint's determinism
-	// rules); the CLI injects it so hits can report time saved.
-	//nbtilint:allow wallclock display-only: compute durations are recorded in cache entries so later hits can report wall-clock time saved; they never feed simulator state or outputs
-	st.Clock = func() int64 { return time.Now().UnixNano() }
-	if m == cache.ReadWrite {
-		// Lease files give cross-process single-flight: a concurrent
-		// nbtisweep campaign (or second tables run) over the same cache
-		// directory never computes the same scenario twice.
-		//nbtilint:allow wallclock display-only: lease waiters sleep between polls; cache contents and table bytes are independent of any timing
-		st.Lease = cache.DefaultLeasePolicy(func(ns int64) { time.Sleep(time.Duration(ns)) })
-	}
-	st.Warnf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, prog+": cache: "+format+"\n", args...)
-	}
-	return st, nil
-}
+func (t text) Render() string { return string(t) }
 
-// renderSetup prints the realised counterpart of the paper's Table I.
-func renderSetup(out io.Writer, phits int) {
+// setupTable renders the realised counterpart of the paper's Table I.
+func setupTable(phits int) renderer {
+	out := new(strings.Builder)
 	cfg, _ := sim.BaseConfig(16, 4)
 	cfg.PhitsPerFlit = phits
 	fmt.Fprintf(out, "%-18s %s\n", "Cores", "4/16 tiles, square 2D mesh (Tilera iMesh-style)")
@@ -383,14 +277,16 @@ func renderSetup(out io.Writer, phits int) {
 		"Technology", cfg.NBTI.Vth0, 0.160, cfg.NBTI.Vdd, 1e-9/cfg.NBTI.Tclk)
 	fmt.Fprintf(out, "%-18s within-die N(%.3f, %.3f) per VC buffer\n",
 		"Process variation", cfg.PV.MeanVth, cfg.PV.Sigma)
-	fmt.Fprintln(out)
+	return text(out.String())
 }
 
-func renderArea(out io.Writer) error {
+// areaTable renders the Section III-D area overheads.
+func areaTable() (renderer, error) {
 	rep, err := area.Estimate(area.Default45nm(), area.PaperSpec())
 	if err != nil {
-		return err
+		return nil, err
 	}
+	out := new(strings.Builder)
 	fmt.Fprintf(out, "router components (4 ports, 4 VCs, 4-flit buffers, 64-bit flits):\n")
 	fmt.Fprintf(out, "  input buffers     %8.0f um^2\n", rep.BufferUm2)
 	fmt.Fprintf(out, "  crossbar          %8.0f um^2\n", rep.CrossbarUm2)
@@ -404,7 +300,15 @@ func renderArea(out io.Writer) error {
 	fmt.Fprintf(out, "  Up_Down+Down_Up   %8.0f um^2  -> %.2f%% of a data link (paper: 3.8%%)\n",
 		rep.CtrlLinkUm2, rep.CtrlPctOfDataLink)
 	fmt.Fprintf(out, "  policy logic      %8.0f um^2  (paper: negligible)\n", rep.PolicyLogicUm2)
-	fmt.Fprintf(out, "  total overhead    %.2f%% of baseline tile (paper: < 4%%)\n\n",
+	fmt.Fprintf(out, "  total overhead    %.2f%% of baseline tile (paper: < 4%%)\n",
 		rep.TotalPctOfBaseline)
-	return nil
+	return text(out.String()), nil
+}
+
+// writeCSV writes one table's CSV form into dir.
+func writeCSV(dir, name, content string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
 }

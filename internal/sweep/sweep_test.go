@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -450,38 +452,59 @@ func min(a, b int) int {
 	return b
 }
 
-// TestAssignmentServerSeamRefused: the reserved daemon-execution field
-// round-trips through the file protocol but is refused by the local
-// executor — a coordinator written for a future nbtisimd-backed mode
-// must not silently fall back to in-process simulation.
-func TestAssignmentServerSeamRefused(t *testing.T) {
+// TestHandoffFilesDecodeStrictly: assignment and worker report files
+// are refused at load when they name a field this build does not know
+// or carry trailing data, so a misspelled field (or the old reserved
+// "server") never runs with that field silently ignored.
+func TestHandoffFilesDecodeStrictly(t *testing.T) {
 	dir := t.TempDir()
-	a := &Assignment{
-		Schema:       AssignmentSchema,
-		ManifestPath: filepath.Join(dir, "manifest.json"),
-		CacheDir:     filepath.Join(dir, "cache"),
-		Workers:      1,
-		Strategy:     Range,
-		Indices:      []int{0},
-		Server:       "http://127.0.0.1:8310",
+	const assignment = `{"schema": 1, "manifest_path": "m.json", "cache_dir": "c",
+		"workers": 1, "strategy": "range", "indices": [0]%s}%s`
+	const report = `{"schema": 1, "indices": [0], "results": [{"state": "done", "cached": false}],
+		"stats": {}%s}%s`
+	cases := []struct {
+		name, body string
+		load       func(string) error
+		ok         bool
+	}{
+		{"assignment", fmt.Sprintf(assignment, "", "\n"), loadAssignment, true},
+		{"assignment-server", fmt.Sprintf(assignment, `, "server": "http://127.0.0.1:8310"`, ""), loadAssignment, false},
+		{"assignment-misspelled", fmt.Sprintf(assignment, `, "worker": 4`, ""), loadAssignment, false},
+		{"assignment-trailing", fmt.Sprintf(assignment, "", "{}"), loadAssignment, false},
+		{"report", fmt.Sprintf(report, "", "\n"), loadReport, true},
+		{"report-misspelled", fmt.Sprintf(report, `, "stat": {}`, ""), loadReport, false},
 	}
-	path := filepath.Join(dir, "assign.json")
-	if err := a.Save(path); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := tc.load(path)
+		if tc.ok && err != nil {
+			t.Errorf("%s: refused a well-formed file: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: loaded %s", tc.name, tc.body)
+		}
 	}
-	loaded, err := LoadAssignment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Server != a.Server {
-		t.Fatalf("Server field did not round-trip: %q", loaded.Server)
-	}
-	err = ExecuteAssignment(path, filepath.Join(dir, "report.json"),
+	// A refused assignment is never executed: no report appears.
+	reportPath := filepath.Join(dir, "out.json")
+	err := ExecuteAssignment(filepath.Join(dir, "assignment-server.json"), reportPath,
 		WorkerEnv{Clock: realClock(), Lease: testLease()})
 	if err == nil {
-		t.Fatal("assignment with a server was executed locally")
+		t.Fatal("assignment naming a server was executed")
 	}
-	if !strings.Contains(err.Error(), "server") {
-		t.Errorf("refusal does not mention the server seam: %v", err)
+	if _, serr := os.Stat(reportPath); !os.IsNotExist(serr) {
+		t.Errorf("refused assignment wrote a report (stat: %v)", serr)
 	}
+}
+
+func loadAssignment(path string) error {
+	_, err := LoadAssignment(path)
+	return err
+}
+
+func loadReport(path string) error {
+	_, err := LoadWorkerReport(path)
+	return err
 }

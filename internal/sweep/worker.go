@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -123,15 +124,6 @@ type Assignment struct {
 	Workers      int      `json:"workers"`
 	Strategy     Strategy `json:"strategy"`
 	Indices      []int    `json:"indices"`
-	// Server is the reserved seam for a future nbtisweep -server mode:
-	// the base URL of an nbtisimd daemon to submit units to (POST
-	// /jobs with each unit's spec, poll /jobs/<id>) instead of
-	// simulating in-process. The daemon's job ids are the same spec
-	// content addresses this package records in manifests, so the
-	// dedup semantics carry over unchanged. ExecuteAssignment refuses
-	// assignments that set it until that mode lands — a typo'd field
-	// must not silently fall back to local execution.
-	Server string `json:"server,omitempty"`
 }
 
 // WorkerReport is the worker→coordinator result file: one outcome per
@@ -177,15 +169,33 @@ func writeJSONFile(path string, v any) error {
 // SaveAssignment writes the handoff file atomically.
 func (a *Assignment) Save(path string) error { return writeJSONFile(path, a) }
 
+// readStrictJSON decodes the one JSON value in the file at path into
+// v, refusing unknown fields and trailing data: a handoff file naming a
+// field this build does not know (a misspelling, or one a newer
+// coordinator relies on) must fail to load rather than run with that
+// field ignored.
+func readStrictJSON(path, what string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("sweep: parsing %s %s: %w", what, path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("sweep: parsing %s %s: trailing data after the JSON value", what, path)
+	}
+	return nil
+}
+
 // LoadAssignment reads and validates a handoff file.
 func LoadAssignment(path string) (*Assignment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var a Assignment
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("sweep: parsing assignment %s: %w", path, err)
+	if err := readStrictJSON(path, "assignment", &a); err != nil {
+		return nil, err
 	}
 	if a.Schema != AssignmentSchema {
 		return nil, fmt.Errorf("sweep: assignment schema %d not supported (want %d)", a.Schema, AssignmentSchema)
@@ -195,13 +205,9 @@ func LoadAssignment(path string) (*Assignment, error) {
 
 // LoadWorkerReport reads and validates a worker's result file.
 func LoadWorkerReport(path string) (*WorkerReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var r WorkerReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("sweep: parsing worker report %s: %w", path, err)
+	if err := readStrictJSON(path, "worker report", &r); err != nil {
+		return nil, err
 	}
 	if r.Schema != AssignmentSchema {
 		return nil, fmt.Errorf("sweep: worker report schema %d not supported (want %d)", r.Schema, AssignmentSchema)
@@ -231,9 +237,6 @@ func ExecuteAssignment(assignPath, reportPath string, env WorkerEnv) error {
 	a, err := LoadAssignment(assignPath)
 	if err != nil {
 		return err
-	}
-	if a.Server != "" {
-		return fmt.Errorf("sweep: assignment %s sets server %q, but daemon-backed execution is not implemented yet (see Assignment.Server)", assignPath, a.Server)
 	}
 	m, err := LoadManifest(a.ManifestPath)
 	if err != nil {
