@@ -82,6 +82,7 @@ examples:
 fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s ./internal/traffic
 	$(GO) test -run='^FuzzSpecJSON$$' -fuzz=FuzzSpecJSON -fuzztime=30s ./internal/sim
+	$(GO) test -run='^FuzzHandoffJSON$$' -fuzz=FuzzHandoffJSON -fuzztime=30s ./internal/sweep
 
 # Build and run the simulation service locally (SIGINT/SIGTERM drains).
 # Author request bodies with `nbtisim -emit-spec`, then:

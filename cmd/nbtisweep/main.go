@@ -24,7 +24,9 @@
 // of all workers, never report bytes.
 //
 // The "worker" subcommand is the re-exec entry point the coordinator
-// spawns; it is not meant to be invoked by hand. -kill-worker/-kill-after
+// spawns: it reads its share of the campaign as JSON on stdin, writes
+// its report as JSON to stdout and logs only to stderr. It is not meant
+// to be invoked by hand. -kill-worker/-kill-after
 // make the chosen worker exit mid-batch — a crash-injection hook for
 // the resume tests and CI.
 package main
@@ -223,14 +225,14 @@ func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, []sweep.Un
 
 // execWorkerSpawn re-execs this binary's "worker" subcommand per
 // shard — real OS processes, each with its own cache Store, flight
-// map and lease identity.
-func execWorkerSpawn(ttl time.Duration, killWorker, killAfter int, verbose bool) func(int, string, string) error {
-	return func(w int, assignPath, reportPath string) error {
+// map and lease identity — handing each its share on stdin.
+func execWorkerSpawn(ttl time.Duration, killWorker, killAfter int, verbose bool) func(int, *sweep.Assignment) (*sweep.WorkerReport, error) {
+	return func(w int, a *sweep.Assignment) (*sweep.WorkerReport, error) {
 		exe, err := os.Executable()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		args := []string{"worker", "-assign", assignPath, "-report", reportPath}
+		args := []string{"worker"}
 		if ttl > 0 {
 			args = append(args, "-lease-ttl", ttl.String())
 		}
@@ -241,28 +243,23 @@ func execWorkerSpawn(ttl time.Duration, killWorker, killAfter int, verbose bool)
 			args = append(args, "-v")
 		}
 		cmd := exec.Command(exe, args...)
-		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
-		return cmd.Run()
+		return sweep.ExecWorker(cmd, a)
 	}
 }
 
-// runWorker is the spawned-process entry point: execute one assignment
-// file against the shared cache and write the report file.
+// runWorker is the spawned-process entry point: run the assignment
+// read from stdin against the shared cache and write the report to
+// stdout.
 func runWorker(args []string) error {
 	fs := flag.NewFlagSet("nbtisweep worker", flag.ContinueOnError)
 	var (
-		assignPath = fs.String("assign", "", "assignment file from the coordinator")
-		reportPath = fs.String("report", "", "where to write the worker report")
-		leaseTTL   = fs.Duration("lease-ttl", 0, "override the lease staleness horizon")
-		killAfter  = fs.Int("kill-after", 0, "crash injection: exit(3) after this many completed units")
-		verbose    = fs.Bool("v", false, "log per-batch completion to stderr")
+		leaseTTL  = fs.Duration("lease-ttl", 0, "override the lease staleness horizon")
+		killAfter = fs.Int("kill-after", 0, "crash injection: exit(3) after this many completed units")
+		verbose   = fs.Bool("v", false, "log per-batch completion to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *assignPath == "" || *reportPath == "" {
-		return fmt.Errorf("worker needs -assign and -report")
 	}
 	env := sweep.WorkerEnv{Clock: cli.Now, Lease: cli.LeasePolicy(*leaseTTL)}
 	if *killAfter > 0 {
@@ -285,5 +282,5 @@ func runWorker(args []string) error {
 			}
 		}
 	}
-	return sweep.ExecuteAssignment(*assignPath, *reportPath, env)
+	return sweep.ServeWorker(os.Stdin, os.Stdout, env)
 }

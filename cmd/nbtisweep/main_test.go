@@ -148,6 +148,46 @@ func TestSweepKillThenResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestSweepLeavesOnlyManifestAndCache: a campaign round hands work to
+// its workers over stdin/stdout, so it leaves behind only what it was
+// asked to keep — the manifest and the cache — and nothing under
+// TMPDIR, with or without a manifest.
+func TestSweepLeavesOnlyManifestAndCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs worker processes")
+	}
+	dir := t.TempDir()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	grid := writeGrid(t, dir)
+	manifest := filepath.Join(dir, "camp.json")
+	// Each round gets a cold cache, so both really hand out work.
+	for _, args := range [][]string{
+		{"-grid", grid, "-cache-dir", filepath.Join(dir, "cache-a"), "-procs", "2"},
+		{"-grid", grid, "-manifest", manifest, "-cache-dir", filepath.Join(dir, "cache-b"), "-procs", "2", "-strategy", "steal"},
+	} {
+		if _, err := sweepRun(t, args...); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	// No scratch directory under TMPDIR and no <manifest>.work next to
+	// the manifest: the two listings below must hold nothing else.
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("campaign left %d entries under TMPDIR, first %s", len(left), left[0].Name())
+	}
+	var names []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "cache-a cache-b camp.json grid.json" {
+		t.Errorf("campaign directory holds %q, want the grid, the manifest and the cache", got)
+	}
+}
+
 func TestSweepStatusAndFlagErrors(t *testing.T) {
 	dir := t.TempDir()
 	grid := writeGrid(t, dir)

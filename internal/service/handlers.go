@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -96,14 +95,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Decoding is strict: a misspelled field (at any depth) or bytes
 	// after the object are refused rather than silently defaulted.
 	var spec sim.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := sim.DecodeStrict(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode spec: %v", err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "bad_request", "decode spec: trailing data after the spec object")
 		return
 	}
 	if err := spec.Validate(); err != nil {

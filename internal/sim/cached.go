@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"nbtinoc/internal/cache"
 	"nbtinoc/internal/core"
@@ -176,6 +177,23 @@ func specKeyFor(engine string, s Spec) (string, error) {
 // SpecKey returns the content address of a spec under the current
 // engine version.
 func SpecKey(s Spec) (string, error) { return specKeyFor(EngineVersion, s) }
+
+// DecodeStrict decodes the one JSON value r holds into v. Unknown
+// fields at any depth and any bytes after the value are errors, so a
+// misspelled field is refused instead of silently defaulted. Every
+// JSON input boundary decodes through it: spec bodies, scenarios,
+// grids, manifests and the sweep worker's handoff bodies.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
 
 // Runner executes Specs, memoizing through a Store when one is
 // attached. A zero Runner always computes.

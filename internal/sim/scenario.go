@@ -167,9 +167,7 @@ func (s *Scenario) Spec(probes []PortProbe) (Spec, error) {
 // LoadScenario parses a scenario from JSON.
 func LoadScenario(r io.Reader) (*Scenario, error) {
 	var s Scenario
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("sim: parsing scenario: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -80,6 +80,12 @@ func TestLoadScenarioRejectsGarbage(t *testing.T) {
 	if _, err := LoadScenario(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A second object after the scenario is data, not padding: the file
+	// must not run as its first half.
+	trailing := `{"name":"x","cores":4,"vcs":2,"measure":10}{"name":"y"}`
+	if _, err := LoadScenario(strings.NewReader(trailing)); err == nil {
+		t.Fatal("scenario with a trailing object accepted")
+	}
 	if _, err := LoadScenarioFile("/nonexistent.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}

@@ -3,8 +3,6 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -121,15 +119,8 @@ func TestSpecJSONCarriesEveryConfigField(t *testing.T) {
 // at any depth and trailing bytes are errors.
 func decodeSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("trailing data after the spec: %v", err)
-	}
-	return s, nil
+	err := DecodeStrict(bytes.NewReader(data), &s)
+	return s, err
 }
 
 // FuzzSpecJSON drives the spec decode boundary with arbitrary bytes:

@@ -1,11 +1,9 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 
 	"nbtinoc/internal/cache"
@@ -29,20 +27,18 @@ type Coordinator struct {
 	// Procs is the worker-process count; Workers the per-process pool
 	// width (-j).
 	Procs, Workers int
-	// Strategy selects range-sharding or work-stealing.
+	// Strategy decides what Assign hands each worker: a disjoint range
+	// or the whole rotated pending list (work-stealing).
 	Strategy Strategy
 	// Clock and Lease are the injected time hooks handed to every
 	// store this coordinator opens (and to in-process workers).
 	Clock func() int64
 	Lease *cache.LeasePolicy
-	// Spawn launches worker w over an assignment file and blocks until
-	// its report file exists; nil runs the worker in-process with its
-	// own Store handle — the same isolation an exec'd worker has,
-	// minus the address space.
-	Spawn func(w int, assignPath, reportPath string) error
-	// ScratchDir holds assignment/report files; empty derives one next
-	// to the manifest or under os.TempDir.
-	ScratchDir string
+	// Spawn runs worker w over its assignment in another process and
+	// returns its report, or nil when the worker died before reporting.
+	// Nil runs RunAssignment in-process with its own Store handle: the
+	// same isolation an exec'd worker has, minus the address space.
+	Spawn func(w int, a *Assignment) (*WorkerReport, error)
 	// Logf, when non-nil, receives progress and the aggregated
 	// campaign cache stats. This is side-channel narration (stderr in
 	// the CLI) — never part of the merged report bytes.
@@ -71,19 +67,6 @@ func (c *Coordinator) openStore() *cache.Store {
 	s.Clock = c.Clock
 	s.Lease = c.Lease
 	return s
-}
-
-// scratch resolves the scratch directory for worker files.
-func (c *Coordinator) scratch() (string, error) {
-	dir := c.ScratchDir
-	if dir == "" {
-		if c.ManifestPath != "" {
-			dir = c.ManifestPath + ".work"
-		} else {
-			dir = filepath.Join(os.TempDir(), "nbtisweep-work")
-		}
-	}
-	return dir, os.MkdirAll(dir, 0o755)
 }
 
 // Run executes one campaign round and, if every unit completes, merges
@@ -159,92 +142,56 @@ func (c *Coordinator) checkpoint() error {
 	return c.Manifest.Save(c.ManifestPath)
 }
 
-// runWorkers shards pending across the worker processes, launches them
+// runWorkers shards pending across the worker processes, runs them
 // concurrently, and folds their reports back into the manifest and the
 // aggregated stats.
 func (c *Coordinator) runWorkers(pending []int, res *Result) error {
-	procs := c.Procs
-	if procs < 1 {
-		procs = 1
-	}
-	if procs > len(pending) {
-		procs = len(pending)
-	}
-	// Workers read the manifest from disk, so spawning needs a saved
-	// copy even when the caller didn't ask for checkpoints.
-	manifestPath := c.ManifestPath
-	scratch, err := c.scratch()
-	if err != nil {
-		return err
-	}
-	if manifestPath == "" {
-		manifestPath = filepath.Join(scratch, "manifest.json")
-		if err := c.Manifest.Save(manifestPath); err != nil {
-			return err
+	shares := Assign(pending, min(max(c.Procs, 1), len(pending)), c.Strategy)
+	spawn := c.Spawn
+	if spawn == nil {
+		spawn = func(_ int, a *Assignment) (*WorkerReport, error) {
+			return RunAssignment(a, WorkerEnv{Clock: c.Clock, Lease: c.Lease}), nil
 		}
 	}
-	assignments := Assign(pending, procs, c.Strategy)
-
-	type workerOutcome struct {
-		report *WorkerReport
-		err    error
-	}
-	outcomes := make([]workerOutcome, procs)
+	reports := make([]*WorkerReport, len(shares))
+	errs := make([]error, len(shares))
 	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		assignPath := filepath.Join(scratch, "assign-"+strconv.Itoa(w)+".json")
-		reportPath := filepath.Join(scratch, "report-"+strconv.Itoa(w)+".json")
-		os.Remove(reportPath)
+	for w, share := range shares {
 		a := &Assignment{
-			Schema:       AssignmentSchema,
-			ManifestPath: manifestPath,
-			CacheDir:     c.CacheDir,
-			Workers:      c.Workers,
-			Strategy:     c.Strategy,
-			Indices:      assignments[w],
+			Schema:   AssignmentSchema,
+			CacheDir: c.CacheDir,
+			Workers:  c.Workers,
+			Units:    make([]Unit, len(share)),
 		}
-		if err := a.Save(assignPath); err != nil {
-			return err
+		for j, i := range share {
+			a.Units[j] = c.Units[i]
 		}
 		wg.Add(1)
-		go func(w int, assignPath, reportPath string) {
+		go func() {
 			defer wg.Done()
-			spawn := c.Spawn
-			if spawn == nil {
-				spawn = func(_ int, ap, rp string) error {
-					return ExecuteAssignment(ap, rp, WorkerEnv{Clock: c.Clock, Lease: c.Lease})
-				}
-			}
-			if err := spawn(w, assignPath, reportPath); err != nil {
-				outcomes[w].err = err
-			}
-			// Read whatever report exists even after an error: a
-			// worker killed mid-batch may still have checkpointed
-			// nothing, but one that failed late reports most units.
-			if r, lerr := LoadWorkerReport(reportPath); lerr == nil {
-				outcomes[w].report = r
-			}
-		}(w, assignPath, reportPath)
+			reports[w], errs[w] = spawn(w, a)
+		}()
 	}
 	wg.Wait()
 
 	var spawnErr error
-	for w := 0; w < procs; w++ {
-		if outcomes[w].err != nil {
-			c.logf("sweep %s: worker %d: %v", c.Manifest.Name, w, outcomes[w].err)
+	for w, share := range shares {
+		r, err := reports[w], errs[w]
+		if r != nil && len(r.Results) != len(share) {
+			err = errors.Join(err, fmt.Errorf("report has %d results for %d units", len(r.Results), len(share)))
+			r = nil
+		}
+		if err != nil {
+			c.logf("sweep %s: worker %d: %v", c.Manifest.Name, w, err)
 			if spawnErr == nil {
-				spawnErr = fmt.Errorf("sweep: worker %d: %w", w, outcomes[w].err)
+				spawnErr = fmt.Errorf("sweep: worker %d: %w", w, err)
 			}
 		}
-		r := outcomes[w].report
 		if r == nil {
 			continue
 		}
 		res.Stats = res.Stats.Add(r.Stats)
-		for j, i := range r.Indices {
-			if i < 0 || i >= len(c.Manifest.Units) {
-				continue
-			}
+		for j, i := range share {
 			u := &c.Manifest.Units[i]
 			switch r.Results[j].State {
 			case UnitDone:

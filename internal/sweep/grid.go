@@ -13,7 +13,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -63,14 +62,14 @@ type Grid struct {
 // Unit is one expanded grid point: a spec plus its identity.
 type Unit struct {
 	// Index is the unit's position in the fixed expansion order.
-	Index int
+	Index int `json:"index"`
 	// Label names the grid point human-readably (axis values joined).
-	Label string
+	Label string `json:"label"`
 	// Key is the spec's content address — the work id every layer
 	// (cache entries, leases, manifests) agrees on.
-	Key string
+	Key string `json:"key"`
 	// Spec is the declarative simulation request.
-	Spec sim.Spec
+	Spec sim.Spec `json:"spec"`
 }
 
 // axisValues returns a slice with one element per grid point along an
@@ -205,12 +204,11 @@ func (g *Grid) Key() (string, error) {
 	}{sim.EngineVersion, g})
 }
 
-// LoadGrid parses and structurally checks a grid from JSON.
+// LoadGrid parses and structurally checks a grid from JSON, refusing
+// unknown fields and trailing data.
 func LoadGrid(r io.Reader) (*Grid, error) {
 	var g Grid
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
+	if err := sim.DecodeStrict(r, &g); err != nil {
 		return nil, fmt.Errorf("sweep: parsing grid: %w", err)
 	}
 	if _, err := g.Expand(); err != nil {

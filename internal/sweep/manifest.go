@@ -148,14 +148,16 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// LoadManifest reads and validates a manifest file.
+// LoadManifest reads and validates a manifest file, refusing unknown
+// fields and trailing data.
 func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := sim.DecodeStrict(f, &m); err != nil {
 		return nil, fmt.Errorf("sweep: parsing manifest %s: %w", path, err)
 	}
 	if err := m.validate(); err != nil {

@@ -14,8 +14,8 @@ const (
 	MetricUnitsDone = "sweep_units_done_total"
 	// MetricUnitsFailed counts units whose compute errored.
 	MetricUnitsFailed = "sweep_units_failed_total"
-	// MetricUnitsDeferred counts steal-mode step-asides: a unit found
-	// claimed by another process and revisited later.
+	// MetricUnitsDeferred counts first-pass step-asides: a unit found
+	// claimed by another process and revisited in the blocking pass.
 	MetricUnitsDeferred = "sweep_units_deferred_total"
 	// MetricWorkersActive gauges worker batches currently executing in
 	// this process.
@@ -43,7 +43,7 @@ func newSweepMetrics() sweepMetrics {
 		unitsTotal:    r.Counter(MetricUnitsTotal, "Sweep units handed to workers."),
 		unitsDone:     r.Counter(MetricUnitsDone, "Sweep units that reached a summary."),
 		unitsFailed:   r.Counter(MetricUnitsFailed, "Sweep units whose compute errored."),
-		unitsDeferred: r.Counter(MetricUnitsDeferred, "Steal-mode step-asides revisited later."),
+		unitsDeferred: r.Counter(MetricUnitsDeferred, "First-pass step-asides revisited later."),
 		workersActive: r.Gauge(MetricWorkersActive, "Worker batches currently executing."),
 	}
 }

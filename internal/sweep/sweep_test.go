@@ -111,6 +111,13 @@ func TestGridLoadRejectsBadPoints(t *testing.T) {
 	if _, err := LoadGrid(strings.NewReader(unknown)); err == nil {
 		t.Error("grid with unknown field accepted")
 	}
+	good := `{"name":"x","base":{"cores":4,"vcs":1,"measure":100}}`
+	if _, err := LoadGrid(strings.NewReader(good + "\n")); err != nil {
+		t.Errorf("well-formed grid refused: %v", err)
+	}
+	if _, err := LoadGrid(strings.NewReader(good + `{"junk":1}`)); err == nil {
+		t.Error("grid with trailing data accepted")
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -160,7 +167,7 @@ func TestManifestValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeJSONFile(p, json.RawMessage(data)); err != nil {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -175,6 +182,24 @@ func TestManifestValidation(t *testing.T) {
 		if _, err := LoadManifest(save(name, mutate)); err == nil {
 			t.Errorf("%s: damaged manifest accepted", name)
 		}
+	}
+
+	// A misspelled field is refused, not ignored: "unit" would
+	// otherwise load as a manifest with no units at all.
+	ok := save("ok.json", func(*Manifest) {})
+	if _, err := LoadManifest(ok); err != nil {
+		t.Fatalf("undamaged manifest refused: %v", err)
+	}
+	data, err := os.ReadFile(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misspelled := filepath.Join(dir, "misspelled.json")
+	if err := os.WriteFile(misspelled, bytes.Replace(data, []byte(`"units"`), []byte(`"unit"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(misspelled); err == nil {
+		t.Error("manifest with a misspelled field accepted")
 	}
 
 	// A grid-based manifest whose grid drifted from its unit list is
@@ -374,27 +399,16 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 		Strategy:     Range,
 		Clock:        realClock(),
 		Lease:        testLease(),
-		Spawn: func(w int, assignPath, reportPath string) error {
-			a, err := LoadAssignment(assignPath)
-			if err != nil {
-				return err
-			}
+		Spawn: func(w int, a *Assignment) (*WorkerReport, error) {
+			env := WorkerEnv{Clock: realClock(), Lease: testLease()}
 			if w == 0 {
 				// "Kill" worker 0 after one unit: compute a partial
-				// share into the shared cache, never write the report.
-				a.Indices = a.Indices[:1]
-				partial := filepath.Join(dir, "partial.json")
-				if err := a.Save(partial); err != nil {
-					return err
-				}
-				if err := ExecuteAssignment(partial, filepath.Join(dir, "partial-report.json"),
-					WorkerEnv{Clock: realClock(), Lease: testLease()}); err != nil {
-					return err
-				}
-				return &killedError{}
+				// share into the shared cache, never report.
+				a.Units = a.Units[:1]
+				RunAssignment(a, env)
+				return nil, &killedError{}
 			}
-			return ExecuteAssignment(assignPath, reportPath,
-				WorkerEnv{Clock: realClock(), Lease: testLease()})
+			return RunAssignment(a, env), nil
 		},
 	}
 	var out bytes.Buffer
@@ -445,66 +459,203 @@ type killedError struct{}
 
 func (*killedError) Error() string { return "worker killed (simulated)" }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// TestHandoffFilesDecodeStrictly: assignment and worker report files
-// are refused at load when they name a field this build does not know
-// or carry trailing data, so a misspelled field (or the old reserved
-// "server") never runs with that field silently ignored.
-func TestHandoffFilesDecodeStrictly(t *testing.T) {
-	dir := t.TempDir()
-	const assignment = `{"schema": 1, "manifest_path": "m.json", "cache_dir": "c",
-		"workers": 1, "strategy": "range", "indices": [0]%s}%s`
-	const report = `{"schema": 1, "indices": [0], "results": [{"state": "done", "cached": false}],
+// TestHandoffBodiesDecodeStrictly: the assignment a worker reads on
+// stdin and the report it writes back are refused when they name a
+// field this build does not know or carry trailing data, so a
+// misspelled field (or the old reserved "server") never runs with that
+// field silently ignored.
+func TestHandoffBodiesDecodeStrictly(t *testing.T) {
+	const assignment = `{"schema": 1, "cache_dir": "c", "workers": 1, "units": []%s}%s`
+	const report = `{"schema": 1, "results": [{"state": "done", "cached": false}],
 		"stats": {}%s}%s`
+	decodeAssignment := func(body string) error {
+		var a Assignment
+		return decodeHandoff(strings.NewReader(body), "assignment", &a, &a.Schema)
+	}
+	decodeReport := func(body string) error {
+		var r WorkerReport
+		return decodeHandoff(strings.NewReader(body), "worker report", &r, &r.Schema)
+	}
 	cases := []struct {
 		name, body string
-		load       func(string) error
+		decode     func(string) error
 		ok         bool
 	}{
-		{"assignment", fmt.Sprintf(assignment, "", "\n"), loadAssignment, true},
-		{"assignment-server", fmt.Sprintf(assignment, `, "server": "http://127.0.0.1:8310"`, ""), loadAssignment, false},
-		{"assignment-misspelled", fmt.Sprintf(assignment, `, "worker": 4`, ""), loadAssignment, false},
-		{"assignment-trailing", fmt.Sprintf(assignment, "", "{}"), loadAssignment, false},
-		{"report", fmt.Sprintf(report, "", "\n"), loadReport, true},
-		{"report-misspelled", fmt.Sprintf(report, `, "stat": {}`, ""), loadReport, false},
+		{"assignment", fmt.Sprintf(assignment, "", "\n"), decodeAssignment, true},
+		{"assignment-server", fmt.Sprintf(assignment, `, "server": "http://127.0.0.1:8310"`, ""), decodeAssignment, false},
+		{"assignment-misspelled", fmt.Sprintf(assignment, `, "worker": 4`, ""), decodeAssignment, false},
+		{"assignment-trailing", fmt.Sprintf(assignment, "", "{}"), decodeAssignment, false},
+		{"assignment-schema", `{"schema": 2, "cache_dir": "c", "workers": 1, "units": []}`, decodeAssignment, false},
+		{"report", fmt.Sprintf(report, "", "\n"), decodeReport, true},
+		{"report-misspelled", fmt.Sprintf(report, `, "stat": {}`, ""), decodeReport, false},
+		{"report-trailing", fmt.Sprintf(report, "", `{"schema": 1}`), decodeReport, false},
 	}
 	for _, tc := range cases {
-		path := filepath.Join(dir, tc.name+".json")
-		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := tc.load(path)
+		err := tc.decode(tc.body)
 		if tc.ok && err != nil {
-			t.Errorf("%s: refused a well-formed file: %v", tc.name, err)
+			t.Errorf("%s: refused a well-formed body: %v", tc.name, err)
 		}
 		if !tc.ok && err == nil {
-			t.Errorf("%s: loaded %s", tc.name, tc.body)
+			t.Errorf("%s: decoded %s", tc.name, tc.body)
 		}
 	}
-	// A refused assignment is never executed: no report appears.
-	reportPath := filepath.Join(dir, "out.json")
-	err := ExecuteAssignment(filepath.Join(dir, "assignment-server.json"), reportPath,
-		WorkerEnv{Clock: realClock(), Lease: testLease()})
-	if err == nil {
-		t.Fatal("assignment naming a server was executed")
+
+	// A refused assignment never runs: the worker writes no report and
+	// touches no cache.
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	units, err := testGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, serr := os.Stat(reportPath); !os.IsNotExist(serr) {
-		t.Errorf("refused assignment wrote a report (stat: %v)", serr)
+	body, err := json.Marshal(&Assignment{Schema: AssignmentSchema, CacheDir: cacheDir, Workers: 1, Units: units[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := WorkerEnv{Clock: realClock(), Lease: testLease()}
+	for _, bad := range []string{
+		strings.Replace(string(body), `"workers"`, `"server":"http://127.0.0.1:8310","workers"`, 1),
+		strings.Replace(string(body), `"workers"`, `"worker"`, 1),
+		string(body) + "{}",
+	} {
+		var out bytes.Buffer
+		if err := ServeWorker(strings.NewReader(bad), &out, env); err == nil {
+			t.Errorf("worker ran a refused assignment: %s", bad)
+		}
+		if out.Len() != 0 {
+			t.Errorf("refused assignment wrote a report: %s", out.String())
+		}
+	}
+	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+		t.Errorf("refused assignment touched the cache (stat: %v)", err)
+	}
+
+	// The well-formed body runs and answers with one strict report.
+	var out bytes.Buffer
+	if err := ServeWorker(bytes.NewReader(body), &out, env); err != nil {
+		t.Fatal(err)
+	}
+	var r WorkerReport
+	if err := decodeHandoff(&out, "worker report", &r, &r.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Results) != 1 || r.Results[0].State != UnitDone || r.Stats.Misses != 1 {
+		t.Errorf("report = %+v, want one computed unit", r)
 	}
 }
 
-func loadAssignment(path string) error {
-	_, err := LoadAssignment(path)
-	return err
+// TestStolenUnitKeepsDone: when workers report conflicting outcomes
+// for one (stolen) unit, a done from one is never overwritten by a
+// failed from another, whichever reports first; a unit no worker
+// reports stays pending, and the round fails resumably.
+func TestStolenUnitKeepsDone(t *testing.T) {
+	for _, doneFirst := range []bool{true, false} {
+		m, units, err := NewManifest(testGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Coordinator{
+			Manifest: m,
+			Units:    units,
+			CacheDir: filepath.Join(t.TempDir(), "cache"),
+			Procs:    2,
+			Strategy: Steal,
+			Spawn: func(w int, a *Assignment) (*WorkerReport, error) {
+				r := &WorkerReport{Schema: AssignmentSchema, Results: make([]UnitResult, len(a.Units))}
+				for j, u := range a.Units {
+					// Unit 0 is done by one worker and failed by the
+					// other; unit 1 is failed by both; units 2 and 3
+					// are left unreported (pending).
+					switch {
+					case u.Index == 0 && (w == 0) == doneFirst:
+						r.Results[j] = UnitResult{State: UnitDone}
+					case u.Index <= 1:
+						r.Results[j] = UnitResult{State: UnitFailed, Err: fmt.Sprintf("worker %d", w)}
+					default:
+						r.Results[j] = UnitResult{State: UnitPending}
+					}
+				}
+				return r, nil
+			},
+		}
+		var out bytes.Buffer
+		if _, err := c.Run(&out); err == nil {
+			t.Fatal("round with failed units reported success")
+		}
+		want := []UnitState{UnitDone, UnitFailed, UnitPending, UnitPending}
+		for i, u := range m.Units {
+			if u.State != want[i] {
+				t.Errorf("doneFirst=%v: unit %d ended %s, want %s", doneFirst, i, u.State, want[i])
+			}
+		}
+		if m.Units[0].Err != "" {
+			t.Errorf("doneFirst=%v: done unit kept error %q", doneFirst, m.Units[0].Err)
+		}
+	}
 }
 
-func loadReport(path string) error {
-	_, err := LoadWorkerReport(path)
-	return err
+// FuzzHandoffJSON drives the sweep's JSON boundaries with arbitrary
+// bytes: the strict decoder plus manifest validation, and the
+// assignment and report handoff bodies. Decoding must never panic, and
+// a body that decodes must re-encode to a body that decodes to the
+// same value (compared by encoding, since JSON does not tell an empty
+// list from an omitted one).
+func FuzzHandoffJSON(f *testing.F) {
+	m, units, err := NewManifest(testGrid())
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.Units[1].State = UnitFailed
+	m.Units[1].Err = "boom"
+	for _, v := range []any{
+		m,
+		&Assignment{Schema: AssignmentSchema, CacheDir: "c", Workers: 2, Units: units[:2]},
+		&WorkerReport{Schema: AssignmentSchema, Results: []UnitResult{{State: UnitDone, Cached: true}, {State: UnitFailed, Err: "x"}}},
+	} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema": 1, "cache_dir": "c", "workers": 1, "units": []}{}`))
+	decoders := []func([]byte) (any, error){
+		func(b []byte) (any, error) {
+			var m Manifest
+			if err := sim.DecodeStrict(bytes.NewReader(b), &m); err != nil {
+				return nil, err
+			}
+			return &m, m.validate()
+		},
+		func(b []byte) (any, error) {
+			var a Assignment
+			return &a, decodeHandoff(bytes.NewReader(b), "assignment", &a, &a.Schema)
+		},
+		func(b []byte) (any, error) {
+			var r WorkerReport
+			return &r, decodeHandoff(bytes.NewReader(b), "worker report", &r, &r.Schema)
+		},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, decode := range decoders {
+			v, err := decode(data)
+			if err != nil {
+				continue
+			}
+			enc1, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("decoded body does not encode: %v", err)
+			}
+			back, err := decode(enc1)
+			if err != nil {
+				t.Fatalf("re-encoded body does not decode: %v\n%s", err, enc1)
+			}
+			enc2, err := json.Marshal(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc1, enc2) {
+				t.Fatalf("round trip changed the value:\n%s\n%s", enc1, enc2)
+			}
+		}
+	})
 }

@@ -1,36 +1,17 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"os/exec"
 	"sync"
 	"sync/atomic"
 
 	"nbtinoc/internal/cache"
 	"nbtinoc/internal/sim"
 )
-
-// WorkerOptions configures one worker's execution of its assigned
-// units.
-type WorkerOptions struct {
-	// Store is the shared result cache, normally lease-enabled.
-	Store *cache.Store
-	// Workers is the local pool width (-j): 0 = one per core, 1 =
-	// sequential.
-	Workers int
-	// Strategy selects the claiming discipline. Steal does a
-	// non-blocking pass first (stepping aside from units other
-	// processes hold) and revisits the remainder; Range computes its
-	// disjoint share in order.
-	Strategy Strategy
-	// AfterUnit, when non-nil, observes each completed unit with the
-	// completed-so-far count — the crash-injection hook behind the
-	// -kill-after flag. Called from pool goroutines.
-	AfterUnit func(completed int)
-}
 
 // UnitResult is one unit's outcome in a worker batch.
 type UnitResult struct {
@@ -41,231 +22,157 @@ type UnitResult struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// RunUnits executes the units through a local pool against the shared
-// cache and reports per-unit outcomes. A unit failure never aborts the
-// batch — campaigns retry failures on resume — so the slice always has
-// one entry per unit.
-func RunUnits(units []Unit, opt WorkerOptions) []UnitResult {
-	met := newSweepMetrics()
-	met.unitsTotal.Add(uint64(len(units)))
-	met.workersActive.Inc()
-	defer met.workersActive.Dec()
-
-	results := make([]UnitResult, len(units))
-	runner := sim.Runner{Store: opt.Store}
-	pool := sim.Pool{Workers: opt.Workers}
-	var completed atomic.Int64
-	finish := func(i int, cached bool, err error) {
-		if err != nil {
-			results[i] = UnitResult{State: UnitFailed, Err: err.Error()}
-			met.unitsFailed.Inc()
-		} else {
-			results[i] = UnitResult{State: UnitDone, Cached: cached}
-			met.unitsDone.Inc()
-		}
-		if opt.AfterUnit != nil {
-			opt.AfterUnit(int(completed.Add(1)))
-		}
-	}
-
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	if opt.Strategy == Steal {
-		// Pass 1: claim what's free, step aside from foreign claims.
-		var mu sync.Mutex
-		var deferred []int
-		_ = pool.Run(len(order), func(j int) error {
-			i := order[j]
-			var cached bool
-			r := runner
-			r.Record = func(_ sim.Spec, _ string, c bool) { cached = c }
-			_, done, err := r.TryRun(units[i].Spec)
-			switch {
-			case err != nil:
-				finish(i, false, err)
-			case !done:
-				met.unitsDeferred.Inc()
-				mu.Lock()
-				deferred = append(deferred, i)
-				mu.Unlock()
-			default:
-				finish(i, cached, nil)
-			}
-			return nil
-		})
-		order = deferred
-	}
-	// Blocking pass: range shares, and steal-mode leftovers (waiting
-	// out the foreign lease usually ends in serving its entry).
-	_ = pool.Run(len(order), func(j int) error {
-		i := order[j]
-		var cached bool
-		r := runner
-		r.Record = func(_ sim.Spec, _ string, c bool) { cached = c }
-		_, err := r.Run(units[i].Spec)
-		finish(i, cached, err)
-		return nil
-	})
-	return results
-}
-
-// AssignmentSchema versions the coordinator→worker handoff file.
+// AssignmentSchema versions the coordinator→worker handoff body (and
+// the report that answers it).
 const AssignmentSchema = 1
 
-// Assignment is what a worker process needs to run its share of a
-// campaign: where the manifest and cache live, which unit indices are
-// its, and how to execute them.
+// Assignment is one worker's share of a campaign: the shared cache it
+// runs against, its local pool width (-j: 0 = one per core, 1 =
+// sequential), and the units themselves — index, key, label and spec —
+// so a worker never loads the manifest or re-expands the grid.
 type Assignment struct {
-	Schema       int      `json:"schema"`
-	ManifestPath string   `json:"manifest_path"`
-	CacheDir     string   `json:"cache_dir"`
-	Workers      int      `json:"workers"`
-	Strategy     Strategy `json:"strategy"`
-	Indices      []int    `json:"indices"`
+	Schema   int    `json:"schema"`
+	CacheDir string `json:"cache_dir"`
+	Workers  int    `json:"workers"`
+	Units    []Unit `json:"units"`
 }
 
-// WorkerReport is the worker→coordinator result file: one outcome per
-// assigned index, plus the worker's cache stats for campaign-level
-// aggregation.
+// WorkerReport is the worker→coordinator result: one outcome per
+// assigned unit, in assignment order, plus the worker's cache stats
+// for campaign-level aggregation.
 type WorkerReport struct {
 	Schema  int          `json:"schema"`
-	Indices []int        `json:"indices"`
 	Results []UnitResult `json:"results"`
 	Stats   cache.Stats  `json:"stats"`
 }
 
-// writeJSONFile writes v atomically (temp+rename) as indented JSON.
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// SaveAssignment writes the handoff file atomically.
-func (a *Assignment) Save(path string) error { return writeJSONFile(path, a) }
-
-// readStrictJSON decodes the one JSON value in the file at path into
-// v, refusing unknown fields and trailing data: a handoff file naming a
-// field this build does not know (a misspelling, or one a newer
-// coordinator relies on) must fail to load rather than run with that
-// field ignored.
-func readStrictJSON(path, what string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("sweep: parsing %s %s: %w", what, path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("sweep: parsing %s %s: trailing data after the JSON value", what, path)
-	}
-	return nil
-}
-
-// LoadAssignment reads and validates a handoff file.
-func LoadAssignment(path string) (*Assignment, error) {
-	var a Assignment
-	if err := readStrictJSON(path, "assignment", &a); err != nil {
-		return nil, err
-	}
-	if a.Schema != AssignmentSchema {
-		return nil, fmt.Errorf("sweep: assignment schema %d not supported (want %d)", a.Schema, AssignmentSchema)
-	}
-	return &a, nil
-}
-
-// LoadWorkerReport reads and validates a worker's result file.
-func LoadWorkerReport(path string) (*WorkerReport, error) {
-	var r WorkerReport
-	if err := readStrictJSON(path, "worker report", &r); err != nil {
-		return nil, err
-	}
-	if r.Schema != AssignmentSchema {
-		return nil, fmt.Errorf("sweep: worker report schema %d not supported (want %d)", r.Schema, AssignmentSchema)
-	}
-	if len(r.Results) != len(r.Indices) {
-		return nil, fmt.Errorf("sweep: worker report %s: %d results for %d indices",
-			path, len(r.Results), len(r.Indices))
-	}
-	return &r, nil
-}
-
 // WorkerEnv carries the injected runtime hooks a worker process needs:
 // the wall clock and lease policy (time comes from package main, per
-// the wallclock rule) and the optional crash-injection hook.
+// the wallclock rule) and the optional crash-injection hook, which
+// observes each completed unit with the completed-so-far count (the
+// -kill-after flag; called from pool goroutines).
 type WorkerEnv struct {
 	Clock     func() int64
 	Lease     *cache.LeasePolicy
 	AfterUnit func(completed int)
 }
 
-// ExecuteAssignment is the whole worker role: load the assignment and
-// its manifest, resolve the assigned units, run them against the
-// shared cache, and write the report file. Both the exec'd worker
-// subcommand of cmd/nbtisweep and the coordinator's in-process default
-// go through this one path.
-func ExecuteAssignment(assignPath, reportPath string, env WorkerEnv) error {
-	a, err := LoadAssignment(assignPath)
-	if err != nil {
-		return err
-	}
-	m, err := LoadManifest(a.ManifestPath)
-	if err != nil {
-		return err
-	}
-	all, err := m.Resolve()
-	if err != nil {
-		return err
-	}
-	units := make([]Unit, len(a.Indices))
-	for j, i := range a.Indices {
-		if i < 0 || i >= len(all) {
-			return fmt.Errorf("sweep: assignment %s: unit index %d out of range [0,%d)", assignPath, i, len(all))
-		}
-		units[j] = all[i]
-	}
+// RunAssignment is the whole worker role: run the assigned units
+// through a local pool against the shared cache and report per-unit
+// outcomes. A unit failure never aborts the batch — campaigns retry
+// failures on resume — so the report always has one result per unit.
+// The coordinator's in-process default calls it directly; an exec'd
+// worker reaches it through ServeWorker.
+//
+// Every worker claims in two passes, whatever the shard strategy. The
+// first is non-blocking: it computes or serves what is free and steps
+// aside from units another process holds a lease on. The second waits
+// those out, which usually ends in serving the holder's entry (or in
+// taking over a dead holder's claim), so no unit is ever dropped. Over
+// a disjoint share nothing is held elsewhere and the first pass does
+// all the work.
+func RunAssignment(a *Assignment, env WorkerEnv) *WorkerReport {
+	met := newSweepMetrics()
+	met.unitsTotal.Add(uint64(len(a.Units)))
+	met.workersActive.Inc()
+	defer met.workersActive.Dec()
+
 	store := cache.Open(a.CacheDir, cache.ReadWrite)
 	store.Clock = env.Clock
 	store.Lease = env.Lease
-	results := RunUnits(units, WorkerOptions{
-		Store:     store,
-		Workers:   a.Workers,
-		Strategy:  a.Strategy,
-		AfterUnit: env.AfterUnit,
+	results := make([]UnitResult, len(a.Units))
+	pool := sim.Pool{Workers: a.Workers}
+	var completed atomic.Int64
+	// claim runs unit i, waiting on a foreign lease only when wait is
+	// set, and reports whether the unit finished.
+	claim := func(i int, wait bool) bool {
+		var cached bool
+		r := sim.Runner{Store: store, Record: func(_ sim.Spec, _ string, c bool) { cached = c }}
+		var err error
+		done := true
+		if wait {
+			_, err = r.Run(a.Units[i].Spec)
+		} else {
+			_, done, err = r.TryRun(a.Units[i].Spec)
+		}
+		switch {
+		case err != nil:
+			results[i] = UnitResult{State: UnitFailed, Err: err.Error()}
+			met.unitsFailed.Inc()
+		case !done:
+			return false
+		default:
+			results[i] = UnitResult{State: UnitDone, Cached: cached}
+			met.unitsDone.Inc()
+		}
+		if env.AfterUnit != nil {
+			env.AfterUnit(int(completed.Add(1)))
+		}
+		return true
+	}
+
+	var mu sync.Mutex
+	var deferred []int
+	_ = pool.Run(len(a.Units), func(i int) error {
+		if !claim(i, false) {
+			met.unitsDeferred.Inc()
+			mu.Lock()
+			deferred = append(deferred, i)
+			mu.Unlock()
+		}
+		return nil
 	})
-	return writeJSONFile(reportPath, &WorkerReport{
-		Schema:  AssignmentSchema,
-		Indices: a.Indices,
-		Results: results,
-		Stats:   store.Stats(),
+	_ = pool.Run(len(deferred), func(j int) error {
+		claim(deferred[j], true)
+		return nil
 	})
+	return &WorkerReport{Schema: AssignmentSchema, Results: results, Stats: store.Stats()}
+}
+
+// ServeWorker is the exec'd worker process: decode one assignment
+// from in, run it, and write the report to out. A body this build
+// cannot decode is refused before any unit runs, and nothing is
+// written.
+func ServeWorker(in io.Reader, out io.Writer, env WorkerEnv) error {
+	var a Assignment
+	if err := decodeHandoff(in, "assignment", &a, &a.Schema); err != nil {
+		return err
+	}
+	return json.NewEncoder(out).Encode(RunAssignment(&a, env))
+}
+
+// ExecWorker runs cmd as a worker process over a: the assignment goes
+// to its stdin and exactly one report is decoded from its stdout;
+// stderr is left to the caller. A worker that exits non-zero — killed
+// mid-batch, say — yields no report.
+func ExecWorker(cmd *exec.Cmd, a *Assignment) (*WorkerReport, error) {
+	body, err := json.Marshal(a)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	cmd.Stdin = bytes.NewReader(body)
+	cmd.Stdout = &out
+	if err := cmd.Run(); err != nil {
+		return nil, err
+	}
+	var r WorkerReport
+	if err := decodeHandoff(&out, "worker report", &r, &r.Schema); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// decodeHandoff decodes one handoff body into v through the strict
+// decoder and checks its schema: a body naming a field this build does
+// not know (a misspelling, or one a newer coordinator relies on) is
+// refused rather than run with that field ignored.
+func decodeHandoff(r io.Reader, what string, v any, schema *int) error {
+	if err := sim.DecodeStrict(r, v); err != nil {
+		return fmt.Errorf("sweep: parsing %s: %w", what, err)
+	}
+	if *schema != AssignmentSchema {
+		return fmt.Errorf("sweep: %s schema %d not supported (want %d)", what, *schema, AssignmentSchema)
+	}
+	return nil
 }
