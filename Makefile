@@ -3,6 +3,10 @@
 GO ?= go
 # BENCHTIME feeds -benchtime for `make bench`; CI smoke runs use 1x.
 BENCHTIME ?= 1x
+# BENCHCOUNT feeds -count: benchjson folds the repeats of a benchmark
+# into one row with the median ns/op and its MAD, and bench-check gates
+# sec/op on that median.
+BENCHCOUNT ?= 1
 # BENCH_LABEL names the run recorded into BENCH_engine.json; the short
 # commit hash makes each data point identifiable, and benchjson replaces
 # a same-label run in place, so re-benching one commit never appends
@@ -56,7 +60,7 @@ test-debug:
 # perf-trajectory file BENCH_engine.json via cmd/benchjson.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run '^$$' . | tee bench_output.txt
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run '^$$' . | tee bench_output.txt
 	bin/benchjson -label $(BENCH_LABEL) -o BENCH_engine.json -append < bench_output.txt
 
 # bench plus the allocs/op and sec/op regression gates against the

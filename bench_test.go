@@ -525,38 +525,39 @@ func benchMeshLowRate(b *testing.B, measure uint64) {
 	}
 }
 
-// BenchmarkPolicyDecide measures one pre-VA decision of each policy.
+// BenchmarkPolicyDecide measures one pre-VA decision of every
+// registered policy over a 4-VC slice with VC 1 busy and traffic
+// waiting: the per-decision "policy" layer of the engine.
 func BenchmarkPolicyDecide(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		factory noc.PolicyFactory
-	}{
-		{"baseline", noc.NewBaseline},
-		{"rr-no-sensor", core.NewRRNoSensor},
-		{"sensor-wise", core.NewSensorWise},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			p := tc.factory()
-			in := noc.PolicyInput{
-				NumVCs:       4,
-				Idle:         []bool{true, false, true, true},
-				Powered:      []bool{true, true, true, true},
-				MostDegraded: 2,
-				NewTraffic:   true,
+	for _, name := range core.Names() {
+		b.Run(name, func(b *testing.B) {
+			factory, err := core.Lookup(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-			out := make([]bool, 4)
+			p := factory()
+			in := noc.PolicyInput{
+				NumVCs:        4,
+				Idle:          0b1101,
+				Powered:       0b1111,
+				MostDegraded:  2,
+				LeastDegraded: 3,
+				NewTraffic:    true,
+			}
+			var sink uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in.Cycle = uint64(i)
-				for j := range out {
-					out[j] = false
-				}
-				p.DesiredPower(&in, out)
+				sink ^= p.DesiredPower(in)
 			}
+			policySink = sink
 		})
 	}
 }
+
+// policySink keeps BenchmarkPolicyDecide's decisions observable.
+var policySink uint64
 
 // BenchmarkSyntheticTick measures workload generation throughput.
 func BenchmarkSyntheticTick(b *testing.B) {

@@ -20,6 +20,11 @@
 // reported as a warning — a hint the baseline is stale — but never
 // fails the run.
 //
+// `go test -bench -count N` prints N lines per benchmark. benchjson folds
+// them into one row that records the median of every value, the median
+// absolute deviation (MAD) of ns/op as its noise band, and the count, so
+// the sec/op gate compares medians instead of gating each repeat.
+//
 // `go test -bench` appends "-N" to every benchmark name when GOMAXPROCS
 // is N > 1. benchjson strips that suffix, on the parsed run and on the
 // baseline alike, so a pin recorded on one machine gates runs on any
@@ -33,20 +38,31 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed benchmark result line.
+// Benchmark is one benchmark's result: a parsed line, or the fold of
+// the Count lines a `go test -count` run printed for it.
 type Benchmark struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
+	Name string `json:"name"`
+	// Iterations is the total over the folded lines.
+	Iterations int64 `json:"iterations"`
+	// NsPerOp, BytesPerOp, AllocsPerOp and Metrics are medians over the
+	// folded lines.
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Count is the number of folded lines, absent for a single line.
+	Count int `json:"count,omitempty"`
+	// NsPerOpMAD is the median absolute deviation of ns/op over the
+	// folded lines, absent for a single line.
+	NsPerOpMAD float64 `json:"ns_per_op_mad,omitempty"`
 }
 
 // Run is one labelled `go test -bench` invocation.
@@ -217,7 +233,63 @@ func parseBench(in io.Reader) (Run, error) {
 		run.Benchmarks = append(run.Benchmarks, b)
 	}
 	stripProcs(&run)
+	run.Benchmarks = fold(run.Benchmarks)
 	return run, sc.Err()
+}
+
+// fold merges the repeated lines of each benchmark into one row, in
+// first-appearance order. A benchmark with a single line is unchanged.
+func fold(lines []Benchmark) []Benchmark {
+	var out []Benchmark
+	groups := make(map[string][]Benchmark)
+	for _, b := range lines {
+		if _, seen := groups[b.Name]; !seen {
+			out = append(out, b)
+		}
+		groups[b.Name] = append(groups[b.Name], b)
+	}
+	for i := range out {
+		g := groups[out[i].Name]
+		if len(g) == 1 {
+			continue
+		}
+		f := Benchmark{Name: out[i].Name, Count: len(g)}
+		for _, b := range g {
+			f.Iterations += b.Iterations
+		}
+		f.NsPerOp = medianOf(g, func(b Benchmark) float64 { return b.NsPerOp })
+		f.NsPerOpMAD = medianOf(g, func(b Benchmark) float64 { return math.Abs(b.NsPerOp - f.NsPerOp) })
+		f.BytesPerOp = medianOf(g, func(b Benchmark) float64 { return b.BytesPerOp })
+		f.AllocsPerOp = medianOf(g, func(b Benchmark) float64 { return b.AllocsPerOp })
+		if len(out[i].Metrics) > 0 {
+			f.Metrics = make(map[string]float64)
+		}
+		for unit := range out[i].Metrics {
+			f.Metrics[unit] = medianOf(g, func(b Benchmark) float64 { return b.Metrics[unit] })
+		}
+		out[i] = f
+	}
+	return out
+}
+
+// medianOf returns the median of value over bs.
+func medianOf(bs []Benchmark, value func(Benchmark) float64) float64 {
+	xs := make([]float64, len(bs))
+	for i, b := range bs {
+		xs[i] = value(b)
+	}
+	return median(xs)
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), sorting xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // stripProcs removes the "-N" GOMAXPROCS suffix from r's benchmark
@@ -292,11 +364,12 @@ func checkAllocs(run Run, base map[string]Benchmark, tolPct float64) []string {
 	return regressions
 }
 
-// checkSecOp compares a run's ns/op against the baseline within a
-// symmetric ±tolPct band. Slower than the band is a regression; faster
-// than the band is an improvement worth re-pinning (returned separately
-// so callers warn instead of failing — a stale slow baseline would
-// otherwise mask later regressions up to the accumulated headroom).
+// checkSecOp compares a run's ns/op (the median, for a folded
+// benchmark) against the baseline within a symmetric ±tolPct band.
+// Slower than the band is a regression; faster than the band is an
+// improvement worth re-pinning (returned separately so callers warn
+// instead of failing — a stale slow baseline would otherwise mask later
+// regressions up to the accumulated headroom).
 // Benchmarks absent from the baseline, pinned at zero, or pinned below
 // floorSec pass: a percentage band on a micro-benchmark's single
 // -benchtime=1x sample is pure scheduler noise, and the allocs/op gate

@@ -282,3 +282,64 @@ func TestNoProcsSuffixKeepsNames(t *testing.T) {
 		t.Errorf("stripped a name at GOMAXPROCS=1: procs %d, %q", r.Procs, r.Benchmarks[0].Name)
 	}
 }
+
+// threeCount is `go test -count 3` output: three lines per benchmark,
+// the second TableII line an outlier.
+const threeCount = `goos: linux
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkTableII-2     	       1	2000000000 ns/op	        14.33 gap_pts	4000000 B/op	    5700 allocs/op
+BenchmarkEngineIdle-2  	 1000000	        40.00 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTableII-2     	       1	9000000000 ns/op	        14.33 gap_pts	4000100 B/op	    5750 allocs/op
+BenchmarkEngineIdle-2  	 1000000	        44.00 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTableII-2     	       1	2200000000 ns/op	        14.33 gap_pts	4000200 B/op	    5740 allocs/op
+BenchmarkEngineIdle-2  	 2000000	        41.00 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+
+func TestCountFoldsRepeatsIntoMedianRow(t *testing.T) {
+	r, err := parseBench(strings.NewReader(threeCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Benchmarks) != 2 {
+		t.Fatalf("folded into %d rows, want 2: %+v", len(r.Benchmarks), r.Benchmarks)
+	}
+	tbl, idle := r.Benchmarks[0], r.Benchmarks[1]
+	if tbl.Name != "BenchmarkTableII" || idle.Name != "BenchmarkEngineIdle" {
+		t.Fatalf("rows out of first-appearance order: %q, %q", tbl.Name, idle.Name)
+	}
+	// TableII: ns/op 2.0e9, 9.0e9, 2.2e9 -> median 2.2e9; deviations
+	// 0.2e9, 6.8e9, 0 -> MAD 0.2e9.
+	if tbl.Count != 3 || tbl.NsPerOp != 2.2e9 || tbl.NsPerOpMAD != 0.2e9 {
+		t.Errorf("TableII fold: count %d, ns/op %g, MAD %g", tbl.Count, tbl.NsPerOp, tbl.NsPerOpMAD)
+	}
+	if tbl.AllocsPerOp != 5740 || tbl.BytesPerOp != 4000100 || tbl.Iterations != 3 ||
+		tbl.Metrics["gap_pts"] != 14.33 {
+		t.Errorf("TableII fold medians: %+v", tbl)
+	}
+	if idle.Count != 3 || idle.NsPerOp != 41 || idle.NsPerOpMAD != 1 || idle.Iterations != 4000000 {
+		t.Errorf("EngineIdle fold: %+v", idle)
+	}
+}
+
+func TestCountGatesSecOpOnMedian(t *testing.T) {
+	dir := t.TempDir()
+	// A 2.1e9 pin: the median (2.2e9) is within 25%, though the 9e9
+	// outlier alone would be a regression.
+	baseline := writeBaseline(t, dir,
+		Benchmark{Name: "BenchmarkTableII", NsPerOp: 2.1e9, AllocsPerOp: 5740})
+	var errBuf strings.Builder
+	if err := run([]string{"-o", filepath.Join(dir, "out.json"), "-baseline", baseline},
+		strings.NewReader(threeCount), &errBuf); err != nil {
+		t.Fatalf("median within band failed the gate: %v\n%s", err, errBuf.String())
+	}
+	// A 1.5e9 pin puts the median ~47% over: one regression, not three.
+	baseline = writeBaseline(t, dir,
+		Benchmark{Name: "BenchmarkTableII", NsPerOp: 1.5e9, AllocsPerOp: 5740})
+	errBuf.Reset()
+	err := run([]string{"-o", filepath.Join(dir, "out.json"), "-baseline", baseline},
+		strings.NewReader(threeCount), &errBuf)
+	if err == nil || strings.Count(errBuf.String(), "sec/op regression: BenchmarkTableII") != 1 {
+		t.Fatalf("median regression not reported exactly once: %v\n%s", err, errBuf.String())
+	}
+}

@@ -15,16 +15,15 @@ func ExampleSensorWise() {
 	policy := core.NewSensorWise()
 	in := noc.PolicyInput{
 		NumVCs:       4,
-		Idle:         []bool{true, true, true, true},
-		Powered:      []bool{true, true, true, true},
+		Idle:         0b1111, // bit v = VC v
+		Powered:      0b1111,
 		MostDegraded: 2,
 		NewTraffic:   true, // is_new_traffic_outport_x() == 1
 	}
-	out := make([]bool, 4)
-	policy.DesiredPower(&in, out)
-	for vc, powered := range out {
+	out := policy.DesiredPower(in)
+	for vc := 0; vc < in.NumVCs; vc++ {
 		state := "recover"
-		if powered {
+		if out>>uint(vc)&1 != 0 {
 			state = "keep idle"
 		}
 		if vc == in.MostDegraded {
@@ -45,14 +44,12 @@ func ExampleRRNoSensor() {
 	policy := core.NewRRNoSensor()
 	in := noc.PolicyInput{
 		NumVCs:       2,
-		Idle:         []bool{true, true},
-		Powered:      []bool{true, true},
+		Idle:         0b11,
+		Powered:      0b11,
 		MostDegraded: -1, // sensor-less
 		NewTraffic:   false,
 	}
-	out := make([]bool, 2)
-	policy.DesiredPower(&in, out)
-	fmt.Println("powered idle VCs:", out)
+	fmt.Printf("powered idle VCs: %02b\n", policy.DesiredPower(in))
 	// Output:
-	// powered idle VCs: [false false]
+	// powered idle VCs: 00
 }

@@ -1,6 +1,10 @@
 package core
 
-import "nbtinoc/internal/noc"
+import (
+	"math/bits"
+
+	"nbtinoc/internal/noc"
+)
 
 // SensorWiseLD is an extension of Algorithm 2 (discussed as future work
 // in the paper's trade-off framing): instead of keeping *some* idle VC
@@ -11,9 +15,9 @@ import "nbtinoc/internal/noc"
 // The hardware cost over the paper's scheme is a second VC identifier
 // on the Down_Up link (the comparator already computes a full ranking
 // internally; exporting the argmin adds log2(V) wires), charged in the
-// area model notes. The policy consumes the ranking through
-// PolicyInput.Ranking when available and falls back to Algorithm 2
-// behaviour otherwise.
+// area model notes. The policy reads that identifier as
+// PolicyInput.LeastDegraded when it names an idle VC and falls back to
+// Algorithm 2's survivor otherwise.
 type SensorWiseLD struct {
 	// AssumeTraffic forces boolTraffic to 1 (non-cooperative variant).
 	AssumeTraffic bool
@@ -32,34 +36,26 @@ func (p *SensorWiseLD) UsesSensors() bool { return true }
 
 // DesiredPower implements noc.Policy: gate every idle VC except — when
 // traffic waits — the least degraded idle one.
-func (p *SensorWiseLD) DesiredPower(in *noc.PolicyInput, out []bool) {
+func (p *SensorWiseLD) DesiredPower(in noc.PolicyInput) uint64 {
 	if !in.NewTraffic && !p.AssumeTraffic {
-		return // all idle VCs recover
+		return 0 // all idle VCs recover
 	}
-	keep := -1
-	if in.LeastDegraded >= 0 && in.LeastDegraded < in.NumVCs && in.Idle[in.LeastDegraded] {
-		keep = in.LeastDegraded
-	} else {
-		// Fall back: any idle VC that is not the most degraded; prefer
-		// the highest index (Algorithm 2's survivor).
-		for vc := in.NumVCs - 1; vc >= 0; vc-- {
-			if in.Idle[vc] && vc != in.MostDegraded {
-				keep = vc
-				break
-			}
-		}
-		if keep == -1 {
-			for vc := in.NumVCs - 1; vc >= 0; vc-- {
-				if in.Idle[vc] {
-					keep = vc
-					break
-				}
-			}
-		}
+	if ld := in.LeastDegraded; ld >= 0 && in.Idle>>uint(ld)&1 != 0 {
+		return 1 << uint(ld)
 	}
-	if keep >= 0 {
-		out[keep] = true
+	// Fall back: the highest idle VC that is not the most degraded
+	// (Algorithm 2's survivor), else the highest idle VC.
+	keep := in.Idle
+	if md := in.MostDegraded; md >= 0 {
+		keep &^= 1 << uint(md)
 	}
+	if keep == 0 {
+		keep = in.Idle
+	}
+	if keep == 0 {
+		return 0
+	}
+	return 1 << uint(63-bits.LeadingZeros64(keep))
 }
 
 // SteadyWhenIdle implements noc.SteadyPolicy: the keep decision is a

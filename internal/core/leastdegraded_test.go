@@ -10,17 +10,13 @@ import (
 // decideLD runs the LD policy with an explicit least-degraded input.
 func decideLD(p noc.Policy, idle []bool, md, ld int, traffic bool) []bool {
 	n := len(idle)
-	out := make([]bool, n)
-	in := noc.PolicyInput{
+	return boolsOf(p.DesiredPower(noc.PolicyInput{
 		NumVCs:        n,
-		Idle:          idle,
-		Powered:       make([]bool, n),
+		Idle:          maskOf(idle),
 		MostDegraded:  md,
 		LeastDegraded: ld,
 		NewTraffic:    traffic,
-	}
-	p.DesiredPower(&in, out)
-	return out
+	}), n)
 }
 
 func TestLDKeepsLeastDegraded(t *testing.T) {

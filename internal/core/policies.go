@@ -24,7 +24,11 @@
 // The always-on baseline (no gating) is noc.BaselinePolicy.
 package core
 
-import "nbtinoc/internal/noc"
+import (
+	"math/bits"
+
+	"nbtinoc/internal/noc"
+)
 
 // DefaultRotatePeriod is the number of cycles between advances of the
 // round-robin active candidate ("changed cyclically on a time basis",
@@ -51,28 +55,28 @@ func (p *RRNoSensor) Name() string {
 }
 
 // DesiredPower implements noc.Policy (Algorithm 1). With new traffic the
-// first idle VC at or after the rotating candidate is left powered
-// (enable=1, active_vc); otherwise every idle VC is gated.
-func (p *RRNoSensor) DesiredPower(in *noc.PolicyInput, out []bool) {
+// first idle VC at or after the rotating candidate, wrapping, is left
+// powered (enable=1, active_vc); otherwise every idle VC is gated.
+func (p *RRNoSensor) DesiredPower(in noc.PolicyInput) uint64 {
+	if !in.NewTraffic && !p.AssumeTraffic || in.Idle == 0 {
+		// enable <- 0: the downstream may recover all idle VCs (or all
+		// VCs are busy and there is nothing to keep idle).
+		return 0
+	}
 	period := p.RotatePeriod
 	if period == 0 {
 		period = DefaultRotatePeriod
 	}
-	traffic := in.NewTraffic || p.AssumeTraffic
-	if !traffic {
-		// enable <- 0: the downstream may recover all idle VCs.
-		return
+	slot := in.Cycle
+	if period > 1 { // the default period of 1 needs no divide
+		slot /= period
 	}
-	candidate := int(in.Cycle/period) % in.NumVCs
-	for i := 0; i < in.NumVCs; i++ {
-		vc := (candidate + i) % in.NumVCs
-		if in.Idle[vc] {
-			// set_idle(offset_vc); enable <- 1; active_vc <- offset_vc.
-			out[vc] = true
-			return
-		}
+	candidate := uint(slot % uint64(in.NumVCs))
+	// set_idle(offset_vc); enable <- 1; active_vc <- offset_vc.
+	if hi := in.Idle >> candidate; hi != 0 {
+		return 1 << (candidate + uint(bits.TrailingZeros64(hi)))
 	}
-	// All VCs busy: nothing to keep idle; enable is irrelevant.
+	return in.Idle & -in.Idle
 }
 
 // SteadyWhenIdle implements noc.SteadyPolicy: the cooperative variant
@@ -81,17 +85,10 @@ func (p *RRNoSensor) DesiredPower(in *noc.PolicyInput, out []bool) {
 // every cycle and must keep running.
 func (p *RRNoSensor) SteadyWhenIdle() bool { return !p.AssumeTraffic }
 
-// Phase implements noc.PhasePolicy: Algorithm 1 reads the cycle only to
-// derive its rotating candidate, int(cycle/period) % numVCs, and is
-// otherwise a pure function of the idle states and the traffic bit — so
-// its decision may be memoised per candidate position.
-func (p *RRNoSensor) Phase(cycle uint64, numVCs int) (int, int) {
-	period := p.RotatePeriod
-	if period == 0 {
-		period = DefaultRotatePeriod
-	}
-	return int(cycle/period) % numVCs, numVCs
-}
+// Stateless implements noc.StatelessPolicy: Algorithm 1 derives its
+// rotating candidate from the cycle alone, so one instance serves every
+// output unit.
+func (p *RRNoSensor) Stateless() bool { return true }
 
 // NewRRNoSensor is the noc.PolicyFactory for the cooperative Algorithm 1.
 func NewRRNoSensor() noc.Policy {
@@ -130,29 +127,21 @@ func (p *SensorWise) UsesSensors() bool { return true }
 // lines 12-16 gates further idle VCs while count_idle > boolTraffic, so
 // that exactly one idle VC survives powered when traffic is waiting and
 // none survives otherwise (lines 17-18).
-func (p *SensorWise) DesiredPower(in *noc.PolicyInput, out []bool) {
+func (p *SensorWise) DesiredPower(in noc.PolicyInput) uint64 {
 	need := 0
 	if in.NewTraffic || p.AssumeTraffic {
 		need = 1
 	}
-	countIdle := 0
-	for vc := 0; vc < in.NumVCs; vc++ {
-		if in.Idle[vc] {
-			out[vc] = true // set_idle: wake every idle/recovering VC
-			countIdle++
-		}
+	out := in.Idle // set_idle: wake every idle/recovering VC
+	count := bits.OnesCount64(out)
+	if md := in.MostDegraded; md >= 0 && out>>uint(md)&1 != 0 && count > need {
+		out &^= 1 << uint(md) // set_recovery(most_degraded_vc)
+		count--
 	}
-	md := in.MostDegraded
-	if md >= 0 && md < in.NumVCs && in.Idle[md] && countIdle > need {
-		out[md] = false // set_recovery(most_degraded_vc)
-		countIdle--
+	for ; count > need; count-- {
+		out &= out - 1 // set_recovery(iter_vc), lowest first
 	}
-	for vc := 0; vc < in.NumVCs && countIdle > need; vc++ {
-		if in.Idle[vc] && out[vc] {
-			out[vc] = false // set_recovery(iter_vc)
-			countIdle--
-		}
-	}
+	return out
 }
 
 // SteadyWhenIdle implements noc.SteadyPolicy: Algorithm 2 ranks by the

@@ -7,23 +7,37 @@ import (
 	"nbtinoc/internal/noc"
 )
 
-// decide runs a policy once over a synthetic input.
+// decide runs a policy once over a synthetic input with every VC
+// powered.
 func decide(p noc.Policy, idle []bool, md int, traffic bool, cycle uint64) []bool {
 	n := len(idle)
-	powered := make([]bool, n)
-	for i := range powered {
-		powered[i] = true
-	}
-	out := make([]bool, n)
-	in := noc.PolicyInput{
+	return boolsOf(p.DesiredPower(noc.PolicyInput{
 		NumVCs:       n,
-		Idle:         idle,
-		Powered:      powered,
+		Idle:         maskOf(idle),
+		Powered:      1<<uint(n) - 1,
 		MostDegraded: md,
 		NewTraffic:   traffic,
 		Cycle:        cycle,
+	}), n)
+}
+
+// maskOf packs a per-VC flag slice into a VC mask (bit v = VC v).
+func maskOf(flags []bool) uint64 {
+	var m uint64
+	for v, on := range flags {
+		if on {
+			m |= 1 << uint(v)
+		}
 	}
-	p.DesiredPower(&in, out)
+	return m
+}
+
+// boolsOf unpacks the low n bits of a VC mask into a per-VC slice.
+func boolsOf(m uint64, n int) []bool {
+	out := make([]bool, n)
+	for v := range out {
+		out[v] = m>>uint(v)&1 != 0
+	}
 	return out
 }
 

@@ -16,10 +16,14 @@ type chaosPolicy struct {
 }
 
 func (p *chaosPolicy) Name() string { return "test-chaos" }
-func (p *chaosPolicy) DesiredPower(in *PolicyInput, out []bool) {
+func (p *chaosPolicy) DesiredPower(in PolicyInput) uint64 {
+	var out uint64
 	for i := 0; i < in.NumVCs; i++ {
-		out[i] = p.src.Bool(0.5)
+		if p.src.Bool(0.5) {
+			out |= 1 << uint(i)
+		}
 	}
+	return out
 }
 
 // TestChaosPolicyNeverBreaksInvariants hammers the network with a

@@ -12,7 +12,7 @@ import (
 // PolicyFactory builds one recovery-policy instance. Each (output unit,
 // vnet) pair receives its own instance so that per-port policy state is
 // independent, as in hardware — except that a policy declaring it keeps
-// no state (CycleFreePolicy or PhasePolicy) is built once per network
+// no state (StatelessPolicy or CycleFreePolicy) is built once per network
 // and shared, which no decision can tell apart.
 type PolicyFactory func() Policy
 

@@ -156,9 +156,5 @@ func TestFigure1(t *testing.T) {
 // path without gating side effects.
 type mdEcho struct{}
 
-func (mdEcho) Name() string { return "test-md-echo" }
-func (mdEcho) DesiredPower(in *PolicyInput, out []bool) {
-	for i := 0; i < in.NumVCs; i++ {
-		out[i] = in.Idle[i]
-	}
-}
+func (mdEcho) Name() string                       { return "test-md-echo" }
+func (mdEcho) DesiredPower(in PolicyInput) uint64 { return in.Idle }

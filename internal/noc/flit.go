@@ -82,25 +82,29 @@ type Packet struct {
 func (p Packet) Flits() []Flit {
 	out := make([]Flit, p.Len)
 	for i := range out {
-		t := BodyFlit
-		switch {
-		case p.Len == 1:
-			t = HeadTailFlit
-		case i == 0:
-			t = HeadFlit
-		case i == p.Len-1:
-			t = TailFlit
-		}
 		out[i] = Flit{
 			PacketID:    p.ID,
 			Src:         p.Src,
 			Dst:         p.Dst,
 			VNet:        int32(p.VNet),
-			Type:        t,
+			Type:        flitType(i, p.Len),
 			Seq:         int32(i),
 			Len:         int32(p.Len),
 			InjectCycle: p.InjectCycle,
 		}
 	}
 	return out
+}
+
+// flitType returns the position type of flit seq in a packet of n flits.
+func flitType(seq, n int) FlitType {
+	switch {
+	case n == 1:
+		return HeadTailFlit
+	case seq == 0:
+		return HeadFlit
+	case seq == n-1:
+		return TailFlit
+	}
+	return BodyFlit
 }

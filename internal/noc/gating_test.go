@@ -14,20 +14,14 @@ import (
 type onePowered struct{ keep int }
 
 func (p *onePowered) Name() string { return "test-one-powered" }
-func (p *onePowered) DesiredPower(in *PolicyInput, out []bool) {
+func (p *onePowered) DesiredPower(in PolicyInput) uint64 {
 	if !in.NewTraffic {
-		return
+		return 0
 	}
-	if in.Idle[p.keep] {
-		out[p.keep] = true
-		return
+	if keep := uint64(1) << uint(p.keep); in.Idle&keep != 0 {
+		return keep
 	}
-	for i := 0; i < in.NumVCs; i++ {
-		if in.Idle[i] {
-			out[i] = true
-			return
-		}
-	}
+	return in.Idle & -in.Idle
 }
 
 func gatedConfig(w, h, vcs int, factory PolicyFactory) Config {
@@ -395,17 +389,17 @@ func TestRoutingAlgorithmsWithGating(t *testing.T) {
 type vnetSelective struct{ vnetOn *int }
 
 func (p *vnetSelective) Name() string { return "test-vnet-selective" }
-func (p *vnetSelective) DesiredPower(in *PolicyInput, out []bool) {
+func (p *vnetSelective) DesiredPower(in PolicyInput) uint64 {
 	// The policy cannot see which vnet it serves directly; the shared
 	// toggle exploits the fixed call order (each output unit runs its
 	// vnet-0 policy then its vnet-1 policy every cycle), so even calls
 	// are vnet 0 (gate all) and odd calls vnet 1 (keep all idle on).
+	var out uint64
 	if *p.vnetOn == 1 {
-		for i := 0; i < in.NumVCs; i++ {
-			out[i] = in.Idle[i]
-		}
+		out = in.Idle
 	}
 	*p.vnetOn ^= 1
+	return out
 }
 
 func TestPerVNetPolicyIsolation(t *testing.T) {

@@ -170,12 +170,12 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.flows = make([]niFlow, nodes*total)
 
-	pols := newPolicySet(cfg.Policy, cfg.VCsPerVNet)
+	pols := newPolicySet(cfg.Policy)
 	ejPols := pols
 	if !cfg.GateEjection {
-		ejPols = newPolicySet(NewBaseline, cfg.VCsPerVNet)
+		ejPols = newPolicySet(NewBaseline)
 	}
-	st := newUnitStore(&n.cfg, nodes, pols, ejPols)
+	st := newUnitStore(&n.cfg, nodes)
 
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
@@ -284,17 +284,14 @@ func New(cfg Config) (*Network, error) {
 
 // unitStore is the construction-time backing of every per-unit slice
 // outside the packed hot-state arenas: policy instances, allocation
-// pointers, policy scratch and memo rows, Down_Up link values, link
-// pipeline slot rings, VA arbiters, source queues and sensor banks. New
-// sizes it once for the whole network, so wiring carves each unit's
-// windows with take instead of allocating them; the zero store
-// (standalone test units) allocates per slice.
+// pointers, Down_Up link values, link pipeline slot rings, VA arbiters,
+// source queues and sensor banks. New sizes it once for the whole
+// network, so wiring carves each unit's windows with take instead of
+// allocating them; the zero store (standalone test units) allocates per
+// slice.
 type unitStore struct {
 	policies    []Policy
-	phasePols   []PhasePolicy
 	ints        []int
-	bools       []bool
-	words       []uint64
 	flitSlots   [][]Flit
 	creditSlots [][]int
 	arbs        []RoundRobin
@@ -304,34 +301,21 @@ type unitStore struct {
 	noise       []rng.Source
 }
 
-// newUnitStore sizes a store for a nodes-node network whose output
-// units draw their policies from sets. Sizes are per unit slot, absent
-// edge ports included, like the hot-state arenas.
-func newUnitStore(cfg *Config, nodes int, sets ...*policySet) *unitStore {
+// newUnitStore sizes a store for a nodes-node network. Sizes are per
+// unit slot, absent edge ports included, like the hot-state arenas.
+func newUnitStore(cfg *Config, nodes int) *unitStore {
 	slots := nodes * unitSlots
-	vnets, v, total := cfg.VNets, cfg.VCsPerVNet, cfg.TotalVCs()
-	stride, phased := 1, false
-	for _, s := range sets {
-		if s.phases > 0 {
-			stride, phased = max(stride, s.phases), true
-		}
-	}
+	vnets, total := cfg.VNets, cfg.TotalVCs()
 	st := &unitStore{
 		policies: make([]Policy, slots*vnets),
 		// Per output unit: allocPtr plus the four Down_Up link values.
-		ints:  make([]int, slots*5*vnets),
-		bools: make([]bool, slots*3*v),
-		// Per output unit: four memo rows per (vnet, phase).
-		words:       make([]uint64, slots*4*vnets*stride),
+		ints:        make([]int, slots*5*vnets),
 		flitSlots:   make([][]Flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
 		creditSlots: make([][]int, slots*cfg.LinkLatency),
 		arbs:        make([]RoundRobin, nodes*int(NumPorts)*vnets),
 		queues:      make([][]Packet, nodes*vnets),
 		banks:       make([]sensor.Bank, slots*vnets),
 		sensors:     make([]sensor.Sensor, slots*total),
-	}
-	if phased {
-		st.phasePols = make([]PhasePolicy, slots*vnets)
 	}
 	if cfg.Sensor.NoiseSigma > 0 {
 		st.noise = make([]rng.Source, slots*total)
@@ -340,34 +324,28 @@ func newUnitStore(cfg *Config, nodes int, sets ...*policySet) *unitStore {
 }
 
 // policySet hands out the policy instances of one factory. A policy
-// that keeps no state — a CycleFreePolicy or PhasePolicy declarer, whose
-// decision is a pure function of its PolicyInput — is built once and
-// shared by every output unit; any other policy gets its own instance
-// per (output unit, vnet), as PolicyFactory promises.
+// that keeps no state — a StatelessPolicy or CycleFreePolicy declarer,
+// whose decision is a pure function of its PolicyInput — is built once
+// and shared by every output unit; any other policy gets its own
+// instance per (output unit, vnet), as PolicyFactory promises.
 type policySet struct {
 	factory PolicyFactory
 	// shared is the one instance of a stateless policy; spare is the
 	// first instance of any other, built to classify the policy and
 	// handed out first.
 	shared, spare Policy
-	// phases is the memo phase count of the set's policies (memoPhases;
-	// 0 unless they are memoisable PhasePolicy declarers).
-	phases int
 }
 
-// newPolicySet builds the set for factory (nil means the baseline) over
-// vnet slices of v VCs.
-func newPolicySet(factory PolicyFactory, v int) *policySet {
+// newPolicySet builds the set for factory (nil means the baseline).
+func newPolicySet(factory PolicyFactory) *policySet {
 	if factory == nil {
 		factory = NewBaseline
 	}
 	p := factory()
-	s := &policySet{factory: factory, spare: p}
-	if _, phased := p.(PhasePolicy); phased || PolicyCycleFree(p) {
-		s.shared, s.spare = p, nil
+	if PolicyStateless(p) {
+		return &policySet{factory: factory, shared: p}
 	}
-	_, s.phases = memoPhases(p, v)
-	return s
+	return &policySet{factory: factory, spare: p}
 }
 
 // next returns the policy instance for one (output unit, vnet).

@@ -44,11 +44,29 @@ func (s NIStats) AvgNetLatency() float64 {
 	return float64(s.NetLatencySum) / float64(s.EjectedPackets)
 }
 
-// niFlow is a packet in flight from an NI: the flits not yet launched on
-// the flattened local-port VC the packet was allocated.
+// niFlow is a packet in flight from an NI on the flattened local-port
+// VC it was allocated: the packet's header fields plus the sequence
+// number of the next flit to launch. stageSend builds each flit from it,
+// so opening a flow allocates nothing.
 type niFlow struct {
-	flits []Flit
-	next  int
+	id, inject, netInject uint64
+	dst                   NodeID
+	vnet, len, next       int32
+}
+
+// flit returns the flow's next flit, as launched by the NI src.
+func (fl *niFlow) flit(src NodeID) Flit {
+	return Flit{
+		PacketID:       fl.id,
+		Src:            src,
+		Dst:            fl.dst,
+		VNet:           fl.vnet,
+		Type:           flitType(int(fl.next), int(fl.len)),
+		Seq:            fl.next,
+		Len:            fl.len,
+		InjectCycle:    fl.inject,
+		NetInjectCycle: fl.netInject,
+	}
 }
 
 // NI is a tile's network interface. On the injection side it is the
@@ -120,7 +138,7 @@ func (ni *NI) pendingFlits() int {
 	n := 0
 	for m := ni.flowMask; m != 0; m &= m - 1 {
 		fl := &ni.flows[bits.TrailingZeros64(m)]
-		n += len(fl.flits) - fl.next
+		n += int(fl.len - fl.next)
 	}
 	return n
 }
@@ -225,13 +243,14 @@ func (ni *NI) stageSend(cycle uint64) {
 	}
 	ni.flowArb.next = (picked + 1) % ni.cfg.TotalVCs()
 	fl := &ni.flows[picked]
-	ni.out.sendFlit(&fl.flits[fl.next], picked, cycle)
+	f := fl.flit(ni.id)
+	ni.out.sendFlit(&f, picked, cycle)
 	fl.next++
 	ni.stats.InjectedFlits++
 	if ni.net != nil {
 		ni.net.noteProgress()
 	}
-	if fl.next == len(fl.flits) {
+	if fl.next == fl.len {
 		*fl = niFlow{}
 		ni.flowMask &^= 1 << uint(picked)
 	}
@@ -252,14 +271,13 @@ func (ni *NI) stageVA(cycle uint64) {
 		copy(ni.srcQ[vn], ni.srcQ[vn][1:])
 		ni.srcQ[vn] = ni.srcQ[vn][:len(ni.srcQ[vn])-1]
 		ni.queued--
-		flits := pkt.Flits()
-		for i := range flits {
-			flits[i].NetInjectCycle = cycle
+		ni.flows[vc] = niFlow{
+			id: pkt.ID, inject: pkt.InjectCycle, netInject: cycle,
+			dst: pkt.Dst, vnet: int32(pkt.VNet), len: int32(pkt.Len),
 		}
-		ni.flows[vc] = niFlow{flits: flits}
 		ni.flowMask |= 1 << uint(vc)
 		if ni.net != nil && ni.net.tracer != nil {
-			ni.net.trace(EvNIAlloc, ni.id, Local, vc, flits[0])
+			ni.net.trace(EvNIAlloc, ni.id, Local, vc, ni.flows[vc].flit(ni.id))
 		}
 	}
 }

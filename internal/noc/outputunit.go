@@ -65,9 +65,6 @@ type OutputUnit struct {
 	// policy leaves several idle VCs powered (baseline), allocation
 	// spreads across them.
 	allocPtr []int
-	// scratch buffers reused by runPolicy.
-	inIdle, inPow, desired []bool
-	polIn                  PolicyInput
 	// flitsSent counts link traversals; gateEvents and wakeEvents count
 	// power-state transitions (1->0 and 0->1) commanded by the policy.
 	flitsSent, gateEvents, wakeEvents uint64
@@ -85,18 +82,6 @@ type OutputUnit struct {
 	// NewTraffic value, so a settled run may be elided whenever all
 	// decision inputs match the previous executed run, traffic or not.
 	pure bool
-	// memoVnMask has bit vn set when policies[vn]'s DesiredPower call
-	// inside runPolicy may be memoised on its packed inputs
-	// (lastIdle/lastPow/lastMisc -> lastWant): the policy is cycle-free,
-	// or declares (PhasePolicy) that its cycle dependence factors through
-	// a small rotating phase. Memo rows are indexed vn*memoStride+phase;
-	// phasePols[vn] is the phase mapper (nil for cycle-free vnets), and
-	// the whole slice is nil when no vnet rotates.
-	memoVnMask uint64
-	memoStride int
-	phasePols  []PhasePolicy
-	//nbtilint:arena
-	lastIdle, lastPow, lastMisc, lastWant []uint64
 	// settled is recomputed by every runPolicy call: true when the call
 	// caused no power transition, no wake-up ramp progress, and re-sent
 	// the previous mask — i.e. re-running it with unchanged inputs is a
@@ -141,7 +126,7 @@ type OutputUnit struct {
 // from pols and every other per-unit slice from st.
 func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 	vcs []outVC, depth int, pols *policySet, st *unitStore) {
-	total, v := cfg.TotalVCs(), cfg.VCsPerVNet
+	total := cfg.TotalVCs()
 	ou.owner, ou.port, ou.cfg, ou.depth = owner, port, cfg, depth
 	ou.vcs = vcs[:total:total]
 	for i := range ou.vcs {
@@ -155,54 +140,18 @@ func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 	ou.mdIn.curLD, ou.mdIn.nextLD = take(&st.ints, cfg.VNets), take(&st.ints, cfg.VNets)
 	ou.pwrMask = vcAllMask(total)
 	ou.allocPtr = take(&st.ints, cfg.VNets)
-	ou.inIdle, ou.inPow, ou.desired = take(&st.bools, v), take(&st.bools, v), take(&st.bools, v)
-	// The scratch-buffer views of PolicyInput never change after init.
-	ou.polIn.NumVCs = v
-	ou.polIn.Idle = ou.inIdle
-	ou.polIn.Powered = ou.inPow
 	ou.policies = take(&st.policies, cfg.VNets)
 	ou.steady = true
 	ou.pure = true
-	ou.memoStride = 1
 	for vn := range ou.policies {
 		p := pols.next()
 		ou.policies[vn] = p
 		ou.steady = ou.steady && PolicySteadyWhenIdle(p)
 		ou.pure = ou.pure && PolicyCycleFree(p)
-		if PolicyCycleFree(p) {
-			ou.memoVnMask |= 1 << uint(vn)
-		} else if pp, cnt := memoPhases(p, v); pp != nil {
-			if ou.phasePols == nil {
-				ou.phasePols = take(&st.phasePols, cfg.VNets)
-			}
-			ou.phasePols[vn] = pp
-			ou.memoVnMask |= 1 << uint(vn)
-			ou.memoStride = max(ou.memoStride, cnt)
-		}
-	}
-	rows := cfg.VNets * ou.memoStride
-	ou.lastIdle, ou.lastPow = take(&st.words, rows), take(&st.words, rows)
-	ou.lastMisc, ou.lastWant = take(&st.words, rows), take(&st.words, rows)
-	for i := range ou.lastMisc {
-		// An impossible key (misc is always < 1<<17) forces the first
-		// run of every memo row to execute.
-		ou.lastMisc[i] = ^uint64(0)
 	}
 	ou.polDirty = true
 	ou.mFlits = flitsRoutedCounter()
 	ou.mGate, ou.mWake = gatingCounters(ou.policies[0].Name())
-}
-
-// memoPhases returns p as a PhasePolicy with its phase count when its
-// decisions may be memoised per phase row (1 to 64 phases over v VCs),
-// or nil.
-func memoPhases(p Policy, v int) (PhasePolicy, int) {
-	if pp, ok := p.(PhasePolicy); ok {
-		if _, cnt := pp.Phase(0, v); cnt >= 1 && cnt <= 64 {
-			return pp, cnt
-		}
-	}
-	return nil, 0
 }
 
 // newOutputUnit builds a standalone upstream side of a channel whose
@@ -211,7 +160,7 @@ func memoPhases(p Policy, v int) (PhasePolicy, int) {
 func newOutputUnit(owner NodeID, port Port, cfg *Config, depth int, factory PolicyFactory) *OutputUnit {
 	ou := &OutputUnit{}
 	initOutputUnit(ou, owner, port, cfg, make([]outVC, cfg.TotalVCs()), depth,
-		newPolicySet(factory, cfg.VCsPerVNet), &unitStore{})
+		newPolicySet(factory), &unitStore{})
 	return ou
 }
 
@@ -368,49 +317,17 @@ func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
 	v := ou.cfg.VCsPerVNet
 	vnAll := vcAllMask(v)
 	var want uint64
-	for vn := 0; vn < ou.cfg.VNets; vn++ {
-		base := vn * v
-		// Pack this vnet's full decision input: idle and powered bit
-		// slices plus (MD, LD, NewTraffic). For a cycle-free policy the
-		// output is a pure function of exactly these, so an unchanged
-		// key replays the memoised want bits without calling the policy.
-		// A phase policy adds the cycle's phase as the memo row index:
-		// its decision is pure per phase, and a periodic steady state
-		// revisits each row with an identical key after one rotation.
-		idle := ^ou.actMask >> uint(base) & vnAll
-		pow := ou.pwrMask >> uint(base) & vnAll
-		misc := uint64(ou.mdIn.Current(vn)+1) |
-			uint64(ou.mdIn.CurrentLD(vn)+1)<<8 |
-			(newTraffic>>uint(vn)&1)<<16
-		idx := vn * ou.memoStride
-		if ou.phasePols != nil && ou.phasePols[vn] != nil {
-			ph, _ := ou.phasePols[vn].Phase(cycle, v)
-			idx += ph
-		}
-		if ou.memoVnMask>>uint(vn)&1 != 0 && misc == ou.lastMisc[idx] &&
-			idle == ou.lastIdle[idx] && pow == ou.lastPow[idx] {
-			want |= ou.lastWant[idx]
-			continue
-		}
-		for i := 0; i < v; i++ {
-			ou.inIdle[i] = idle>>uint(i)&1 != 0
-			ou.inPow[i] = pow>>uint(i)&1 != 0
-			ou.desired[i] = false
-		}
-		ou.polIn.MostDegraded = ou.mdIn.Current(vn)
-		ou.polIn.LeastDegraded = ou.mdIn.CurrentLD(vn)
-		ou.polIn.NewTraffic = misc>>16&1 != 0
-		ou.polIn.Cycle = cycle
-		ou.policies[vn].DesiredPower(&ou.polIn, ou.desired)
-		var wantVn uint64
-		for i := 0; i < v; i++ {
-			if ou.desired[i] {
-				wantVn |= 1 << uint(base+i)
-			}
-		}
-		ou.lastIdle[idx], ou.lastPow[idx] = idle, pow
-		ou.lastMisc[idx], ou.lastWant[idx] = misc, wantVn
-		want |= wantVn
+	for vn, p := range ou.policies {
+		base := uint(vn * v)
+		want |= (p.DesiredPower(PolicyInput{
+			NumVCs:        v,
+			Idle:          ^ou.actMask >> base & vnAll,
+			Powered:       ou.pwrMask >> base & vnAll,
+			MostDegraded:  ou.mdIn.Current(vn),
+			LeastDegraded: ou.mdIn.CurrentLD(vn),
+			NewTraffic:    newTraffic>>uint(vn)&1 != 0,
+			Cycle:         cycle,
+		}) & vnAll) << base
 	}
 	// Transition pass over the whole port at once. A VC stays on when
 	// desired or active; wake-up ramps (wakeMask) only ever cover powered

@@ -2,17 +2,17 @@ package noc
 
 // PolicyInput is the information visible to a pre-VA recovery stage for
 // one (output port, vnet) pair — i.e. for the VCs of one downstream
-// input port slice. Slices are indexed by the VC position within the
-// vnet (0..NumVCs-1) and must not be retained across calls.
+// input port slice. The VC masks carry bit v for VC v of the vnet slice
+// (0..NumVCs-1); no bit at or above NumVCs is ever set.
 type PolicyInput struct {
 	// NumVCs is the number of VCs in the vnet slice.
 	NumVCs int
-	// Idle reports, per VC, whether the outVCstate mirror considers the
-	// VC unallocated (gateable). A false entry means the VC is owned by
-	// a packet and will be kept powered regardless of the decision.
-	Idle []bool
-	// Powered is the current power state per VC (the upstream mirror).
-	Powered []bool
+	// Idle has bit v set when the outVCstate mirror considers VC v
+	// unallocated (gateable). A clear bit means the VC is owned by a
+	// packet and will be kept powered regardless of the decision.
+	Idle uint64
+	// Powered is the current power state (the upstream mirror).
+	Powered uint64
 	// MostDegraded is the VC (within the slice) reported by the
 	// downstream sensor bank over the Down_Up link, or -1 when the
 	// policy runs sensor-less.
@@ -29,10 +29,11 @@ type PolicyInput struct {
 }
 
 // Policy is the pre-VA recovery stage run by an upstream output unit,
-// one instance per (output port, vnet). Implementations set out[v] to
-// the desired power state of VC v. The caller forces out[v] = true for
-// every non-idle VC afterwards, so a policy can never gate a buffer that
-// holds or expects flits.
+// one instance per (output port, vnet). DesiredPower returns the mask of
+// VCs to keep powered (bit v = VC v of the slice); bits at or above
+// NumVCs are ignored. The caller keeps every non-idle VC powered
+// afterwards, so a policy can never gate a buffer that holds or expects
+// flits.
 //
 // The contract derived from the paper's observations (Section III-A):
 // leave at most one idle VC powered when NewTraffic is true (the VC a new
@@ -42,9 +43,8 @@ type PolicyInput struct {
 type Policy interface {
 	// Name returns the policy identifier used in reports.
 	Name() string
-	// DesiredPower fills out (length in.NumVCs) with the wanted power
-	// state of each VC in the slice.
-	DesiredPower(in *PolicyInput, out []bool)
+	// DesiredPower returns the wanted power mask of the slice.
+	DesiredPower(in PolicyInput) uint64
 }
 
 // UsesSensors reports whether the policy consumes Down_Up sensor
@@ -106,17 +106,22 @@ func PolicyCycleFree(p Policy) bool {
 	return false
 }
 
-// PhasePolicy is the cycle-dependent counterpart of CycleFreePolicy: the
-// policy declares that DesiredPower reads PolicyInput.Cycle only through
-// the phase equivalence class returned by Phase, and is otherwise a pure
-// function of its PolicyInput with no per-call state. The engine may then
-// memoise decisions per (inputs, phase) row instead of re-running the
-// policy every cycle: a time-rotating policy in a periodic steady state
-// revisits each phase with identical inputs after one rotation.
-type PhasePolicy interface {
-	// Phase maps a cycle to its equivalence class in [0, count). count
-	// must be a constant for a given policy instance and VC count.
-	Phase(cycle uint64, numVCs int) (phase, count int)
+// StatelessPolicy is an optional interface a Policy implements to
+// declare that DesiredPower keeps no per-call state: its output is a
+// pure function of its PolicyInput, Cycle included. One instance may
+// then serve every (output unit, vnet) of a network. CycleFreePolicy
+// implies it.
+type StatelessPolicy interface {
+	Stateless() bool
+}
+
+// PolicyStateless returns p's declaration (or its CycleFreePolicy
+// one), defaulting to false for policies that make neither.
+func PolicyStateless(p Policy) bool {
+	if s, ok := p.(StatelessPolicy); ok && s.Stateless() {
+		return true
+	}
+	return PolicyCycleFree(p)
 }
 
 // BaselinePolicy keeps every VC buffer powered at all times: the paper's
@@ -128,11 +133,7 @@ type BaselinePolicy struct{}
 func (BaselinePolicy) Name() string { return "baseline" }
 
 // DesiredPower implements Policy: all VCs stay on.
-func (BaselinePolicy) DesiredPower(in *PolicyInput, out []bool) {
-	for i := 0; i < in.NumVCs; i++ {
-		out[i] = true
-	}
-}
+func (BaselinePolicy) DesiredPower(PolicyInput) uint64 { return ^uint64(0) }
 
 // SteadyWhenIdle implements SteadyPolicy: the all-on decision never
 // reads the cycle.

@@ -188,8 +188,8 @@ func TestCreditOverflowPanics(t *testing.T) {
 // gateAll is a test policy gating every idle VC unconditionally.
 type gateAll struct{}
 
-func (gateAll) Name() string                             { return "test-gate-all" }
-func (gateAll) DesiredPower(in *PolicyInput, out []bool) {}
+func (gateAll) Name() string                    { return "test-gate-all" }
+func (gateAll) DesiredPower(PolicyInput) uint64 { return 0 }
 
 func TestPowerMaskPropagationDelay(t *testing.T) {
 	cfg := unitConfig()
