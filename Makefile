@@ -63,7 +63,7 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run '^$$' . | tee bench_output.txt
 	bin/benchjson -label $(BENCH_LABEL) -o BENCH_engine.json -append < bench_output.txt
 
-# bench plus the allocs/op and sec/op regression gates against the
+# bench plus the allocs/op, B/op and sec/op regression gates against the
 # pinned baseline (the CI smoke job).
 bench-check: bench
 	bin/benchjson -label check -o /tmp/bench_check.json -baseline bench_baseline.json -sec-tol $(SEC_TOL) < bench_output.txt

@@ -14,9 +14,10 @@
 // -baseline compares the parsed run against the named benchmarks of a
 // pinned baseline file and exits non-zero when any regress: allocs/op
 // beyond -alloc-tol percent (the guard against per-cycle allocation
-// creep) or sec/op beyond -sec-tol percent (the guard against wall-time
-// regressions; wider by default, since timings are noisier than
-// allocation counts). A benchmark that gets faster than the band is
+// creep), B/op beyond -bytes-tol percent (the guard against memory
+// growth, such as a wider per-slot record in a network arena) or sec/op
+// beyond -sec-tol percent (the guard against wall-time regressions;
+// wider by default, since timings are noisier than allocation counts). A benchmark that gets faster than the band is
 // reported as a warning — a hint the baseline is stale — but never
 // fails the run.
 //
@@ -112,8 +113,9 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 		out      = fs.String("o", "BENCH_engine.json", "output JSON file")
 		label    = fs.String("label", "run", "label for this benchmark run")
 		appendTo = fs.Bool("append", false, "keep existing runs in the output file")
-		baseline = fs.String("baseline", "", "pinned baseline JSON; fail on allocs/op or sec/op regression against it")
+		baseline = fs.String("baseline", "", "pinned baseline JSON; fail on allocs/op, B/op or sec/op regression against it")
 		allocTol = fs.Float64("alloc-tol", 10, "allowed allocs/op increase over the baseline, percent")
+		bytesTol = fs.Float64("bytes-tol", 10, "allowed B/op increase over the baseline, percent")
 		secTol   = fs.Float64("sec-tol", 25, "allowed sec/op increase over the baseline, percent")
 		secFloor = fs.Float64("sec-floor", 0.1, "exempt benchmarks whose baseline sec/op is below this from the sec/op gate")
 	)
@@ -159,6 +161,10 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 		var failures int
 		for _, r := range checkAllocs(parsed, base, *allocTol) {
 			fmt.Fprintln(errOut, "allocs/op regression:", r)
+			failures++
+		}
+		for _, r := range checkBytes(parsed, base, *bytesTol) {
+			fmt.Fprintln(errOut, "B/op regression:", r)
 			failures++
 		}
 		regressions, improvements := checkSecOp(parsed, base, *secTol, *secFloor)
@@ -342,23 +348,42 @@ func loadBaseline(path string) (map[string]Benchmark, error) {
 // checkAllocs compares a run's allocs/op against the baseline and
 // returns a description of every regression beyond tolPct percent.
 // Benchmarks absent from the baseline pass (new benchmarks are not
-// regressions).
+// regressions). A zero pin is strict: a zero-allocation benchmark may
+// not allocate.
 func checkAllocs(run Run, base map[string]Benchmark, tolPct float64) []string {
+	return checkCeiling(run, base, tolPct, "allocs/op",
+		func(b Benchmark) float64 { return b.AllocsPerOp })
+}
+
+// checkBytes is checkAllocs for B/op. A zero pin gates nothing here: a
+// zero-byte benchmark makes no allocation, which its zero allocs/op pin
+// already holds it to, and a baseline that records no B/op reads as 0.
+func checkBytes(run Run, base map[string]Benchmark, tolPct float64) []string {
+	nonZero := make(map[string]Benchmark, len(base))
+	for name, pin := range base {
+		if pin.BytesPerOp > 0 {
+			nonZero[name] = pin
+		}
+	}
+	return checkCeiling(run, nonZero, tolPct, "B/op",
+		func(b Benchmark) float64 { return b.BytesPerOp })
+}
+
+// checkCeiling returns a description of every benchmark whose value
+// exceeds its pin in base by more than tolPct percent.
+func checkCeiling(run Run, base map[string]Benchmark, tolPct float64, unit string, value func(Benchmark) float64) []string {
 	var regressions []string
 	for _, b := range run.Benchmarks {
 		pin, ok := base[b.Name]
 		if !ok {
 			continue
 		}
-		want := pin.AllocsPerOp
+		want := value(pin)
 		limit := want * (1 + tolPct/100)
-		if want == 0 {
-			limit = 0
-		}
-		if b.AllocsPerOp > limit {
+		if got := value(b); got > limit {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (limit %.0f)",
-					b.Name, b.AllocsPerOp, want, limit))
+				fmt.Sprintf("%s: %.0f %s vs baseline %.0f (limit %.0f)",
+					b.Name, got, unit, want, limit))
 		}
 	}
 	return regressions

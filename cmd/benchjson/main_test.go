@@ -343,3 +343,31 @@ func TestCountGatesSecOpOnMedian(t *testing.T) {
 		t.Fatalf("median regression not reported exactly once: %v\n%s", err, errBuf.String())
 	}
 }
+
+// TestBytesOpGate pins the B/op gate: TableII's 73962736 B/op in the
+// sample passes a pin within -bytes-tol, fails one 20% lower at the
+// default 10% and passes it again at -bytes-tol 25; a zero or missing
+// B/op pin gates nothing.
+func TestBytesOpGate(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.json")
+	gate := func(pin float64, extra ...string) error {
+		baseline := writeBaseline(t, dir,
+			Benchmark{Name: "BenchmarkTableII", AllocsPerOp: 242180, BytesPerOp: pin},
+			Benchmark{Name: "BenchmarkEngineIdle"})
+		return run(append([]string{"-o", out, "-baseline", baseline}, extra...),
+			strings.NewReader(sampleBench), os.Stderr)
+	}
+	if err := gate(70_000_000); err != nil {
+		t.Fatalf("B/op within 10%% of the pin failed: %v", err)
+	}
+	if err := gate(61_000_000); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Fatalf("B/op 21%% over the pin passed: %v", err)
+	}
+	if err := gate(61_000_000, "-bytes-tol", "25"); err != nil {
+		t.Fatalf("B/op within -bytes-tol 25 failed: %v", err)
+	}
+	if err := gate(0); err != nil {
+		t.Fatalf("a zero B/op pin gated: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package noc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"nbtinoc/internal/core"
@@ -8,24 +9,40 @@ import (
 	"nbtinoc/internal/traffic"
 )
 
+// maxNewBytes bounds the heap bytes of a 32×32 sensor-wise noc.New:
+// the 13.13 MB measured with 8-byte flit handles, plus 10%.
+const maxNewBytes = 14_440_000
+
 // TestNewAllocations pins construction's heap allocations: every
 // per-unit slice is carved from a network-wide arena and a stateless
 // policy is shared, so a 32×32 mesh allocates a few dozen objects under
 // sensor-wise and rr-no-sensor alike, and a 4×4 mesh no more than a
-// 32×32 one.
+// 32×32 one. The 32×32 mesh's bytes stay within maxNewBytes.
 func TestNewAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 32×32 mesh several times")
 	}
-	allocs := func(side int, policy noc.PolicyFactory) float64 {
+	build := func(side int, policy noc.PolicyFactory) func() {
 		cfg := noc.DefaultConfig()
 		cfg.Width, cfg.Height = side, side
 		cfg.Policy = policy
-		return testing.AllocsPerRun(3, func() {
+		return func() {
 			if _, err := noc.New(cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+	}
+	allocs := func(side int, policy noc.PolicyFactory) float64 {
+		return testing.AllocsPerRun(3, build(side, policy))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build(32, core.NewSensorWise)()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > maxNewBytes {
+		t.Errorf("32×32 sensor-wise noc.New allocated %d bytes, want at most %d", bytes, maxNewBytes)
+	} else {
+		t.Logf("32×32 sensor-wise noc.New: %d bytes", bytes)
 	}
 	big, small := allocs(32, core.NewSensorWise), allocs(4, core.NewSensorWise)
 	rr := allocs(32, core.NewRRNoSensor)

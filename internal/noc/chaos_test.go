@@ -56,7 +56,7 @@ func TestChaosPolicyNeverBreaksInvariants(t *testing.T) {
 					}
 				}
 			}
-			n.Step()
+			stepChecked(t, n)
 			if c%97 == 0 {
 				assertGatedEmpty(t, n)
 			}
@@ -65,7 +65,7 @@ func TestChaosPolicyNeverBreaksInvariants(t *testing.T) {
 		// re-drawn each cycle, so forward progress is probabilistic but
 		// certain over a long horizon.
 		for i := 0; i < 200000 && !n.Quiescent(); i++ {
-			n.Step()
+			stepChecked(t, n)
 		}
 		if !n.Quiescent() {
 			t.Fatalf("seed %d: chaos policy starved the network: %d in flight, %d queued",
@@ -75,6 +75,26 @@ func TestChaosPolicyNeverBreaksInvariants(t *testing.T) {
 			t.Fatalf("seed %d: loss under chaos: %d vs %d",
 				seed, n.TotalInjectedPackets(), n.TotalEjectedPackets())
 		}
+		assertTableEmpty(t, n)
+	}
+}
+
+// stepChecked steps n, then checks that its packet table holds exactly
+// the packets with a flit in the network.
+func stepChecked(t *testing.T, n *Network) {
+	t.Helper()
+	n.Step()
+	if _, err := CheckPacketTable(n); err != nil {
+		t.Fatalf("cycle %d: %v", n.Cycle(), err)
+	}
+}
+
+// assertTableEmpty checks that a drained network's packet table has no
+// live slot.
+func assertTableEmpty(t *testing.T, n *Network) {
+	t.Helper()
+	if live, err := CheckPacketTable(n); err != nil || live != 0 {
+		t.Fatalf("drained network: %d live packet slots (%v)", live, err)
 	}
 }
 
@@ -123,13 +143,14 @@ func TestChaosWithWakeupLatency(t *testing.T) {
 				}
 			}
 		}
-		n.Step()
+		stepChecked(t, n)
 	}
 	for i := 0; i < 300000 && !n.Quiescent(); i++ {
-		n.Step()
+		stepChecked(t, n)
 	}
 	if !n.Quiescent() || n.TotalInjectedPackets() != n.TotalEjectedPackets() {
 		t.Fatalf("chaos+wakeup broke delivery: %d vs %d (in flight %d)",
 			n.TotalInjectedPackets(), n.TotalEjectedPackets(), n.InFlightFlits())
 	}
+	assertTableEmpty(t, n)
 }

@@ -16,13 +16,14 @@ import (
 // the buffer itself stays a compact, arena-friendly record.
 type vcBuffer struct {
 	//nbtilint:arena
-	fifo []Flit
+	fifo []flit
 	head int32
 	size int32
-	// headArrive caches fifo[head].Arrive while size > 0, so the hot
-	// headReady checks of the VA/SA sweeps touch only this record
-	// instead of dereferencing the FIFO slot every cycle.
-	headArrive uint64
+	// lastArrive is the cycle of the latest buffer write (BW). With the
+	// buffer size it tells whether the head flit has finished BW (see
+	// headReady), so a buffered flit carries no arrival cycle and the
+	// VA/SA sweeps never dereference the FIFO slot.
+	lastArrive uint64
 	// outVC is the downstream VC allocated by this router's VA for the
 	// resident packet's next hop; -1 while unallocated or not needed
 	// (ejection).
@@ -46,7 +47,7 @@ func (b *vcBuffer) len() int    { return int(b.size) }
 func (b *vcBuffer) empty() bool { return b.size == 0 }
 func (b *vcBuffer) full() bool  { return int(b.size) == len(b.fifo) }
 
-func (b *vcBuffer) push(f *Flit) {
+func (b *vcBuffer) push(f flit) {
 	if b.full() {
 		panic("noc: VC buffer overflow (credit protocol violated)")
 	}
@@ -54,21 +55,19 @@ func (b *vcBuffer) push(f *Flit) {
 	if int(idx) >= len(b.fifo) {
 		idx -= int32(len(b.fifo))
 	}
-	b.fifo[idx] = *f
+	b.fifo[idx] = f
 	b.size++
 }
 
-func (b *vcBuffer) peek() *Flit {
+func (b *vcBuffer) peek() flit {
 	if b.empty() {
 		panic("noc: peek on empty VC buffer")
 	}
-	return &b.fifo[b.head]
+	return b.fifo[b.head]
 }
 
-// pop returns a pointer to the departing head flit. The pointed-to slot
-// stays valid until the next push wraps onto it, which cannot happen
-// before the caller consumes the flit within the same cycle phase.
-func (b *vcBuffer) pop() *Flit {
+// pop removes and returns the head flit.
+func (b *vcBuffer) pop() flit {
 	f := b.peek()
 	b.head++
 	if int(b.head) == len(b.fifo) {
@@ -94,7 +93,7 @@ type InputUnit struct {
 	// channel is embedded in its reader so the per-cycle receive pass
 	// touches only unit-resident cache lines; the upstream holds a
 	// pointer (OutputUnit.flitOut).
-	flitIn Pipeline[Flit]
+	flitIn Pipeline[flit]
 	// power is the downstream end of the Up_Down channel carrying the
 	// desired power mask; the upstream writes through powerOut.
 	power powerLink
@@ -162,7 +161,7 @@ type InputUnit struct {
 // ring carved from st. vth0 supplies the per-VC initial threshold
 // voltages.
 func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []vcBuffer, fifo []Flit, devs []nbti.Device, depth int, vth0 []float64, st *unitStore) {
+	vcs []vcBuffer, fifo []flit, devs []nbti.Device, depth int, vth0 []float64, st *unitStore) {
 	total := cfg.TotalVCs()
 	if len(vth0) != total {
 		panic(fmt.Sprintf("noc: %d Vth0 samples for %d VCs", len(vth0), total))
@@ -190,7 +189,7 @@ func newInputUnit(owner NodeID, port Port, cfg *Config, depth int, vth0 []float6
 	total := cfg.TotalVCs()
 	iu := &InputUnit{}
 	initInputUnit(iu, owner, port, cfg,
-		make([]vcBuffer, total), make([]Flit, total*depth), make([]nbti.Device, total),
+		make([]vcBuffer, total), make([]flit, total*depth), make([]nbti.Device, total),
 		depth, vth0, &unitStore{})
 	return iu
 }
@@ -289,19 +288,24 @@ func (iu *InputUnit) Occupancy(vc int) int { return iu.vcs[vc].len() }
 
 // bufferWrite performs the BW stage for an arriving flit. route gives
 // the output port for head flits (RC); it is ignored for body/tail.
-// The flit is read through f and copied into the buffer exactly once;
-// f.Arrive is stamped in place.
-func (iu *InputUnit) bufferWrite(f *Flit, cycle uint64, route Port) {
-	bit := uint64(1) << uint(f.VC)
-	vc := &iu.vcs[f.VC]
+// A unit receives at most one flit per cycle: its one upstream output
+// unit sends at most one per cycle (sendFlit's linkFreeAt), which
+// headReady relies on.
+func (iu *InputUnit) bufferWrite(f flit, cycle uint64, route Port) {
+	bit := uint64(1) << f.vc
+	vc := &iu.vcs[f.vc]
 	if iu.poweredMask&bit == 0 {
 		panic(fmt.Sprintf("noc: flit arrived at gated VC %d of node %d port %v",
-			f.VC, iu.owner, iu.port))
+			f.vc, iu.owner, iu.port))
 	}
-	if f.Type.IsHead() {
+	if nbtiDebug && vc.size > 0 && vc.lastArrive == cycle {
+		panic(fmt.Sprintf("noc: two flits written into VC %d of node %d port %v in cycle %d",
+			f.vc, iu.owner, iu.port, cycle))
+	}
+	if f.typ.IsHead() {
 		if vc.state != VCIdle {
 			panic(fmt.Sprintf("noc: head flit into busy VC %d of node %d port %v (packet mixing)",
-				f.VC, iu.owner, iu.port))
+				f.vc, iu.owner, iu.port))
 		}
 		vc.state = VCActive
 		vc.outPort = route
@@ -317,26 +321,21 @@ func (iu *InputUnit) bufferWrite(f *Flit, cycle uint64, route Port) {
 	}
 	if vc.size == 0 {
 		// Empty -> busy transition: close the idle-stress span.
-		iu.flushVC(int(f.VC), cycle-1)
+		iu.flushVC(int(f.vc), cycle-1)
 		iu.occMask |= bit
 		if iu.occPorts != nil {
 			*iu.occPorts |= iu.portBit
 		}
 	}
-	f.Arrive = cycle
 	vc.push(f)
-	if vc.size == 1 {
-		vc.headArrive = cycle
-	}
+	vc.lastArrive = cycle
 	iu.writes++
 }
 
 // popFlit removes the head flit of vc (the ST stage of the downstream
 // router or the NI ejection drain), returns it, and sends a credit back
-// upstream. When the tail leaves, the VC returns to idle. The returned
-// pointer aliases the FIFO slot and stays valid until the buffer is
-// pushed again.
-func (iu *InputUnit) popFlit(vc int, cycle uint64) *Flit {
+// upstream. When the tail leaves, the VC returns to idle.
+func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
 	bit := uint64(1) << uint(vc)
 	b := &iu.vcs[vc]
 	if b.size == 1 {
@@ -348,11 +347,8 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) *Flit {
 		}
 	}
 	f := b.pop()
-	if b.size > 0 {
-		b.headArrive = b.fifo[b.head].Arrive
-	}
 	iu.reads++
-	if f.Type.IsTail() {
+	if f.typ.IsTail() {
 		if b.outVC == -1 {
 			// Only ejection VCs retire without a VA grant; router VCs
 			// left vaPending at the grant.
@@ -384,10 +380,13 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) *Flit {
 
 // headReady reports whether vc has a flit at its FIFO head that finished
 // its buffer-write stage before the given cycle (the one-cycle BW stage:
-// a flit arriving at cycle t can be allocated/switched at t+1).
+// a flit arriving at cycle t can be allocated/switched at t+1). A VC
+// takes at most one flit per cycle (see bufferWrite), so with two or
+// more buffered the head arrived before the latest write, hence before
+// this cycle; a lone flit is the latest write itself.
 func (iu *InputUnit) headReady(vc int, cycle uint64) bool {
 	b := &iu.vcs[vc]
-	return b.size > 0 && b.headArrive < cycle
+	return b.size > 1 || b.size == 1 && b.lastArrive < cycle
 }
 
 // applyPower enacts this cycle's Up_Down mask. The mask is authoritative

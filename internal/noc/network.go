@@ -54,9 +54,12 @@ type Network struct {
 	devices []nbti.Device
 	// fifos holds the flit storage in groups of fifoGroup nodes; see
 	// New.
-	fifos [][]Flit
+	fifos [][]flit
 	//nbtilint:arena
 	flows []niFlow
+	// pkts holds the header of every packet between NI-VA and tail
+	// ejection; flits carry its slot.
+	pkts packetTable
 
 	cycle        uint64
 	nextPacketID uint64
@@ -157,18 +160,21 @@ func New(cfg Config) (*Network, error) {
 	n.outvcs = make([]outVC, slots*total)
 	n.devices = make([]nbti.Device, slots*total)
 	// FIFO storage: router-port slots use BufferDepth, the NI-side slot
-	// EjectBufferDepth. It is the largest arena (6.3 MB for a 32×32
-	// mesh) and is reached only through the units' windows, so it comes
-	// in groups of fifoGroup nodes: a long run's heap, with small
-	// long-lived objects scattered through its freed pages, often has no
-	// hole for one multi-megabyte block and maps fresh pages for it,
-	// raising peak RSS by its size.
+	// EjectBufferDepth. A slot is an 8-byte flit handle, so a 32×32 mesh
+	// needs 0.8 MB, reached only through the units' windows. It comes in
+	// groups of fifoGroup nodes: a long run's heap, with small long-lived
+	// objects scattered through its freed pages, may have no hole for one
+	// large block and map fresh pages for it. A single block still read
+	// a higher peak RSS than the groups at 0.8 MB (DESIGN §11).
 	nodeFifo := (int(NumPorts)*cfg.BufferDepth + cfg.EjectBufferDepth) * total
-	n.fifos = make([][]Flit, (nodes+fifoGroup-1)/fifoGroup)
+	n.fifos = make([][]flit, (nodes+fifoGroup-1)/fifoGroup)
 	for g := range n.fifos {
-		n.fifos[g] = make([]Flit, min(fifoGroup, nodes-g*fifoGroup)*nodeFifo)
+		n.fifos[g] = make([]flit, min(fifoGroup, nodes-g*fifoGroup)*nodeFifo)
 	}
 	n.flows = make([]niFlow, nodes*total)
+	// The packet table starts with a slot per node and grows only when
+	// more packets are in flight at once than ever before.
+	n.pkts.slots = make([]packet, 0, nodes)
 
 	pols := newPolicySet(cfg.Policy)
 	ejPols := pols
@@ -292,7 +298,7 @@ func New(cfg Config) (*Network, error) {
 type unitStore struct {
 	policies    []Policy
 	ints        []int
-	flitSlots   [][]Flit
+	flitSlots   [][]flit
 	creditSlots [][]int
 	arbs        []RoundRobin
 	queues      [][]Packet
@@ -310,7 +316,7 @@ func newUnitStore(cfg *Config, nodes int) *unitStore {
 		policies: make([]Policy, slots*vnets),
 		// Per output unit: allocPtr plus the four Down_Up link values.
 		ints:        make([]int, slots*5*vnets),
-		flitSlots:   make([][]Flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
+		flitSlots:   make([][]flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
 		creditSlots: make([][]int, slots*cfg.LinkLatency),
 		arbs:        make([]RoundRobin, nodes*int(NumPorts)*vnets),
 		queues:      make([][]Packet, nodes*vnets),
@@ -366,7 +372,7 @@ func (s *policySet) next() Policy {
 // per-node, not per-unit, because the two buffer depths differ.
 //
 //nbtilint:packed
-func (n *Network) fifoOf(node, slot int) []Flit {
+func (n *Network) fifoOf(node, slot int) []flit {
 	total := n.cfg.TotalVCs()
 	nodeFifo := (int(NumPorts)*n.cfg.BufferDepth + n.cfg.EjectBufferDepth) * total
 	group := n.fifos[node/fifoGroup]

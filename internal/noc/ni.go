@@ -45,28 +45,17 @@ func (s NIStats) AvgNetLatency() float64 {
 }
 
 // niFlow is a packet in flight from an NI on the flattened local-port
-// VC it was allocated: the packet's header fields plus the sequence
-// number of the next flit to launch. stageSend builds each flit from it,
-// so opening a flow allocates nothing.
+// VC it was allocated: the packet's table slot and length plus the
+// sequence number of the next flit to launch. stageSend builds each
+// flit from it, so opening a flow allocates nothing.
 type niFlow struct {
-	id, inject, netInject uint64
-	dst                   NodeID
-	vnet, len, next       int32
+	pkt       uint32
+	next, len uint16
 }
 
-// flit returns the flow's next flit, as launched by the NI src.
-func (fl *niFlow) flit(src NodeID) Flit {
-	return Flit{
-		PacketID:       fl.id,
-		Src:            src,
-		Dst:            fl.dst,
-		VNet:           fl.vnet,
-		Type:           flitType(int(fl.next), int(fl.len)),
-		Seq:            fl.next,
-		Len:            fl.len,
-		InjectCycle:    fl.inject,
-		NetInjectCycle: fl.netInject,
-	}
+// flit returns the flow's next flit.
+func (fl *niFlow) flit() flit {
+	return flit{pkt: fl.pkt, seq: fl.next, typ: flitType(int(fl.next), int(fl.len))}
 }
 
 // NI is a tile's network interface. On the injection side it is the
@@ -138,7 +127,7 @@ func (ni *NI) pendingFlits() int {
 	n := 0
 	for m := ni.flowMask; m != 0; m &= m - 1 {
 		fl := &ni.flows[bits.TrailingZeros64(m)]
-		n += int(fl.len - fl.next)
+		n += int(fl.len) - int(fl.next)
 	}
 	return n
 }
@@ -148,8 +137,8 @@ func (ni *NI) inject(p Packet) error {
 	if p.VNet < 0 || p.VNet >= ni.cfg.VNets {
 		return fmt.Errorf("noc: packet vnet %d out of range", p.VNet)
 	}
-	if p.Len < 1 {
-		return fmt.Errorf("noc: packet length %d", p.Len)
+	if p.Len < 1 || p.Len > MaxPacketLen {
+		return fmt.Errorf("noc: packet length %d outside [1, %d]", p.Len, MaxPacketLen)
 	}
 	ni.srcQ[p.VNet] = append(ni.srcQ[p.VNet], p)
 	ni.queued++
@@ -163,9 +152,8 @@ func (ni *NI) inject(p Packet) error {
 // deliverEject writes flits arriving from the router into the ejection
 // buffers.
 func (ni *NI) deliverEject(cycle uint64) {
-	flits := ni.ej.flitIn.Receive()
-	for i := range flits {
-		ni.ej.bufferWrite(&flits[i], cycle, Local)
+	for _, f := range ni.ej.flitIn.Receive() {
+		ni.ej.bufferWrite(f, cycle, Local)
 	}
 }
 
@@ -198,21 +186,22 @@ func (ni *NI) drainEject(cycle uint64) {
 		ni.ejArb.next = (vc + 1) % ni.ej.NumVCs()
 		f := ni.ej.popFlit(vc, cycle)
 		ni.stats.EjectedFlits++
-		if ni.net != nil {
-			ni.net.noteProgress()
+		ni.net.noteProgress()
+		if ni.net.tracer != nil {
+			ni.net.trace(EvEject, ni.id, Local, vc, ni.net.pkts.export(f))
 		}
-		if ni.net != nil && ni.net.tracer != nil {
-			ni.net.trace(EvEject, ni.id, Local, vc, *f)
-		}
-		if f.Type.IsTail() {
+		if f.typ.IsTail() {
+			p := &ni.net.pkts.slots[f.pkt]
+			lat, netLat := cycle-p.inject, cycle-p.netInject
 			ni.stats.EjectedPackets++
-			ni.stats.LatencySum += cycle - f.InjectCycle
-			ni.stats.NetLatencySum += cycle - f.NetInjectCycle
-			ni.stats.Latency.Add(cycle - f.InjectCycle)
-			ni.stats.NetLatency.Add(cycle - f.NetInjectCycle)
-			if ni.net != nil && ni.net.deliverHook != nil {
-				ni.net.deliverHook(*f, cycle)
+			ni.stats.LatencySum += lat
+			ni.stats.NetLatencySum += netLat
+			ni.stats.Latency.Add(lat)
+			ni.stats.NetLatency.Add(netLat)
+			if ni.net.deliverHook != nil {
+				ni.net.deliverHook(ni.net.pkts.export(f), cycle)
 			}
+			ni.net.pkts.release(f.pkt)
 		}
 	}
 }
@@ -243,13 +232,11 @@ func (ni *NI) stageSend(cycle uint64) {
 	}
 	ni.flowArb.next = (picked + 1) % ni.cfg.TotalVCs()
 	fl := &ni.flows[picked]
-	f := fl.flit(ni.id)
-	ni.out.sendFlit(&f, picked, cycle)
+	f := fl.flit()
+	ni.out.sendFlit(f, picked, cycle)
 	fl.next++
 	ni.stats.InjectedFlits++
-	if ni.net != nil {
-		ni.net.noteProgress()
-	}
+	ni.net.noteProgress()
 	if fl.next == fl.len {
 		*fl = niFlow{}
 		ni.flowMask &^= 1 << uint(picked)
@@ -271,13 +258,15 @@ func (ni *NI) stageVA(cycle uint64) {
 		copy(ni.srcQ[vn], ni.srcQ[vn][1:])
 		ni.srcQ[vn] = ni.srcQ[vn][:len(ni.srcQ[vn])-1]
 		ni.queued--
-		ni.flows[vc] = niFlow{
+		slot := ni.net.pkts.take(packet{
 			id: pkt.ID, inject: pkt.InjectCycle, netInject: cycle,
-			dst: pkt.Dst, vnet: int32(pkt.VNet), len: int32(pkt.Len),
-		}
+			src: ni.id, dst: pkt.Dst, vnet: uint16(pkt.VNet), len: uint16(pkt.Len),
+		})
+		ni.flows[vc] = niFlow{pkt: slot, len: uint16(pkt.Len)}
 		ni.flowMask |= 1 << uint(vc)
-		if ni.net != nil && ni.net.tracer != nil {
-			ni.net.trace(EvNIAlloc, ni.id, Local, vc, ni.flows[vc].flit(ni.id))
+		if ni.net.tracer != nil {
+			// The granted VC is not the flit's yet: it is traced with VC 0.
+			ni.net.trace(EvNIAlloc, ni.id, Local, vc, ni.net.pkts.export(ni.flows[vc].flit()))
 		}
 	}
 }

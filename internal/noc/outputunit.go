@@ -55,7 +55,7 @@ type OutputUnit struct {
 	mdIn mdLink
 	// flitOut carries flits to the downstream input unit (points at the
 	// downstream's embedded flitIn pipeline).
-	flitOut *Pipeline[Flit]
+	flitOut *Pipeline[flit]
 	// powerOut is the Up_Down control channel (points at the downstream's
 	// embedded power link).
 	powerOut *powerLink
@@ -279,9 +279,9 @@ func (ou *OutputUnit) canSend(vc int, cycle uint64) bool {
 
 // sendFlit transmits f on flattened VC vc (the ST stage) starting at
 // the given cycle, consuming one credit and occupying the link for
-// PhitsPerFlit cycles. The flit's VC field is rewritten in place for
-// the downstream port before the link copies it.
-func (ou *OutputUnit) sendFlit(f *Flit, vc int, cycle uint64) {
+// PhitsPerFlit cycles. The link carries f with its VC rewritten for the
+// downstream port.
+func (ou *OutputUnit) sendFlit(f flit, vc int, cycle uint64) {
 	bit := uint64(1) << uint(vc)
 	v := &ou.vcs[vc]
 	if ou.actMask&bit == 0 {
@@ -297,11 +297,11 @@ func (ou *OutputUnit) sendFlit(f *Flit, vc int, cycle uint64) {
 	if v.credits--; v.credits == 0 {
 		ou.creditMask &^= bit
 	}
-	if f.Type.IsTail() {
+	if f.typ.IsTail() {
 		ou.tailMask |= bit
 	}
-	f.VC = int32(vc)
-	ou.flitOut.Send(*f)
+	f.vc = uint8(vc)
+	ou.flitOut.Send(f)
 	if ou.dnFlit != nil {
 		*ou.dnFlit |= ou.dnBit
 	}

@@ -3,6 +3,7 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPortOpposite(t *testing.T) {
@@ -231,6 +232,15 @@ func TestFlitExpansion(t *testing.T) {
 		if int(f.Seq) != i || f.Len != 4 || f.PacketID != 9 || f.InjectCycle != 100 {
 			t.Errorf("flit %d metadata wrong: %+v", i, f)
 		}
+	}
+}
+
+// TestFlitSize pins the flit handle VC FIFOs and link pipelines hold:
+// per-packet fields live in the packet table, so a flit stays within
+// 16 bytes (8 today).
+func TestFlitSize(t *testing.T) {
+	if size := unsafe.Sizeof(flit{}); size > 16 {
+		t.Fatalf("flit handle is %d bytes, want at most 16", size)
 	}
 }
 

@@ -164,16 +164,14 @@ func (r *Router) phaseRecv(cycle uint64) {
 	for pm := r.flitPorts; pm != 0; pm &= pm - 1 {
 		p := Port(bits.TrailingZeros64(pm))
 		iu := r.in[p]
-		flits := iu.flitIn.Receive()
-		for i := range flits {
-			f := &flits[i]
+		for _, f := range iu.flitIn.Receive() {
 			route := Local
-			if f.Type.IsHead() {
-				route = r.cfg.Routing.Route(r.coord, r.coords[f.Dst])
+			if f.typ.IsHead() {
+				route = r.cfg.Routing.Route(r.coord, r.coords[r.net.pkts.slots[f.pkt].dst])
 			}
 			iu.bufferWrite(f, cycle, route)
-			if r.net != nil && r.net.tracer != nil {
-				r.net.trace(EvBufferWrite, r.id, p, int(f.VC), *f)
+			if r.net.tracer != nil {
+				r.net.trace(EvBufferWrite, r.id, p, int(f.vc), r.net.pkts.export(f))
 			}
 		}
 		if iu.flitIn.n == 0 {
@@ -210,11 +208,10 @@ func (r *Router) stageST(cycle uint64) {
 		f := r.in[g.inPort].popFlit(g.vc, cycle)
 		r.out[g.outPort].sendFlit(f, g.outVC, cycle)
 		r.stFlits++
-		if r.net != nil {
-			r.net.noteProgress()
-		}
-		if r.net != nil && r.net.tracer != nil {
-			r.net.trace(EvSTraverse, r.id, g.outPort, g.outVC, *f)
+		r.net.noteProgress()
+		if r.net.tracer != nil {
+			f.vc = uint8(g.outVC)
+			r.net.trace(EvSTraverse, r.id, g.outPort, g.outVC, r.net.pkts.export(f))
 		}
 	}
 	r.grants = r.grants[:0]
@@ -307,8 +304,8 @@ func (r *Router) stageVA(cycle uint64) {
 			*iu.pendPorts &^= iu.portBit
 		}
 		r.vaGrants++
-		if r.net != nil && r.net.tracer != nil {
-			r.net.trace(EvVAGrant, r.id, w.inP, w.vc, *iu.vcs[w.vc].peek())
+		if r.net.tracer != nil {
+			r.net.trace(EvVAGrant, r.id, w.inP, w.vc, r.net.pkts.export(iu.vcs[w.vc].peek()))
 		}
 	}
 }

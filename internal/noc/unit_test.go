@@ -20,7 +20,7 @@ func mkChannel(t *testing.T, cfg Config, factory PolicyFactory) (*OutputUnit, *I
 
 // tick advances the channel's control links and delivers flits/credits,
 // mimicking the relevant phases of Network.Step for a single channel.
-func (n *Network) tickChannel(t *testing.T, ou *OutputUnit, iu *InputUnit, cycle uint64) []Flit {
+func (n *Network) tickChannel(t *testing.T, ou *OutputUnit, iu *InputUnit, cycle uint64) []flit {
 	t.Helper()
 	if iu.power.Tick() {
 		iu.pwrDirty = true
@@ -29,10 +29,9 @@ func (n *Network) tickChannel(t *testing.T, ou *OutputUnit, iu *InputUnit, cycle
 		ou.polDirty = true
 	}
 	ou.creditTick()
-	arrived := append([]Flit(nil), iu.flitIn.Receive()...)
-	for i := range arrived {
-		f := arrived[i]
-		iu.bufferWrite(&f, cycle, Local)
+	arrived := append([]flit(nil), iu.flitIn.Receive()...)
+	for _, f := range arrived {
+		iu.bufferWrite(f, cycle, Local)
 	}
 	iu.applyPower(cycle)
 	return arrived
@@ -59,12 +58,12 @@ func TestOutVCStateLifecycle(t *testing.T) {
 		t.Fatal("allocated VC not active in outVCstate")
 	}
 	// Send a 2-flit packet.
-	head := Flit{Type: HeadFlit, Len: 2, VC: int32(vc)}
-	tail := Flit{Type: TailFlit, Seq: 1, Len: 2, VC: int32(vc)}
-	ou.sendFlit(&head, vc, cycle)
+	head := flit{typ: HeadFlit, vc: uint8(vc)}
+	tail := flit{typ: TailFlit, seq: 1, vc: uint8(vc)}
+	ou.sendFlit(head, vc, cycle)
 	cycle++
 	n.tickChannel(t, ou, iu, cycle)
-	ou.sendFlit(&tail, vc, cycle)
+	ou.sendFlit(tail, vc, cycle)
 	if ou.Credits(vc) != cfg.BufferDepth-2 {
 		t.Fatalf("credits = %d, want %d", ou.Credits(vc), cfg.BufferDepth-2)
 	}
@@ -117,13 +116,13 @@ func TestSendWithoutCreditPanics(t *testing.T) {
 	cfg.BufferDepth = 1
 	ou, _, _ := mkChannel(t, cfg, nil)
 	vc := ou.allocVC(0)
-	ou.sendFlit(&Flit{Type: HeadFlit, Len: 2}, vc, 1)
+	ou.sendFlit(flit{typ: HeadFlit}, vc, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send without credit did not panic")
 		}
 	}()
-	ou.sendFlit(&Flit{Type: BodyFlit, Len: 2}, vc, 2)
+	ou.sendFlit(flit{typ: BodyFlit}, vc, 2)
 }
 
 func TestSendOnUnallocatedVCPanics(t *testing.T) {
@@ -133,19 +132,19 @@ func TestSendOnUnallocatedVCPanics(t *testing.T) {
 			t.Fatal("send on idle VC did not panic")
 		}
 	}()
-	ou.sendFlit(&Flit{Type: HeadFlit, Len: 1}, 0, 1)
+	ou.sendFlit(flit{typ: HeadFlit}, 0, 1)
 }
 
 func TestHeadIntoBusyVCPanics(t *testing.T) {
 	cfg := unitConfig()
 	_, iu, _ := mkChannel(t, cfg, nil)
-	iu.bufferWrite(&Flit{Type: HeadFlit, Len: 2, VC: 0}, 1, Local)
+	iu.bufferWrite(flit{typ: HeadFlit}, 1, Local)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("packet mixing did not panic")
 		}
 	}()
-	iu.bufferWrite(&Flit{Type: HeadFlit, Len: 2, VC: 0}, 2, Local)
+	iu.bufferWrite(flit{typ: HeadFlit}, 2, Local)
 }
 
 func TestBodyIntoIdleVCPanics(t *testing.T) {
@@ -155,21 +154,21 @@ func TestBodyIntoIdleVCPanics(t *testing.T) {
 			t.Fatal("body flit into idle VC did not panic")
 		}
 	}()
-	iu.bufferWrite(&Flit{Type: BodyFlit, Len: 2, VC: 0}, 1, Local)
+	iu.bufferWrite(flit{typ: BodyFlit}, 1, Local)
 }
 
 func TestBufferOverflowPanics(t *testing.T) {
 	cfg := unitConfig()
 	cfg.BufferDepth = 2
 	_, iu, _ := mkChannel(t, cfg, nil)
-	iu.bufferWrite(&Flit{Type: HeadFlit, Len: 4, VC: 0}, 1, Local)
-	iu.bufferWrite(&Flit{Type: BodyFlit, Len: 4, VC: 0}, 2, Local)
+	iu.bufferWrite(flit{typ: HeadFlit}, 1, Local)
+	iu.bufferWrite(flit{typ: BodyFlit}, 2, Local)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("buffer overflow did not panic")
 		}
 	}()
-	iu.bufferWrite(&Flit{Type: BodyFlit, Len: 4, VC: 0}, 3, Local)
+	iu.bufferWrite(flit{typ: BodyFlit}, 3, Local)
 }
 
 func TestCreditOverflowPanics(t *testing.T) {

@@ -72,8 +72,9 @@ func (s Spec) Validate() error {
 		if s.Gen.Rate < 0 {
 			add("gen.rate", "injection rate must be non-negative, got %v", s.Gen.Rate)
 		}
-		if s.Gen.PacketLen < 1 {
-			add("gen.packet_len", "packet length must be at least 1 flit, got %d", s.Gen.PacketLen)
+		if s.Gen.PacketLen < 1 || s.Gen.PacketLen > noc.MaxPacketLen {
+			add("gen.packet_len", "packet length must be 1 to %d flits, got %d",
+				noc.MaxPacketLen, s.Gen.PacketLen)
 		}
 		if s.Gen.VNet < 0 || s.Gen.VNet >= s.Net.VNets {
 			add("gen.vnet", "vnet %d outside the %d virtual networks", s.Gen.VNet, s.Net.VNets)

@@ -156,3 +156,19 @@ func TestRunJobValidatesAndReportsCached(t *testing.T) {
 		t.Errorf("Record fired %d times, want 1", calls)
 	}
 }
+
+// TestValidatePacketLenBound pins the packet-length ceiling: a flit
+// numbers its position in 16 bits, so noc.MaxPacketLen (65 535) flits
+// validate and one more is a gen.packet_len error.
+func TestValidatePacketLenBound(t *testing.T) {
+	s := quickSpec()
+	s.Gen.PacketLen = 65535
+	if err := s.Validate(); err != nil {
+		t.Fatalf("65535-flit packets rejected: %v", err)
+	}
+	s.Gen.PacketLen = 65536
+	errs, ok := s.Validate().(SpecErrors)
+	if !ok || len(errs) != 1 || errs[0].Field != "gen.packet_len" {
+		t.Fatalf("65536-flit packets: got %v, want one gen.packet_len error", s.Validate())
+	}
+}

@@ -58,8 +58,9 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 			&e.Cycle, &e.Src, &e.Dst, &e.VNet, &e.Len); err != nil {
 			return nil, fmt.Errorf("traffic: trace line %d: %v", lineNo, err)
 		}
-		if e.Len < 1 {
-			return nil, fmt.Errorf("traffic: trace line %d: packet length %d", lineNo, e.Len)
+		if e.Len < 1 || e.Len > noc.MaxPacketLen {
+			return nil, fmt.Errorf("traffic: trace line %d: packet length %d outside [1, %d]",
+				lineNo, e.Len, noc.MaxPacketLen)
 		}
 		events = append(events, e)
 	}

@@ -293,11 +293,19 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	for _, s := range []string{
 		"1 2 3", // too few fields
 		"a b c d e",
-		"1 0 1 0 0", // zero length
+		"1 0 1 0 0",     // zero length
+		"1 0 1 0 65536", // beyond noc.MaxPacketLen
 	} {
 		if _, err := ReadTrace(strings.NewReader(s)); err == nil {
 			t.Errorf("garbage %q accepted", s)
 		}
+	}
+}
+
+func TestReadTraceAcceptsMaxPacketLen(t *testing.T) {
+	got, err := ReadTrace(strings.NewReader("1 0 1 0 65535\n"))
+	if err != nil || len(got) != 1 || got[0].Len != 65535 {
+		t.Fatalf("65535-flit trace line: got %+v, %v", got, err)
 	}
 }
 
