@@ -20,22 +20,25 @@ const (
 // 1) and deep quiescence.
 var spanBuckets = []uint64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
-// trackerMetrics are the per-tracker handles into the process registry;
-// all nil when instrumentation is disabled.
-type trackerMetrics struct {
+// SpanMetrics mirrors span flushes into the process metrics registry.
+// Trackers carry no handles of their own: the owner of a population of
+// devices (a network) resolves one SpanMetrics when it is built and
+// reports each span it charges to a tracker. The zero value (all-nil
+// handles, as when instrumentation is disabled) is a no-op.
+type SpanMetrics struct {
 	stressSpans   *metrics.Counter
 	recoverySpans *metrics.Counter
 	spanLen       *metrics.Histogram
 }
 
-// newTrackerMetrics resolves the span instruments from the process
-// default registry.
-func newTrackerMetrics() trackerMetrics {
+// NewSpanMetrics resolves the span instruments from the process default
+// registry.
+func NewSpanMetrics() SpanMetrics {
 	r := metrics.Default()
 	if r == nil {
-		return trackerMetrics{}
+		return SpanMetrics{}
 	}
-	return trackerMetrics{
+	return SpanMetrics{
 		stressSpans: r.Counter(MetricStressSpans,
 			"Flushed stress spans (powered intervals batched into one charge)."),
 		recoverySpans: r.Counter(MetricRecoverySpans,
@@ -43,4 +46,17 @@ func newTrackerMetrics() trackerMetrics {
 		spanLen: r.Histogram(MetricSpanCycles,
 			"Length in cycles of flushed stress/recovery spans.", spanBuckets),
 	}
+}
+
+// Stress records one stress span of n cycles (a Tracker.Stress charge).
+func (m *SpanMetrics) Stress(n uint64) {
+	m.stressSpans.Inc()
+	m.spanLen.Observe(n)
+}
+
+// Recover records one recovery span of n cycles (a Tracker.Recover
+// charge).
+func (m *SpanMetrics) Recover(n uint64) {
+	m.recoverySpans.Inc()
+	m.spanLen.Observe(n)
 }

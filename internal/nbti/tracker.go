@@ -16,10 +16,6 @@ type StressTracker struct {
 	// actually held at least one flit; it is diagnostic only and does not
 	// enter the duty-cycle.
 	busy uint64
-	// met mirrors span flushes into the process metrics registry,
-	// resolved when the tracker's Device is built; zero (all-nil
-	// handles) when instrumentation is disabled.
-	met trackerMetrics
 }
 
 // Stress records n powered cycles, of which busy held at least one flit.
@@ -30,15 +26,11 @@ func (t *StressTracker) Stress(n, busy uint64) {
 	}
 	t.stress += n
 	t.busy += busy
-	t.met.stressSpans.Inc()
-	t.met.spanLen.Observe(n)
 }
 
 // Recover records n power-gated cycles.
 func (t *StressTracker) Recover(n uint64) {
 	t.recovery += n
-	t.met.recoverySpans.Inc()
-	t.met.spanLen.Observe(n)
 }
 
 // StressCycles returns the accumulated stress cycle count.
@@ -67,9 +59,7 @@ func (t *StressTracker) DutyCycle() float64 {
 // DutyCycle()/100, suitable for Params.DeltaVth.
 func (t *StressTracker) Alpha() float64 { return t.DutyCycle() / 100 }
 
-// Reset clears all counters, e.g. at the end of a warm-up window. The
-// registry handles survive the reset: a warm-up boundary clears the
-// physics history, not the run's observability stream.
+// Reset clears all counters, e.g. at the end of a warm-up window.
 func (t *StressTracker) Reset() { t.stress, t.recovery, t.busy = 0, 0, 0 }
 
 // Merge adds the counters of other into t.
@@ -80,44 +70,29 @@ func (t *StressTracker) Merge(other *StressTracker) {
 }
 
 // Device couples a stress history with an initial threshold voltage (from
-// process variation) and a model parameter set, yielding the absolute
-// threshold voltage used by sensors to rank degradation.
+// process variation), yielding, under a model parameter set, the
+// absolute threshold voltage used by sensors to rank degradation. It is
+// plain data (32 bytes, no pointers), so an owner of many devices keeps
+// them in one flat slice the garbage collector never scans; the model
+// parameters, which every device of a network shares, are passed in by
+// the reader.
 type Device struct {
 	// Vth0 is this device's own initial threshold voltage magnitude,
 	// sampled from the process-variation distribution.
 	Vth0 float64
 	// Tracker accumulates the device's stress history.
 	Tracker StressTracker
-	// Model points at the technology parameters used for ΔVth
-	// extraction, which every device of a network shares.
-	Model *Params
 }
 
-// NewDevice returns a Device with the given initial Vth and its own
-// copy of model.
-func NewDevice(vth0 float64, model Params) *Device {
-	d := &Device{}
-	d.Init(vth0, &model)
-	return d
+// DeltaVth returns the device's accumulated threshold shift under model
+// p, assuming its observed duty-cycle has been sustained for wallclock
+// seconds.
+func (d *Device) DeltaVth(p *Params, wallclock float64) float64 {
+	return p.DeltaVth(d.Tracker.Alpha(), wallclock)
 }
 
-// Init initialises the device in place with the given initial Vth and
-// model — the constructor for devices living in caller-owned arenas.
-// model is shared, not copied, so it must outlive the device and stay
-// unchanged.
-func (d *Device) Init(vth0 float64, model *Params) {
-	*d = Device{Vth0: vth0, Model: model}
-	d.Tracker.met = newTrackerMetrics()
-}
-
-// DeltaVth returns the device's accumulated threshold shift assuming its
-// observed duty-cycle has been sustained for wallclock seconds.
-func (d *Device) DeltaVth(wallclock float64) float64 {
-	return d.Model.DeltaVth(d.Tracker.Alpha(), wallclock)
-}
-
-// Vth returns the device's absolute threshold voltage magnitude after
-// wallclock seconds: Vth0 + ΔVth.
-func (d *Device) Vth(wallclock float64) float64 {
-	return d.Vth0 + d.DeltaVth(wallclock)
+// Vth returns the device's absolute threshold voltage magnitude under
+// model p after wallclock seconds: Vth0 + ΔVth.
+func (d *Device) Vth(p *Params, wallclock float64) float64 {
+	return d.Vth0 + d.DeltaVth(p, wallclock)
 }

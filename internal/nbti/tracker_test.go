@@ -90,15 +90,15 @@ func TestQuickDutyCycleBounds(t *testing.T) {
 
 func TestDeviceVthAccumulates(t *testing.T) {
 	p := Default45nm()
-	d := NewDevice(0.185, p)
+	d := Device{Vth0: 0.185}
 	d.Tracker.Stress(80, 40)
 	d.Tracker.Recover(20)
 	const wall = 3 * SecondsPerYear
 	wantShift := p.DeltaVth(0.8, wall)
-	if got := d.DeltaVth(wall); math.Abs(got-wantShift) > 1e-12 {
+	if got := d.DeltaVth(&p, wall); math.Abs(got-wantShift) > 1e-12 {
 		t.Errorf("device ΔVth = %v, want %v", got, wantShift)
 	}
-	if got := d.Vth(wall); math.Abs(got-(0.185+wantShift)) > 1e-12 {
+	if got := d.Vth(&p, wall); math.Abs(got-(0.185+wantShift)) > 1e-12 {
 		t.Errorf("device Vth = %v, want %v", got, 0.185+wantShift)
 	}
 }
@@ -107,15 +107,15 @@ func TestDeviceRankingFollowsDutyCycle(t *testing.T) {
 	// Two identical devices; the one with higher duty-cycle must show the
 	// higher Vth after any positive wallclock time.
 	p := Default45nm()
-	lo := NewDevice(0.180, p)
-	hi := NewDevice(0.180, p)
+	lo := Device{Vth0: 0.180}
+	hi := Device{Vth0: 0.180}
 	lo.Tracker.Stress(20, 10)
 	lo.Tracker.Recover(80)
 	hi.Tracker.Stress(90, 10)
 	hi.Tracker.Recover(10)
-	if !(hi.Vth(SecondsPerYear) > lo.Vth(SecondsPerYear)) {
+	if !(hi.Vth(&p, SecondsPerYear) > lo.Vth(&p, SecondsPerYear)) {
 		t.Errorf("ranking violated: hi=%v lo=%v",
-			hi.Vth(SecondsPerYear), lo.Vth(SecondsPerYear))
+			hi.Vth(&p, SecondsPerYear), lo.Vth(&p, SecondsPerYear))
 	}
 }
 
@@ -123,13 +123,13 @@ func TestDeviceVth0DominatesEarly(t *testing.T) {
 	// Process variation: with equal duty-cycles the higher-Vth0 device
 	// stays the most degraded, as the paper's MD VC selection assumes.
 	p := Default45nm()
-	a := NewDevice(0.190, p)
-	b := NewDevice(0.175, p)
+	a := &Device{Vth0: 0.190}
+	b := &Device{Vth0: 0.175}
 	for _, d := range []*Device{a, b} {
 		d.Tracker.Stress(50, 25)
 		d.Tracker.Recover(50)
 	}
-	if !(a.Vth(SecondsPerYear) > b.Vth(SecondsPerYear)) {
+	if !(a.Vth(&p, SecondsPerYear) > b.Vth(&p, SecondsPerYear)) {
 		t.Error("higher Vth0 device is not the most degraded")
 	}
 }

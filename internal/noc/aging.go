@@ -46,8 +46,8 @@ func (n *Network) AgingSnapshot() AgingState {
 			if iu == nil {
 				continue
 			}
-			for vc := range iu.vcs {
-				d := iu.vcs[vc].device
+			for vc := range iu.devs {
+				d := &iu.devs[vc]
 				st.VCs = append(st.VCs, VCAging{
 					Node:     int(r.id),
 					Port:     p.String(),
@@ -97,11 +97,13 @@ func (n *Network) RestoreAging(st AgingState) error {
 			return fmt.Errorf("noc: snapshot busy %d > stress %d at node %d port %s vc %d",
 				rec.Busy, rec.Stress, rec.Node, rec.Port, rec.VC)
 		}
-		d := iu.vcs[rec.VC].device
+		d := &iu.devs[rec.VC]
 		d.Vth0 = rec.Vth0
 		d.Tracker.Reset()
 		d.Tracker.Stress(rec.Stress, rec.Busy)
 		d.Tracker.Recover(rec.Recovery)
+		n.unitMet.spans.Stress(rec.Stress)
+		n.unitMet.spans.Recover(rec.Recovery)
 		iu.vcs[rec.VC].acc = n.cycle
 	}
 	return nil

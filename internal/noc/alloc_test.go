@@ -10,8 +10,9 @@ import (
 )
 
 // maxNewBytes bounds the heap bytes of a 32×32 sensor-wise noc.New:
-// the 13.13 MB measured with 8-byte flit handles, plus 10%.
-const maxNewBytes = 14_440_000
+// the 9.92 MB measured with pointer-free 32-byte VC buffers and NBTI
+// devices and sensor banks reading the device arena, plus 10%.
+const maxNewBytes = 10_910_000
 
 // TestNewAllocations pins construction's heap allocations: every
 // per-unit slice is carved from a network-wide arena and a stateless

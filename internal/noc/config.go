@@ -142,9 +142,3 @@ func (c Config) Nodes() int { return c.Width * c.Height }
 
 // TotalVCs returns the number of VCs per input port across all vnets.
 func (c Config) TotalVCs() int { return c.VNets * c.VCsPerVNet }
-
-// vcIndex flattens (vnet, vc-in-vnet) into a port-local VC index. The
-// pointer receiver matters: all callers hold *Config, and a value
-// receiver would copy the whole Config per call — this is the hottest
-// helper of the cycle engine's inner loops.
-func (c *Config) vcIndex(vnet, vc int) int { return vnet*c.VCsPerVNet + vc }

@@ -44,8 +44,8 @@ func CheckPacketTable(n *Network) (int, error) {
 		}
 		for v := range iu.vcs {
 			b := &iu.vcs[v]
-			for k := 0; k < int(b.size); k++ {
-				held[b.fifo[(int(b.head)+k)%len(b.fifo)].pkt] = true
+			for k := int32(0); k < b.size; k++ {
+				held[iu.fifo[iu.slot(v, (b.head+k)%iu.depth)].pkt] = true
 			}
 		}
 	}

@@ -160,24 +160,6 @@ type Packet struct {
 	InjectCycle uint64
 }
 
-// Flits expands the packet into its flit sequence.
-func (p Packet) Flits() []Flit {
-	out := make([]Flit, p.Len)
-	for i := range out {
-		out[i] = Flit{
-			PacketID:    p.ID,
-			Src:         p.Src,
-			Dst:         p.Dst,
-			VNet:        int32(p.VNet),
-			Type:        flitType(i, p.Len),
-			Seq:         int32(i),
-			Len:         int32(p.Len),
-			InjectCycle: p.InjectCycle,
-		}
-	}
-	return out
-}
-
 // flitType returns the position type of flit seq in a packet of n flits.
 func flitType(seq, n int) FlitType {
 	switch {

@@ -10,67 +10,75 @@ import (
 	"nbtinoc/internal/sensor"
 )
 
-// vcBuffer is one virtual-channel buffer of an input unit: a flit FIFO
-// plus allocation state and the NBTI device model of its critical PMOS
-// network. Power state lives in the owning InputUnit's poweredMask, so
-// the buffer itself stays a compact, arena-friendly record.
+// vcBuffer is the allocation and accounting state of one
+// virtual-channel buffer of an input unit. It is plain data (32 bytes,
+// no pointers): the VC's flit ring and NBTI device are found by index
+// in the owning InputUnit's fifo and devs windows, and its power state
+// lives in the unit's poweredMask, so the network's buffer arena is a
+// span the garbage collector never scans.
 type vcBuffer struct {
-	//nbtilint:arena
-	fifo []flit
-	head int32
-	size int32
-	// lastArrive is the cycle of the latest buffer write (BW). With the
-	// buffer size it tells whether the head flit has finished BW (see
-	// headReady), so a buffered flit carries no arrival cycle and the
-	// VA/SA sweeps never dereference the FIFO slot.
-	lastArrive uint64
-	// outVC is the downstream VC allocated by this router's VA for the
-	// resident packet's next hop; -1 while unallocated or not needed
-	// (ejection).
-	outVC int32
-	state VCState
-	// outPort is the output port computed by RC for the resident packet.
-	outPort Port
 	// acc is the last cycle whose stress/recovery has been charged to
 	// the device tracker. Accounting is span-batched: between state
 	// transitions the (powered, busy) pair is constant, so the whole
 	// span [acc+1, transition cycle-1] is charged in one call at the
 	// moment the state changes (and on demand at read points).
 	acc uint64
-	// device accumulates the buffer's NBTI stress history. It points
-	// into the network's flat device arena (or a private slice for
-	// standalone units).
-	device *nbti.Device
+	// lastArrive is the cycle of the latest buffer write (BW). With the
+	// buffer size it tells whether the head flit has finished BW (see
+	// headReady), so a buffered flit carries no arrival cycle and the
+	// VA/SA sweeps never dereference the FIFO slot.
+	lastArrive uint64
+	// head and size locate the buffered flits in the VC's ring.
+	head, size int32
+	// outVC is the downstream VC allocated by this router's VA for the
+	// resident packet's next hop; -1 while unallocated or not needed
+	// (ejection).
+	outVC int32
+	state VCState
+	// outPort is the output port computed by RC for the resident packet
+	// (a Port, stored narrow; see route).
+	outPort uint8
 }
 
-func (b *vcBuffer) len() int    { return int(b.size) }
-func (b *vcBuffer) empty() bool { return b.size == 0 }
-func (b *vcBuffer) full() bool  { return int(b.size) == len(b.fifo) }
+// route returns the output port computed by RC.
+func (b *vcBuffer) route() Port { return Port(b.outPort) }
 
-func (b *vcBuffer) push(f flit) {
-	if b.full() {
+func (b *vcBuffer) len() int { return int(b.size) }
+
+// slot returns the FIFO-window index of position pos of VC vc's ring:
+// each VC owns depth consecutive slots, in VC order.
+func (iu *InputUnit) slot(vc int, pos int32) int {
+	return flatIndex(vc, int(iu.depth), int(pos))
+}
+
+func (iu *InputUnit) push(vc int, f flit) {
+	b := &iu.vcs[vc]
+	if b.size == iu.depth {
 		panic("noc: VC buffer overflow (credit protocol violated)")
 	}
-	idx := b.head + b.size
-	if int(idx) >= len(b.fifo) {
-		idx -= int32(len(b.fifo))
+	pos := b.head + b.size
+	if pos >= iu.depth {
+		pos -= iu.depth
 	}
-	b.fifo[idx] = f
+	iu.fifo[iu.slot(vc, pos)] = f
 	b.size++
 }
 
-func (b *vcBuffer) peek() flit {
-	if b.empty() {
+// peek returns the head flit of VC vc.
+func (iu *InputUnit) peek(vc int) flit {
+	b := &iu.vcs[vc]
+	if b.size == 0 {
 		panic("noc: peek on empty VC buffer")
 	}
-	return b.fifo[b.head]
+	return iu.fifo[iu.slot(vc, b.head)]
 }
 
-// pop removes and returns the head flit.
-func (b *vcBuffer) pop() flit {
-	f := b.peek()
+// pop removes and returns the head flit of VC vc.
+func (iu *InputUnit) pop(vc int) flit {
+	f := iu.peek(vc)
+	b := &iu.vcs[vc]
 	b.head++
-	if int(b.head) == len(b.fifo) {
+	if b.head == iu.depth {
 		b.head = 0
 	}
 	b.size--
@@ -89,6 +97,14 @@ type InputUnit struct {
 	cfg   *Config
 	//nbtilint:arena
 	vcs []vcBuffer
+	// fifo holds the VCs' flit rings, depth slots each in VC order;
+	// devs holds the VCs' NBTI devices (their critical PMOS networks).
+	// Both are windows of the network's flat arenas (or private slices
+	// for standalone units).
+	//nbtilint:arena
+	fifo []flit
+	//nbtilint:arena
+	devs []nbti.Device
 	// flitIn is the inbound flit pipeline. The receiving end of every
 	// channel is embedded in its reader so the per-cycle receive pass
 	// touches only unit-resident cache lines; the upstream holds a
@@ -125,6 +141,8 @@ type InputUnit struct {
 	// mask ticked to a new value or a VC left the active state. While
 	// clear, applyPower is a provable no-op and returns immediately.
 	pwrDirty bool
+	// depth is the flit capacity of each VC buffer.
+	depth int32
 	// occPorts/pendPorts/actPorts point at the owning router's
 	// port-summary masks (nil for NI ejection units and standalone test
 	// units); portBit is this unit's bit. The unit keeps each summary
@@ -149,9 +167,23 @@ type InputUnit struct {
 	// when this unit emits something the upstream must observe (a
 	// credit, a changed Down_Up value); the zero waker outside a network.
 	wakeUp waker
-	// mCredits mirrors credit returns into the process metrics registry;
-	// nil when instrumentation is disabled.
-	mCredits *metrics.Counter
+	// met points at the network's instruments for credit returns and
+	// NBTI span flushes; all-nil handles when instrumentation is
+	// disabled.
+	met *unitMetrics
+}
+
+// unitMetrics are the input-unit instruments, resolved once per network
+// and shared by all of its input units.
+type unitMetrics struct {
+	credits *metrics.Counter
+	spans   nbti.SpanMetrics
+}
+
+// newUnitMetrics resolves the input-unit instruments from the process
+// default registry.
+func newUnitMetrics() unitMetrics {
+	return unitMetrics{credits: creditsReturnedCounter(), spans: nbti.NewSpanMetrics()}
 }
 
 // initInputUnit initialises the zero input unit iu in place over
@@ -159,25 +191,25 @@ type InputUnit struct {
 // (TotalVCs*depth flits) and devs (TotalVCs devices), all typically
 // subslices of the network's flat arenas, plus the flit pipeline's slot
 // ring carved from st. vth0 supplies the per-VC initial threshold
-// voltages.
+// voltages; met the shared instruments.
 func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []vcBuffer, fifo []flit, devs []nbti.Device, depth int, vth0 []float64, st *unitStore) {
+	vcs []vcBuffer, fifo []flit, devs []nbti.Device, depth int, vth0 []float64,
+	met *unitMetrics, st *unitStore) {
 	total := cfg.TotalVCs()
 	if len(vth0) != total {
 		panic(fmt.Sprintf("noc: %d Vth0 samples for %d VCs", len(vth0), total))
 	}
-	iu.owner, iu.port, iu.cfg = owner, port, cfg
+	iu.owner, iu.port, iu.cfg, iu.met = owner, port, cfg, met
 	iu.vcs = vcs[:total:total]
+	iu.fifo = window(fifo, 0, total*depth)
+	iu.devs = devs[:total:total]
+	iu.depth = int32(depth)
 	iu.vcAll = vcAllMask(total)
 	iu.power = powerLink{cur: ^uint64(0), next: ^uint64(0)}
-	iu.mCredits = creditsReturnedCounter()
 	iu.flitIn.slots = take(&st.flitSlots, cfg.LinkLatency+cfg.PhitsPerFlit-1)
 	for i := range iu.vcs {
-		devs[i].Init(vth0[i], &cfg.NBTI)
-		b := &iu.vcs[i]
-		b.fifo = window(fifo, i, depth)
-		b.outVC = -1
-		b.device = &devs[i]
+		iu.devs[i] = nbti.Device{Vth0: vth0[i]}
+		iu.vcs[i].outVC = -1
 	}
 	iu.poweredMask = iu.vcAll
 	iu.pwrDirty = true
@@ -188,9 +220,10 @@ func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
 func newInputUnit(owner NodeID, port Port, cfg *Config, depth int, vth0 []float64) *InputUnit {
 	total := cfg.TotalVCs()
 	iu := &InputUnit{}
+	met := newUnitMetrics()
 	initInputUnit(iu, owner, port, cfg,
 		make([]vcBuffer, total), make([]flit, total*depth), make([]nbti.Device, total),
-		depth, vth0, &unitStore{})
+		depth, vth0, &met, &unitStore{})
 	return iu
 }
 
@@ -214,45 +247,38 @@ func (iu *InputUnit) flushVC(vc int, upTo uint64) {
 	}
 	n := upTo - b.acc
 	b.acc = upTo
+	tr := &iu.devs[vc].Tracker
 	if iu.poweredMask>>uint(vc)&1 != 0 {
 		busy := uint64(0)
 		if b.size > 0 {
 			busy = n
 		}
-		b.device.Tracker.Stress(n, busy)
+		tr.Stress(n, busy)
+		iu.met.spans.Stress(n)
 	} else {
-		b.device.Tracker.Recover(n)
+		tr.Recover(n)
+		iu.met.spans.Recover(n)
 	}
 }
 
 // attachSensors instantiates one sensor bank per vnet over the unit's
-// devices, carving banks, sensors and noise sources from st. With read
+// device window, carving banks and noise sources from st. With read
 // noise each bank splits one source off src and each of its sensors one
 // off that (src may be nil for noiseless configs).
 func (iu *InputUnit) attachSensors(cfg *sensor.Config, st *unitStore, src *rng.Source) error {
-	noisy := cfg.NoiseSigma > 0
+	per := iu.cfg.VCsPerVNet
 	iu.banks = take(&st.banks, iu.cfg.VNets)
 	for vn := range iu.banks {
-		var bankSrc rng.Source
-		if noisy {
-			src.SplitInto(&bankSrc)
-		}
-		sensors := take(&st.sensors, iu.cfg.VCsPerVNet)
 		var noise []rng.Source
-		if noisy {
-			noise = take(&st.noise, len(sensors))
-		}
-		for i := range sensors {
-			var sensorSrc *rng.Source
-			if noisy {
-				sensorSrc = &noise[i]
-				bankSrc.SplitInto(sensorSrc)
-			}
-			if err := sensors[i].Init(iu.vcs[iu.cfg.vcIndex(vn, i)].device, cfg, sensorSrc); err != nil {
-				return err
+		if cfg.NoiseSigma > 0 {
+			var bankSrc rng.Source
+			src.SplitInto(&bankSrc)
+			noise = take(&st.noise, per)
+			for i := range noise {
+				bankSrc.SplitInto(&noise[i])
 			}
 		}
-		if err := iu.banks[vn].Init(sensors, *cfg); err != nil {
+		if err := iu.banks[vn].Init(window(iu.devs, vn, per), noise, &iu.cfg.NBTI, cfg); err != nil {
 			return err
 		}
 	}
@@ -274,7 +300,7 @@ func (iu *InputUnit) Device(vc int) *nbti.Device {
 	if iu.clk != nil {
 		iu.flushVC(vc, *iu.clk)
 	}
-	return iu.vcs[vc].device
+	return &iu.devs[vc]
 }
 
 // Powered reports the current power state of flattened VC vc.
@@ -308,7 +334,7 @@ func (iu *InputUnit) bufferWrite(f flit, cycle uint64, route Port) {
 				f.vc, iu.owner, iu.port))
 		}
 		vc.state = VCActive
-		vc.outPort = route
+		vc.outPort = uint8(route)
 		vc.outVC = -1
 		iu.vaPendMask |= bit
 		iu.activeMask |= bit
@@ -327,7 +353,7 @@ func (iu *InputUnit) bufferWrite(f flit, cycle uint64, route Port) {
 			*iu.occPorts |= iu.portBit
 		}
 	}
-	vc.push(f)
+	iu.push(int(f.vc), f)
 	vc.lastArrive = cycle
 	iu.writes++
 }
@@ -346,7 +372,7 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
 			*iu.occPorts &^= iu.portBit
 		}
 	}
-	f := b.pop()
+	f := iu.pop(vc)
 	iu.reads++
 	if f.typ.IsTail() {
 		if b.outVC == -1 {
@@ -373,7 +399,7 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
 	if iu.upCred != nil {
 		*iu.upCred |= iu.upBit
 	}
-	iu.mCredits.Inc()
+	iu.met.credits.Inc()
 	iu.wakeUp.wake()
 	return f
 }

@@ -46,6 +46,8 @@ type Network struct {
 	iunits []InputUnit
 	//nbtilint:arena
 	ounits []OutputUnit
+	// The per-VC arenas hold pointer-free records, so the garbage
+	// collector allocates them as no-scan spans and never walks them.
 	//nbtilint:arena
 	vcbufs []vcBuffer
 	//nbtilint:arena
@@ -103,9 +105,15 @@ type Network struct {
 	deliverHook func(f Flit, cycle uint64)
 	// tracer, when set, receives flit-level pipeline events.
 	tracer Tracer
-	// met holds the observability handles resolved at construction;
-	// all-nil (one branch per site) when instrumentation is disabled.
-	met netMetrics
+	// met and unitMet hold the observability handles resolved at
+	// construction (unitMet is shared by every input unit); all-nil (one
+	// branch per site) when instrumentation is disabled.
+	met     netMetrics
+	unitMet unitMetrics
+	// latency is the full-latency (queue entry to tail ejection)
+	// histogram of the packets ejected since the last traffic-stats
+	// reset, across all NIs.
+	latency LatencyHistogram
 	// ffCycles counts cycles covered by RunUntil bulk jumps instead of
 	// executed Steps (always maintained; the registry counter mirrors it
 	// when instrumentation is on).
@@ -146,7 +154,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.TotalVCs() > 64 {
 		return nil, fmt.Errorf("noc: %d VCs per port exceeds the 64-bit power mask", cfg.TotalVCs())
 	}
-	n := &Network{cfg: cfg, met: newNetMetrics()}
+	n := &Network{cfg: cfg, met: newNetMetrics(), unitMet: newUnitMetrics()}
 	nodes := cfg.Nodes()
 	total := cfg.TotalVCs()
 	n.vmap = pv.SampleNetwork(cfg.PV, cfg.PVSeed, nodes, unitSlots, total)
@@ -291,10 +299,10 @@ func New(cfg Config) (*Network, error) {
 // unitStore is the construction-time backing of every per-unit slice
 // outside the packed hot-state arenas: policy instances, allocation
 // pointers, Down_Up link values, link pipeline slot rings, VA arbiters,
-// source queues and sensor banks. New sizes it once for the whole
-// network, so wiring carves each unit's windows with take instead of
-// allocating them; the zero store (standalone test units) allocates per
-// slice.
+// source queues, sensor banks and their noise sources. New sizes it
+// once for the whole network, so wiring carves each unit's windows with
+// take instead of allocating them; the zero store (standalone test
+// units) allocates per slice.
 type unitStore struct {
 	policies    []Policy
 	ints        []int
@@ -303,7 +311,6 @@ type unitStore struct {
 	arbs        []RoundRobin
 	queues      [][]Packet
 	banks       []sensor.Bank
-	sensors     []sensor.Sensor
 	noise       []rng.Source
 }
 
@@ -321,7 +328,6 @@ func newUnitStore(cfg *Config, nodes int) *unitStore {
 		arbs:        make([]RoundRobin, nodes*int(NumPorts)*vnets),
 		queues:      make([][]Packet, nodes*vnets),
 		banks:       make([]sensor.Bank, slots*vnets),
-		sensors:     make([]sensor.Sensor, slots*total),
 	}
 	if cfg.Sensor.NoiseSigma > 0 {
 		st.noise = make([]rng.Source, slots*total)
@@ -398,7 +404,7 @@ func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth
 	iu := &n.iunits[u]
 	initInputUnit(iu, owner, port, &n.cfg,
 		window(n.vcbufs, u, total), n.fifoOf(node, slot),
-		window(n.devices, u, total), depth, vth0, st)
+		window(n.devices, u, total), depth, vth0, &n.unitMet, st)
 	iu.clk = &n.cycle
 	if slot < int(NumPorts) {
 		r := &n.routers[node]
@@ -765,24 +771,13 @@ func (n *Network) flushNBTI() {
 
 // ResetNBTIStats clears all NBTI stress trackers (end of warm-up). Open
 // spans are flushed first so the span origin advances to the current
-// cycle; the flushed charges are then discarded with the rest.
+// cycle; the flushed charges are then discarded with the rest. The
+// device arena holds every router input and NI ejection device (absent
+// edge-port slots are zero), so the reset walks it directly.
 func (n *Network) ResetNBTIStats() {
 	n.flushNBTI()
-	for i := range n.routers {
-		r := &n.routers[i]
-		for p := Port(0); p < NumPorts; p++ {
-			if iu := r.in[p]; iu != nil {
-				for vc := range iu.vcs {
-					iu.vcs[vc].device.Tracker.Reset()
-				}
-			}
-		}
-	}
-	for i := range n.nis {
-		ej := n.nis[i].ej
-		for vc := range ej.vcs {
-			ej.vcs[vc].device.Tracker.Reset()
-		}
+	for i := range n.devices {
+		n.devices[i].Tracker.Reset()
 	}
 }
 
@@ -819,9 +814,9 @@ func (n *Network) Events() EventCounts {
 			if iu := r.in[p]; iu != nil {
 				e.BufferWrites += iu.writes
 				e.BufferReads += iu.reads
-				for vc := range iu.vcs {
-					e.StressCycles += iu.vcs[vc].device.Tracker.StressCycles()
-					e.RecoveryCycles += iu.vcs[vc].device.Tracker.RecoveryCycles()
+				for vc := range iu.devs {
+					e.StressCycles += iu.devs[vc].Tracker.StressCycles()
+					e.RecoveryCycles += iu.devs[vc].Tracker.RecoveryCycles()
 				}
 			}
 			if ou := r.out[p]; ou != nil {
@@ -861,11 +856,13 @@ func (n *Network) ResetEventCounters() {
 	}
 }
 
-// ResetTrafficStats clears all NI traffic statistics.
+// ResetTrafficStats clears all NI traffic statistics and the network's
+// latency histogram.
 func (n *Network) ResetTrafficStats() {
 	for i := range n.nis {
-		n.nis[i].ResetStats()
+		n.nis[i].stats = NIStats{}
 	}
+	n.latency.Reset()
 }
 
 // DutyCycle returns the NBTI-duty-cycle (percent) of a router input VC.
@@ -896,15 +893,9 @@ func (n *Network) Vth0(node NodeID, port Port, vc int) float64 {
 	return n.vmap.At(int(node), int(port), vc)
 }
 
-// LatencyHistogramAll returns the merged full-latency histogram across
-// all NIs.
-func (n *Network) LatencyHistogramAll() LatencyHistogram {
-	var h LatencyHistogram
-	for i := range n.nis {
-		h.Merge(&n.nis[i].stats.Latency)
-	}
-	return h
-}
+// LatencyHistogramAll returns the full-latency histogram of the packets
+// ejected by all NIs since the last traffic-stats reset.
+func (n *Network) LatencyHistogramAll() LatencyHistogram { return n.latency }
 
 // TotalEjectedPackets sums ejected packets across all NIs.
 func (n *Network) TotalEjectedPackets() uint64 {

@@ -22,9 +22,6 @@ type NIStats struct {
 	NetLatencySum uint64
 	// MaxQueueLen is the high-water mark of the source queues.
 	MaxQueueLen int
-	// Latency histograms over ejected packets: full latency (queue entry
-	// to tail ejection) and network-only latency.
-	Latency, NetLatency LatencyHistogram
 }
 
 // AvgLatency returns the mean packet latency in cycles, or 0 when no
@@ -108,9 +105,6 @@ func (ni *NI) ID() NodeID { return ni.id }
 
 // Stats returns a copy of the NI's statistics.
 func (ni *NI) Stats() NIStats { return ni.stats }
-
-// ResetStats clears traffic statistics (used at the end of warm-up).
-func (ni *NI) ResetStats() { ni.stats = NIStats{} }
 
 // Ejection returns the NI's ejection input unit.
 func (ni *NI) Ejection() *InputUnit { return ni.ej }
@@ -196,8 +190,7 @@ func (ni *NI) drainEject(cycle uint64) {
 			ni.stats.EjectedPackets++
 			ni.stats.LatencySum += lat
 			ni.stats.NetLatencySum += netLat
-			ni.stats.Latency.Add(lat)
-			ni.stats.NetLatency.Add(netLat)
+			ni.net.latency.Add(lat)
 			if ni.net.deliverHook != nil {
 				ni.net.deliverHook(ni.net.pkts.export(f), cycle)
 			}

@@ -20,8 +20,9 @@ func (c *flitTracer) Event(cycle uint64, kind EventKind, node NodeID, port Port,
 }
 
 // TestNIFlowEmitsPacketFlits checks that an NI flow launches exactly the
-// packet's flit sequence, Packet.Flits, with NetInjectCycle stamped at
-// the cycle the flow was granted its VC.
+// packet's flit sequence (head, bodies, tail, or one head-tail flit),
+// each carrying the packet's header with NetInjectCycle stamped at the
+// cycle the flow was granted its VC.
 func TestNIFlowEmitsPacketFlits(t *testing.T) {
 	for _, length := range []int{1, 4} {
 		n, err := New(testConfig(2, 1, 2))
@@ -38,16 +39,19 @@ func TestNIFlowEmitsPacketFlits(t *testing.T) {
 		for i := 0; i < 100 && n.TotalEjectedPackets() == 0; i++ {
 			n.Step()
 		}
-		want := Packet{ID: 0, Src: 0, Dst: 1, VNet: 0, Len: length, InjectCycle: inject}.Flits()
-		if len(tr.flits) != len(want) {
-			t.Fatalf("len %d: router wrote %d flits, want %d", length, len(tr.flits), len(want))
+		types := map[int][]FlitType{1: {HeadTailFlit}, 4: {HeadFlit, BodyFlit, BodyFlit, TailFlit}}[length]
+		if len(tr.flits) != len(types) {
+			t.Fatalf("len %d: router wrote %d flits, want %d", length, len(tr.flits), len(types))
 		}
 		for i, got := range tr.flits {
-			want[i].NetInjectCycle = tr.granted
+			want := Flit{
+				PacketID: 0, Src: 0, Dst: 1, VNet: 0, Seq: int32(i), Len: int32(length),
+				Type: types[i], InjectCycle: inject, NetInjectCycle: tr.granted,
+			}
 			// The link rewrites VC per hop.
 			got.VC = 0
-			if got != want[i] {
-				t.Errorf("len %d flit %d = %+v, want %+v", length, i, got, want[i])
+			if got != want {
+				t.Errorf("len %d flit %d = %+v, want %+v", length, i, got, want)
 			}
 		}
 		if tr.granted < inject {

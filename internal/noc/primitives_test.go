@@ -1,9 +1,12 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"nbtinoc/internal/nbti"
 )
 
 func TestPortOpposite(t *testing.T) {
@@ -218,18 +221,22 @@ func TestMDLinkDelay(t *testing.T) {
 	}
 }
 
+// TestFlitExpansion checks the flits an NI flow builds for a 4-flit
+// packet, as the packet table exports them: head, body, body, tail, in
+// sequence, each carrying the packet's header.
 func TestFlitExpansion(t *testing.T) {
-	p := Packet{ID: 9, Src: 1, Dst: 2, VNet: 0, Len: 4, InjectCycle: 100}
-	flits := p.Flits()
-	if len(flits) != 4 {
-		t.Fatalf("len = %d", len(flits))
-	}
+	var tbl packetTable
+	slot := tbl.take(packet{id: 9, src: 1, dst: 2, len: 4, inject: 100, netInject: 103})
+	fl := niFlow{pkt: slot, len: 4}
 	wantTypes := []FlitType{HeadFlit, BodyFlit, BodyFlit, TailFlit}
-	for i, f := range flits {
-		if f.Type != wantTypes[i] {
-			t.Errorf("flit %d type = %v, want %v", i, f.Type, wantTypes[i])
+	for i, want := range wantTypes {
+		f := tbl.export(fl.flit())
+		fl.next++
+		if f.Type != want {
+			t.Errorf("flit %d type = %v, want %v", i, f.Type, want)
 		}
-		if int(f.Seq) != i || f.Len != 4 || f.PacketID != 9 || f.InjectCycle != 100 {
+		if int(f.Seq) != i || f.Len != 4 || f.PacketID != 9 || f.Src != 1 || f.Dst != 2 ||
+			f.InjectCycle != 100 || f.NetInjectCycle != 103 {
 			t.Errorf("flit %d metadata wrong: %+v", i, f)
 		}
 	}
@@ -244,12 +251,60 @@ func TestFlitSize(t *testing.T) {
 	}
 }
 
-func TestSingleFlitPacket(t *testing.T) {
-	flits := Packet{Len: 1}.Flits()
-	if len(flits) != 1 || flits[0].Type != HeadTailFlit {
-		t.Fatalf("single-flit expansion = %+v", flits)
+// TestRecordSizes pins the per-VC records, which a 32×32 mesh holds
+// 24 576 of each: the VC buffer finds its ring and device by index and
+// the device shares its model, so both stay within 32 bytes; the
+// output-side VC record is two 32-bit counters.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"vcBuffer", unsafe.Sizeof(vcBuffer{}), 32},
+		{"nbti.Device", unsafe.Sizeof(nbti.Device{}), 32},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
 	}
-	if !flits[0].Type.IsHead() || !flits[0].Type.IsTail() {
+	if size := unsafe.Sizeof(outVC{}); size != 8 {
+		t.Errorf("outVC is %d bytes, want 8", size)
+	}
+}
+
+// TestArenasPointerFree checks that the records the network keeps in
+// flat arenas hold no pointer, slice, map, channel, function or
+// interface, at any depth: the arenas are then no-scan spans the
+// garbage collector never walks, and a record cannot alias another
+// arena's storage.
+func TestArenasPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	for _, v := range []any{vcBuffer{}, outVC{}, nbti.Device{}, flit{}, niFlow{}, packet{}} {
+		typ := reflect.TypeOf(v)
+		walk(typ.String(), typ)
+	}
+}
+
+func TestSingleFlitPacket(t *testing.T) {
+	f := (&niFlow{len: 1}).flit()
+	if f.typ != HeadTailFlit || f.seq != 0 {
+		t.Fatalf("single-flit flow's flit = %+v", f)
+	}
+	if !f.typ.IsHead() || !f.typ.IsTail() {
 		t.Fatal("head-tail flit must be both head and tail")
 	}
 }

@@ -253,7 +253,7 @@ func (r *Router) stageVA(cycle uint64) {
 			r.vaCands = append(r.vaCands, vaCand{
 				inP:  inP,
 				vc:   vc,
-				outP: iu.vcs[vc].outPort,
+				outP: iu.vcs[vc].route(),
 				vn:   vc / r.cfg.VCsPerVNet,
 				flat: flatIndex(int(inP), total, vc),
 			})
@@ -305,7 +305,7 @@ func (r *Router) stageVA(cycle uint64) {
 		}
 		r.vaGrants++
 		if r.net.tracer != nil {
-			r.net.trace(EvVAGrant, r.id, w.inP, w.vc, r.net.pkts.export(iu.vcs[w.vc].peek()))
+			r.net.trace(EvVAGrant, r.id, w.inP, w.vc, r.net.pkts.export(iu.peek(w.vc)))
 		}
 	}
 }
@@ -329,7 +329,7 @@ func (r *Router) stageSA(cycle uint64) {
 		for m := iu.activeMask &^ iu.vaPendMask & iu.occMask; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			b := &iu.vcs[vc]
-			if iu.headReady(vc, cycle) && r.out[b.outPort].canSend(int(b.outVC), cycle+1) {
+			if iu.headReady(vc, cycle) && r.out[b.route()].canSend(int(b.outVC), cycle+1) {
 				req |= 1 << uint(vc)
 			}
 		}
@@ -352,7 +352,7 @@ func (r *Router) stageSA(cycle uint64) {
 	var outPorts uint64
 	for pm := candPorts; pm != 0; pm &= pm - 1 {
 		inP := Port(bits.TrailingZeros64(pm))
-		outP := r.in[inP].vcs[r.saCand[inP]].outPort
+		outP := r.in[inP].vcs[r.saCand[inP]].route()
 		portReq[outP] |= 1 << uint(inP)
 		outPorts |= 1 << uint(outP)
 	}
@@ -392,7 +392,7 @@ func (r *Router) stagePolicy(cycle uint64) {
 		iu := r.in[bits.TrailingZeros64(pm)]
 		for m := iu.vaPendMask; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
-			p := iu.vcs[vc].outPort
+			p := iu.vcs[vc].route()
 			nt[p] |= 1 << uint(vc/r.cfg.VCsPerVNet)
 			ntPorts |= 1 << uint(p)
 		}

@@ -194,6 +194,11 @@ func TestNetworkLatencyHistogram(t *testing.T) {
 	if got, want := h.Mean(), sum/float64(cnt); got != want {
 		t.Errorf("histogram mean %v != NI mean %v", got, want)
 	}
+	// The histogram is reset with the traffic stats.
+	n.ResetTrafficStats()
+	if h := n.LatencyHistogramAll(); h.Count() != 0 {
+		t.Errorf("histogram kept %d latencies across ResetTrafficStats", h.Count())
+	}
 }
 
 func TestLinkUtilizations(t *testing.T) {

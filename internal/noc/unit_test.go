@@ -214,10 +214,10 @@ func TestPowerMaskPropagationDelay(t *testing.T) {
 	// Span accounting sees one powered cycle (closed by the power
 	// transition) and one gated cycle once flushed.
 	iu.flushNBTI(cycle)
-	if got := iu.vcs[0].device.Tracker.StressCycles(); got != 1 {
+	if got := iu.devs[0].Tracker.StressCycles(); got != 1 {
 		t.Fatalf("stress cycles = %d, want 1", got)
 	}
-	if got := iu.vcs[0].device.Tracker.RecoveryCycles(); got != 1 {
+	if got := iu.devs[0].Tracker.RecoveryCycles(); got != 1 {
 		t.Fatalf("recovery cycles = %d, want 1", got)
 	}
 }
@@ -247,7 +247,7 @@ func TestMDLinkPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force distinct Vth0 values so the comparator has a clear winner.
-	iu.vcs[2].device.Vth0 = 0.25
+	iu.devs[2].Vth0 = 0.25
 	cycle := uint64(1)
 	n.tickChannel(t, ou, iu, cycle)
 	iu.publishMostDegraded(cycle)

@@ -92,153 +92,123 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Sensor measures the threshold voltage of a single device.
-type Sensor struct {
-	dev  *nbti.Device
-	cfg  *Config
-	src  *rng.Source
-	last float64
-	// lastSample is the cycle of the most recent actual measurement;
-	// primed=false until the first read.
-	lastSample uint64
-	primed     bool
-}
-
-// New returns a sensor attached to dev. src supplies read noise and may
-// be nil when NoiseSigma is 0.
-func New(dev *nbti.Device, cfg Config, src *rng.Source) (*Sensor, error) {
-	s := &Sensor{}
-	if err := s.Init(dev, &cfg, src); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init is New in place, for owners that keep their sensors in one flat
-// slice; s must be the zero Sensor. cfg is shared, not copied, so it
-// must outlive the sensor and stay unchanged.
-func (s *Sensor) Init(dev *nbti.Device, cfg *Config, src *rng.Source) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if dev == nil {
-		return errors.New("sensor: nil device")
-	}
-	if cfg.NoiseSigma > 0 && src == nil {
-		return errors.New("sensor: NoiseSigma > 0 requires an rng source")
-	}
-	s.dev, s.cfg, s.src = dev, cfg, src
-	return nil
-}
-
-// Device returns the monitored device.
-func (s *Sensor) Device() *nbti.Device { return s.dev }
-
-// trueVth returns the noiseless quantity the sensor observes.
-func (s *Sensor) trueVth() float64 {
-	if floats.ExactZero(s.cfg.Horizon) {
-		// Horizon is a config field: 0 means "report current Vth", any
-		// projection is set explicitly and never computed.
-		return s.dev.Vth0
-	}
-	return s.dev.Vth(s.cfg.Horizon)
-}
-
-// Read returns the sensor output at the given cycle. A fresh measurement
-// is taken when at least SamplePeriod cycles have elapsed since the last
-// one (and always on the first call); otherwise the held value is
-// returned.
-func (s *Sensor) Read(cycle uint64) float64 {
-	if s.primed && cycle-s.lastSample < s.cfg.SamplePeriod {
-		return s.last
-	}
-	v := s.trueVth()
-	if s.cfg.NoiseSigma > 0 {
-		v += s.src.Norm(0, s.cfg.NoiseSigma)
-	}
-	v = s.quantise(v)
-	s.last = v
-	s.lastSample = cycle
-	s.primed = true
-	return v
-}
-
-// quantise rounds v to the readout's LSB (identity for an ideal
-// readout).
-func (s *Sensor) quantise(v float64) float64 {
-	if s.cfg.LSB > 0 {
-		return math.Round(v/s.cfg.LSB) * s.cfg.LSB
-	}
-	return v
-}
-
-// Bank groups the sensors of one router input port together with the
-// most- and least-degraded comparators.
+// Bank models the sensors of one router input port (or one vnet slice
+// of it) together with the most- and least-degraded comparators. A
+// bank holds no per-sensor records: each sensor is one device of the
+// window the bank reads, and every sensor samples on the bank's clock,
+// so a refresh measures the whole window and the bank keeps only the
+// comparator outputs it held since.
 type Bank struct {
-	sensors []Sensor
-	// md and ld cache the comparator outputs between refreshes.
-	md, ld     int
-	lastUpdate uint64
-	primed     bool
-	period     uint64
+	// devs is the window of devices the bank's sensors read, owned by
+	// the caller (typically a subslice of a network's device arena).
+	devs []nbti.Device
+	// noise holds one read-noise source per device, owned by the
+	// caller; nil for a noiseless config.
+	noise []rng.Source
+	cfg   *Config
+	// model projects a device's stress history into ΔVth when
+	// cfg.Horizon is non-zero.
+	model *nbti.Params
 	// mSamples mirrors actual measurements into the process metrics
 	// registry; nil when instrumentation is disabled.
 	mSamples *metrics.Counter
+	// lastUpdate is the cycle of the last refresh; primed is false
+	// until the first one.
+	lastUpdate uint64
+	// md and ld hold the comparator outputs between refreshes.
+	md, ld int32
+	primed bool
 }
 
-// NewBank builds a bank over the given devices, one sensor each. src is
-// split per sensor so noise streams are independent but reproducible.
-func NewBank(devs []*nbti.Device, cfg Config, src *rng.Source) (*Bank, error) {
-	sensors := make([]Sensor, len(devs))
-	for i, d := range devs {
-		var child *rng.Source
-		if cfg.NoiseSigma > 0 {
-			child = src.Split()
-		}
-		if err := sensors[i].Init(d, &cfg, child); err != nil {
-			return nil, err
+// NewBank builds a bank over devs, one sensor each. src is split per
+// sensor so noise streams are independent but reproducible; it may be
+// nil when NoiseSigma is 0.
+func NewBank(devs []nbti.Device, model *nbti.Params, cfg Config, src *rng.Source) (*Bank, error) {
+	var noise []rng.Source
+	if cfg.NoiseSigma > 0 && src != nil {
+		noise = make([]rng.Source, len(devs))
+		for i := range noise {
+			src.SplitInto(&noise[i])
 		}
 	}
 	b := &Bank{}
-	if err := b.Init(sensors, cfg); err != nil {
+	if err := b.Init(devs, noise, model, &cfg); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// Init makes b the comparator bank over sensors, which the caller has
-// initialised (Sensor.Init) and owns — typically a window of a flat
-// slice holding every bank's sensors. b must be the zero Bank.
-func (b *Bank) Init(sensors []Sensor, cfg Config) error {
-	if len(sensors) == 0 {
-		return errors.New("sensor: empty bank")
+// Init makes b the bank over devs, with noise the per-sensor read-noise
+// sources (one per device when cfg.NoiseSigma > 0, else nil) — typically
+// windows of flat slices holding every bank's devices and sources. b
+// must be the zero Bank. devs, noise, model and cfg are shared, not
+// copied, so they must outlive the bank; cfg and model must stay
+// unchanged.
+func (b *Bank) Init(devs []nbti.Device, noise []rng.Source, model *nbti.Params, cfg *Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	b.sensors = sensors
-	b.period = cfg.SamplePeriod
+	switch {
+	case len(devs) == 0:
+		return errors.New("sensor: empty bank")
+	case cfg.NoiseSigma > 0 && len(noise) != len(devs):
+		return errors.New("sensor: NoiseSigma > 0 requires one rng source per sensor")
+	case cfg.Horizon > 0 && model == nil:
+		return errors.New("sensor: Horizon > 0 requires an NBTI model")
+	}
+	b.devs, b.noise, b.model, b.cfg = devs, noise, model, cfg
 	b.mSamples = SamplesCounter()
 	return nil
 }
 
 // Size returns the number of sensors in the bank.
-func (b *Bank) Size() int { return len(b.sensors) }
+func (b *Bank) Size() int { return len(b.devs) }
 
-// Sensor returns the i-th sensor.
-func (b *Bank) Sensor(i int) *Sensor { return &b.sensors[i] }
+// trueVth returns the noiseless quantity sensor i observes.
+func (b *Bank) trueVth(i int) float64 {
+	d := &b.devs[i]
+	if floats.ExactZero(b.cfg.Horizon) {
+		// Horizon is a config field: 0 means "report current Vth", any
+		// projection is set explicitly and never computed.
+		return d.Vth0
+	}
+	return d.Vth(b.model, b.cfg.Horizon)
+}
+
+// measure takes one reading of sensor i: the observed threshold voltage
+// plus read noise, quantised.
+func (b *Bank) measure(i int) float64 {
+	v := b.trueVth(i)
+	if b.cfg.NoiseSigma > 0 {
+		v += b.noise[i].Norm(0, b.cfg.NoiseSigma)
+	}
+	return b.quantise(v)
+}
+
+// quantise rounds v to the readout's LSB (identity for an ideal
+// readout).
+func (b *Bank) quantise(v float64) float64 {
+	if b.cfg.LSB > 0 {
+		return math.Round(v/b.cfg.LSB) * b.cfg.LSB
+	}
+	return v
+}
 
 // refresh re-evaluates the comparators when the sampling period has
-// elapsed.
+// elapsed (and always on the first call), measuring every sensor in
+// index order.
 func (b *Bank) refresh(cycle uint64) {
-	if b.primed && cycle-b.lastUpdate < b.period {
+	if b.primed && cycle-b.lastUpdate < b.cfg.SamplePeriod {
 		return
 	}
 	e := newExtremes()
-	for i := range b.sensors {
-		e.add(i, b.sensors[i].Read(cycle))
+	for i := range b.devs {
+		e.add(i, b.measure(i))
 	}
-	b.md, b.ld = e.maxI, e.minI
+	b.md, b.ld = int32(e.maxI), int32(e.minI)
 	b.lastUpdate = cycle
 	b.primed = true
-	b.mSamples.Add(uint64(len(b.sensors)))
+	b.mSamples.Add(uint64(len(b.devs)))
 }
 
 // extremes is the comparator pair over one sweep of readings: the first
@@ -261,18 +231,17 @@ func (e *extremes) add(i int, v float64) {
 
 // Held returns the most- and least-degraded outputs of the last refresh
 // without sampling.
-func (b *Bank) Held() (md, ld int) { return b.md, b.ld }
+func (b *Bank) Held() (md, ld int) { return int(b.md), int(b.ld) }
 
 // Evaluate recomputes the comparator outputs from noiseless readings of
 // the devices' current state, touching neither the held outputs, the
-// sampling clocks nor the sample counter. For a static config it is
+// sampling clock nor the sample counter. For a static config it is
 // exactly what the next refresh would produce, which lets an owner
 // holding a static bank verify the hold.
 func (b *Bank) Evaluate() (md, ld int) {
 	e := newExtremes()
-	for i := range b.sensors {
-		s := &b.sensors[i]
-		e.add(i, s.quantise(s.trueVth()))
+	for i := range b.devs {
+		e.add(i, b.quantise(b.trueVth(i)))
 	}
 	return e.maxI, e.minI
 }
@@ -283,7 +252,7 @@ func (b *Bank) Evaluate() (md, ld int) {
 // encoder behaviour).
 func (b *Bank) MostDegraded(cycle uint64) int {
 	b.refresh(cycle)
-	return b.md
+	return int(b.md)
 }
 
 // LeastDegraded returns the index of the VC with the lowest sensor
@@ -291,5 +260,5 @@ func (b *Bank) MostDegraded(cycle uint64) int {
 // extension. Ties resolve to the lowest index.
 func (b *Bank) LeastDegraded(cycle uint64) int {
 	b.refresh(cycle)
-	return b.ld
+	return int(b.ld)
 }

@@ -8,13 +8,25 @@ import (
 	"nbtinoc/internal/rng"
 )
 
-func devices(vth0s ...float64) []*nbti.Device {
-	model := nbti.Default45nm()
-	out := make([]*nbti.Device, len(vth0s))
+var model = nbti.Default45nm()
+
+func devices(vth0s ...float64) []nbti.Device {
+	out := make([]nbti.Device, len(vth0s))
 	for i, v := range vth0s {
-		out[i] = nbti.NewDevice(v, model)
+		out[i].Vth0 = v
 	}
 	return out
+}
+
+// reading returns what a one-sensor bank over a device with initial
+// threshold vth0 measures at its first refresh.
+func reading(t *testing.T, vth0 float64, cfg Config) float64 {
+	t.Helper()
+	b, err := NewBank(devices(vth0), &model, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.measure(0)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -38,38 +50,34 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewRejectsNilDevice(t *testing.T) {
-	if _, err := New(nil, IdealConfig(), nil); err == nil {
-		t.Fatal("nil device accepted")
+	if _, err := NewBank(nil, &model, IdealConfig(), nil); err == nil {
+		t.Fatal("bank over a nil device window accepted")
+	}
+	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
+	if _, err := NewBank(devices(0.18), nil, cfg, nil); err == nil {
+		t.Fatal("projecting bank without an NBTI model accepted")
 	}
 }
 
 func TestNewRequiresRngForNoise(t *testing.T) {
-	d := devices(0.18)[0]
 	cfg := Config{SamplePeriod: 1, NoiseSigma: 1e-3}
-	if _, err := New(d, cfg, nil); err == nil {
+	if _, err := NewBank(devices(0.18), &model, cfg, nil); err == nil {
 		t.Fatal("noisy sensor without rng accepted")
+	}
+	var b Bank
+	if err := b.Init(devices(0.18, 0.18), make([]rng.Source, 1), &model, &cfg); err == nil {
+		t.Fatal("noisy bank with fewer noise sources than sensors accepted")
 	}
 }
 
 func TestIdealSensorReadsVth0(t *testing.T) {
-	d := devices(0.1834)[0]
-	s, err := New(d, IdealConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Read(0); got != 0.1834 {
+	if got := reading(t, 0.1834, IdealConfig()); got != 0.1834 {
 		t.Fatalf("Read = %v, want 0.1834", got)
 	}
 }
 
 func TestQuantisation(t *testing.T) {
-	d := devices(0.18037)[0]
-	cfg := Config{SamplePeriod: 1, LSB: 0.5e-3}
-	s, err := New(d, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.Read(0)
+	got := reading(t, 0.18037, Config{SamplePeriod: 1, LSB: 0.5e-3})
 	want := math.Round(0.18037/0.5e-3) * 0.5e-3
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("quantised read = %v, want %v", got, want)
@@ -79,37 +87,44 @@ func TestQuantisation(t *testing.T) {
 	}
 }
 
+// Between refreshes a bank holds its outputs without measuring: its
+// sensors' noise streams do not advance until the period elapses.
 func TestSamplePeriodHoldsValue(t *testing.T) {
-	d := devices(0.18)[0]
-	cfg := Config{SamplePeriod: 100, NoiseSigma: 2e-3}
-	s, err := New(d, cfg, rng.New(9))
+	b, err := NewBank(devices(0.18, 0.18), &model, Config{SamplePeriod: 100, NoiseSigma: 2e-3}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := s.Read(0)
+	first := b.MostDegraded(0)
+	drawn := append([]rng.Source(nil), b.noise...)
 	for c := uint64(1); c < 100; c++ {
-		if v := s.Read(c); v != first {
-			t.Fatalf("held value changed at cycle %d: %v != %v", c, v, first)
+		if md := b.MostDegraded(c); md != first {
+			t.Fatalf("held output changed at cycle %d: %d != %d", c, md, first)
 		}
 	}
-	// At the sample period a fresh (noisy) measurement is taken; with
-	// σ = 2 mV the chance of exact equality is negligible.
-	if v := s.Read(100); v == first {
-		t.Error("no fresh measurement at sample period")
+	for i := range drawn {
+		if b.noise[i] != drawn[i] {
+			t.Fatalf("sensor %d measured between sample periods", i)
+		}
+	}
+	// At the sample period a fresh (noisy) measurement is taken.
+	b.MostDegraded(100)
+	for i := range drawn {
+		if b.noise[i] == drawn[i] {
+			t.Errorf("sensor %d took no fresh measurement at the sample period", i)
+		}
 	}
 }
 
 func TestHorizonProjectsStressHistory(t *testing.T) {
-	model := nbti.Default45nm()
-	d := nbti.NewDevice(0.180, model)
-	d.Tracker.Stress(90, 45)
-	d.Tracker.Recover(10)
+	devs := devices(0.180)
+	devs[0].Tracker.Stress(90, 45)
+	devs[0].Tracker.Recover(10)
 	cfg := Config{SamplePeriod: 1, Horizon: 3 * nbti.SecondsPerYear}
-	s, err := New(d, cfg, nil)
+	b, err := NewBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.Read(0)
+	got := b.measure(0)
 	want := 0.180 + model.DeltaVth(0.9, 3*nbti.SecondsPerYear)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("horizon read = %v, want %v", got, want)
@@ -118,7 +133,7 @@ func TestHorizonProjectsStressHistory(t *testing.T) {
 
 func TestBankMostDegradedStatic(t *testing.T) {
 	devs := devices(0.178, 0.186, 0.181, 0.179)
-	b, err := NewBank(devs, IdealConfig(), nil)
+	b, err := NewBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func TestBankMostDegradedStatic(t *testing.T) {
 
 func TestBankTieResolvesToLowestIndex(t *testing.T) {
 	devs := devices(0.186, 0.186, 0.181)
-	b, err := NewBank(devs, IdealConfig(), nil)
+	b, err := NewBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +157,7 @@ func TestBankTieResolvesToLowestIndex(t *testing.T) {
 }
 
 func TestBankEmptyRejected(t *testing.T) {
-	if _, err := NewBank(nil, IdealConfig(), nil); err == nil {
+	if _, err := NewBank(nil, &model, IdealConfig(), nil); err == nil {
 		t.Fatal("empty bank accepted")
 	}
 }
@@ -150,7 +165,7 @@ func TestBankEmptyRejected(t *testing.T) {
 func TestBankCachesBetweenPeriods(t *testing.T) {
 	devs := devices(0.180, 0.185)
 	cfg := Config{SamplePeriod: 1000, Horizon: 3 * nbti.SecondsPerYear}
-	b, err := NewBank(devs, cfg, nil)
+	b, err := NewBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +190,7 @@ func TestBankDynamicRankingFollowsDutyCycle(t *testing.T) {
 	// most degraded under a non-zero horizon.
 	devs := devices(0.180, 0.180, 0.180)
 	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
-	b, err := NewBank(devs, cfg, nil)
+	b, err := NewBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +208,7 @@ func TestBankDynamicRankingFollowsDutyCycle(t *testing.T) {
 func TestNoiseIsReproducible(t *testing.T) {
 	mk := func() *Bank {
 		devs := devices(0.180, 0.181)
-		b, err := NewBank(devs, DefaultConfig(), rng.New(42))
+		b, err := NewBank(devs, &model, DefaultConfig(), rng.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +224,7 @@ func TestNoiseIsReproducible(t *testing.T) {
 
 func TestBankLeastDegraded(t *testing.T) {
 	devs := devices(0.182, 0.176, 0.185, 0.179)
-	b, err := NewBank(devs, IdealConfig(), nil)
+	b, err := NewBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,16 +234,12 @@ func TestBankLeastDegraded(t *testing.T) {
 	if got := b.MostDegraded(0); got != 2 {
 		t.Fatalf("MostDegraded = %d, want 2", got)
 	}
-	// Accessors.
-	if b.Sensor(0).Device() != devs[0] {
-		t.Error("Sensor/Device accessors wrong")
-	}
 }
 
 func TestBankLDTracksStress(t *testing.T) {
 	devs := devices(0.180, 0.180)
 	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
-	b, err := NewBank(devs, cfg, nil)
+	b, err := NewBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestBankLDTracksStress(t *testing.T) {
 
 func TestNewBankRejectsBadConfig(t *testing.T) {
 	devs := devices(0.18)
-	if _, err := NewBank(devs, Config{SamplePeriod: 0}, nil); err == nil {
+	if _, err := NewBank(devs, &model, Config{SamplePeriod: 0}, nil); err == nil {
 		t.Fatal("bad config accepted by NewBank")
 	}
 }
@@ -268,7 +279,7 @@ func TestConfigStatic(t *testing.T) {
 // last refresh, Evaluate what a refresh would produce now.
 func TestBankHeldAndEvaluate(t *testing.T) {
 	devs := devices(0.178, 0.186, 0.181, 0.179)
-	b, err := NewBank(devs, Config{SamplePeriod: 10, LSB: 0.5e-3}, nil)
+	b, err := NewBank(devs, &model, Config{SamplePeriod: 10, LSB: 0.5e-3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
