@@ -25,12 +25,17 @@ COVER_MIN ?= 0
 # SERVE_ADDR is where `make serve` binds the simulation daemon.
 SERVE_ADDR ?= 127.0.0.1:8310
 
-.PHONY: all build test test-race test-debug vet lint bench bench-check tables tables-quick examples fuzz cover serve clean clean-cache
+.PHONY: all build test test-race test-debug vet lint loc bench bench-check tables tables-quick examples fuzz cover serve clean clean-cache
 
 all: build vet lint test test-race
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test Go line count of internal/ and cmd/, the one
+# size figure simplicity changes and ROADMAP.md quote.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # nbtilint: custom determinism analyzers (internal/lint) run through
 # go vet's -vettool protocol, so the build system handles package

@@ -85,11 +85,6 @@ func (p *RRNoSensor) DesiredPower(in noc.PolicyInput) uint64 {
 // every cycle and must keep running.
 func (p *RRNoSensor) SteadyWhenIdle() bool { return !p.AssumeTraffic }
 
-// Stateless implements noc.StatelessPolicy: Algorithm 1 derives its
-// rotating candidate from the cycle alone, so one instance serves every
-// output unit.
-func (p *RRNoSensor) Stateless() bool { return true }
-
 // NewRRNoSensor is the noc.PolicyFactory for the cooperative Algorithm 1.
 func NewRRNoSensor() noc.Policy {
 	return &RRNoSensor{RotatePeriod: DefaultRotatePeriod}

@@ -9,11 +9,11 @@ import (
 	"nbtinoc/internal/sensor"
 )
 
-// PolicyFactory builds one recovery-policy instance. Each (output unit,
-// vnet) pair receives its own instance so that per-port policy state is
-// independent, as in hardware — except that a policy declaring it keeps
-// no state (StatelessPolicy or CycleFreePolicy) is built once per network
-// and shared, which no decision can tell apart.
+// PolicyFactory builds a recovery-policy instance. New calls it once per
+// network and every (output unit, vnet) pair of the gating domain calls
+// that one instance, so the policy must be a pure function of its
+// PolicyInput (see Policy), as the paper's combinational pre-VA stage
+// is.
 type PolicyFactory func() Policy
 
 // Config describes a network instance. The zero value is not usable;

@@ -63,6 +63,11 @@ type Network struct {
 	// ejection; flits carry its slot.
 	pkts packetTable
 
+	// pol is the gating domain of Config.Policy; ejPol that of the
+	// router→NI ejection channels, which is pol itself under
+	// GateEjection and an always-on baseline domain otherwise.
+	pol, ejPol *policyDomain
+
 	cycle        uint64
 	nextPacketID uint64
 	vmap         *pv.VCMap
@@ -184,10 +189,10 @@ func New(cfg Config) (*Network, error) {
 	// more packets are in flight at once than ever before.
 	n.pkts.slots = make([]packet, 0, nodes)
 
-	pols := newPolicySet(cfg.Policy)
-	ejPols := pols
+	n.pol = newPolicyDomain(cfg.Policy)
+	n.ejPol = n.pol
 	if !cfg.GateEjection {
-		ejPols = newPolicySet(NewBaseline)
+		n.ejPol = newPolicyDomain(NewBaseline)
 	}
 	st := newUnitStore(&n.cfg, nodes)
 
@@ -211,7 +216,7 @@ func New(cfg Config) (*Network, error) {
 		rtrWaker, niWaker := waker{&n.rtr, id}, waker{&n.ni, id}
 
 		// NI → router Local input port (gated like any router port).
-		ni.out = n.initOU(id, ejPort, NodeID(id), Local, cfg.BufferDepth, pols, st)
+		ni.out = n.initOU(id, ejPort, NodeID(id), Local, cfg.BufferDepth, n.pol, st)
 		r.in[Local] = n.initIU(id, int(Local), NodeID(id), Local, cfg.BufferDepth,
 			n.vmap.PortVths(id, int(Local)), st)
 		n.connect(ni.out, r.in[Local])
@@ -220,7 +225,7 @@ func New(cfg Config) (*Network, error) {
 		r.in[Local].wakeUp = niWaker
 
 		// Router Local output port → NI ejection buffers.
-		r.out[Local] = n.initOU(id, int(Local), NodeID(id), Local, cfg.EjectBufferDepth, ejPols, st)
+		r.out[Local] = n.initOU(id, int(Local), NodeID(id), Local, cfg.EjectBufferDepth, n.ejPol, st)
 		ni.ej = n.initIU(id, ejPort, NodeID(id), Local, cfg.EjectBufferDepth,
 			n.vmap.PortVths(id, ejPort), st)
 		n.connect(r.out[Local], ni.ej)
@@ -237,7 +242,7 @@ func New(cfg Config) (*Network, error) {
 			}
 			down := &n.routers[nb]
 			inPort := dir.Opposite()
-			r.out[dir] = n.initOU(id, int(dir), NodeID(id), dir, cfg.BufferDepth, pols, st)
+			r.out[dir] = n.initOU(id, int(dir), NodeID(id), dir, cfg.BufferDepth, n.pol, st)
 			down.in[inPort] = n.initIU(int(nb), int(inPort), nb, inPort, cfg.BufferDepth,
 				n.vmap.PortVths(int(nb), int(inPort)), st)
 			n.connect(r.out[dir], down.in[inPort])
@@ -264,7 +269,7 @@ func New(cfg Config) (*Network, error) {
 				r.credPorts |= 1 << uint(p)
 				r.mdPorts |= 1 << uint(p)
 				r.polPorts |= 1 << uint(p)
-				r.steadyAll = r.steadyAll && r.out[p].steady
+				r.steadyAll = r.steadyAll && r.out[p].pol.steady
 			}
 		}
 	}
@@ -297,14 +302,13 @@ func New(cfg Config) (*Network, error) {
 }
 
 // unitStore is the construction-time backing of every per-unit slice
-// outside the packed hot-state arenas: policy instances, allocation
-// pointers, Down_Up link values, link pipeline slot rings, VA arbiters,
-// source queues, sensor banks and their noise sources. New sizes it
+// outside the packed hot-state arenas: allocation pointers, Down_Up
+// link values, link pipeline slot rings, VA arbiters, source queues,
+// sensor banks and their noise sources. New sizes it
 // once for the whole network, so wiring carves each unit's windows with
 // take instead of allocating them; the zero store (standalone test
 // units) allocates per slice.
 type unitStore struct {
-	policies    []Policy
 	ints        []int
 	flitSlots   [][]flit
 	creditSlots [][]int
@@ -320,7 +324,6 @@ func newUnitStore(cfg *Config, nodes int) *unitStore {
 	slots := nodes * unitSlots
 	vnets, total := cfg.VNets, cfg.TotalVCs()
 	st := &unitStore{
-		policies: make([]Policy, slots*vnets),
 		// Per output unit: allocPtr plus the four Down_Up link values.
 		ints:        make([]int, slots*5*vnets),
 		flitSlots:   make([][]flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
@@ -333,43 +336,6 @@ func newUnitStore(cfg *Config, nodes int) *unitStore {
 		st.noise = make([]rng.Source, slots*total)
 	}
 	return st
-}
-
-// policySet hands out the policy instances of one factory. A policy
-// that keeps no state — a StatelessPolicy or CycleFreePolicy declarer,
-// whose decision is a pure function of its PolicyInput — is built once
-// and shared by every output unit; any other policy gets its own
-// instance per (output unit, vnet), as PolicyFactory promises.
-type policySet struct {
-	factory PolicyFactory
-	// shared is the one instance of a stateless policy; spare is the
-	// first instance of any other, built to classify the policy and
-	// handed out first.
-	shared, spare Policy
-}
-
-// newPolicySet builds the set for factory (nil means the baseline).
-func newPolicySet(factory PolicyFactory) *policySet {
-	if factory == nil {
-		factory = NewBaseline
-	}
-	p := factory()
-	if PolicyStateless(p) {
-		return &policySet{factory: factory, shared: p}
-	}
-	return &policySet{factory: factory, spare: p}
-}
-
-// next returns the policy instance for one (output unit, vnet).
-func (s *policySet) next() Policy {
-	if s.shared != nil {
-		return s.shared
-	}
-	if p := s.spare; p != nil {
-		s.spare = nil
-		return p
-	}
-	return s.factory()
 }
 
 // fifoOf returns the FIFO storage of a unit slot: router ports use
@@ -419,11 +385,11 @@ func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth
 
 // initOU initialises the output unit at arena slot (node, slot) over its
 // arena subslice and returns it.
-func (n *Network) initOU(node, slot int, owner NodeID, port Port, depth int, pols *policySet, st *unitStore) *OutputUnit {
+func (n *Network) initOU(node, slot int, owner NodeID, port Port, depth int, pol *policyDomain, st *unitStore) *OutputUnit {
 	total := n.cfg.TotalVCs()
 	u := unitIndex(node, slot)
 	ou := &n.ounits[u]
-	initOutputUnit(ou, owner, port, &n.cfg, window(n.outvcs, u, total), depth, pols, st)
+	initOutputUnit(ou, owner, port, &n.cfg, window(n.outvcs, u, total), depth, pol, st)
 	if slot < int(NumPorts) {
 		r := &n.routers[node]
 		ou.ownPol = &r.polPorts
@@ -821,16 +787,16 @@ func (n *Network) Events() EventCounts {
 			}
 			if ou := r.out[p]; ou != nil {
 				e.LinkFlits += ou.flitsSent
-				e.GateEvents += ou.gateEvents
-				e.WakeEvents += ou.wakeEvents
 			}
 		}
 	}
 	for i := range n.nis {
-		ni := &n.nis[i]
-		e.LinkFlits += ni.out.flitsSent
-		e.GateEvents += ni.out.gateEvents
-		e.WakeEvents += ni.out.wakeEvents
+		e.LinkFlits += n.nis[i].out.flitsSent
+	}
+	e.GateEvents, e.WakeEvents = n.pol.gateEvents, n.pol.wakeEvents
+	if n.ejPol != n.pol {
+		e.GateEvents += n.ejPol.gateEvents
+		e.WakeEvents += n.ejPol.wakeEvents
 	}
 	return e
 }
@@ -845,15 +811,17 @@ func (n *Network) ResetEventCounters() {
 				iu.writes, iu.reads = 0, 0
 			}
 			if ou := r.out[p]; ou != nil {
-				ou.flitsSent, ou.gateEvents, ou.wakeEvents = 0, 0, 0
+				ou.flitsSent = 0
 			}
 		}
 	}
 	for i := range n.nis {
 		ni := &n.nis[i]
-		ni.out.flitsSent, ni.out.gateEvents, ni.out.wakeEvents = 0, 0, 0
+		ni.out.flitsSent = 0
 		ni.ej.writes, ni.ej.reads = 0, 0
 	}
+	n.pol.gateEvents, n.pol.wakeEvents = 0, 0
+	n.ejPol.gateEvents, n.ejPol.wakeEvents = 0, 0
 }
 
 // ResetTrafficStats clears all NI traffic statistics and the network's

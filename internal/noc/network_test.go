@@ -412,8 +412,6 @@ func TestAccessorsSmoke(t *testing.T) {
 	if got := n.Router(0).Output(East); got.FlitsSent() == 0 {
 		t.Error("FlitsSent zero after traffic through east link")
 	}
-	_ = ou.GateEvents()
-	_ = ou.WakeEvents()
 	_ = n.Router(0).CrossbarTraversals()
 	_ = n.Router(0).VAGrants()
 	_ = n.Router(0).SAGrants()

@@ -3,8 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-
-	"nbtinoc/internal/metrics"
 )
 
 // outVC is the per-VC remainder of the upstream outVCstate that doesn't
@@ -59,29 +57,15 @@ type OutputUnit struct {
 	// powerOut is the Up_Down control channel (points at the downstream's
 	// embedded power link).
 	powerOut *powerLink
-	// policies holds one recovery-policy instance per vnet.
-	policies []Policy
+	// pol is the gating domain whose one policy instance this unit
+	// calls for every vnet, and which counts its transitions.
+	pol *policyDomain
 	// allocPtr rotates the VA start position per vnet so that, when a
 	// policy leaves several idle VCs powered (baseline), allocation
 	// spreads across them.
 	allocPtr []int
-	// flitsSent counts link traversals; gateEvents and wakeEvents count
-	// power-state transitions (1->0 and 0->1) commanded by the policy.
-	flitsSent, gateEvents, wakeEvents uint64
-	// mFlits, mGate and mWake are the observability handles mirroring
-	// the counters above into the process metrics registry (per-policy
-	// gate/wake children cached at construction); nil when disabled.
-	mFlits, mGate, mWake *metrics.Counter
-	// steady records whether every per-vnet policy declares (via
-	// SteadyPolicy) that its output is cycle-independent while no new
-	// traffic waits; only steady output units may be skipped by the
-	// activity-gated engine.
-	steady bool
-	// pure records the stronger CycleFreePolicy declaration for every
-	// per-vnet policy: DesiredPower never reads the cycle for any
-	// NewTraffic value, so a settled run may be elided whenever all
-	// decision inputs match the previous executed run, traffic or not.
-	pure bool
+	// flitsSent counts link traversals.
+	flitsSent uint64
 	// settled is recomputed by every runPolicy call: true when the call
 	// caused no power transition, no wake-up ramp progress, and re-sent
 	// the previous mask — i.e. re-running it with unchanged inputs is a
@@ -122,10 +106,10 @@ type OutputUnit struct {
 
 // initOutputUnit initialises the zero output unit ou in place over
 // caller-owned vcs backing storage (TotalVCs entries, typically a
-// subslice of the network's flat arena), taking one policy per vnet
-// from pols and every other per-unit slice from st.
+// subslice of the network's flat arena) in gating domain pol, taking
+// every per-unit slice from st.
 func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []outVC, depth int, pols *policySet, st *unitStore) {
+	vcs []outVC, depth int, pol *policyDomain, st *unitStore) {
 	total := cfg.TotalVCs()
 	ou.owner, ou.port, ou.cfg, ou.depth = owner, port, cfg, depth
 	ou.vcs = vcs[:total:total]
@@ -140,18 +124,8 @@ func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 	ou.mdIn.curLD, ou.mdIn.nextLD = take(&st.ints, cfg.VNets), take(&st.ints, cfg.VNets)
 	ou.pwrMask = vcAllMask(total)
 	ou.allocPtr = take(&st.ints, cfg.VNets)
-	ou.policies = take(&st.policies, cfg.VNets)
-	ou.steady = true
-	ou.pure = true
-	for vn := range ou.policies {
-		p := pols.next()
-		ou.policies[vn] = p
-		ou.steady = ou.steady && PolicySteadyWhenIdle(p)
-		ou.pure = ou.pure && PolicyCycleFree(p)
-	}
+	ou.pol = pol
 	ou.polDirty = true
-	ou.mFlits = flitsRoutedCounter()
-	ou.mGate, ou.mWake = gatingCounters(ou.policies[0].Name())
 }
 
 // newOutputUnit builds a standalone upstream side of a channel whose
@@ -160,7 +134,7 @@ func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 func newOutputUnit(owner NodeID, port Port, cfg *Config, depth int, factory PolicyFactory) *OutputUnit {
 	ou := &OutputUnit{}
 	initOutputUnit(ou, owner, port, cfg, make([]outVC, cfg.TotalVCs()), depth,
-		newPolicySet(factory), &unitStore{})
+		newPolicyDomain(factory), &unitStore{})
 	return ou
 }
 
@@ -175,14 +149,8 @@ func (ou *OutputUnit) Port() Port { return ou.port }
 // FlitsSent returns the number of flits launched onto the link.
 func (ou *OutputUnit) FlitsSent() uint64 { return ou.flitsSent }
 
-// GateEvents returns the number of power-down transitions commanded.
-func (ou *OutputUnit) GateEvents() uint64 { return ou.gateEvents }
-
-// WakeEvents returns the number of power-up transitions commanded.
-func (ou *OutputUnit) WakeEvents() uint64 { return ou.wakeEvents }
-
-// PolicyName returns the name of the recovery policy (vnet 0).
-func (ou *OutputUnit) PolicyName() string { return ou.policies[0].Name() }
+// PolicyName returns the name of the recovery policy.
+func (ou *OutputUnit) PolicyName() string { return ou.pol.policy.Name() }
 
 // Credits returns the available credits of flattened VC vc.
 func (ou *OutputUnit) Credits(vc int) int { return int(ou.vcs[vc].credits) }
@@ -306,7 +274,7 @@ func (ou *OutputUnit) sendFlit(f flit, vc int, cycle uint64) {
 		*ou.dnFlit |= ou.dnBit
 	}
 	ou.flitsSent++
-	ou.mFlits.Inc()
+	ou.pol.mFlits.Inc()
 	ou.wakeDown.wake()
 }
 
@@ -314,10 +282,12 @@ func (ou *OutputUnit) sendFlit(f flit, vc int, cycle uint64) {
 // the composed power mask over the Up_Down link. Bit vn of newTraffic is
 // the is_new_traffic_outport_x() input for vnet vn.
 func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
-	v := ou.cfg.VCsPerVNet
+	d := ou.pol
+	p := d.policy
+	v, vnets := ou.cfg.VCsPerVNet, ou.cfg.VNets
 	vnAll := vcAllMask(v)
 	var want uint64
-	for vn, p := range ou.policies {
+	for vn := 0; vn < vnets; vn++ {
 		base := uint(vn * v)
 		want |= (p.DesiredPower(PolicyInput{
 			NumVCs:        v,
@@ -346,8 +316,6 @@ func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
 		if ou.cfg.WakeupLatency > 0 {
 			newWake |= 1 << uint(idx)
 		}
-		ou.wakeEvents++
-		ou.mWake.Inc()
 	}
 	for m := ramp; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
@@ -357,8 +325,13 @@ func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
 	}
 	for m := gates; m != 0; m &= m - 1 {
 		ou.vcs[bits.TrailingZeros64(m)].wakeLeft = 0
-		ou.gateEvents++
-		ou.mGate.Inc()
+	}
+	if wakes|gates != 0 {
+		nw, ng := uint64(bits.OnesCount64(wakes)), uint64(bits.OnesCount64(gates))
+		d.wakeEvents += nw
+		d.gateEvents += ng
+		d.mWake.Add(nw)
+		d.mGate.Add(ng)
 	}
 	ou.pwrMask = on
 	ou.wakeMask = newWake
@@ -381,8 +354,8 @@ func (ou *OutputUnit) runPolicy(newTraffic uint64, cycle uint64) {
 // previous mask re-sent — which also implies every wake-up ramp has
 // drained, so wakeMask == 0) and no decision input — Idle[], the
 // Down_Up values, is_new_traffic — changed since. Under a cycle-free
-// (pure) policy set the elision is valid for any unchanged traffic
-// mask; under a merely steady set only between two quiet calls, since
+// (pure) policy the elision is valid for any unchanged traffic mask;
+// under a merely steady one only between two quiet calls, since
 // SteadyPolicy licenses cycle-independence only while NewTraffic is
 // false (RRNoSensor rotates on the cycle once traffic waits). The
 // elided call would recompute the identical mask and Send it into an
@@ -391,10 +364,10 @@ func (ou *OutputUnit) policyHolds(newTraffic uint64) bool {
 	if !ou.settled || ou.polDirty {
 		return false
 	}
-	if ou.pure {
+	if ou.pol.pure {
 		return newTraffic == ou.lastNT
 	}
-	return ou.steady && ou.lastNT == 0 && newTraffic == 0
+	return ou.pol.steady && ou.lastNT == 0 && newTraffic == 0
 }
 
 // quiescent reports whether skipping this unit's per-cycle work
@@ -408,7 +381,7 @@ func (ou *OutputUnit) policyHolds(newTraffic uint64) bool {
 // everywhere and only the allocation states need checking — which the
 // actMask does in O(1).
 func (ou *OutputUnit) quiescent() bool {
-	if !ou.steady || !ou.settled || ou.actMask != 0 {
+	if !ou.pol.steady || !ou.settled || ou.actMask != 0 {
 		return false
 	}
 	return ou.creditIn.InFlight() == 0 && ou.mdIn.settled()

@@ -1,5 +1,7 @@
 package noc
 
+import "nbtinoc/internal/metrics"
+
 // PolicyInput is the information visible to a pre-VA recovery stage for
 // one (output port, vnet) pair — i.e. for the VCs of one downstream
 // input port slice. The VC masks carry bit v for VC v of the vnet slice
@@ -28,12 +30,15 @@ type PolicyInput struct {
 	Cycle uint64
 }
 
-// Policy is the pre-VA recovery stage run by an upstream output unit,
-// one instance per (output port, vnet). DesiredPower returns the mask of
-// VCs to keep powered (bit v = VC v of the slice); bits at or above
-// NumVCs are ignored. The caller keeps every non-idle VC powered
-// afterwards, so a policy can never gate a buffer that holds or expects
-// flits.
+// Policy is the pre-VA recovery stage run by an upstream output unit
+// for each (output port, vnet). Like the paper's combinational pre-VA
+// logic, DesiredPower must be a pure function of its PolicyInput: a
+// network builds one instance per gating domain and calls it for every
+// (output unit, vnet) in turn, so a policy that kept per-call state
+// would see its callers interleaved. It returns the mask of VCs to keep
+// powered (bit v = VC v of the slice); bits at or above NumVCs are
+// ignored. The caller keeps every non-idle VC powered afterwards, so a
+// policy can never gate a buffer that holds or expects flits.
 //
 // The contract derived from the paper's observations (Section III-A):
 // leave at most one idle VC powered when NewTraffic is true (the VC a new
@@ -48,8 +53,8 @@ type Policy interface {
 }
 
 // UsesSensors reports whether the policy consumes Down_Up sensor
-// information; used by the area model to decide whether sensor and
-// control-link overhead applies. Policies may implement it optionally.
+// information; the energy model charges sensor overhead only for such
+// policies. Policies may implement it optionally.
 type UsesSensors interface {
 	UsesSensors() bool
 }
@@ -68,60 +73,23 @@ func PolicyUsesSensors(p Policy) bool {
 // PolicyInput.NewTraffic is false — its output is then a pure function
 // of the remaining inputs, which only change while the owning unit is
 // on the active set. The activity-gated engine may skip the per-cycle
-// policy run of a fully idle, settled output unit only when every one
-// of its per-vnet policies makes this declaration; policies that keep
-// per-call state or rotate on a time basis even without traffic must
-// not.
+// policy run of a fully idle, settled output unit only when its policy
+// makes this declaration; policies that rotate on a time basis even
+// without traffic must not.
 type SteadyPolicy interface {
 	SteadyWhenIdle() bool
 }
 
-// PolicySteadyWhenIdle returns p's declaration, defaulting to false
-// (never skipped) for policies that do not implement SteadyPolicy.
-func PolicySteadyWhenIdle(p Policy) bool {
-	if s, ok := p.(SteadyPolicy); ok {
-		return s.SteadyWhenIdle()
-	}
-	return false
-}
-
 // CycleFreePolicy is a strictly stronger declaration than SteadyPolicy:
-// DesiredPower never reads PolicyInput.Cycle and keeps no per-call
-// state for ANY NewTraffic value, so its output is a pure function of
-// (Idle, Powered, MostDegraded, LeastDegraded, NewTraffic). An output
-// unit whose per-vnet policies all make this declaration may elide a
-// settled policy run whenever those inputs are bit-identical to the
-// previous executed run — even while traffic waits. Time-rotating
-// policies (RRNoSensor under traffic) must not implement this.
+// DesiredPower never reads PolicyInput.Cycle for ANY NewTraffic value,
+// so its output is a function of (Idle, Powered, MostDegraded,
+// LeastDegraded, NewTraffic) alone. An output unit whose policy makes
+// this declaration may elide a settled policy run whenever those inputs
+// are bit-identical to the previous executed run — even while traffic
+// waits. Time-rotating policies (RRNoSensor under traffic) must not
+// implement this.
 type CycleFreePolicy interface {
 	CycleFree() bool
-}
-
-// PolicyCycleFree returns p's declaration, defaulting to false for
-// policies that do not implement CycleFreePolicy.
-func PolicyCycleFree(p Policy) bool {
-	if c, ok := p.(CycleFreePolicy); ok {
-		return c.CycleFree()
-	}
-	return false
-}
-
-// StatelessPolicy is an optional interface a Policy implements to
-// declare that DesiredPower keeps no per-call state: its output is a
-// pure function of its PolicyInput, Cycle included. One instance may
-// then serve every (output unit, vnet) of a network. CycleFreePolicy
-// implies it.
-type StatelessPolicy interface {
-	Stateless() bool
-}
-
-// PolicyStateless returns p's declaration (or its CycleFreePolicy
-// one), defaulting to false for policies that make neither.
-func PolicyStateless(p Policy) bool {
-	if s, ok := p.(StatelessPolicy); ok && s.Stateless() {
-		return true
-	}
-	return PolicyCycleFree(p)
 }
 
 // BaselinePolicy keeps every VC buffer powered at all times: the paper's
@@ -144,3 +112,41 @@ func (BaselinePolicy) CycleFree() bool { return true }
 
 // NewBaseline is the PolicyFactory for BaselinePolicy.
 func NewBaseline() Policy { return BaselinePolicy{} }
+
+// policyDomain is one gating domain of a network: the output units that
+// run the same recovery policy. It holds the one policy instance they
+// all call, the policy's SteadyPolicy and CycleFreePolicy declarations
+// read once, the domain's gate and wake event counts, and its metric
+// handles (nil when instrumentation is disabled).
+type policyDomain struct {
+	policy Policy
+	// steady and pure are the policy's SteadyWhenIdle and CycleFree
+	// declarations.
+	steady, pure bool
+	// gateEvents and wakeEvents count the power-state transitions (1->0
+	// and 0->1) the domain's units commanded.
+	gateEvents, wakeEvents uint64
+	// mFlits mirrors link launches, mGate and mWake the counts above,
+	// into the process metrics registry.
+	mFlits, mGate, mWake *metrics.Counter
+}
+
+// newPolicyDomain builds factory's one instance (nil means the
+// baseline) and resolves the domain's declarations, each false when the
+// policy does not implement it, and its metric handles.
+func newPolicyDomain(factory PolicyFactory) *policyDomain {
+	if factory == nil {
+		factory = NewBaseline
+	}
+	p := factory()
+	d := &policyDomain{policy: p}
+	if s, ok := p.(SteadyPolicy); ok {
+		d.steady = s.SteadyWhenIdle()
+	}
+	if c, ok := p.(CycleFreePolicy); ok {
+		d.pure = c.CycleFree()
+	}
+	d.mFlits = flitsRoutedCounter()
+	d.mGate, d.mWake = gatingCounters(p.Name())
+	return d
+}

@@ -254,7 +254,9 @@ func TestFlitSize(t *testing.T) {
 // TestRecordSizes pins the per-VC records, which a 32×32 mesh holds
 // 24 576 of each: the VC buffer finds its ring and device by index and
 // the device shares its model, so both stay within 32 bytes; the
-// output-side VC record is two 32-bit counters.
+// output-side VC record is two 32-bit counters. It also pins the output
+// unit, which a 32×32 mesh holds 6 144 of: its policy, declarations,
+// transition counts and metric handles live once per gating domain.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -262,6 +264,7 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"vcBuffer", unsafe.Sizeof(vcBuffer{}), 32},
 		{"nbti.Device", unsafe.Sizeof(nbti.Device{}), 32},
+		{"OutputUnit", unsafe.Sizeof(OutputUnit{}), 384},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)

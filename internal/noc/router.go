@@ -67,7 +67,7 @@ type Router struct {
 	// the receive and policy summaries they make the quiescence check a
 	// handful of mask reads instead of a per-port unit walk.
 	busyIn, busyOut uint64
-	// steadyAll caches whether every output unit's policy set declares
+	// steadyAll caches whether every output unit's policy declares
 	// SteadyWhenIdle (a static property fixed at wiring time).
 	steadyAll bool
 
@@ -412,7 +412,7 @@ func (r *Router) stagePolicy(cycle uint64) {
 		if !ou.policyHolds(nt[p]) {
 			ou.runPolicy(nt[p], cycle)
 		}
-		if ou.settled && !ou.polDirty && ou.lastNT == 0 && (ou.pure || ou.steady) {
+		if ou.settled && !ou.polDirty && ou.lastNT == 0 && (ou.pol.pure || ou.pol.steady) {
 			r.polPorts &^= bit
 		} else {
 			r.polPorts |= bit

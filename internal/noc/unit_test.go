@@ -277,7 +277,7 @@ func TestWakeupCountdownInMirror(t *testing.T) {
 	}
 	// Wake VC 0 via a keep-one policy decision: emulate by sending an
 	// all-on mask through a baseline policy run.
-	ou.policies[0] = BaselinePolicy{}
+	ou.pol = newPolicyDomain(NewBaseline)
 	ou.runPolicy(1, cycle)
 	// Mirror: powered but ramping (wakeLeft = 2) — not yet allocatable.
 	if ou.hasFreeVC(0) {

@@ -28,8 +28,8 @@ type PolicySpec struct {
 	// Name selects from the core registry; empty plus zero RRPeriod
 	// means the always-on baseline.
 	Name string `json:"name,omitempty"`
-	// RRPeriod, when non-zero, overrides Name with an rr-no-sensor
-	// policy rotating every RRPeriod cycles.
+	// RRPeriod, when non-zero, selects an rr-no-sensor policy rotating
+	// every RRPeriod cycles; Spec.Validate then requires an empty Name.
 	RRPeriod uint64 `json:"rr_period,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nbtinoc/internal/core"
 	"nbtinoc/internal/noc"
 	"nbtinoc/internal/power"
 )
@@ -124,8 +125,12 @@ func RunEnergy(cores, vcs int, rate float64, opt TableOptions) (*EnergyTable, er
 	out := &EnergyTable{Cores: cores, VCs: vcs, Rate: rate, Cycles: opt.Measure}
 	params := power.Default45nm()
 	for i, policy := range policies {
+		factory, err := core.Lookup(policy)
+		if err != nil {
+			return nil, err
+		}
 		sensors := 0
-		if strings.HasPrefix(policy, "sensor-wise") {
+		if noc.PolicyUsesSensors(factory()) {
 			// One sensor per router input VC buffer.
 			sensors = sums[i].Nodes * int(noc.NumPorts) * sums[i].TotalVCs
 		}

@@ -47,8 +47,12 @@ func (s Spec) Validate() error {
 	if s.Measure == 0 {
 		add("measure", "measurement window must be at least 1 cycle")
 	}
-	if s.Policy.RRPeriod == 0 && s.Policy.Name != "" {
-		if _, err := core.Lookup(s.Policy.Name); err != nil {
+	if s.Policy.Name != "" {
+		if s.Policy.RRPeriod > 0 {
+			// RRPeriod overrides the name: a spec carrying both would be
+			// a second content address for the run without the name.
+			add("policy.name", "must be empty when rr_period is set (got %q)", s.Policy.Name)
+		} else if _, err := core.Lookup(s.Policy.Name); err != nil {
 			add("policy.name", "unknown policy %q (known: %s)",
 				s.Policy.Name, strings.Join(core.Names(), ", "))
 		}

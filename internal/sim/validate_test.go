@@ -83,9 +83,14 @@ func TestValidateFieldCases(t *testing.T) {
 			t.Errorf("%s: error %q does not name the field", field, err)
 		}
 	}
-	// An RRPeriod policy skips the registry lookup: the name is unused.
+	// An RRPeriod policy skips the registry lookup, so a name beside it
+	// would only give the run a second content address.
 	s := quickSpec()
 	s.Policy = PolicySpec{Name: "ignored", RRPeriod: 1024}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "policy.name:") {
+		t.Errorf("rr-period spec with a name: error %v, want a policy.name error", err)
+	}
+	s.Policy.Name = ""
 	if err := s.Validate(); err != nil {
 		t.Errorf("rr-period spec rejected: %v", err)
 	}
