@@ -10,12 +10,17 @@
 //	nbtisim -trace my.trace -policy sensor-wise -format json
 //	nbtisim -config a.json,b.json,c.json -j 0
 //
-// -config accepts a comma-separated list of scenario files; the
-// scenarios run concurrently on a bounded worker pool (-j caps the
-// workers, 1 forces sequential) and are reported in input order, so the
-// output never depends on the worker count. The aging-snapshot and
+// -config accepts a comma-separated list of spec files, as -emit-spec
+// writes them (nbtisim -emit-spec ... > s.json; nbtisim -config s.json
+// reproduces the flag run byte for byte). The specs run concurrently on
+// a bounded worker pool (-j caps the workers, 1 forces sequential) and
+// are reported in input order under a "=== spec <path> ===" header, so
+// the output never depends on the worker count. The aging-snapshot and
 // flit-trace flags write per-run files and therefore require a single
-// scenario.
+// spec.
+//
+// -sweep-manifest writes the run set as a pending nbtisweep campaign
+// and exits without simulating, as -emit-spec does.
 //
 // Plain scenario runs are memoized in the content-addressed result
 // cache (-cache, -cache-dir; -cache=off disables). Modes that need the
@@ -79,15 +84,15 @@ func run(args []string, out io.Writer) (err error) {
 		phits    = fs.Int("phits", 1, "link serialization factor (phits per flit)")
 		wakeup   = fs.Int("wakeup", 0, "sleep-transistor wake-up latency in cycles")
 		tech     = fs.Int("tech", 45, "technology node: 45 or 32 nm")
-		cfgPath  = fs.String("config", "", "JSON scenario file(s), comma-separated (overrides the scenario flags)")
+		cfgPath  = fs.String("config", "", "JSON spec file(s) as -emit-spec writes them, comma-separated (overrides the scenario, -probe and -routing flags)")
 		allPorts = fs.Bool("all-ports", false, "dump every router input port as CSV instead of one probe")
 		heatmap  = fs.Bool("heatmap", false, "print an ASCII mesh heatmap of per-router worst duty-cycles")
 		agingIn  = fs.String("aging-in", "", "restore a JSON aging snapshot before the run (multi-epoch campaigns)")
 		agingOut = fs.String("aging-out", "", "write a JSON aging snapshot after the run")
 		flitLog  = fs.String("flit-trace", "", "write a flit-level pipeline event trace to this file (large!)")
-		jobs     = fs.Int("j", 0, "parallel workers for multi-scenario -config runs: 0 = one per core, 1 = sequential")
+		jobs     = fs.Int("j", 0, "parallel workers for multi-spec -config runs: 0 = one per core, 1 = sequential")
 
-		sweepOut = fs.String("sweep-manifest", "", "record every cached scenario into a sweep manifest at this path (replayable with nbtisweep)")
+		sweepOut = fs.String("sweep-manifest", "", "write the specs as a pending sweep manifest at this path (run it with nbtisweep) and exit without simulating")
 		emitSpec = fs.Bool("emit-spec", false, "print the declarative spec JSON for each scenario and exit without simulating (submittable to nbtisimd)")
 		verbose  = fs.Bool("v", false, "print result-cache statistics to stderr")
 	)
@@ -104,21 +109,27 @@ func run(args []string, out io.Writer) (err error) {
 		sess.Progress(&metrics.Progress{JobsDone: sim.MetricJobsDone, JobsTotal: sim.MetricJobsTotal})
 	}
 
-	var scens []*sim.Scenario
+	// Every run is a spec, the one run description: read from -config
+	// files as -emit-spec writes them, or compiled from the scenario
+	// flags. The cached path runs the specs through the Runner, live
+	// modes run each spec's RunConfig with their overrides.
+	var specs []sim.Spec
+	var paths []string
 	if *cfgPath != "" {
 		for _, path := range strings.Split(*cfgPath, ",") {
 			path = strings.TrimSpace(path)
 			if path == "" {
 				continue
 			}
-			scen, err := sim.LoadScenarioFile(path)
+			spec, err := loadSpec(path)
 			if err != nil {
 				return err
 			}
-			scens = append(scens, scen)
+			specs = append(specs, spec)
+			paths = append(paths, path)
 		}
-		if len(scens) == 0 {
-			return fmt.Errorf("-config %q names no scenario files", *cfgPath)
+		if len(specs) == 0 {
+			return fmt.Errorf("-config %q names no spec files", *cfgPath)
 		}
 	} else {
 		scen := &sim.Scenario{
@@ -145,15 +156,22 @@ func run(args []string, out io.Writer) (err error) {
 			}
 			scen.Width, scen.Height, scen.Cores = m.Width, m.Height, m.Cores()
 		}
-		scens = []*sim.Scenario{scen}
+		probe, err := sim.ParsePortProbe(*probeStr)
+		if err != nil {
+			return err
+		}
+		spec, err := scen.Spec([]sim.PortProbe{probe})
+		if err != nil {
+			return err
+		}
+		if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
+			return err
+		}
+		specs = []sim.Spec{spec}
 	}
-	multi := len(scens) > 1
+	multi := len(specs) > 1
 	if multi && (*agingIn != "" || *agingOut != "" || *flitLog != "") {
-		return fmt.Errorf("-aging-in, -aging-out and -flit-trace write per-run files and require a single -config scenario")
-	}
-	probe, err := sim.ParsePortProbe(*probeStr)
-	if err != nil {
-		return err
+		return fmt.Errorf("-aging-in, -aging-out and -flit-trace write per-run files and require a single -config spec")
 	}
 
 	// Modes that inspect the live network (or replay a non-declarative
@@ -163,20 +181,10 @@ func run(args []string, out io.Writer) (err error) {
 	// -emit-spec turns the CLI into a spec authoring tool: the same
 	// flag vocabulary, but the output is the declarative request body
 	// the nbtisimd daemon accepts instead of a simulation result.
-	if *emitSpec && live {
-		return fmt.Errorf("-emit-spec serialises declarative specs and cannot combine with live modes (-all-ports, -heatmap, -trace, -aging-in/-out, -flit-trace)")
-	}
-	// Every scenario compiles to a spec, the one run description: the
-	// cached path runs the specs through the Runner, live modes run
-	// each spec's RunConfig with their overrides.
-	specs := make([]sim.Spec, len(scens))
-	for i, scen := range scens {
-		if specs[i], err = scen.Spec([]sim.PortProbe{probe}); err != nil {
-			return err
-		}
-		if specs[i].Net.Routing, err = noc.ParseRouting(*routing); err != nil {
-			return err
-		}
+	// -sweep-manifest writes the specs as a pending campaign nbtisweep
+	// can shard and resume. Neither simulates anything.
+	if live && (*emitSpec || *sweepOut != "") {
+		return fmt.Errorf("-emit-spec and -sweep-manifest write declarative specs and cannot combine with live modes (-all-ports, -heatmap, -trace, -aging-in/-out, -flit-trace)")
 	}
 	if *emitSpec {
 		enc := json.NewEncoder(out)
@@ -188,21 +196,16 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		return nil
 	}
+	if *sweepOut != "" {
+		m, err := sweep.NewSpecManifest("nbtisim", specs)
+		if err != nil {
+			return err
+		}
+		return m.Save(*sweepOut)
+	}
 	store, err := sess.OpenCache()
 	if err != nil {
 		return err
-	}
-	runner := sim.Runner{Store: store}
-	// -sweep-manifest records every cache-keyed scenario this run
-	// executes, so a -config batch doubles as a sweep campaign
-	// definition nbtisweep can shard and resume.
-	var recorder *sweep.Recorder
-	if *sweepOut != "" {
-		if live {
-			return fmt.Errorf("-sweep-manifest records cached scenarios and cannot combine with live modes (-all-ports, -heatmap, -trace, -aging-in/-out, -flit-trace)")
-		}
-		recorder = sweep.NewRecorder("nbtisim")
-		runner.Record = recorder.Record
 	}
 
 	runLive := func(spec sim.Spec) (*sim.RunResult, error) {
@@ -244,7 +247,7 @@ func run(args []string, out io.Writer) (err error) {
 		return res, nil
 	}
 
-	// Scenarios execute through the same bounded pool as the table
+	// Specs execute through the same bounded pool as the table
 	// drivers and are rendered sequentially in input order afterwards.
 	// The cached path carries only the serialisable summaries; live
 	// modes additionally keep the networks for their renderers.
@@ -260,7 +263,7 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		})
 	} else {
-		sums, err = runner.RunAll(specs, *jobs)
+		sums, err = sim.Runner{Store: store}.RunAll(specs, *jobs)
 	}
 	if err != nil {
 		return err
@@ -268,7 +271,7 @@ func run(args []string, out io.Writer) (err error) {
 
 	for i, sum := range sums {
 		if multi {
-			fmt.Fprintf(out, "=== scenario %s ===\n", scens[i].Name)
+			fmt.Fprintf(out, "=== spec %s ===\n", paths[i])
 		}
 		var err error
 		switch {
@@ -277,19 +280,12 @@ func run(args []string, out io.Writer) (err error) {
 		case *heatmap:
 			err = renderHeatmap(out, results[i])
 		default:
-			err = render(out, *format, sum)
+			// The nbtisimd result endpoint serves the same renderer,
+			// which makes the daemon-vs-CLI byte comparison exact.
+			err = sum.Render(out, *format)
 		}
 		if err != nil {
 			return err
-		}
-	}
-	if recorder != nil {
-		m := recorder.Manifest()
-		if err := m.Save(*sweepOut); err != nil {
-			return err
-		}
-		if *verbose {
-			sess.Logf("recorded %d units into %s", len(m.Units), *sweepOut)
 		}
 	}
 	if *verbose && store != nil {
@@ -338,6 +334,24 @@ func renderHeatmap(out io.Writer, res *sim.RunResult) error {
 	}
 	fmt.Fprintln(out, "shade: . <10%  - <25%  + <50%  # <75%  @ >=75%")
 	return nil
+}
+
+// loadSpec reads one spec file, as -emit-spec writes it: strictly
+// decoded and validated like a nbtisimd submission body.
+func loadSpec(path string) (sim.Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return sim.Spec{}, err
+	}
+	defer f.Close()
+	var spec sim.Spec
+	if err = sim.DecodeStrict(f, &spec); err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
+		return sim.Spec{}, fmt.Errorf("spec %s: %w", path, err)
+	}
+	return spec, nil
 }
 
 // loadAging reads a JSON aging snapshot.
@@ -409,11 +423,4 @@ func renderAllPorts(out io.Writer, res *sim.RunResult) error {
 		}
 	}
 	return nil
-}
-
-// render forwards to the shared summary renderer (internal/sim), the
-// same code path the nbtisimd result endpoint serves — which is what
-// makes the daemon-vs-CLI byte comparison in CI exact.
-func render(out io.Writer, format string, res *sim.RunSummary) error {
-	return res.Render(out, format)
 }

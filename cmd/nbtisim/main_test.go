@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,21 +30,27 @@ func shortArgs(extra ...string) []string {
 	return append(base, extra...)
 }
 
+// TestSweepManifestRecordsRun: -sweep-manifest records the flag run as
+// one pending unit and exits without simulating or opening the cache.
 func TestSweepManifestRecordsRun(t *testing.T) {
 	dir := t.TempDir()
-	manifest := filepath.Join(dir, "camp.json")
-	runCLI(t, shortArgs("-policy", "sensor-wise",
-		"-cache", "rw", "-cache-dir", filepath.Join(dir, "cache"),
-		"-sweep-manifest", manifest)...)
+	manifest, cacheDir := filepath.Join(dir, "camp.json"), filepath.Join(dir, "cache")
+	if out := runCLI(t, shortArgs("-policy", "sensor-wise",
+		"-cache", "rw", "-cache-dir", cacheDir, "-sweep-manifest", manifest)...); out != "" {
+		t.Errorf("-sweep-manifest printed a report:\n%s", out)
+	}
+	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+		t.Errorf("-sweep-manifest touched the cache directory (stat: %v)", err)
+	}
 	m, err := sweep.LoadManifest(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Units) != 1 || m.Units[0].State != sweep.UnitDone {
-		t.Fatalf("recorded units: %+v", m.Units)
+	if len(m.Units) != 1 || m.Units[0].State != sweep.UnitPending {
+		t.Fatalf("manifest units: %+v", m.Units)
 	}
 	// The manifest must resolve to executable units whose specs re-key
-	// to the recorded content addresses — the nbtisweep replay contract.
+	// to the recorded content addresses — the nbtisweep contract.
 	units, err := m.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -188,45 +195,115 @@ func TestAllPortsCSV(t *testing.T) {
 	}
 }
 
-func TestScenarioConfigFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.json")
-	content := `{"name":"t","cores":4,"vcs":2,"policy":"rr-no-sensor",
-		"workload":"uniform","rate":0.1,"warmup":500,"measure":5000,
-		"seed":1,"pv_seed":2}`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+// emitSpecFile writes the spec -emit-spec prints for the flags to path.
+func emitSpecFile(t *testing.T, path string, flags ...string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(runCLI(t, append(flags, "-emit-spec")...)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := runCLI(t, "-config", path)
+}
+
+func TestScenarioConfigFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	emitSpecFile(t, path, shortArgs("-policy", "rr-no-sensor", "-rate", "0.1")...)
+	// The spec file carries the whole run: the scenario flags given
+	// beside -config do not apply.
+	out := runCLI(t, "-config", path, "-policy", "sensor-wise")
 	if !strings.Contains(out, "rr-no-sensor") {
 		t.Errorf("config file policy not used:\n%s", out)
 	}
 }
 
-func TestMultiScenarioConfig(t *testing.T) {
+// TestEmitSpecConfigRoundTrip: a spec -emit-spec writes runs under
+// -config to exactly the bytes of the flag run it was emitted from.
+func TestEmitSpecConfigRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	mkScen := func(name, policy string) string {
+	for i, flags := range [][]string{
+		shortArgs("-policy", "sensor-wise", "-format", "json"),
+		shortArgs("-workload", "hotspot", "-routing", "yx", "-probe", "1:W"),
+		{"-mesh", "4x2", "-vcs", "2", "-vnets", "2", "-workload", "req-resp", "-rate", "0.02",
+			"-tech", "32", "-phits", "2", "-wakeup", "1", "-warmup", "500", "-cycles", "5000", "-format", "csv"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.json", i))
+		emitSpecFile(t, path, flags...)
+		var format []string
+		if n := len(flags); flags[n-2] == "-format" {
+			format = flags[n-2:]
+		}
+		want := runCLI(t, flags...)
+		if got := runCLI(t, append([]string{"-config", path}, format...)...); got != want {
+			t.Errorf("flags %v: -config run differs from the flag run:\n--- flags\n%s\n--- config\n%s",
+				flags, want, got)
+		}
+	}
+}
+
+// rejectBadSpecs writes each bad variant of a valid emitted spec file
+// and checks that -config refuses it with an error naming the file.
+func rejectBadSpecs(t *testing.T, variants func(spec string) map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	emitSpecFile(t, good, shortArgs()...)
+	spec, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range variants(string(spec)) {
 		path := filepath.Join(dir, name+".json")
-		content := `{"name":"` + name + `","cores":4,"vcs":2,"policy":"` + policy + `",
-			"workload":"uniform","rate":0.1,"warmup":500,"measure":5000,
-			"seed":1,"pv_seed":2}`
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
+		err := run([]string{"-cache", "off", "-config", path}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s spec file: error %v, want one naming %s", name, err, path)
+		}
 	}
-	a := mkScen("first", "rr-no-sensor")
-	b := mkScen("second", "sensor-wise")
+}
+
+// TestConfigRejectsUnknownFields: -config decodes strictly, so a
+// misspelled field is refused rather than defaulted, and validates like
+// a nbtisimd submission.
+func TestConfigRejectsUnknownFields(t *testing.T) {
+	rejectBadSpecs(t, func(spec string) map[string]string {
+		return map[string]string{
+			"unknown": strings.Replace(spec, `"warmup"`, `"bogus": 1, "warmup"`, 1),
+			"invalid": strings.Replace(spec, `"measure": 5000`, `"measure": 0`, 1),
+		}
+	})
+}
+
+// TestConfigRejectsGarbage: a -config file that is not one JSON spec —
+// not JSON at all, or a spec followed by a second object — is refused,
+// and so is a missing file.
+func TestConfigRejectsGarbage(t *testing.T) {
+	rejectBadSpecs(t, func(spec string) map[string]string {
+		return map[string]string{
+			"garbage":  "not json",
+			"trailing": spec + spec,
+		}
+	})
+	if err := run([]string{"-cache", "off", "-config", filepath.Join(t.TempDir(), "missing.json")}, &bytes.Buffer{}); err == nil {
+		t.Error("missing spec file accepted")
+	}
+}
+
+func TestMultiScenarioConfig(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "first.json"), filepath.Join(dir, "second.json")
+	emitSpecFile(t, a, shortArgs("-policy", "rr-no-sensor", "-rate", "0.1")...)
+	emitSpecFile(t, b, shortArgs("-policy", "sensor-wise", "-rate", "0.1")...)
 
 	out := runCLI(t, "-config", a+","+b, "-j", "2")
-	// Headers appear in input order regardless of completion order.
-	iA := strings.Index(out, "=== scenario first ===")
-	iB := strings.Index(out, "=== scenario second ===")
+	// Headers name the files, in input order regardless of completion
+	// order.
+	iA := strings.Index(out, "=== spec "+a+" ===")
+	iB := strings.Index(out, "=== spec "+b+" ===")
 	if iA < 0 || iB < 0 || iA > iB {
-		t.Fatalf("scenario headers missing or out of order:\n%s", out)
+		t.Fatalf("spec headers missing or out of order:\n%s", out)
 	}
 	if !strings.Contains(out, "rr-no-sensor") || !strings.Contains(out, "sensor-wise") {
-		t.Errorf("per-scenario policies not reported:\n%s", out)
+		t.Errorf("per-spec policies not reported:\n%s", out)
 	}
 
 	// Output must not depend on the worker count.
@@ -234,11 +311,11 @@ func TestMultiScenarioConfig(t *testing.T) {
 		t.Errorf("-j 1 and -j 2 outputs differ:\n--- j=2\n%s\n--- j=1\n%s", out, seq)
 	}
 
-	// Per-run file flags are single-scenario only.
+	// Per-run file flags are single-spec only.
 	for _, extra := range []string{"-aging-out", "-aging-in", "-flit-trace"} {
 		args := []string{"-config", a + "," + b, extra, filepath.Join(dir, "x")}
 		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Errorf("%s accepted with multiple scenarios", extra)
+			t.Errorf("%s accepted with multiple specs", extra)
 		}
 	}
 }

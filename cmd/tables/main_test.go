@@ -105,25 +105,34 @@ func TestCSVFlag(t *testing.T) {
 	}
 }
 
-// TestSweepManifestIgnoresCacheMode: the manifest records every unit
-// the tables ran under its content address whatever the cache mode, so
-// -cache=off records the same keys as a cold -cache=rw run.
+// manifestKeys writes the -sweep-manifest of one table selection and
+// returns its unit keys, checking every unit is pending.
+func manifestKeys(t *testing.T, path string, args ...string) []string {
+	t.Helper()
+	runTables(t, append(args, "-quick", "-sweep-manifest", path)...)
+	m, err := sweep.LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ks []string
+	for _, u := range m.Units {
+		if u.State != sweep.UnitPending {
+			t.Errorf("unit %d is %s, want pending", u.Index, u.State)
+		}
+		ks = append(ks, u.Key)
+	}
+	return ks
+}
+
+// TestSweepManifestIgnoresCacheMode: the manifest is the tables' run
+// set, enumerated before anything runs, so every cache mode writes the
+// same keys.
 func TestSweepManifestIgnoresCacheMode(t *testing.T) {
 	dir := t.TempDir()
 	keys := func(mode string) []string {
 		t.Helper()
-		path := filepath.Join(dir, mode+".json")
-		runTables(t, "-table", "coop", "-quick", "-cache", mode,
-			"-cache-dir", filepath.Join(dir, "cache"), "-sweep-manifest", path)
-		m, err := sweep.LoadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ks []string
-		for _, u := range m.Units {
-			ks = append(ks, u.Key)
-		}
-		return ks
+		return manifestKeys(t, filepath.Join(dir, mode+".json"), "-table", "coop",
+			"-cache", mode, "-cache-dir", filepath.Join(dir, "cache"))
 	}
 	off, rw := keys("off"), keys("rw")
 	if len(off) != 24 {
@@ -131,5 +140,82 @@ func TestSweepManifestIgnoresCacheMode(t *testing.T) {
 	}
 	if !reflect.DeepEqual(off, rw) {
 		t.Errorf("unit keys differ across cache modes:\noff %v\nrw  %v", off, rw)
+	}
+}
+
+// TestSweepManifestDedupsSharedRuns: the ΔVth analysis reruns Table
+// III's sensor-wise scenarios and one Table IV mix per architecture, so
+// a manifest of all tables holds each of those runs once.
+func TestSweepManifestDedupsSharedRuns(t *testing.T) {
+	dir := t.TempDir()
+	all := map[string]bool{}
+	for _, k := range manifestKeys(t, filepath.Join(dir, "all.json"), "-table", "all") {
+		if all[k] {
+			t.Errorf("key %s appears twice", k[:12])
+		}
+		all[k] = true
+	}
+	shared := map[string]bool{}
+	for _, table := range []string{"3", "4"} {
+		for _, k := range manifestKeys(t, filepath.Join(dir, table+".json"), "-table", table) {
+			shared[k] = true
+		}
+	}
+	vth := manifestKeys(t, filepath.Join(dir, "vth.json"), "-table", "vth")
+	if len(vth) != 8 {
+		t.Errorf("vth manifest has %d units, want 8 (6 synthetic + 2 app-mix)", len(vth))
+	}
+	for _, k := range vth {
+		if !shared[k] || !all[k] {
+			t.Errorf("vth run %s is not one of Table III/IV's runs in the all-tables manifest", k[:12])
+		}
+	}
+}
+
+// TestSweepManifestCampaignServesTables: a table's manifest is written
+// without simulating, a sweep campaign over it fills the cache, and the
+// table then regenerates from that cache alone, byte-identical to its
+// golden fixture.
+func TestSweepManifestCampaignServesTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the quick coop table once through a sweep campaign")
+	}
+	dir := t.TempDir()
+	manifest, cacheDir := filepath.Join(dir, "m.json"), filepath.Join(dir, "c")
+	manifestKeys(t, manifest, "-table", "coop", "-cache", "rw", "-cache-dir", cacheDir)
+	if entries, err := os.ReadDir(cacheDir); err == nil && len(entries) > 0 {
+		t.Fatalf("-sweep-manifest wrote %d cache entries; it must not simulate", len(entries))
+	}
+
+	m, err := sweep.LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := m.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &sweep.Coordinator{Manifest: m, Units: units, ManifestPath: manifest, CacheDir: cacheDir, Procs: 1}
+	res, err := c.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 24 {
+		t.Fatalf("campaign completed %d units, want 24", res.Done)
+	}
+
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_coop_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := filepath.Join(dir, "metrics.json")
+	got := runTables(t, "-table", "coop", "-quick", "-cache", "ro", "-cache-dir", cacheDir,
+		"-metrics-out", met)
+	if got != string(want) {
+		t.Errorf("table served from the campaign's cache diverged from the fixture:\n%s",
+			firstDiff(string(want), got))
+	}
+	if misses, hits := metricTotal(t, met, "cache_misses_total"), metricTotal(t, met, "cache_hits_total"); misses != 0 || hits != 24 {
+		t.Errorf("cache misses=%d hits=%d after the campaign, want 0 and 24", misses, hits)
 	}
 }

@@ -29,36 +29,7 @@ func TestMetricsOutSnapshot(t *testing.T) {
 		"-cache", "rw", "-cache-dir", filepath.Join(dir, "cache"),
 		"-metrics-out", outFile)
 
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Families []struct {
-			Name    string `json:"name"`
-			Metrics []struct {
-				LabelValues []string `json:"label_values"`
-				Counter     *uint64  `json:"counter"`
-			} `json:"metrics"`
-		} `json:"families"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("parsing -metrics-out snapshot: %v", err)
-	}
-	total := func(name string) uint64 {
-		var n uint64
-		for _, f := range snap.Families {
-			if f.Name != name {
-				continue
-			}
-			for _, m := range f.Metrics {
-				if m.Counter != nil {
-					n += *m.Counter
-				}
-			}
-		}
-		return n
-	}
+	total := func(name string) uint64 { return metricTotal(t, outFile, name) }
 	for _, series := range []string{
 		"noc_cycles_total",
 		"noc_gating_transitions_total",
@@ -74,6 +45,39 @@ func TestMetricsOutSnapshot(t *testing.T) {
 	if total("cache_misses_total") == 0 {
 		t.Error("cold cache run recorded no cache misses")
 	}
+}
+
+// metricTotal sums the counter series name over every label set in a
+// -metrics-out snapshot.
+func metricTotal(t *testing.T, path, name string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Families []struct {
+			Name    string `json:"name"`
+			Metrics []struct {
+				Counter *uint64 `json:"counter"`
+			} `json:"metrics"`
+		} `json:"families"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("parsing -metrics-out snapshot: %v", err)
+	}
+	var n uint64
+	for _, f := range snap.Families {
+		if f.Name != name {
+			continue
+		}
+		for _, m := range f.Metrics {
+			if m.Counter != nil {
+				n += *m.Counter
+			}
+		}
+	}
+	return n
 }
 
 // TestMonitorFlagServes starts a table run with -monitor and scrapes

@@ -113,7 +113,7 @@ func (s *activeSet) snapped(id int) bool {
 
 // waker is the active-set entry a unit wakes when it emits something
 // another unit must observe: the target's set and node id. The zero
-// waker (standalone units outside a network) wakes nothing.
+// waker wakes nothing.
 type waker struct {
 	set *activeSet
 	id  int

@@ -99,8 +99,7 @@ type InputUnit struct {
 	vcs []vcBuffer
 	// fifo holds the VCs' flit rings, depth slots each in VC order;
 	// devs holds the VCs' NBTI devices (their critical PMOS networks).
-	// Both are windows of the network's flat arenas (or private slices
-	// for standalone units).
+	// Both are windows of the network's flat arenas.
 	//nbtilint:arena
 	fifo []flit
 	//nbtilint:arena
@@ -144,8 +143,8 @@ type InputUnit struct {
 	// depth is the flit capacity of each VC buffer.
 	depth int32
 	// occPorts/pendPorts/actPorts point at the owning router's
-	// port-summary masks (nil for NI ejection units and standalone test
-	// units); portBit is this unit's bit. The unit keeps each summary
+	// port-summary masks (nil for NI ejection units); portBit is this
+	// unit's bit. The unit keeps each summary
 	// exact across every empty <-> non-empty transition of occMask /
 	// vaPendMask / activeMask.
 	occPorts, pendPorts, actPorts *uint64
@@ -213,18 +212,6 @@ func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
 	}
 	iu.poweredMask = iu.vcAll
 	iu.pwrDirty = true
-}
-
-// newInputUnit builds a standalone input unit (unit tests); networks
-// initialise units in place over their flat arenas instead.
-func newInputUnit(owner NodeID, port Port, cfg *Config, depth int, vth0 []float64) *InputUnit {
-	total := cfg.TotalVCs()
-	iu := &InputUnit{}
-	met := newUnitMetrics()
-	initInputUnit(iu, owner, port, cfg,
-		make([]vcBuffer, total), make([]flit, total*depth), make([]nbti.Device, total),
-		depth, vth0, &met, &unitStore{})
-	return iu
 }
 
 // vcAllMask returns the mask with the total low bits set.
@@ -297,9 +284,7 @@ func (iu *InputUnit) NumVCs() int { return len(iu.vcs) }
 // the ranking they took of it (see Network.nextSample), so callers must
 // not rewrite it in place.
 func (iu *InputUnit) Device(vc int) *nbti.Device {
-	if iu.clk != nil {
-		iu.flushVC(vc, *iu.clk)
-	}
+	iu.flushVC(vc, *iu.clk)
 	return &iu.devs[vc]
 }
 

@@ -306,8 +306,7 @@ func New(cfg Config) (*Network, error) {
 // link values, link pipeline slot rings, VA arbiters, source queues,
 // sensor banks and their noise sources. New sizes it
 // once for the whole network, so wiring carves each unit's windows with
-// take instead of allocating them; the zero store (standalone test
-// units) allocates per slice.
+// take instead of allocating them.
 type unitStore struct {
 	ints        []int
 	flitSlots   [][]flit

@@ -98,8 +98,8 @@ type OutputUnit struct {
 	// summaries (ownPolBit is this unit's port bit in both); the polDirty
 	// writers arm ownPol so the policy sweep revisits the port, and
 	// allocVC/creditTick keep ownAct tracking actMask's empty <->
-	// non-empty transitions. nil for NI-owned or standalone units, whose
-	// policy runs are not port-gated.
+	// non-empty transitions. nil for NI-owned units, whose policy runs
+	// are not port-gated.
 	ownPol, ownAct *uint64
 	ownPolBit      uint64
 }
@@ -126,16 +126,6 @@ func initOutputUnit(ou *OutputUnit, owner NodeID, port Port, cfg *Config,
 	ou.allocPtr = take(&st.ints, cfg.VNets)
 	ou.pol = pol
 	ou.polDirty = true
-}
-
-// newOutputUnit builds a standalone upstream side of a channel whose
-// downstream buffers have the given depth (unit tests); networks
-// initialise units in place over their flat arenas instead.
-func newOutputUnit(owner NodeID, port Port, cfg *Config, depth int, factory PolicyFactory) *OutputUnit {
-	ou := &OutputUnit{}
-	initOutputUnit(ou, owner, port, cfg, make([]outVC, cfg.TotalVCs()), depth,
-		newPolicyDomain(factory), &unitStore{})
-	return ou
 }
 
 // vnetMask returns the mask selecting vnet's VCsPerVNet contiguous bits.

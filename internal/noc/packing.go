@@ -43,12 +43,8 @@ func window[T any](arena []T, group, stride int) []T {
 // take carves the next n elements off the front of a construction-time
 // backing slice, capacity-clamped like window. Backing slices are sized
 // for a whole network up front, so carving every unit's windows costs
-// no allocation; if one runs short, take falls back to a fresh slice,
-// which keeps construction correct and only costs the allocation.
+// no allocation.
 func take[T any](back *[]T, n int) []T {
-	if len(*back) < n {
-		return make([]T, n)
-	}
 	w := (*back)[:n:n]
 	*back = (*back)[n:]
 	return w

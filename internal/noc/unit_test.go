@@ -2,20 +2,17 @@ package noc
 
 import "testing"
 
-// mkChannel builds a connected OutputUnit/InputUnit pair outside a full
-// network, for white-box protocol tests.
+// mkChannel builds a two-node network and returns its 0→1 channel:
+// node 0's East output unit and node 1's West input unit, for white-box
+// protocol tests that tick the channel by hand.
 func mkChannel(t *testing.T, cfg Config, factory PolicyFactory) (*OutputUnit, *InputUnit, *Network) {
 	t.Helper()
-	// A minimal network supplies consistent wiring helpers.
-	n := &Network{cfg: cfg}
-	ou := newOutputUnit(0, East, &n.cfg, cfg.BufferDepth, factory)
-	vth := make([]float64, cfg.TotalVCs())
-	for i := range vth {
-		vth[i] = 0.18
+	cfg.Policy = factory
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	iu := newInputUnit(1, West, &n.cfg, cfg.BufferDepth, vth)
-	n.connect(ou, iu)
-	return ou, iu, n
+	return n.routers[0].out[East], n.routers[1].in[West], n
 }
 
 // tick advances the channel's control links and delivers flits/credits,
@@ -243,9 +240,6 @@ func TestMDLinkPropagation(t *testing.T) {
 	cfg := unitConfig()
 	cfg.Sensor.SamplePeriod = 1
 	ou, iu, n := mkChannel(t, cfg, nil)
-	if err := iu.attachSensors(&cfg.Sensor, &unitStore{}, nil); err != nil {
-		t.Fatal(err)
-	}
 	// Force distinct Vth0 values so the comparator has a clear winner.
 	iu.devs[2].Vth0 = 0.25
 	cycle := uint64(1)

@@ -37,23 +37,25 @@ type VthTable struct {
 // and projects the ΔVth saving of the most degraded VC against the
 // always-on baseline after the given number of years.
 func RunVthSaving(vcs int, years float64, opt TableOptions) (*VthTable, error) {
-	if years <= 0 {
-		return nil, fmt.Errorf("sim: non-positive projection horizon %v", years)
-	}
-	model := nbti.Default45nm()
-	out := &VthTable{Years: years}
-	wall := years * nbti.SecondsPerYear
+	return vthDriver(vcs, years, opt).run(opt)
+}
 
-	// One synthetic run per (cores, rate), then one application-mix run
-	// per architecture. The app-mix scenarios matter because the paper's
-	// headline 54.2% saving comes from ports whose most degraded VC is
-	// almost never exercised, which the bursty benchmark workloads
-	// produce (Table IV shows MD-VC duty-cycles below 1%).
+// vthDriver enumerates the ΔVth analysis: one synthetic run per (cores,
+// rate), then one application-mix run per architecture. The app-mix
+// scenarios matter because the paper's headline 54.2% saving comes from
+// ports whose most degraded VC is almost never exercised, which the
+// bursty benchmark workloads produce (Table IV shows MD-VC duty-cycles
+// below 1%). Both kinds are runs Tables III and IV make too, so a
+// manifest of all tables holds them once.
+func vthDriver(vcs int, years float64, opt TableOptions) driver[*VthTable] {
+	if years <= 0 {
+		return driver[*VthTable]{err: fmt.Errorf("sim: non-positive projection horizon %v", years)}
+	}
 	var specs []Spec
 	for _, cores := range opt.Cores {
 		m, err := SquareMesh(cores)
 		if err != nil {
-			return nil, err
+			return driver[*VthTable]{err: err}
 		}
 		for _, rate := range opt.Rates {
 			specs = append(specs, opt.syntheticSpec(m, vcs, rate, "sensor-wise"))
@@ -62,37 +64,37 @@ func RunVthSaving(vcs int, years float64, opt TableOptions) (*VthTable, error) {
 	for _, cores := range opt.Cores {
 		spec, err := opt.appSpec(cores, vcs, 0, "sensor-wise")
 		if err != nil {
-			return nil, err
+			return driver[*VthTable]{err: err}
 		}
 		specs = append(specs, spec)
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-
-	for i, spec := range specs {
-		for _, reading := range sums[i].Ports {
-			scenario := fmt.Sprintf("%dcore-inj%.2f", spec.Net.Nodes(), spec.Gen.Rate)
-			if spec.Gen.Kind == "app" {
-				scenario = fmt.Sprintf("%dc-app-%s", spec.Net.Nodes(), reading.Probe.Label())
+	return driver[*VthTable]{specs: specs, reduce: func(sums []*RunSummary) (*VthTable, error) {
+		model := nbti.Default45nm()
+		out := &VthTable{Years: years}
+		wall := years * nbti.SecondsPerYear
+		for i, spec := range specs {
+			for _, reading := range sums[i].Ports {
+				scenario := fmt.Sprintf("%dcore-inj%.2f", spec.Net.Nodes(), spec.Gen.Rate)
+				if spec.Gen.Kind == "app" {
+					scenario = fmt.Sprintf("%dc-app-%s", spec.Net.Nodes(), reading.Probe.Label())
+				}
+				alpha := reading.Duty[reading.MostDegraded] / 100
+				row := VthRow{
+					Scenario:           scenario,
+					MDVC:               reading.MostDegraded,
+					AlphaMD:            alpha,
+					DeltaVthBaseline:   model.DeltaVth(1, wall),
+					DeltaVthSensorWise: model.DeltaVth(alpha, wall),
+				}
+				row.SavingPct = 100 * model.Saving(alpha, 1, wall)
+				if row.SavingPct > out.MaxSavingPct {
+					out.MaxSavingPct = row.SavingPct
+				}
+				out.Rows = append(out.Rows, row)
 			}
-			alpha := reading.Duty[reading.MostDegraded] / 100
-			row := VthRow{
-				Scenario:           scenario,
-				MDVC:               reading.MostDegraded,
-				AlphaMD:            alpha,
-				DeltaVthBaseline:   model.DeltaVth(1, wall),
-				DeltaVthSensorWise: model.DeltaVth(alpha, wall),
-			}
-			row.SavingPct = 100 * model.Saving(alpha, 1, wall)
-			if row.SavingPct > out.MaxSavingPct {
-				out.MaxSavingPct = row.SavingPct
-			}
-			out.Rows = append(out.Rows, row)
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // Render formats the ΔVth analysis.
@@ -146,13 +148,18 @@ func CoopPolicies() []string {
 // information by running each policy against its non-cooperative twin
 // on identical scenarios.
 func RunCooperation(vcs int, opt TableOptions) (*CoopTable, error) {
-	out := &CoopTable{VCs: vcs}
+	return coopDriver(vcs, opt).run(opt)
+}
+
+// coopDriver enumerates the cooperation ablation: the four policies on
+// every (cores, rate) scenario.
+func coopDriver(vcs int, opt TableOptions) driver[*CoopTable] {
 	policies := CoopPolicies()
 	var specs []Spec
 	for _, cores := range opt.Cores {
 		m, err := SquareMesh(cores)
 		if err != nil {
-			return nil, err
+			return driver[*CoopTable]{err: err}
 		}
 		for _, rate := range opt.Rates {
 			for _, policy := range policies {
@@ -160,37 +167,36 @@ func RunCooperation(vcs int, opt TableOptions) (*CoopTable, error) {
 			}
 		}
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	next := 0
-	for _, cores := range opt.Cores {
-		for _, rate := range opt.Rates {
-			row := CoopRow{
-				Scenario: fmt.Sprintf("%dcore-inj%.2f", cores, rate),
-				DutyMD:   make(map[string]float64, len(policies)),
-				MDVC:     -1,
-			}
-			for _, policy := range policies {
-				reading := sums[next].Ports[0]
-				next++
-				if row.MDVC == -1 {
-					row.MDVC = reading.MostDegraded
+	return driver[*CoopTable]{specs: specs, reduce: func(sums []*RunSummary) (*CoopTable, error) {
+		out := &CoopTable{VCs: vcs}
+		next := 0
+		for _, cores := range opt.Cores {
+			for _, rate := range opt.Rates {
+				row := CoopRow{
+					Scenario: fmt.Sprintf("%dcore-inj%.2f", cores, rate),
+					DutyMD:   make(map[string]float64, len(policies)),
+					MDVC:     -1,
 				}
-				row.DutyMD[policy] = reading.Duty[reading.MostDegraded]
-			}
-			row.ReductionSW = row.DutyMD["sensor-wise-no-traffic"] - row.DutyMD["sensor-wise"]
-			row.ReductionRR = row.DutyMD["rr-no-sensor-no-traffic"] - row.DutyMD["rr-no-sensor"]
-			for _, v := range []float64{row.ReductionSW, row.ReductionRR} {
-				if v > out.MaxReductionPts {
-					out.MaxReductionPts = v
+				for _, policy := range policies {
+					reading := sums[next].Ports[0]
+					next++
+					if row.MDVC == -1 {
+						row.MDVC = reading.MostDegraded
+					}
+					row.DutyMD[policy] = reading.Duty[reading.MostDegraded]
 				}
+				row.ReductionSW = row.DutyMD["sensor-wise-no-traffic"] - row.DutyMD["sensor-wise"]
+				row.ReductionRR = row.DutyMD["rr-no-sensor-no-traffic"] - row.DutyMD["rr-no-sensor"]
+				for _, v := range []float64{row.ReductionSW, row.ReductionRR} {
+					if v > out.MaxReductionPts {
+						out.MaxReductionPts = v
+					}
+				}
+				out.Rows = append(out.Rows, row)
 			}
-			out.Rows = append(out.Rows, row)
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // Render formats the cooperation ablation.

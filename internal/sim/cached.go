@@ -201,9 +201,9 @@ type Runner struct {
 	Store *cache.Store
 	// Record, when non-nil, observes every successfully completed
 	// Run/TryRun: the spec, its content address, and whether the
-	// summary came from the cache. Sweep manifests are built on this
-	// hook. Drivers run specs from worker pools, so Record must be safe
-	// for concurrent use.
+	// summary came from the cache. RunJob reads its cached flag through
+	// it and perfbench traces a pass's jobs with it. Drivers run specs
+	// from worker pools, so Record must be safe for concurrent use.
 	Record func(spec Spec, key string, cached bool)
 }
 

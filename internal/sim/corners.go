@@ -46,63 +46,69 @@ func CornerPolicies() []string {
 // reports the time each corner allows before a ΔVth budget is exhausted.
 func RunCorners(cores, vcs int, rate, budgetV float64,
 	temps, vdds []float64, opt TableOptions) (*CornerTable, error) {
+	return cornersDriver(cores, vcs, rate, budgetV, temps, vdds, opt).run(opt)
+}
+
+// cornersDriver enumerates the corner sweep's runs, one per policy on
+// the common scenario; the corners themselves are model evaluations in
+// the reduction.
+func cornersDriver(cores, vcs int, rate, budgetV float64,
+	temps, vdds []float64, opt TableOptions) driver[*CornerTable] {
 	if budgetV <= 0 {
-		return nil, fmt.Errorf("sim: non-positive budget %v", budgetV)
+		return driver[*CornerTable]{err: fmt.Errorf("sim: non-positive budget %v", budgetV)}
 	}
 	if len(temps) == 0 || len(vdds) == 0 {
-		return nil, fmt.Errorf("sim: empty corner sweep")
+		return driver[*CornerTable]{err: fmt.Errorf("sim: empty corner sweep")}
 	}
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*CornerTable]{err: err}
 	}
 	policies := CornerPolicies()
 	specs := make([]Spec, len(policies))
 	for i, policy := range policies {
 		specs[i] = opt.syntheticSpec(m, vcs, rate, policy)
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &CornerTable{
-		Cores: cores, VCs: vcs, Rate: rate,
-		BudgetMV: 1000 * budgetV,
-		AlphaMD:  make(map[string]float64, len(policies)),
-	}
-	for i, policy := range policies {
-		r := sums[i].Ports[0]
-		out.AlphaMD[policy] = r.Duty[r.MostDegraded] / 100
-	}
-
-	for _, tK := range temps {
-		for _, vdd := range vdds {
-			model := nbti.Default45nm()
-			model.TempK = tK
-			model.Vdd = vdd
-			if err := model.Validate(); err != nil {
-				return nil, err
-			}
-			row := CornerRow{
-				TempK:         tK,
-				Vdd:           vdd,
-				LifetimeYears: make(map[string]float64, len(policies)),
-			}
-			for _, policy := range policies {
-				lt := model.LifetimeToBudget(out.AlphaMD[policy], budgetV)
-				years := lt / nbti.SecondsPerYear
-				if math.IsInf(lt, 1) || years > 100 {
-					years = 100
-				}
-				row.LifetimeYears[policy] = years
-			}
-			if b := row.LifetimeYears["baseline"]; b > 0 {
-				row.ExtensionX = row.LifetimeYears["sensor-wise"] / b
-			}
-			out.Rows = append(out.Rows, row)
+	return driver[*CornerTable]{specs: specs, reduce: func(sums []*RunSummary) (*CornerTable, error) {
+		out := &CornerTable{
+			Cores: cores, VCs: vcs, Rate: rate,
+			BudgetMV: 1000 * budgetV,
+			AlphaMD:  make(map[string]float64, len(policies)),
 		}
-	}
-	return out, nil
+		for i, policy := range policies {
+			r := sums[i].Ports[0]
+			out.AlphaMD[policy] = r.Duty[r.MostDegraded] / 100
+		}
+
+		for _, tK := range temps {
+			for _, vdd := range vdds {
+				model := nbti.Default45nm()
+				model.TempK = tK
+				model.Vdd = vdd
+				if err := model.Validate(); err != nil {
+					return nil, err
+				}
+				row := CornerRow{
+					TempK:         tK,
+					Vdd:           vdd,
+					LifetimeYears: make(map[string]float64, len(policies)),
+				}
+				for _, policy := range policies {
+					lt := model.LifetimeToBudget(out.AlphaMD[policy], budgetV)
+					years := lt / nbti.SecondsPerYear
+					if math.IsInf(lt, 1) || years > 100 {
+						years = 100
+					}
+					row.LifetimeYears[policy] = years
+				}
+				if b := row.LifetimeYears["baseline"]; b > 0 {
+					row.ExtensionX = row.LifetimeYears["sensor-wise"] / b
+				}
+				out.Rows = append(out.Rows, row)
+			}
+		}
+		return out, nil
+	}}
 }
 
 // Render formats the corner sweep.

@@ -35,12 +35,18 @@ type DSETable struct {
 
 // RunDSE sweeps VC count and buffer depth on one scenario.
 func RunDSE(cores int, rate float64, vcsList, depths []int, opt TableOptions) (*DSETable, error) {
+	return dseDriver(cores, rate, vcsList, depths, opt).run(opt)
+}
+
+// dseDriver enumerates the exploration: both policies at every (VCs,
+// depth) design point.
+func dseDriver(cores int, rate float64, vcsList, depths []int, opt TableOptions) driver[*DSETable] {
 	if len(vcsList) == 0 || len(depths) == 0 {
-		return nil, fmt.Errorf("sim: empty design space")
+		return driver[*DSETable]{err: fmt.Errorf("sim: empty design space")}
 	}
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*DSETable]{err: err}
 	}
 	dsePolicies := []string{"rr-no-sensor", "sensor-wise"}
 	var specs []Spec
@@ -53,47 +59,45 @@ func RunDSE(cores int, rate float64, vcsList, depths []int, opt TableOptions) (*
 			}
 		}
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &DSETable{Cores: cores, Rate: rate}
-	next := 0
-	for _, vcs := range vcsList {
-		for _, depth := range depths {
-			duty := map[string]float64{}
-			var lat float64
-			md := -1
-			for _, policy := range dsePolicies {
-				r := sums[next].Ports[0]
-				if md == -1 {
-					md = r.MostDegraded
+	return driver[*DSETable]{specs: specs, reduce: func(sums []*RunSummary) (*DSETable, error) {
+		out := &DSETable{Cores: cores, Rate: rate}
+		next := 0
+		for _, vcs := range vcsList {
+			for _, depth := range depths {
+				duty := map[string]float64{}
+				var lat float64
+				md := -1
+				for _, policy := range dsePolicies {
+					r := sums[next].Ports[0]
+					if md == -1 {
+						md = r.MostDegraded
+					}
+					duty[policy] = r.Duty[md]
+					if policy == "sensor-wise" {
+						lat = sums[next].AvgLatency
+					}
+					next++
 				}
-				duty[policy] = r.Duty[md]
-				if policy == "sensor-wise" {
-					lat = sums[next].AvgLatency
+				spec := area.RouterSpec{
+					Ports: 4, VCsPerPort: vcs, BufferDepth: depth, FlitBits: 64,
 				}
-				next++
+				rep, err := area.Estimate(area.Default45nm(), spec)
+				if err != nil {
+					return nil, err
+				}
+				out.Rows = append(out.Rows, DSERow{
+					VCs:         vcs,
+					Depth:       depth,
+					DutyMD:      duty["sensor-wise"],
+					GapVsRR:     duty["rr-no-sensor"] - duty["sensor-wise"],
+					AvgLatency:  lat,
+					RouterUm2:   rep.RouterUm2,
+					OverheadPct: rep.TotalPctOfBaseline,
+				})
 			}
-			spec := area.RouterSpec{
-				Ports: 4, VCsPerPort: vcs, BufferDepth: depth, FlitBits: 64,
-			}
-			rep, err := area.Estimate(area.Default45nm(), spec)
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, DSERow{
-				VCs:         vcs,
-				Depth:       depth,
-				DutyMD:      duty["sensor-wise"],
-				GapVsRR:     duty["rr-no-sensor"] - duty["sensor-wise"],
-				AvgLatency:  lat,
-				RouterUm2:   rep.RouterUm2,
-				OverheadPct: rep.TotalPctOfBaseline,
-			})
 		}
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // Render formats the exploration.

@@ -42,9 +42,14 @@ func PerfPolicies() []string {
 // demonstrating that the NBTI recovery is (nearly) performance-neutral —
 // and what a non-zero sleep-transistor wake-up latency costs.
 func RunPerfImpact(cores, vcs, wakeup int, rates []float64, opt TableOptions) (*PerfTable, error) {
+	return perfDriver(cores, vcs, wakeup, rates, opt).run(opt)
+}
+
+// perfDriver enumerates the trade-off sweep: every policy at every rate.
+func perfDriver(cores, vcs, wakeup int, rates []float64, opt TableOptions) driver[*PerfTable] {
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*PerfTable]{err: err}
 	}
 	var specs []Spec
 	for _, rate := range rates {
@@ -54,22 +59,20 @@ func RunPerfImpact(cores, vcs, wakeup int, rates []float64, opt TableOptions) (*
 			specs = append(specs, spec)
 		}
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &PerfTable{Cores: cores, VCs: vcs, WakeupLatency: wakeup}
-	for i, spec := range specs {
-		r := sums[i].Ports[0]
-		out.Rows = append(out.Rows, PerfRow{
-			Policy:     spec.Policy.Name,
-			Rate:       spec.Gen.Rate,
-			AvgLatency: sums[i].AvgLatency,
-			Throughput: sums[i].Throughput,
-			DutyMD:     r.Duty[r.MostDegraded],
-		})
-	}
-	return out, nil
+	return driver[*PerfTable]{specs: specs, reduce: func(sums []*RunSummary) (*PerfTable, error) {
+		out := &PerfTable{Cores: cores, VCs: vcs, WakeupLatency: wakeup}
+		for i, spec := range specs {
+			r := sums[i].Ports[0]
+			out.Rows = append(out.Rows, PerfRow{
+				Policy:     spec.Policy.Name,
+				Rate:       spec.Gen.Rate,
+				AvgLatency: sums[i].AvgLatency,
+				Throughput: sums[i].Throughput,
+				DutyMD:     r.Duty[r.MostDegraded],
+			})
+		}
+		return out, nil
+	}}
 }
 
 // Render formats the trade-off sweep.
@@ -107,9 +110,15 @@ type EnergyTable struct {
 // the cost of the always-on sensors — the side-benefit analysis of the
 // power-gating mechanism the paper builds on.
 func RunEnergy(cores, vcs int, rate float64, opt TableOptions) (*EnergyTable, error) {
+	return energyDriver(cores, vcs, rate, opt).run(opt)
+}
+
+// energyDriver enumerates the energy extension: one unprobed run per
+// policy on a common scenario.
+func energyDriver(cores, vcs int, rate float64, opt TableOptions) driver[*EnergyTable] {
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*EnergyTable]{err: err}
 	}
 	policies := []string{"baseline", "rr-no-sensor", "rr-no-sensor-no-traffic",
 		"sensor-wise-no-traffic", "sensor-wise"}
@@ -118,29 +127,27 @@ func RunEnergy(cores, vcs int, rate float64, opt TableOptions) (*EnergyTable, er
 		specs[i] = opt.syntheticSpec(m, vcs, rate, policy)
 		specs[i].Probes = nil
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &EnergyTable{Cores: cores, VCs: vcs, Rate: rate, Cycles: opt.Measure}
-	params := power.Default45nm()
-	for i, policy := range policies {
-		factory, err := core.Lookup(policy)
-		if err != nil {
-			return nil, err
+	return driver[*EnergyTable]{specs: specs, reduce: func(sums []*RunSummary) (*EnergyTable, error) {
+		out := &EnergyTable{Cores: cores, VCs: vcs, Rate: rate, Cycles: opt.Measure}
+		params := power.Default45nm()
+		for i, policy := range policies {
+			factory, err := core.Lookup(policy)
+			if err != nil {
+				return nil, err
+			}
+			sensors := 0
+			if noc.PolicyUsesSensors(factory()) {
+				// One sensor per router input VC buffer.
+				sensors = sums[i].Nodes * int(noc.NumPorts) * sums[i].TotalVCs
+			}
+			rep, err := power.Estimate(params, sums[i].Events, sensors, opt.Measure)
+			if err != nil {
+				return nil, err
+			}
+			out.Rows = append(out.Rows, EnergyRow{Policy: policy, Report: rep, Sensors: sensors})
 		}
-		sensors := 0
-		if noc.PolicyUsesSensors(factory()) {
-			// One sensor per router input VC buffer.
-			sensors = sums[i].Nodes * int(noc.NumPorts) * sums[i].TotalVCs
-		}
-		rep, err := power.Estimate(params, sums[i].Events, sensors, opt.Measure)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, EnergyRow{Policy: policy, Report: rep, Sensors: sensors})
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // Render formats the energy extension.

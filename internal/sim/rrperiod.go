@@ -31,44 +31,46 @@ type RRPeriodTable struct {
 // RunRRPeriodStudy sweeps the Algorithm 1 candidate rotation period on
 // one scenario.
 func RunRRPeriodStudy(cores, vcs int, rate float64, periods []uint64, opt TableOptions) (*RRPeriodTable, error) {
+	return rrPeriodDriver(cores, vcs, rate, periods, opt).run(opt)
+}
+
+// rrPeriodDriver enumerates one run per rotation period. The period is
+// declared through PolicySpec, so the sweep stays cacheable by content.
+func rrPeriodDriver(cores, vcs int, rate float64, periods []uint64, opt TableOptions) driver[*RRPeriodTable] {
 	if len(periods) == 0 {
-		return nil, fmt.Errorf("sim: empty period sweep")
+		return driver[*RRPeriodTable]{err: fmt.Errorf("sim: empty period sweep")}
 	}
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*RRPeriodTable]{err: err}
 	}
 	specs := make([]Spec, len(periods))
 	for i, period := range periods {
-		// The rotation period is declared through PolicySpec, so the
-		// sweep stays cacheable by content.
 		specs[i] = opt.syntheticSpec(m, vcs, rate, "")
 		specs[i].Policy.RRPeriod = period
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &RRPeriodTable{Cores: cores, VCs: vcs, Rate: rate}
-	for i, period := range periods {
-		r := sums[i].Ports[0]
-		min, max := 100.0, 0.0
-		for _, d := range r.Duty {
-			if d < min {
-				min = d
+	return driver[*RRPeriodTable]{specs: specs, reduce: func(sums []*RunSummary) (*RRPeriodTable, error) {
+		out := &RRPeriodTable{Cores: cores, VCs: vcs, Rate: rate}
+		for i, period := range periods {
+			r := sums[i].Ports[0]
+			min, max := 100.0, 0.0
+			for _, d := range r.Duty {
+				if d < min {
+					min = d
+				}
+				if d > max {
+					max = d
+				}
 			}
-			if d > max {
-				max = d
-			}
+			out.Rows = append(out.Rows, RRPeriodRow{
+				Period:     period,
+				DutyMD:     r.Duty[r.MostDegraded],
+				DutyMax:    max,
+				DutySpread: max - min,
+			})
 		}
-		out.Rows = append(out.Rows, RRPeriodRow{
-			Period:     period,
-			DutyMD:     r.Duty[r.MostDegraded],
-			DutyMax:    max,
-			DutySpread: max - min,
-		})
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // Render formats the study.

@@ -1,21 +1,16 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"nbtinoc/internal/nbti"
 	"nbtinoc/internal/pv"
-	"nbtinoc/internal/traffic"
 )
 
-// Scenario is a hand-authored experiment description: everything a run
-// needs, in one JSON file with defaults filled in by Validate, so
-// published results can name the exact scenario that produced them. It
-// is only a way to build a Spec; Scenario.Spec compiles it, and every
-// run path executes the compiled spec.
+// Scenario is the hand-authored run vocabulary: the nbtisim and compare
+// flags and the base of a sweep grid speak it, with defaults filled in
+// by Validate. It is only a way to build a Spec; Scenario.Spec compiles
+// it, and every run path executes the compiled spec.
 type Scenario struct {
 	// Name labels the scenario in reports.
 	Name string `json:"name"`
@@ -55,35 +50,21 @@ type Scenario struct {
 	PVSeed uint64 `json:"pv_seed"`
 }
 
-// Validate normalises defaults and reports structural problems.
+// Validate fills defaults and makes the checks a Spec cannot: the tech
+// node, and a cores count that agrees with the geometry. Everything
+// else is Spec.Validate's job once Spec compiles the scenario.
 func (s *Scenario) Validate() error {
 	if (s.Width != 0) != (s.Height != 0) {
 		return fmt.Errorf("sim: scenario %q needs both width and height (or neither)", s.Name)
 	}
 	if s.Width != 0 {
 		m := Mesh{Width: s.Width, Height: s.Height}
-		if err := m.Validate(); err != nil {
-			return err
-		}
 		if s.Cores == 0 {
 			s.Cores = m.Cores()
 		} else if s.Cores != m.Cores() {
 			return fmt.Errorf("sim: scenario %q: cores %d disagrees with %s mesh",
 				s.Name, s.Cores, m)
 		}
-	} else {
-		if s.Cores == 0 {
-			return fmt.Errorf("sim: scenario %q missing cores", s.Name)
-		}
-		if _, err := MeshSide(s.Cores); err != nil {
-			return err
-		}
-	}
-	if s.VCs < 1 {
-		return fmt.Errorf("sim: scenario %q needs vcs >= 1", s.Name)
-	}
-	if s.Measure == 0 {
-		return fmt.Errorf("sim: scenario %q has no measurement window", s.Name)
 	}
 	if s.VNets == 0 {
 		s.VNets = 1
@@ -107,30 +88,23 @@ func (s *Scenario) Validate() error {
 	if s.Workload == "" {
 		s.Workload = "uniform"
 	}
-	if s.Workload == "req-resp" && s.VNets < 2 {
-		return fmt.Errorf("sim: scenario %q: req-resp needs at least 2 vnets", s.Name)
-	}
 	return nil
 }
 
-// mesh returns the scenario's geometry: the explicit Width×Height when
-// present, otherwise the square mesh of Cores. Call after Validate.
-func (s *Scenario) mesh() (Mesh, error) {
-	if s.Width != 0 {
-		return Mesh{Width: s.Width, Height: s.Height}, nil
-	}
-	return SquareMesh(s.Cores)
-}
-
 // Spec compiles the scenario into the declarative, cacheable simulation
-// request every run path executes, observed at the given probes.
+// request every run path executes, observed at the given probes. The
+// compiled spec is validated, so a bad scenario reports the same
+// field-tagged SpecErrors a nbtisimd submission of it would.
 func (s *Scenario) Spec(probes []PortProbe) (Spec, error) {
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
-	m, err := s.mesh()
-	if err != nil {
-		return Spec{}, err
+	m := Mesh{Width: s.Width, Height: s.Height}
+	if s.Width == 0 {
+		var err error
+		if m, err = SquareMesh(s.Cores); err != nil {
+			return Spec{}, err
+		}
 	}
 	cfg := m.config(s.VCs)
 	cfg.VNets = s.VNets
@@ -147,48 +121,22 @@ func (s *Scenario) Spec(probes []PortProbe) (Spec, error) {
 	case "req-resp":
 		gen.Rate = s.Rate
 	default:
-		if _, err := traffic.ParsePattern(s.Workload); err != nil {
-			return Spec{}, err
-		}
 		gen.Kind, gen.Pattern = "synthetic", s.Workload
 		gen.Rate, gen.PacketLen = s.Rate, s.PacketLen
-		gen.HotspotFraction = 0.3
+		if s.Workload == "hotspot" {
+			gen.HotspotFraction = 0.3
+		}
 	}
-	return Spec{
+	spec := Spec{
 		Net:     cfg,
 		Policy:  PolicySpec{Name: s.Policy},
 		Gen:     gen,
 		Warmup:  s.Warmup,
 		Measure: s.Measure,
 		Probes:  probes,
-	}, nil
-}
-
-// LoadScenario parses a scenario from JSON.
-func LoadScenario(r io.Reader) (*Scenario, error) {
-	var s Scenario
-	if err := DecodeStrict(r, &s); err != nil {
-		return nil, fmt.Errorf("sim: parsing scenario: %w", err)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if err := spec.Validate(); err != nil {
+		return Spec{}, err
 	}
-	return &s, nil
-}
-
-// LoadScenarioFile parses a scenario from a JSON file.
-func LoadScenarioFile(path string) (*Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadScenario(f)
-}
-
-// Save serialises the scenario as indented JSON.
-func (s *Scenario) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	return spec, nil
 }

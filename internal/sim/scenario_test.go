@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"bytes"
-	"strings"
+	"errors"
 	"testing"
 
 	"nbtinoc/internal/noc"
@@ -34,60 +33,69 @@ func TestScenarioDefaults(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
-	cases := []func(*Scenario){
+	// Validate rejects what only a scenario can get wrong: its cores
+	// shorthand and its tech node.
+	for i, mutate := range []func(*Scenario){
 		func(s *Scenario) { s.Cores = 0 },
 		func(s *Scenario) { s.Cores = 5 },
-		func(s *Scenario) { s.VCs = 0 },
-		func(s *Scenario) { s.Measure = 0 },
+		func(s *Scenario) { s.Width, s.Height = 4, 2 },
 		func(s *Scenario) { s.TechNode = 28 },
-		func(s *Scenario) { s.Workload = "req-resp"; s.VNets = 1 },
-	}
-	for i, mutate := range cases {
+	} {
 		s := validScenario()
 		mutate(&s)
-		if err := s.Validate(); err == nil {
+		if _, err := s.Spec(nil); err == nil {
 			t.Errorf("case %d accepted: %+v", i, s)
+		}
+	}
+	// Everything else reaches Spec.Validate, so Spec reports the
+	// field-tagged SpecErrors a daemon submission of the same run gets.
+	for field, mutate := range map[string]func(*Scenario){
+		"net":         func(s *Scenario) { s.VCs = 0 },
+		"measure":     func(s *Scenario) { s.Measure = 0 },
+		"gen.kind":    func(s *Scenario) { s.Workload = "req-resp"; s.VNets = 1 },
+		"gen.pattern": func(s *Scenario) { s.Workload = "spiral" },
+		"policy.name": func(s *Scenario) { s.Policy = "bogus" },
+	} {
+		s := validScenario()
+		mutate(&s)
+		_, err := s.Spec(nil)
+		var errs SpecErrors
+		if !errors.As(err, &errs) || errs[0].Field != field {
+			t.Errorf("%s: error %v, want SpecErrors tagged %s", field, err, field)
 		}
 	}
 }
 
-func TestScenarioRoundTrip(t *testing.T) {
-	s := validScenario()
-	s.TechNode = 32
-	s.Phits = 2
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
+// TestScenarioSpecKeysLikeTableSpec: a uniform run keys the same
+// whether a table driver or a Scenario (the CLI flags, a grid point)
+// describes it, so both share one cache entry.
+func TestScenarioSpecKeysLikeTableSpec(t *testing.T) {
+	opt := DefaultTableOptions()
+	m := Mesh{Width: 2, Height: 2}
+	want := opt.syntheticSpec(m, 2, 0.1, "sensor-wise")
+	s := Scenario{
+		Cores:    4,
+		VCs:      2,
+		Policy:   "sensor-wise",
+		Workload: "uniform",
+		Rate:     0.1,
+		Phits:    opt.Phits,
+		Warmup:   opt.Warmup,
+		Measure:  opt.Measure,
+		Seed:     want.Gen.Seed,
+		PVSeed:   want.Net.PVSeed,
 	}
-	back, err := LoadScenario(&buf)
+	got, err := s.Spec(want.Probes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != s.Name || back.TechNode != 32 || back.Phits != 2 ||
-		back.Policy != s.Policy || back.Rate != s.Rate {
-		t.Errorf("round trip lost fields: %+v", back)
+	if gk, wk := mustKey(t, got), mustKey(t, want); gk != wk {
+		t.Errorf("scenario spec keys %s, table spec %s:\n%+v\n%+v", gk[:12], wk[:12], got.Gen, want.Gen)
 	}
-}
-
-func TestLoadScenarioRejectsUnknownFields(t *testing.T) {
-	in := `{"name":"x","cores":4,"vcs":2,"measure":10,"bogus":1}`
-	if _, err := LoadScenario(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-}
-
-func TestLoadScenarioRejectsGarbage(t *testing.T) {
-	if _, err := LoadScenario(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// A second object after the scenario is data, not padding: the file
-	// must not run as its first half.
-	trailing := `{"name":"x","cores":4,"vcs":2,"measure":10}{"name":"y"}`
-	if _, err := LoadScenario(strings.NewReader(trailing)); err == nil {
-		t.Fatal("scenario with a trailing object accepted")
-	}
-	if _, err := LoadScenarioFile("/nonexistent.json"); err == nil {
-		t.Fatal("missing file accepted")
+	// Only the hotspot pattern carries the hotspot knobs.
+	s.Workload = "hotspot"
+	if hot, err := s.Spec(nil); err != nil || hot.Gen.HotspotFraction != 0.3 {
+		t.Errorf("hotspot scenario: fraction %v, err %v", hot.Gen.HotspotFraction, err)
 	}
 }
 

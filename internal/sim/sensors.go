@@ -61,16 +61,20 @@ type SensorTable struct {
 // non-idealities — the feasibility question behind Section III-D's
 // choice of the [20] sensor.
 func RunSensorStudy(cores, vcs int, rate float64, opt TableOptions) (*SensorTable, error) {
+	return sensorDriver(cores, vcs, rate, opt).run(opt)
+}
+
+// sensorDriver enumerates the robustness study. Spec 0 is the
+// rr-no-sensor reference (sensor configuration irrelevant); specs 1..N
+// are the sensor-wise runs, one per variant. The true MD VC falls out
+// of the reference run.
+func sensorDriver(cores, vcs int, rate float64, opt TableOptions) driver[*SensorTable] {
 	m, err := SquareMesh(cores)
 	if err != nil {
-		return nil, err
+		return driver[*SensorTable]{err: err}
 	}
 	sensorSeed := scenarioSeed(opt.SeedBase, cores, rate, 29)
 	variants := SensorVariants()
-
-	// Spec 0 is the rr-no-sensor reference (sensor configuration
-	// irrelevant); specs 1..N are the sensor-wise runs, one per variant.
-	// The true MD VC falls out of the reference run.
 	specs := []Spec{opt.syntheticSpec(m, vcs, rate, "rr-no-sensor")}
 	for _, v := range variants {
 		spec := opt.syntheticSpec(m, vcs, rate, "sensor-wise")
@@ -80,27 +84,25 @@ func RunSensorStudy(cores, vcs int, rate float64, opt TableOptions) (*SensorTabl
 	for i := range specs {
 		specs[i].Net.SensorSeed = sensorSeed
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &SensorTable{Cores: cores, VCs: vcs, Rate: rate}
-	ref := sums[0].Ports[0]
-	trueMD := argmax(ref.Vth0)
-	rrDuty := ref.Duty[trueMD]
-	for i, v := range variants {
-		r := sums[1+i].Ports[0]
-		row := SensorRow{
-			Variant:    v.Name,
-			TrueMD:     trueMD,
-			SensedMD:   r.MostDegraded,
-			Identified: r.MostDegraded == trueMD,
-			DutyTrueMD: r.Duty[trueMD],
+	return driver[*SensorTable]{specs: specs, reduce: func(sums []*RunSummary) (*SensorTable, error) {
+		out := &SensorTable{Cores: cores, VCs: vcs, Rate: rate}
+		ref := sums[0].Ports[0]
+		trueMD := argmax(ref.Vth0)
+		rrDuty := ref.Duty[trueMD]
+		for i, v := range variants {
+			r := sums[1+i].Ports[0]
+			row := SensorRow{
+				Variant:    v.Name,
+				TrueMD:     trueMD,
+				SensedMD:   r.MostDegraded,
+				Identified: r.MostDegraded == trueMD,
+				DutyTrueMD: r.Duty[trueMD],
+			}
+			row.GapVsRR = rrDuty - row.DutyTrueMD
+			out.Rows = append(out.Rows, row)
 		}
-		row.GapVsRR = rrDuty - row.DutyTrueMD
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+		return out, nil
+	}}
 }
 
 // argmax returns the index of the maximum value (first on ties).

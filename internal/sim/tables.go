@@ -49,7 +49,7 @@ type TableOptions struct {
 	// byte-identical with and without it.
 	Cache *cache.Store
 	// Record, when non-nil, observes every executed spec (see
-	// Runner.Record); the CLIs use it to write sweep manifests. Called
+	// Runner.Record); perfbench uses it to trace a pass's jobs. Called
 	// from worker goroutines, so it must be safe for concurrent use.
 	Record func(spec Spec, key string, cached bool)
 }
@@ -91,10 +91,30 @@ func (o TableOptions) meshes() ([]Mesh, error) {
 	return ms, nil
 }
 
-// runAll executes the specs through the runner configured by the Cache
-// and Record knobs, Parallelism wide.
-func (o TableOptions) runAll(specs []Spec) ([]*RunSummary, error) {
-	return Runner{Store: o.Cache, Record: o.Record}.RunAll(specs, o.Parallelism)
+// A driver is one table's run set, enumerated before anything
+// simulates, plus the reduction of the runs' summaries (in spec order)
+// into the table, or the error that kept the runs from being
+// enumerated. Every Run* function is enumerate → Runner.RunAll →
+// reduce, and PaperTables lists the same drivers, so a table's manifest
+// and its regeneration can never name different runs.
+type driver[T any] struct {
+	specs  []Spec
+	reduce func(sums []*RunSummary) (T, error)
+	err    error
+}
+
+// run executes the driver's specs through the runner opt's Cache and
+// Record knobs configure, Parallelism wide, and reduces their summaries.
+func (d driver[T]) run(opt TableOptions) (T, error) {
+	var zero T
+	if d.err != nil {
+		return zero, d.err
+	}
+	sums, err := Runner{Store: opt.Cache, Record: opt.Record}.RunAll(d.specs, opt.Parallelism)
+	if err != nil {
+		return zero, err
+	}
+	return d.reduce(sums)
 }
 
 // syntheticSpec builds the common synthetic scenario shape shared by the
@@ -192,48 +212,53 @@ func scenarioSeed(base uint64, cores int, rate float64, salt uint64) uint64 {
 // opt.Meshes swaps the paper's core sweep for explicit geometries
 // (e.g. 16x16 or 32x32 scaling studies).
 func RunSyntheticTable(vcs int, opt TableOptions) (*SyntheticTable, error) {
-	tbl := &SyntheticTable{VCs: vcs, Policies: SyntheticPolicies()}
+	return syntheticDriver(vcs, opt).run(opt)
+}
+
+// syntheticDriver enumerates Table II/III: every policy on every
+// (mesh, rate) scenario.
+func syntheticDriver(vcs int, opt TableOptions) driver[*SyntheticTable] {
 	meshes, err := opt.meshes()
 	if err != nil {
-		return nil, err
+		return driver[*SyntheticTable]{err: err}
 	}
+	policies := SyntheticPolicies()
 	var specs []Spec
 	for _, m := range meshes {
 		for _, rate := range opt.Rates {
-			for _, policy := range tbl.Policies {
+			for _, policy := range policies {
 				specs = append(specs, opt.syntheticSpec(m, vcs, rate, policy))
 			}
 		}
 	}
-	sums, err := opt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-	next := 0
-	for _, m := range meshes {
-		for _, rate := range opt.Rates {
-			row := SyntheticRow{
-				Scenario: fmt.Sprintf("%s-inj%.2f", m.Label(), rate),
-				Cores:    m.Cores(),
-				Rate:     rate,
-				Duty:     make(map[string][]float64, len(tbl.Policies)),
-				MDVC:     -1,
-			}
-			for _, policy := range tbl.Policies {
-				reading := sums[next].Ports[0]
-				next++
-				row.Duty[policy] = reading.Duty
-				if row.MDVC == -1 {
-					row.MDVC = reading.MostDegraded
-				} else if row.MDVC != reading.MostDegraded {
-					return nil, fmt.Errorf("sim: MD VC differs across policies in %s", row.Scenario)
+	return driver[*SyntheticTable]{specs: specs, reduce: func(sums []*RunSummary) (*SyntheticTable, error) {
+		tbl := &SyntheticTable{VCs: vcs, Policies: policies}
+		next := 0
+		for _, m := range meshes {
+			for _, rate := range opt.Rates {
+				row := SyntheticRow{
+					Scenario: fmt.Sprintf("%s-inj%.2f", m.Label(), rate),
+					Cores:    m.Cores(),
+					Rate:     rate,
+					Duty:     make(map[string][]float64, len(policies)),
+					MDVC:     -1,
 				}
+				for _, policy := range policies {
+					reading := sums[next].Ports[0]
+					next++
+					row.Duty[policy] = reading.Duty
+					if row.MDVC == -1 {
+						row.MDVC = reading.MostDegraded
+					} else if row.MDVC != reading.MostDegraded {
+						return nil, fmt.Errorf("sim: MD VC differs across policies in %s", row.Scenario)
+					}
+				}
+				row.Gap = row.Duty["rr-no-sensor"][row.MDVC] - row.Duty["sensor-wise"][row.MDVC]
+				tbl.Rows = append(tbl.Rows, row)
 			}
-			row.Gap = row.Duty["rr-no-sensor"][row.MDVC] - row.Duty["sensor-wise"][row.MDVC]
-			tbl.Rows = append(tbl.Rows, row)
 		}
-	}
-	return tbl, nil
+		return tbl, nil
+	}}
 }
 
 // Render formats the table in the paper's layout.
@@ -346,84 +371,94 @@ func realProbes(cores int) ([]PortProbe, error) {
 // draw is held constant across the iterations of a scenario (and across
 // the two policies), so the most degraded VC is stable, as in the paper.
 func RunRealTable(opt RealOptions) (*RealTable, error) {
+	return realDriver(opt).run(opt.tableOptions())
+}
+
+// tableOptions carries the run knobs Table IV shares with the synthetic
+// drivers.
+func (o RealOptions) tableOptions() TableOptions {
+	return TableOptions{Warmup: o.Warmup, Measure: o.Measure, SeedBase: o.SeedBase,
+		Phits: o.Phits, Parallelism: o.Parallelism, Cache: o.Cache, Record: o.Record}
+}
+
+// realDriver enumerates Table IV: both policies on every iteration of
+// each architecture's benchmark mix.
+func realDriver(opt RealOptions) driver[*RealTable] {
 	if opt.Iterations < 1 {
-		return nil, fmt.Errorf("sim: %d iterations", opt.Iterations)
+		return driver[*RealTable]{err: fmt.Errorf("sim: %d iterations", opt.Iterations)}
 	}
-	tbl := &RealTable{Iterations: opt.Iterations, VCs: opt.VCs}
 	archs := []int{4, 16}
-	topt := TableOptions{Warmup: opt.Warmup, Measure: opt.Measure, SeedBase: opt.SeedBase,
-		Phits: opt.Phits, Parallelism: opt.Parallelism, Cache: opt.Cache, Record: opt.Record}
+	policies := []string{"rr-no-sensor", "sensor-wise"}
+	topt := opt.tableOptions()
 	var specs []Spec
 	for _, cores := range archs {
 		for it := 0; it < opt.Iterations; it++ {
-			for _, policy := range []string{"rr-no-sensor", "sensor-wise"} {
+			for _, policy := range policies {
 				spec, err := topt.appSpec(cores, opt.VCs, it, policy)
 				if err != nil {
-					return nil, err
+					return driver[*RealTable]{err: err}
 				}
 				specs = append(specs, spec)
 			}
 		}
 	}
-	sums, err := topt.runAll(specs)
-	if err != nil {
-		return nil, err
-	}
-
 	// The Welford reduction runs sequentially in enumeration order, so
 	// it is bit-identical at any Parallelism.
-	next := 0
-	for _, cores := range archs {
-		probes := specs[next].Probes
-		type acc struct{ rr, sw []Welford }
-		accs := make([]acc, len(probes))
-		for i := range accs {
-			accs[i] = acc{rr: make([]Welford, opt.VCs), sw: make([]Welford, opt.VCs)}
-		}
-		mds := make([]int, len(probes))
-		for i := range mds {
-			mds[i] = -1
-		}
+	return driver[*RealTable]{specs: specs, reduce: func(sums []*RunSummary) (*RealTable, error) {
+		tbl := &RealTable{Iterations: opt.Iterations, VCs: opt.VCs}
+		next := 0
+		for _, cores := range archs {
+			probes := specs[next].Probes
+			type acc struct{ rr, sw []Welford }
+			accs := make([]acc, len(probes))
+			for i := range accs {
+				accs[i] = acc{rr: make([]Welford, opt.VCs), sw: make([]Welford, opt.VCs)}
+			}
+			mds := make([]int, len(probes))
+			for i := range mds {
+				mds[i] = -1
+			}
 
-		for it := 0; it < opt.Iterations; it++ {
-			for _, policy := range []string{"rr-no-sensor", "sensor-wise"} {
-				for pi, reading := range sums[next].Ports {
-					if mds[pi] == -1 {
-						mds[pi] = reading.MostDegraded
-					} else if mds[pi] != reading.MostDegraded {
-						return nil, fmt.Errorf("sim: MD VC moved across iterations at %s",
-							reading.Probe.Label())
-					}
-					for vc, d := range reading.Duty {
-						if policy == "rr-no-sensor" {
-							accs[pi].rr[vc].Add(d)
-						} else {
-							accs[pi].sw[vc].Add(d)
+			for it := 0; it < opt.Iterations; it++ {
+				for _, policy := range policies {
+					for pi, reading := range sums[next].Ports {
+						if mds[pi] == -1 {
+							mds[pi] = reading.MostDegraded
+						} else if mds[pi] != reading.MostDegraded {
+							return nil, fmt.Errorf("sim: MD VC moved across iterations at %s",
+								reading.Probe.Label())
+						}
+						for vc, d := range reading.Duty {
+							if policy == "rr-no-sensor" {
+								accs[pi].rr[vc].Add(d)
+							} else {
+								accs[pi].sw[vc].Add(d)
+							}
 						}
 					}
+					next++
 				}
-				next++
 			}
-		}
 
-		for pi, probe := range probes {
-			row := RealRow{
-				Scenario: fmt.Sprintf("%dc-%s", cores, probe.Label()),
-				Cores:    cores,
-				Probe:    probe,
-				MDVC:     mds[pi],
+			for pi, probe := range probes {
+				row := RealRow{
+					Scenario: fmt.Sprintf("%dc-%s", cores, probe.Label()),
+					Cores:    cores,
+					Probe:    probe,
+					MDVC:     mds[pi],
+				}
+				for vc := 0; vc < opt.VCs; vc++ {
+					row.AvgRR = append(row.AvgRR, accs[pi].rr[vc].Mean())
+					row.StdRR = append(row.StdRR, accs[pi].rr[vc].Std())
+					row.AvgSW = append(row.AvgSW, accs[pi].sw[vc].Mean())
+					row.StdSW = append(row.StdSW, accs[pi].sw[vc].Std())
+				}
+				row.Gap = row.AvgRR[row.MDVC] - row.AvgSW[row.MDVC]
+				tbl.Rows = append(tbl.Rows, row)
 			}
-			for vc := 0; vc < opt.VCs; vc++ {
-				row.AvgRR = append(row.AvgRR, accs[pi].rr[vc].Mean())
-				row.StdRR = append(row.StdRR, accs[pi].rr[vc].Std())
-				row.AvgSW = append(row.AvgSW, accs[pi].sw[vc].Mean())
-				row.StdSW = append(row.StdSW, accs[pi].sw[vc].Std())
-			}
-			row.Gap = row.AvgRR[row.MDVC] - row.AvgSW[row.MDVC]
-			tbl.Rows = append(tbl.Rows, row)
 		}
-	}
-	return tbl, nil
+		return tbl, nil
+	}}
 }
 
 // Render formats Table IV in the paper's layout.

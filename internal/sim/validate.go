@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"nbtinoc/internal/core"
+	"nbtinoc/internal/floats"
 	"nbtinoc/internal/noc"
 	"nbtinoc/internal/traffic"
 )
@@ -35,10 +36,10 @@ func (e SpecErrors) Error() string {
 }
 
 // Validate reports every structural problem that would make the spec
-// unrunnable (or silently meaningless), as a SpecErrors value. It is
-// the service-boundary counterpart of Scenario.Validate: scenarios are
-// authored by hand and normalised with defaults, while specs arrive
-// fully explicit over the wire and are rejected rather than patched.
+// unrunnable (or silently meaningless), as a SpecErrors value. Specs
+// arrive fully explicit — over the wire, from -config files, or
+// compiled from a Scenario whose Validate only filled defaults — and
+// are rejected rather than patched.
 func (s Spec) Validate() error {
 	var errs SpecErrors
 	add := func(field, format string, args ...any) {
@@ -85,6 +86,16 @@ func (s Spec) Validate() error {
 		}
 	default:
 		add("gen.kind", "unknown generator kind %q (want synthetic, app or req-resp)", s.Gen.Kind)
+	}
+	// The hotspot knobs mean nothing to any other generator; a spec
+	// carrying them would be a second content address for the same run.
+	if s.Gen.Kind != "synthetic" || s.Gen.Pattern != "hotspot" {
+		if s.Gen.HotspotNode != 0 {
+			add("gen.hotspot_node", "only the hotspot pattern takes a hotspot node (got %d)", s.Gen.HotspotNode)
+		}
+		if !floats.ExactZero(s.Gen.HotspotFraction) {
+			add("gen.hotspot_fraction", "only the hotspot pattern takes a hotspot fraction (got %v)", s.Gen.HotspotFraction)
+		}
 	}
 	if s.Gen.Width != s.Net.Width || s.Gen.Height != s.Net.Height {
 		add("gen", "generator geometry %dx%d disagrees with the %dx%d mesh",

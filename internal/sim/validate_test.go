@@ -70,6 +70,9 @@ func TestValidateFieldCases(t *testing.T) {
 		"net":         func(s *Spec) { s.Net.BufferDepth = 0 },
 		"probes[0]":   func(s *Spec) { s.Probes[0].Port = noc.West }, // node 0: mesh edge
 		"policy.name": func(s *Spec) { s.Policy.Name = "bogus" },
+		// The hotspot knobs belong to the hotspot pattern alone.
+		"gen.hotspot_node":     func(s *Spec) { s.Gen.HotspotNode = 3 },
+		"gen.hotspot_fraction": func(s *Spec) { s.Gen.HotspotFraction = 0.3 },
 	}
 	for field, f := range mutate {
 		s := quickSpec()
@@ -93,6 +96,15 @@ func TestValidateFieldCases(t *testing.T) {
 	s.Policy.Name = ""
 	if err := s.Validate(); err != nil {
 		t.Errorf("rr-period spec rejected: %v", err)
+	}
+	s = quickSpec()
+	s.Gen.Pattern, s.Gen.HotspotNode, s.Gen.HotspotFraction = "hotspot", 3, 0.3
+	if err := s.Validate(); err != nil {
+		t.Errorf("hotspot spec rejected: %v", err)
+	}
+	s.Gen = GenSpec{Kind: "app", Width: 2, Height: 2, Seed: 1, HotspotFraction: 0.3}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "gen.hotspot_fraction:") {
+		t.Errorf("app spec with a hotspot fraction: error %v, want a gen.hotspot_fraction error", err)
 	}
 	// req-resp needs two vnets.
 	s = quickSpec()

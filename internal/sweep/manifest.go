@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
 	"nbtinoc/internal/sim"
 )
@@ -28,7 +26,7 @@ const (
 )
 
 // ManifestUnit records one unit's identity and state. Spec is embedded
-// only in manifests without a Grid (recorded campaigns); grid-based
+// only in manifests without a Grid (spec-list campaigns); grid-based
 // manifests rebuild specs by re-expanding the grid, keeping a
 // 10⁵-unit manifest to megabytes instead of embedding 10⁵ configs.
 type ManifestUnit struct {
@@ -213,58 +211,30 @@ func (m *Manifest) Counts() (pending, done, failed int) {
 	return pending, done, failed
 }
 
-// Recorder accumulates executed specs into a manifest, deduplicated by
-// content address — the Runner.Record adapter behind the CLIs'
-// -sweep-manifest flag. Drivers call Record from worker goroutines;
-// the recorder is safe for concurrent use.
-type Recorder struct {
-	name string
-
-	mu    sync.Mutex
-	seen  map[string]int
-	units []ManifestUnit
-}
-
-// NewRecorder starts an empty recorder for a named campaign.
-func NewRecorder(name string) *Recorder {
-	return &Recorder{name: name, seen: make(map[string]int)}
-}
-
-// Record observes one executed spec (signature matches
-// sim.Runner.Record).
-func (r *Recorder) Record(spec sim.Spec, key string, cached bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.seen[key]; dup {
-		return
+// NewSpecManifest builds a manifest of a spec list with every unit
+// pending — the campaign behind the CLIs' -sweep-manifest flag, written
+// before anything simulates. Specs are deduplicated by content address
+// in enumeration order, so a run several tables share is one unit.
+func NewSpecManifest(name string, specs []sim.Spec) (*Manifest, error) {
+	m := &Manifest{Schema: ManifestSchema, Name: name, Engine: sim.EngineVersion, Units: []ManifestUnit{}}
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		key, err := sim.SpecKey(specs[i])
+		if err != nil {
+			return nil, err
+		}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		s := specs[i]
+		m.Units = append(m.Units, ManifestUnit{
+			Index: len(m.Units),
+			Key:   key,
+			Label: fmt.Sprintf("%s/%s/vc%d", s.Policy.Name, s.Gen.Kind, s.Net.VCsPerVNet),
+			State: UnitPending,
+			Spec:  &s,
+		})
 	}
-	r.seen[key] = len(r.units)
-	s := spec
-	r.units = append(r.units, ManifestUnit{
-		Key:   key,
-		Label: fmt.Sprintf("%s/%s/vc%d", s.Policy.Name, s.Gen.Kind, s.Net.VCsPerVNet),
-		State: UnitDone,
-		Spec:  &s,
-	})
-}
-
-// Manifest snapshots the recorded units, ordered by first execution —
-// a deterministic order under sequential runs; concurrent drivers get
-// key order instead so the same scenario set always serialises
-// identically.
-func (r *Recorder) Manifest() *Manifest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	units := make([]ManifestUnit, len(r.units))
-	copy(units, r.units)
-	sort.Slice(units, func(i, j int) bool { return units[i].Key < units[j].Key })
-	for i := range units {
-		units[i].Index = i
-	}
-	return &Manifest{
-		Schema: ManifestSchema,
-		Name:   r.name,
-		Engine: sim.EngineVersion,
-		Units:  units,
-	}
+	return m, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nbtinoc/internal/cache"
+	"nbtinoc/internal/noc"
 	"nbtinoc/internal/sim"
 )
 
@@ -212,31 +213,33 @@ func TestManifestValidation(t *testing.T) {
 	}
 }
 
-func TestRecorderBuildsResolvableManifest(t *testing.T) {
-	rec := NewRecorder("recorded")
-	store := cache.Open(t.TempDir(), cache.ReadWrite)
-	runner := sim.Runner{Store: store, Record: rec.Record}
+// TestSpecManifestResolves: a spec-list manifest is written before
+// anything runs — every unit pending, duplicates folded in enumeration
+// order — and survives a save/load round trip as executable units.
+func TestSpecManifestResolves(t *testing.T) {
 	units, err := testGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var specs []sim.Spec
 	for _, u := range units {
-		if _, err := runner.Run(u.Spec); err != nil {
-			t.Fatal(err)
-		}
+		specs = append(specs, u.Spec)
 	}
-	// Re-running dedups: same manifest.
-	if _, err := runner.Run(units[0].Spec); err != nil {
+	specs = append(specs, units[1].Spec, units[0].Spec)
+	m, err := NewSpecManifest("listed", specs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Manifest()
 	if len(m.Units) != len(units) {
-		t.Fatalf("recorded %d units, want %d", len(m.Units), len(units))
+		t.Fatalf("manifest has %d units, want %d", len(m.Units), len(units))
 	}
-	if !sort.SliceIsSorted(m.Units, func(i, j int) bool { return m.Units[i].Key < m.Units[j].Key }) {
-		t.Error("recorded units not in key order")
+	for i, u := range m.Units {
+		if u.Index != i || u.Key != units[i].Key || u.State != UnitPending {
+			t.Errorf("unit %d: index %d key %s state %s, want index %d key %s pending",
+				i, u.Index, u.Key[:12], u.State, i, units[i].Key[:12])
+		}
 	}
-	path := filepath.Join(t.TempDir(), "rec.json")
+	path := filepath.Join(t.TempDir(), "listed.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +251,16 @@ func TestRecorderBuildsResolvableManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{}
-	for _, u := range units {
-		want[u.Key] = true
-	}
-	for _, u := range resolved {
-		if !want[u.Key] {
-			t.Errorf("resolved unit %s not in the original grid", u.Key[:12])
+	for i, u := range resolved {
+		if u.Key != units[i].Key {
+			t.Errorf("resolved unit %d keys %s, want %s", i, u.Key[:12], units[i].Key[:12])
 		}
+	}
+	// A spec that cannot be keyed cannot be a unit.
+	bad := units[0].Spec
+	bad.Net.Policy = func() noc.Policy { return nil }
+	if _, err := NewSpecManifest("bad", []sim.Spec{bad}); err == nil {
+		t.Error("unkeyable spec accepted")
 	}
 }
 
