@@ -155,14 +155,16 @@ func benchSweepGrid() *sweep.Grid {
 // merge) against dir and fails the benchmark on any unit error.
 func benchSweepRun(b *testing.B, dir string) *sweep.Result {
 	b.Helper()
-	manifest, units, err := sweep.NewManifest(benchSweepGrid())
+	g := benchSweepGrid()
+	labels, specs, err := g.Expand()
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &sweep.Coordinator{
-		Manifest: manifest, Units: units,
-		CacheDir: dir, Procs: 1, Workers: 1,
+	manifest, err := sweep.NewManifest(g.Name, labels, specs)
+	if err != nil {
+		b.Fatal(err)
 	}
+	c := &sweep.Coordinator{Manifest: manifest, CacheDir: dir, Procs: 1, Workers: 1}
 	res, err := c.Run(io.Discard)
 	if err != nil {
 		b.Fatal(err)

@@ -114,7 +114,7 @@ func run(args []string, out io.Writer) (err error) {
 	// flags. The cached path runs the specs through the Runner, live
 	// modes run each spec's RunConfig with their overrides.
 	var specs []sim.Spec
-	var paths []string
+	var names []string // each spec's label: its -config path, or "cli"
 	if *cfgPath != "" {
 		for _, path := range strings.Split(*cfgPath, ",") {
 			path = strings.TrimSpace(path)
@@ -126,7 +126,7 @@ func run(args []string, out io.Writer) (err error) {
 				return err
 			}
 			specs = append(specs, spec)
-			paths = append(paths, path)
+			names = append(names, path)
 		}
 		if len(specs) == 0 {
 			return fmt.Errorf("-config %q names no spec files", *cfgPath)
@@ -167,7 +167,7 @@ func run(args []string, out io.Writer) (err error) {
 		if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
 			return err
 		}
-		specs = []sim.Spec{spec}
+		specs, names = []sim.Spec{spec}, []string{"cli"}
 	}
 	multi := len(specs) > 1
 	if multi && (*agingIn != "" || *agingOut != "" || *flitLog != "") {
@@ -197,7 +197,7 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 	if *sweepOut != "" {
-		m, err := sweep.NewSpecManifest("nbtisim", specs)
+		m, err := sweep.NewManifest("nbtisim", names, specs)
 		if err != nil {
 			return err
 		}
@@ -271,7 +271,7 @@ func run(args []string, out io.Writer) (err error) {
 
 	for i, sum := range sums {
 		if multi {
-			fmt.Fprintf(out, "=== spec %s ===\n", paths[i])
+			fmt.Fprintf(out, "=== spec %s ===\n", names[i])
 		}
 		var err error
 		switch {

@@ -31,7 +31,8 @@ func shortArgs(extra ...string) []string {
 }
 
 // TestSweepManifestRecordsRun: -sweep-manifest records the flag run as
-// one pending unit and exits without simulating or opening the cache.
+// one pending unit labelled "cli" and exits without simulating or
+// opening the cache; -config specs are labelled with their paths.
 func TestSweepManifestRecordsRun(t *testing.T) {
 	dir := t.TempDir()
 	manifest, cacheDir := filepath.Join(dir, "camp.json"), filepath.Join(dir, "cache")
@@ -46,17 +47,21 @@ func TestSweepManifestRecordsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Units) != 1 || m.Units[0].State != sweep.UnitPending {
+	// LoadManifest re-keys every embedded spec, so a loaded unit is
+	// ready to run — the nbtisweep contract.
+	if len(m.Units) != 1 || m.Units[0].State != sweep.UnitPending || m.Units[0].Label != "cli" {
 		t.Fatalf("manifest units: %+v", m.Units)
 	}
-	// The manifest must resolve to executable units whose specs re-key
-	// to the recorded content addresses — the nbtisweep contract.
-	units, err := m.Resolve()
-	if err != nil {
+
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	emitSpecFile(t, a, shortArgs("-policy", "rr-no-sensor")...)
+	emitSpecFile(t, b, shortArgs("-policy", "sensor-wise")...)
+	runCLI(t, "-config", a+","+b, "-sweep-manifest", manifest)
+	if m, err = sweep.LoadManifest(manifest); err != nil {
 		t.Fatal(err)
 	}
-	if units[0].Key != m.Units[0].Key {
-		t.Fatalf("resolved key %s, recorded %s", units[0].Key, m.Units[0].Key)
+	if len(m.Units) != 2 || m.Units[0].Label != a || m.Units[1].Label != b {
+		t.Fatalf("-config manifest units: %+v", m.Units)
 	}
 }
 

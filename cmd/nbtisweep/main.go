@@ -1,8 +1,10 @@
-// Command nbtisweep runs sharded scenario campaigns: it expands a
-// declarative grid (JSON) into content-addressed work units, shards
-// them across worker processes that share one result cache, and merges
-// the finished campaign into a deterministic CSV report — byte-identical
-// at any (processes × workers) topology.
+// Command nbtisweep runs sharded scenario campaigns: it shards a
+// campaign's content-addressed work units across worker processes that
+// share one result cache, and merges the finished campaign into a
+// deterministic CSV report — byte-identical at any (processes ×
+// workers) topology. A campaign is a spec list, one unit per distinct
+// spec: a declarative grid (JSON) expanded point by point, or a
+// manifest written by tables or nbtisim -sweep-manifest:
 //
 //	nbtisweep -grid grid.json -manifest camp.json -procs 4 -j 2
 //
@@ -37,6 +39,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -118,7 +121,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	defer sess.Finish(&err)
 
-	manifest, units, err := resolveCampaign(*gridPath, *manifestPath)
+	manifest, err := resolveCampaign(*gridPath, *manifestPath)
 	if err != nil {
 		return err
 	}
@@ -128,7 +131,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	c := &sweep.Coordinator{
 		Manifest:     manifest,
-		Units:        units,
 		ManifestPath: *manifestPath,
 		CacheDir:     dir,
 		Procs:        *procs,
@@ -174,53 +176,53 @@ func run(args []string, out io.Writer) (err error) {
 	return err
 }
 
-// resolveCampaign builds the (manifest, units) pair from the flag
-// combination: fresh from a grid, resumed from a manifest, or — both
-// given and the manifest file already existing — resumed after
-// checking the grid hasn't drifted from the recorded campaign.
-func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, []sweep.Unit, error) {
+// resolveCampaign builds the campaign from the flag combination: fresh
+// from a grid, resumed from a manifest, or — both given and the
+// manifest file already existing — resumed after checking that the
+// grid expands to the recorded campaign (same name, same unit keys in
+// the same order).
+func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, error) {
 	if gridPath == "" && manifestPath == "" {
-		return nil, nil, fmt.Errorf("need -grid (new campaign) or -manifest (resume)")
+		return nil, fmt.Errorf("need -grid (new campaign) or -manifest (resume)")
+	}
+	var fresh *sweep.Manifest
+	if gridPath != "" {
+		g, err := sweep.LoadGridFile(gridPath)
+		if err != nil {
+			return nil, err
+		}
+		labels, specs, err := g.Expand()
+		if err != nil {
+			return nil, err
+		}
+		if fresh, err = sweep.NewManifest(g.Name, labels, specs); err != nil {
+			return nil, err
+		}
 	}
 	if manifestPath != "" {
 		if _, err := os.Stat(manifestPath); err == nil {
 			m, err := sweep.LoadManifest(manifestPath)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if gridPath != "" {
-				g, err := sweep.LoadGridFile(gridPath)
-				if err != nil {
-					return nil, nil, err
-				}
-				key, err := g.Key()
-				if err != nil {
-					return nil, nil, err
-				}
-				if key != m.GridKey {
-					return nil, nil, fmt.Errorf("grid %s does not match manifest %s (campaign was started from a different grid)",
-						gridPath, manifestPath)
-				}
+			if fresh != nil && !sameCampaign(fresh, m) {
+				return nil, fmt.Errorf("grid %s does not match manifest %s (campaign was started from a different grid)",
+					gridPath, manifestPath)
 			}
-			units, err := m.Resolve()
-			if err != nil {
-				return nil, nil, err
-			}
-			return m, units, nil
+			return m, nil
 		}
 	}
-	if gridPath == "" {
-		return nil, nil, fmt.Errorf("manifest %s does not exist and no -grid was given to create it", manifestPath)
+	if fresh == nil {
+		return nil, fmt.Errorf("manifest %s does not exist and no -grid was given to create it", manifestPath)
 	}
-	g, err := sweep.LoadGridFile(gridPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, units, err := sweep.NewManifest(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, units, nil
+	return fresh, nil
+}
+
+// sameCampaign reports whether two manifests name the same campaign:
+// the same name and the same unit keys in the same order.
+func sameCampaign(a, b *sweep.Manifest) bool {
+	return a.Name == b.Name && slices.EqualFunc(a.Units, b.Units,
+		func(x, y sweep.Unit) bool { return x.Key == y.Key })
 }
 
 // execWorkerSpawn re-execs this binary's "worker" subcommand per

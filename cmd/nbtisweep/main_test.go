@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -224,16 +225,50 @@ func TestSweepStatusAndFlagErrors(t *testing.T) {
 		t.Errorf("status = %q, want %q", out, want)
 	}
 
+	// The grid's campaign is NewManifest over its expanded points.
+	g, err := sweep.LoadGridFile(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, specs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sweep.NewManifest(g.Name, labels, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fresh.Units {
+		fresh.Units[i].State = sweep.UnitDone
+	}
+	if m, err := sweep.LoadManifest(manifest); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(m, fresh) {
+		t.Errorf("grid campaign manifest differs from NewManifest over the expansion:\n got %+v\nwant %+v", m, fresh)
+	}
+
 	// Resuming with a drifted grid is refused.
 	drifted := strings.Replace(testGridJSON, "0.2", "0.3", 1)
 	driftPath := filepath.Join(dir, "drift.json")
 	if err := os.WriteFile(driftPath, []byte(drifted), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweepRun(t, "-grid", driftPath, "-manifest", manifest, "-cache-dir", cacheDir); err == nil {
-		t.Error("want error resuming with a different grid")
-	} else if !strings.Contains(err.Error(), "does not match manifest") {
-		t.Errorf("drift error = %v", err)
+	// So is a grid that expands to the same units under another name.
+	renamed := strings.Replace(testGridJSON, `"name": "e2e"`, `"name": "other"`, 1)
+	renamePath := filepath.Join(dir, "renamed.json")
+	if err := os.WriteFile(renamePath, []byte(renamed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{driftPath, renamePath} {
+		if _, err := sweepRun(t, "-grid", g, "-manifest", manifest, "-cache-dir", cacheDir); err == nil {
+			t.Errorf("%s: want error resuming with a different grid", g)
+		} else if !strings.Contains(err.Error(), "does not match manifest") {
+			t.Errorf("%s: drift error = %v", g, err)
+		}
+	}
+	// The grid the campaign started from resumes it.
+	if _, err := sweepRun(t, "-grid", grid, "-manifest", manifest, "-cache-dir", cacheDir); err != nil {
+		t.Errorf("resuming with the campaign's own grid: %v", err)
 	}
 }
 

@@ -143,12 +143,18 @@ func run(args []string, out io.Writer) (err error) {
 	// -sweep-manifest writes the selected tables' run set as a campaign
 	// nbtisweep can shard and resume, and simulates nothing: a later
 	// run of the same tables against the campaign's cache is all hits.
+	// Each unit is labelled <table id>/<index in that table's specs>; a
+	// run several tables share keeps the first table's label.
 	if *sweepOut != "" {
+		var labels []string
 		var specs []sim.Spec
 		for _, t := range selected {
+			for i := range t.Specs {
+				labels = append(labels, fmt.Sprintf("%s/%d", t.ID, i))
+			}
 			specs = append(specs, t.Specs...)
 		}
-		m, err := sweep.NewSpecManifest("tables-"+*table, specs)
+		m, err := sweep.NewManifest("tables-"+*table, labels, specs)
 		if err != nil {
 			return err
 		}

@@ -145,7 +145,8 @@ func TestSweepManifestIgnoresCacheMode(t *testing.T) {
 
 // TestSweepManifestDedupsSharedRuns: the ΔVth analysis reruns Table
 // III's sensor-wise scenarios and one Table IV mix per architecture, so
-// a manifest of all tables holds each of those runs once.
+// a manifest of all tables holds each of those runs once, labelled
+// <table id>/<index> after the first table that lists it.
 func TestSweepManifestDedupsSharedRuns(t *testing.T) {
 	dir := t.TempDir()
 	all := map[string]bool{}
@@ -154,6 +155,23 @@ func TestSweepManifestDedupsSharedRuns(t *testing.T) {
 			t.Errorf("key %s appears twice", k[:12])
 		}
 		all[k] = true
+	}
+	m, err := sweep.LoadManifest(filepath.Join(dir, "all.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, u := range m.Units {
+		if labels[u.Label] {
+			t.Errorf("label %s names two units", u.Label)
+		}
+		labels[u.Label] = true
+	}
+	if len(m.Units) != 99 || len(labels) != 99 {
+		t.Errorf("-table all manifest has %d units with %d distinct labels, want 99 of each", len(m.Units), len(labels))
+	}
+	if first := m.Units[0].Label; first != "2/0" {
+		t.Errorf("first unit labelled %q, want 2/0 (Table II's first run)", first)
 	}
 	shared := map[string]bool{}
 	for _, table := range []string{"3", "4"} {
@@ -191,11 +209,7 @@ func TestSweepManifestCampaignServesTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := m.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &sweep.Coordinator{Manifest: m, Units: units, ManifestPath: manifest, CacheDir: cacheDir, Procs: 1}
+	c := &sweep.Coordinator{Manifest: m, ManifestPath: manifest, CacheDir: cacheDir, Procs: 1}
 	res, err := c.Run(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -326,6 +326,21 @@ func TestPersistIsAtomicAndLeavesNoTemp(t *testing.T) {
 	}
 }
 
+// TestPersistedEntryIsReadable: an entry lands world-readable, not
+// with its temp file's 0600, so a cache directory can be shared.
+func TestPersistedEntryIsReadable(t *testing.T) {
+	s := Open(t.TempDir(), ReadWrite)
+	key, _ := KeyOf("readable")
+	do(t, s, key, func() (payload, error) { return payload{N: 1}, nil })
+	info, err := os.Stat(s.entryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := info.Mode().Perm(); mode != 0o644 {
+		t.Errorf("entry mode %v, want 0644", mode)
+	}
+}
+
 func TestTimeSavedFromRecordedComputeDuration(t *testing.T) {
 	dir := t.TempDir()
 	var now int64

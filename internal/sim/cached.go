@@ -181,7 +181,7 @@ func SpecKey(s Spec) (string, error) { return specKeyFor(EngineVersion, s) }
 // DecodeStrict decodes the one JSON value r holds into v. Unknown
 // fields at any depth and any bytes after the value are errors, so a
 // misspelled field is refused instead of silently defaulted. Every
-// JSON input boundary decodes through it: spec bodies, scenarios,
+// JSON input boundary decodes through it: spec bodies and files,
 // grids, manifests and the sweep worker's handoff bodies.
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)

@@ -15,10 +15,9 @@ import (
 // — when everything completed — merge the campaign through a
 // strictly-sequential reduction into the report writer.
 type Coordinator struct {
-	// Manifest is the campaign state; Units its resolved work list
-	// (from NewManifest or Manifest.Resolve).
+	// Manifest is the campaign: its units and their state (from
+	// NewManifest or LoadManifest).
 	Manifest *Manifest
-	Units    []Unit
 	// ManifestPath, when non-empty, is where checkpoints are saved
 	// (atomically) before workers start and after they finish.
 	ManifestPath string
@@ -73,9 +72,6 @@ func (c *Coordinator) openStore() *cache.Store {
 // the report into out. On worker failure the manifest checkpoint is
 // still saved — the campaign is resumable — and the error says so.
 func (c *Coordinator) Run(out io.Writer) (*Result, error) {
-	if len(c.Units) != len(c.Manifest.Units) {
-		return nil, fmt.Errorf("sweep: %d resolved units for %d manifest units", len(c.Units), len(c.Manifest.Units))
-	}
 	res := &Result{}
 	store := c.openStore()
 
@@ -97,7 +93,7 @@ func (c *Coordinator) Run(out io.Writer) (*Result, error) {
 		return nil, err
 	}
 	c.logf("sweep %s: %d units, %d pending (%d resumed from cache), %d procs x %d workers, %s",
-		c.Manifest.Name, len(c.Units), len(pending), res.Resumed, c.Procs, c.Workers, c.Strategy)
+		c.Manifest.Name, len(c.Manifest.Units), len(pending), res.Resumed, c.Procs, c.Workers, c.Strategy)
 
 	if len(pending) > 0 {
 		if err := c.runWorkers(pending, res); err != nil {
@@ -118,7 +114,7 @@ func (c *Coordinator) Run(out io.Writer) (*Result, error) {
 	if res.Failed > 0 {
 		res.Stats = res.Stats.Add(store.Stats())
 		return res, fmt.Errorf("sweep: %d of %d units failed; manifest checkpointed, rerun to retry",
-			res.Failed, len(c.Units))
+			res.Failed, len(c.Manifest.Units))
 	}
 
 	// Merge: strictly sequential, index order, reading through the
@@ -161,10 +157,10 @@ func (c *Coordinator) runWorkers(pending []int, res *Result) error {
 			Schema:   AssignmentSchema,
 			CacheDir: c.CacheDir,
 			Workers:  c.Workers,
-			Units:    make([]Unit, len(share)),
+			Specs:    make([]sim.Spec, len(share)),
 		}
 		for j, i := range share {
-			a.Units[j] = c.Units[i]
+			a.Specs[j] = c.Manifest.Units[i].Spec
 		}
 		wg.Add(1)
 		go func() {
@@ -221,13 +217,14 @@ func (c *Coordinator) runWorkers(pending []int, res *Result) error {
 // rendered into the deterministic report.
 func (c *Coordinator) merge(out io.Writer, store *cache.Store) error {
 	runner := sim.Runner{Store: store}
-	sums := make([]*sim.RunSummary, len(c.Units))
-	for i := range c.Units {
-		s, err := runner.Run(c.Units[i].Spec)
+	units := c.Manifest.Units
+	sums := make([]*sim.RunSummary, len(units))
+	for i := range units {
+		s, err := runner.Run(units[i].Spec)
 		if err != nil {
-			return fmt.Errorf("sweep: merging unit %d (%s): %w", i, c.Units[i].Label, err)
+			return fmt.Errorf("sweep: merging unit %d (%s): %w", i, units[i].Label, err)
 		}
 		sums[i] = s
 	}
-	return WriteReport(out, c.Manifest.Name, c.Units, sums)
+	return WriteReport(out, c.Manifest.Name, units, sums)
 }

@@ -1,9 +1,12 @@
-// Package sweep is the sharded campaign layer: it expands a declarative
-// scenario grid into content-addressed work units (a unit's cache key
-// IS its work id), shards the units across worker processes that share
-// one result cache, and merges the finished campaign through a
-// strictly-sequential reduction — so the merged report is byte-identical
-// to a single-process run at any (processes × workers) topology.
+// Package sweep is the sharded campaign layer. A campaign is a spec
+// list: a declarative scenario grid expanded point by point, or the run
+// set of a CLI's -sweep-manifest. Each distinct spec is one
+// content-addressed work unit (a unit's cache key IS its work id); the
+// units are sharded across worker processes that share one result
+// cache, and the finished campaign is merged through a
+// strictly-sequential reduction — so the merged report is
+// byte-identical to a single-process run at any (processes × workers)
+// topology.
 //
 // Coordination happens through the cache directory itself: workers
 // claim units via internal/cache lease files (cross-process
@@ -18,16 +21,14 @@ import (
 	"os"
 	"strconv"
 
-	"nbtinoc/internal/cache"
 	"nbtinoc/internal/sim"
 )
 
 // Axes are the swept dimensions of a grid. Every non-empty axis
-// multiplies the unit count; an empty axis leaves the base scenario's
+// multiplies the point count; an empty axis leaves the base scenario's
 // value in place. Expansion order is fixed (meshes outermost, PV seeds
-// innermost), so a grid always enumerates to the same unit indices on
-// every machine — the property range-sharding and resumable manifests
-// are built on.
+// innermost), so a grid always enumerates to the same points in the
+// same order on every machine, and so to the same unit keys.
 type Axes struct {
 	// Meshes lists geometries as "WxH" strings (e.g. "4x4").
 	Meshes []string `json:"meshes,omitempty"`
@@ -44,8 +45,9 @@ type Axes struct {
 	PVSeeds []uint64 `json:"pv_seeds,omitempty"`
 }
 
-// Grid is a declarative sweep campaign: a base scenario plus the axes
-// swept around it.
+// Grid is the authoring format of a sweep campaign: a base scenario
+// plus the axes swept around it, expanded into the spec list a
+// manifest holds.
 type Grid struct {
 	// Name labels the campaign in manifests and reports.
 	Name string `json:"name"`
@@ -59,21 +61,8 @@ type Grid struct {
 	Probes []string `json:"probes,omitempty"`
 }
 
-// Unit is one expanded grid point: a spec plus its identity.
-type Unit struct {
-	// Index is the unit's position in the fixed expansion order.
-	Index int `json:"index"`
-	// Label names the grid point human-readably (axis values joined).
-	Label string `json:"label"`
-	// Key is the spec's content address — the work id every layer
-	// (cache entries, leases, manifests) agrees on.
-	Key string `json:"key"`
-	// Spec is the declarative simulation request.
-	Spec sim.Spec `json:"spec"`
-}
-
-// axisValues returns a slice with one element per grid point along an
-// axis: the axis itself when set, or one "keep the base value" marker.
+// axisLen is the number of grid points along an axis of n values: n
+// when the axis is set, or 1 (the base scenario's value) when empty.
 func axisLen(n int) int {
 	if n == 0 {
 		return 1
@@ -81,18 +70,19 @@ func axisLen(n int) int {
 	return n
 }
 
-// Expand enumerates the grid into units in the fixed axis order,
-// validating every point. The enumeration is deterministic: same grid,
-// same units, same indices, everywhere.
-func (g *Grid) Expand() ([]Unit, error) {
+// Expand enumerates the grid's points in the fixed axis order,
+// validating each, and returns every point's label (axis values joined)
+// and spec. The enumeration is deterministic: same grid, same labels
+// and specs in the same order, everywhere.
+func (g *Grid) Expand() (labels []string, specs []sim.Spec, err error) {
 	if g.Name == "" {
-		return nil, fmt.Errorf("sweep: grid needs a name")
+		return nil, nil, fmt.Errorf("sweep: grid needs a name")
 	}
 	n := axisLen(len(g.Axes.Meshes)) * axisLen(len(g.Axes.Policies)) *
 		axisLen(len(g.Axes.Workloads)) * axisLen(len(g.Axes.Rates)) *
 		axisLen(len(g.Axes.VCs)) * axisLen(len(g.Axes.Seeds)) *
 		axisLen(len(g.Axes.PVSeeds))
-	units := make([]Unit, 0, n)
+	labels, specs = make([]string, 0, n), make([]sim.Spec, 0, n)
 	for mi := 0; mi < axisLen(len(g.Axes.Meshes)); mi++ {
 		for pi := 0; pi < axisLen(len(g.Axes.Policies)); pi++ {
 			for wi := 0; wi < axisLen(len(g.Axes.Workloads)); wi++ {
@@ -100,11 +90,11 @@ func (g *Grid) Expand() ([]Unit, error) {
 					for vi := 0; vi < axisLen(len(g.Axes.VCs)); vi++ {
 						for si := 0; si < axisLen(len(g.Axes.Seeds)); si++ {
 							for qi := 0; qi < axisLen(len(g.Axes.PVSeeds)); qi++ {
-								u, err := g.point(len(units), mi, pi, wi, ri, vi, si, qi)
+								label, spec, err := g.point(mi, pi, wi, ri, vi, si, qi)
 								if err != nil {
-									return nil, err
+									return nil, nil, err
 								}
-								units = append(units, u)
+								labels, specs = append(labels, label), append(specs, spec)
 							}
 						}
 					}
@@ -112,11 +102,12 @@ func (g *Grid) Expand() ([]Unit, error) {
 			}
 		}
 	}
-	return units, nil
+	return labels, specs, nil
 }
 
-// point builds the unit at one coordinate of the axis lattice.
-func (g *Grid) point(index, mi, pi, wi, ri, vi, si, qi int) (Unit, error) {
+// point builds the label and spec at one coordinate of the axis
+// lattice.
+func (g *Grid) point(mi, pi, wi, ri, vi, si, qi int) (string, sim.Spec, error) {
 	s := g.Base // scenario is a value type: a fresh copy per point
 	var label []byte
 	add := func(part string) {
@@ -128,7 +119,7 @@ func (g *Grid) point(index, mi, pi, wi, ri, vi, si, qi int) (Unit, error) {
 	if len(g.Axes.Meshes) > 0 {
 		m, err := sim.ParseMesh(g.Axes.Meshes[mi])
 		if err != nil {
-			return Unit{}, fmt.Errorf("sweep: grid %q: %v", g.Name, err)
+			return "", sim.Spec{}, fmt.Errorf("sweep: grid %q: %v", g.Name, err)
 		}
 		s.Width, s.Height, s.Cores = m.Width, m.Height, 0
 		add(g.Axes.Meshes[mi])
@@ -165,13 +156,9 @@ func (g *Grid) point(index, mi, pi, wi, ri, vi, si, qi int) (Unit, error) {
 		spec.Probes, err = g.probes(spec.Net.Width, spec.Net.Height)
 	}
 	if err != nil {
-		return Unit{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
+		return "", sim.Spec{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
 	}
-	key, err := sim.SpecKey(spec)
-	if err != nil {
-		return Unit{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
-	}
-	return Unit{Index: index, Label: string(label), Key: key, Spec: spec}, nil
+	return string(label), spec, nil
 }
 
 // probes resolves the grid's probe list for one unit's width×height
@@ -194,16 +181,6 @@ func (g *Grid) probes(width, height int) ([]sim.PortProbe, error) {
 	return probes, nil
 }
 
-// Key is the grid's content address under the current engine version:
-// the identity a manifest checks on resume, so a grid edited after the
-// campaign started is rejected instead of silently mixing unit sets.
-func (g *Grid) Key() (string, error) {
-	return cache.KeyOf(struct {
-		Engine string `json:"engine"`
-		Grid   *Grid  `json:"grid"`
-	}{sim.EngineVersion, g})
-}
-
 // LoadGrid parses and structurally checks a grid from JSON, refusing
 // unknown fields and trailing data.
 func LoadGrid(r io.Reader) (*Grid, error) {
@@ -211,7 +188,7 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 	if err := sim.DecodeStrict(r, &g); err != nil {
 		return nil, fmt.Errorf("sweep: parsing grid: %w", err)
 	}
-	if _, err := g.Expand(); err != nil {
+	if _, _, err := g.Expand(); err != nil {
 		return nil, err
 	}
 	return &g, nil

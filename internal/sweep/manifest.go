@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"nbtinoc/internal/cache"
 	"nbtinoc/internal/sim"
 )
 
@@ -25,16 +25,16 @@ const (
 	UnitFailed UnitState = "failed"
 )
 
-// ManifestUnit records one unit's identity and state. Spec is embedded
-// only in manifests without a Grid (spec-list campaigns); grid-based
-// manifests rebuild specs by re-expanding the grid, keeping a
-// 10⁵-unit manifest to megabytes instead of embedding 10⁵ configs.
-type ManifestUnit struct {
+// Unit is one run of a campaign: its position in the manifest, its
+// spec's content address (the work id every layer — cache entries,
+// leases, manifests — agrees on), a human-readable label, its state,
+// and the spec itself, so a loaded manifest is ready to run.
+type Unit struct {
 	Index int       `json:"index"`
 	Key   string    `json:"key"`
 	Label string    `json:"label"`
 	State UnitState `json:"state"`
-	Spec  *sim.Spec `json:"spec,omitempty"`
+	Spec  sim.Spec  `json:"spec"`
 	Err   string    `json:"err,omitempty"`
 }
 
@@ -50,78 +50,44 @@ type Manifest struct {
 	// mismatch on load means every key is stale and resuming would
 	// silently recompute everything, so it is refused loudly instead.
 	Engine string `json:"engine"`
-	// GridKey pins the generating grid's content address; Grid is the
-	// grid itself for grid-based campaigns.
-	GridKey string         `json:"grid_key,omitempty"`
-	Grid    *Grid          `json:"grid,omitempty"`
-	Units   []ManifestUnit `json:"units"`
+	Units  []Unit `json:"units"`
 }
 
-// NewManifest builds a grid-based manifest with every unit pending.
-func NewManifest(g *Grid) (*Manifest, []Unit, error) {
-	units, err := g.Expand()
-	if err != nil {
-		return nil, nil, err
+// NewManifest builds the campaign of a spec list with every unit
+// pending. labels[i] names specs[i]. Specs are deduplicated by content
+// address in enumeration order, so a run listed twice (a run several
+// tables share, or grid points that compile to one spec) is one unit
+// under its first label.
+func NewManifest(name string, labels []string, specs []sim.Spec) (*Manifest, error) {
+	if len(labels) != len(specs) {
+		return nil, fmt.Errorf("sweep: %d labels for %d specs", len(labels), len(specs))
 	}
-	gridKey, err := g.Key()
-	if err != nil {
-		return nil, nil, err
-	}
-	m := &Manifest{
-		Schema:  ManifestSchema,
-		Name:    g.Name,
-		Engine:  sim.EngineVersion,
-		GridKey: gridKey,
-		Grid:    g,
-		Units:   make([]ManifestUnit, len(units)),
-	}
-	for i, u := range units {
-		m.Units[i] = ManifestUnit{Index: u.Index, Key: u.Key, Label: u.Label, State: UnitPending}
-	}
-	return m, units, nil
-}
-
-// Resolve rebuilds the executable units of a loaded manifest: from the
-// embedded grid when present (checking that re-expansion reproduces the
-// recorded keys — the grid and the unit list cannot drift apart), or
-// from the per-unit embedded specs otherwise.
-func (m *Manifest) Resolve() ([]Unit, error) {
-	if m.Grid != nil {
-		units, err := m.Grid.Expand()
+	m := &Manifest{Schema: ManifestSchema, Name: name, Engine: sim.EngineVersion, Units: make([]Unit, 0, len(specs))}
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		key, err := sim.SpecKey(specs[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sweep: %s: %w", labels[i], err)
 		}
-		if len(units) != len(m.Units) {
-			return nil, fmt.Errorf("sweep: manifest %q: grid expands to %d units, manifest records %d",
-				m.Name, len(units), len(m.Units))
+		if seen[key] {
+			continue
 		}
-		for i, u := range units {
-			if u.Key != m.Units[i].Key {
-				return nil, fmt.Errorf("sweep: manifest %q: unit %d key mismatch (grid %s, manifest %s)",
-					m.Name, i, u.Key[:12], m.Units[i].Key[:12])
-			}
-		}
-		return units, nil
+		seen[key] = true
+		m.Units = append(m.Units, Unit{
+			Index: len(m.Units),
+			Key:   key,
+			Label: labels[i],
+			State: UnitPending,
+			Spec:  specs[i],
+		})
 	}
-	units := make([]Unit, len(m.Units))
-	for i, mu := range m.Units {
-		if mu.Spec == nil {
-			return nil, fmt.Errorf("sweep: manifest %q: unit %d has neither grid nor spec", m.Name, i)
-		}
-		key, err := sim.SpecKey(*mu.Spec)
-		if err != nil {
-			return nil, err
-		}
-		if key != mu.Key {
-			return nil, fmt.Errorf("sweep: manifest %q: unit %d spec re-keys to %s, recorded %s",
-				m.Name, i, key[:12], mu.Key[:12])
-		}
-		units[i] = Unit{Index: mu.Index, Label: mu.Label, Key: mu.Key, Spec: *mu.Spec}
-	}
-	return units, nil
+	return m, nil
 }
 
-// validate structurally checks a decoded manifest.
+// validate checks a decoded manifest: its schema and engine, and that
+// each unit sits at its index, has a known state, and embeds a spec
+// that re-keys to its recorded key — an edited key or spec cannot
+// drift the unit list away from the runs it names.
 func (m *Manifest) validate() error {
 	if m.Schema != ManifestSchema {
 		return fmt.Errorf("sweep: manifest schema %d not supported (want %d)", m.Schema, ManifestSchema)
@@ -134,20 +100,26 @@ func (m *Manifest) validate() error {
 		if u.Index != i {
 			return fmt.Errorf("sweep: manifest unit %d records index %d", i, u.Index)
 		}
-		if u.Key == "" {
-			return fmt.Errorf("sweep: manifest unit %d has no key", i)
-		}
 		switch u.State {
 		case UnitPending, UnitDone, UnitFailed:
 		default:
 			return fmt.Errorf("sweep: manifest unit %d has unknown state %q", i, u.State)
+		}
+		key, err := sim.SpecKey(u.Spec)
+		if err != nil {
+			return fmt.Errorf("sweep: manifest unit %d: %w", i, err)
+		}
+		if key != u.Key {
+			return fmt.Errorf("sweep: manifest unit %d spec re-keys to %.12s, recorded %.12s", i, key, u.Key)
 		}
 	}
 	return nil
 }
 
 // LoadManifest reads and validates a manifest file, refusing unknown
-// fields and trailing data.
+// fields and trailing data (a grid-form manifest of an older build
+// names "grid_key" and is refused here). The loaded manifest is ready
+// to run.
 func LoadManifest(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -164,36 +136,14 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Save writes the manifest atomically: temp file in the target
-// directory, then rename. A crash mid-save leaves the previous
-// checkpoint intact, never a torn file.
+// Save writes the manifest atomically (cache.WriteFileAtomic): a crash
+// mid-save leaves the previous checkpoint intact, never a torn file.
 func (m *Manifest) Save(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return cache.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // Counts tallies units by state.
@@ -209,32 +159,4 @@ func (m *Manifest) Counts() (pending, done, failed int) {
 		}
 	}
 	return pending, done, failed
-}
-
-// NewSpecManifest builds a manifest of a spec list with every unit
-// pending — the campaign behind the CLIs' -sweep-manifest flag, written
-// before anything simulates. Specs are deduplicated by content address
-// in enumeration order, so a run several tables share is one unit.
-func NewSpecManifest(name string, specs []sim.Spec) (*Manifest, error) {
-	m := &Manifest{Schema: ManifestSchema, Name: name, Engine: sim.EngineVersion, Units: []ManifestUnit{}}
-	seen := make(map[string]bool, len(specs))
-	for i := range specs {
-		key, err := sim.SpecKey(specs[i])
-		if err != nil {
-			return nil, err
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s := specs[i]
-		m.Units = append(m.Units, ManifestUnit{
-			Index: len(m.Units),
-			Key:   key,
-			Label: fmt.Sprintf("%s/%s/vc%d", s.Policy.Name, s.Gen.Kind, s.Net.VCsPerVNet),
-			State: UnitPending,
-			Spec:  &s,
-		})
-	}
-	return m, nil
 }

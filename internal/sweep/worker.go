@@ -24,21 +24,21 @@ type UnitResult struct {
 
 // AssignmentSchema versions the coordinator→worker handoff body (and
 // the report that answers it).
-const AssignmentSchema = 1
+const AssignmentSchema = 2
 
 // Assignment is one worker's share of a campaign: the shared cache it
 // runs against, its local pool width (-j: 0 = one per core, 1 =
-// sequential), and the units themselves — index, key, label and spec —
-// so a worker never loads the manifest or re-expands the grid.
+// sequential), and the specs it runs — all a worker needs, so it never
+// loads the manifest.
 type Assignment struct {
-	Schema   int    `json:"schema"`
-	CacheDir string `json:"cache_dir"`
-	Workers  int    `json:"workers"`
-	Units    []Unit `json:"units"`
+	Schema   int        `json:"schema"`
+	CacheDir string     `json:"cache_dir"`
+	Workers  int        `json:"workers"`
+	Specs    []sim.Spec `json:"specs"`
 }
 
 // WorkerReport is the worker→coordinator result: one outcome per
-// assigned unit, in assignment order, plus the worker's cache stats
+// assigned spec, in assignment order, plus the worker's cache stats
 // for campaign-level aggregation.
 type WorkerReport struct {
 	Schema  int          `json:"schema"`
@@ -57,10 +57,10 @@ type WorkerEnv struct {
 	AfterUnit func(completed int)
 }
 
-// RunAssignment is the whole worker role: run the assigned units
+// RunAssignment is the whole worker role: run the assigned specs
 // through a local pool against the shared cache and report per-unit
 // outcomes. A unit failure never aborts the batch — campaigns retry
-// failures on resume — so the report always has one result per unit.
+// failures on resume — so the report always has one result per spec.
 // The coordinator's in-process default calls it directly; an exec'd
 // worker reaches it through ServeWorker.
 //
@@ -73,14 +73,14 @@ type WorkerEnv struct {
 // all the work.
 func RunAssignment(a *Assignment, env WorkerEnv) *WorkerReport {
 	met := newSweepMetrics()
-	met.unitsTotal.Add(uint64(len(a.Units)))
+	met.unitsTotal.Add(uint64(len(a.Specs)))
 	met.workersActive.Inc()
 	defer met.workersActive.Dec()
 
 	store := cache.Open(a.CacheDir, cache.ReadWrite)
 	store.Clock = env.Clock
 	store.Lease = env.Lease
-	results := make([]UnitResult, len(a.Units))
+	results := make([]UnitResult, len(a.Specs))
 	pool := sim.Pool{Workers: a.Workers}
 	var completed atomic.Int64
 	// claim runs unit i, waiting on a foreign lease only when wait is
@@ -91,9 +91,9 @@ func RunAssignment(a *Assignment, env WorkerEnv) *WorkerReport {
 		var err error
 		done := true
 		if wait {
-			_, err = r.Run(a.Units[i].Spec)
+			_, err = r.Run(a.Specs[i])
 		} else {
-			_, done, err = r.TryRun(a.Units[i].Spec)
+			_, done, err = r.TryRun(a.Specs[i])
 		}
 		switch {
 		case err != nil:
@@ -113,7 +113,7 @@ func RunAssignment(a *Assignment, env WorkerEnv) *WorkerReport {
 
 	var mu sync.Mutex
 	var deferred []int
-	_ = pool.Run(len(a.Units), func(i int) error {
+	_ = pool.Run(len(a.Specs), func(i int) error {
 		if !claim(i, false) {
 			met.unitsDeferred.Inc()
 			mu.Lock()
