@@ -17,11 +17,11 @@
 //	nbtisweep -manifest camp.json            # resume
 //	nbtisweep -manifest camp.json -status    # inspect progress
 //
-// -strategy picks the sharding discipline: "range" gives each worker a
-// disjoint contiguous share (no lease contention; a dead worker's share
-// waits for a resume), "steal" gives every worker the full pending list
-// at rotated offsets (leases deduplicate; dead workers' units are taken
-// over in-run). -o writes the merged report to a file instead of
+// Every worker gets the whole pending list, rotated to its own starting
+// point: leases turn the overlap into claims, so each unit is computed
+// once, and a dead worker's units are taken over by the survivors in
+// the same round (the round still fails, so its report is only written
+// by a clean rerun). -o writes the merged report to a file instead of
 // stdout; stderr carries progress and the aggregated cache statistics
 // of all workers, never report bytes.
 //
@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) (err error) {
 		manifestPath = fs.String("manifest", "", "campaign manifest: created with -grid, resumed without")
 		procs        = fs.Int("procs", 1, "worker processes (1 runs in-process)")
 		jobs         = fs.Int("j", 0, "per-process pool width: 0 = one per core, 1 = sequential")
-		strategyStr  = fs.String("strategy", "range", "shard strategy: range or steal")
 		cacheDir     = fs.String("cache-dir", "", "shared result cache directory (default: user cache dir)")
 		outPath      = fs.String("o", "", "write the merged report to this file (default stdout)")
 		status       = fs.Bool("status", false, "print the manifest's unit states and exit")
@@ -111,10 +110,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		return nil
 	}
-	strategy, err := sweep.ParseStrategy(*strategyStr)
-	if err != nil {
-		return err
-	}
 	sess, err := cf.Start(*verbose)
 	if err != nil {
 		return err
@@ -135,7 +130,6 @@ func run(args []string, out io.Writer) (err error) {
 		CacheDir:     dir,
 		Procs:        *procs,
 		Workers:      *jobs,
-		Strategy:     strategy,
 		Clock:        cli.Now,
 		Lease:        cli.LeasePolicy(*leaseTTL),
 	}

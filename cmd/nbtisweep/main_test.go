@@ -83,24 +83,17 @@ func TestSweepByteIdenticalAcrossTopologies(t *testing.T) {
 		t.Fatalf("report header missing: %q", ref[:min(len(ref), 60)])
 	}
 
-	for _, tc := range []struct {
-		procs    int
-		strategy string
-	}{
-		{2, "range"},
-		{2, "steal"},
-		{3, "steal"},
-	} {
-		cacheDir := filepath.Join(dir, "cache-"+tc.strategy+"-"+string(rune('0'+tc.procs)))
-		manifest := filepath.Join(dir, "camp-"+tc.strategy+"-"+string(rune('0'+tc.procs))+".json")
+	for _, procs := range []string{"2", "3"} {
+		cacheDir := filepath.Join(dir, "cache-"+procs)
+		manifest := filepath.Join(dir, "camp-"+procs+".json")
 		got, err := sweepRun(t, "-grid", grid, "-manifest", manifest,
-			"-cache-dir", cacheDir, "-procs", string(rune('0'+tc.procs)), "-strategy", tc.strategy)
+			"-cache-dir", cacheDir, "-procs", procs)
 		if err != nil {
-			t.Fatalf("procs=%d strategy=%s: %v", tc.procs, tc.strategy, err)
+			t.Fatalf("procs=%s: %v", procs, err)
 		}
 		if got != ref {
-			t.Errorf("procs=%d strategy=%s: report differs from single-process reference\nref:\n%s\ngot:\n%s",
-				tc.procs, tc.strategy, ref, got)
+			t.Errorf("procs=%s: report differs from single-process reference\nref:\n%s\ngot:\n%s",
+				procs, ref, got)
 		}
 	}
 }
@@ -120,10 +113,11 @@ func TestSweepKillThenResumeMatchesUninterrupted(t *testing.T) {
 
 	cacheDir := filepath.Join(dir, "cache-killed")
 	manifest := filepath.Join(dir, "camp-killed.json")
-	// Range sharding: worker 0's share stays incomplete when it dies, so
-	// the first round must fail and leave pending units behind.
+	// Worker 0 dies after one unit, so the round must fail. The survivor
+	// runs the rest of the pending list, taking over any claim the dead
+	// worker abandoned once the short lease expires.
 	out, err := sweepRun(t, "-grid", grid, "-manifest", manifest, "-cache-dir", cacheDir,
-		"-procs", "2", "-strategy", "range", "-kill-worker", "0", "-kill-after", "1")
+		"-procs", "2", "-lease-ttl", "1s", "-kill-worker", "0", "-kill-after", "1")
 	if err == nil {
 		t.Fatal("killed campaign reported success")
 	}
@@ -134,9 +128,9 @@ func TestSweepKillThenResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending, done, _ := m.Counts()
-	if pending == 0 || done == 0 {
-		t.Fatalf("after kill want partial progress, got %d pending %d done", pending, done)
+	if pending, done, failed := m.Counts(); pending != 0 || failed != 0 || done != len(m.Units) {
+		t.Fatalf("after kill want the survivor to finish every unit, got %d pending %d done %d failed",
+			pending, done, failed)
 	}
 
 	// Resume from the manifest alone — no -grid needed.
@@ -165,7 +159,7 @@ func TestSweepLeavesOnlyManifestAndCache(t *testing.T) {
 	// Each round gets a cold cache, so both really hand out work.
 	for _, args := range [][]string{
 		{"-grid", grid, "-cache-dir", filepath.Join(dir, "cache-a"), "-procs", "2"},
-		{"-grid", grid, "-manifest", manifest, "-cache-dir", filepath.Join(dir, "cache-b"), "-procs", "2", "-strategy", "steal"},
+		{"-grid", grid, "-manifest", manifest, "-cache-dir", filepath.Join(dir, "cache-b"), "-procs", "2"},
 	} {
 		if _, err := sweepRun(t, args...); err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -201,10 +195,6 @@ func TestSweepStatusAndFlagErrors(t *testing.T) {
 	// Manifest path that does not exist and no grid to create it.
 	if _, err := sweepRun(t, "-manifest", manifest); err == nil {
 		t.Error("want error for missing manifest without -grid")
-	}
-	// Unknown strategy.
-	if _, err := sweepRun(t, "-grid", grid, "-strategy", "round-robin"); err == nil {
-		t.Error("want error for unknown strategy")
 	}
 	// -status needs -manifest.
 	if _, err := sweepRun(t, "-status"); err == nil {

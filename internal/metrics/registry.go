@@ -343,25 +343,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values).counter
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the named labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(name, help, KindGauge, labelNames, nil)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(values).gauge
-}
-
 // CounterValue returns the summed value of the named counter family
 // (all children), or 0 when the registry is nil or the name unknown.
 // The progress printer reads totals through this without caring whether

@@ -120,24 +120,6 @@ type Bank struct {
 	primed bool
 }
 
-// NewBank builds a bank over devs, one sensor each. src is split per
-// sensor so noise streams are independent but reproducible; it may be
-// nil when NoiseSigma is 0.
-func NewBank(devs []nbti.Device, model *nbti.Params, cfg Config, src *rng.Source) (*Bank, error) {
-	var noise []rng.Source
-	if cfg.NoiseSigma > 0 && src != nil {
-		noise = make([]rng.Source, len(devs))
-		for i := range noise {
-			src.SplitInto(&noise[i])
-		}
-	}
-	b := &Bank{}
-	if err := b.Init(devs, noise, model, &cfg); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // Init makes b the bank over devs, with noise the per-sensor read-noise
 // sources (one per device when cfg.NoiseSigma > 0, else nil) — typically
 // windows of flat slices holding every bank's devices and sources. b

@@ -18,11 +18,29 @@ func devices(vth0s ...float64) []nbti.Device {
 	return out
 }
 
+// newBank builds a bank over devs through Init, as a network does,
+// splitting src into one read-noise source per sensor (src may be nil
+// when cfg.NoiseSigma is 0).
+func newBank(devs []nbti.Device, model *nbti.Params, cfg Config, src *rng.Source) (*Bank, error) {
+	var noise []rng.Source
+	if cfg.NoiseSigma > 0 && src != nil {
+		noise = make([]rng.Source, len(devs))
+		for i := range noise {
+			src.SplitInto(&noise[i])
+		}
+	}
+	b := &Bank{}
+	if err := b.Init(devs, noise, model, &cfg); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // reading returns what a one-sensor bank over a device with initial
 // threshold vth0 measures at its first refresh.
 func reading(t *testing.T, vth0 float64, cfg Config) float64 {
 	t.Helper()
-	b, err := NewBank(devices(vth0), &model, cfg, nil)
+	b, err := newBank(devices(vth0), &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +68,18 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewRejectsNilDevice(t *testing.T) {
-	if _, err := NewBank(nil, &model, IdealConfig(), nil); err == nil {
+	if _, err := newBank(nil, &model, IdealConfig(), nil); err == nil {
 		t.Fatal("bank over a nil device window accepted")
 	}
 	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
-	if _, err := NewBank(devices(0.18), nil, cfg, nil); err == nil {
+	if _, err := newBank(devices(0.18), nil, cfg, nil); err == nil {
 		t.Fatal("projecting bank without an NBTI model accepted")
 	}
 }
 
 func TestNewRequiresRngForNoise(t *testing.T) {
 	cfg := Config{SamplePeriod: 1, NoiseSigma: 1e-3}
-	if _, err := NewBank(devices(0.18), &model, cfg, nil); err == nil {
+	if _, err := newBank(devices(0.18), &model, cfg, nil); err == nil {
 		t.Fatal("noisy sensor without rng accepted")
 	}
 	var b Bank
@@ -90,7 +108,7 @@ func TestQuantisation(t *testing.T) {
 // Between refreshes a bank holds its outputs without measuring: its
 // sensors' noise streams do not advance until the period elapses.
 func TestSamplePeriodHoldsValue(t *testing.T) {
-	b, err := NewBank(devices(0.18, 0.18), &model, Config{SamplePeriod: 100, NoiseSigma: 2e-3}, rng.New(9))
+	b, err := newBank(devices(0.18, 0.18), &model, Config{SamplePeriod: 100, NoiseSigma: 2e-3}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +138,7 @@ func TestHorizonProjectsStressHistory(t *testing.T) {
 	devs[0].Tracker.Stress(90, 45)
 	devs[0].Tracker.Recover(10)
 	cfg := Config{SamplePeriod: 1, Horizon: 3 * nbti.SecondsPerYear}
-	b, err := NewBank(devs, &model, cfg, nil)
+	b, err := newBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +151,7 @@ func TestHorizonProjectsStressHistory(t *testing.T) {
 
 func TestBankMostDegradedStatic(t *testing.T) {
 	devs := devices(0.178, 0.186, 0.181, 0.179)
-	b, err := NewBank(devs, &model, IdealConfig(), nil)
+	b, err := newBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +165,7 @@ func TestBankMostDegradedStatic(t *testing.T) {
 
 func TestBankTieResolvesToLowestIndex(t *testing.T) {
 	devs := devices(0.186, 0.186, 0.181)
-	b, err := NewBank(devs, &model, IdealConfig(), nil)
+	b, err := newBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +175,7 @@ func TestBankTieResolvesToLowestIndex(t *testing.T) {
 }
 
 func TestBankEmptyRejected(t *testing.T) {
-	if _, err := NewBank(nil, &model, IdealConfig(), nil); err == nil {
+	if _, err := newBank(nil, &model, IdealConfig(), nil); err == nil {
 		t.Fatal("empty bank accepted")
 	}
 }
@@ -165,7 +183,7 @@ func TestBankEmptyRejected(t *testing.T) {
 func TestBankCachesBetweenPeriods(t *testing.T) {
 	devs := devices(0.180, 0.185)
 	cfg := Config{SamplePeriod: 1000, Horizon: 3 * nbti.SecondsPerYear}
-	b, err := NewBank(devs, &model, cfg, nil)
+	b, err := newBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +208,7 @@ func TestBankDynamicRankingFollowsDutyCycle(t *testing.T) {
 	// most degraded under a non-zero horizon.
 	devs := devices(0.180, 0.180, 0.180)
 	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
-	b, err := NewBank(devs, &model, cfg, nil)
+	b, err := newBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +226,7 @@ func TestBankDynamicRankingFollowsDutyCycle(t *testing.T) {
 func TestNoiseIsReproducible(t *testing.T) {
 	mk := func() *Bank {
 		devs := devices(0.180, 0.181)
-		b, err := NewBank(devs, &model, DefaultConfig(), rng.New(42))
+		b, err := newBank(devs, &model, DefaultConfig(), rng.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +242,7 @@ func TestNoiseIsReproducible(t *testing.T) {
 
 func TestBankLeastDegraded(t *testing.T) {
 	devs := devices(0.182, 0.176, 0.185, 0.179)
-	b, err := NewBank(devs, &model, IdealConfig(), nil)
+	b, err := newBank(devs, &model, IdealConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +257,7 @@ func TestBankLeastDegraded(t *testing.T) {
 func TestBankLDTracksStress(t *testing.T) {
 	devs := devices(0.180, 0.180)
 	cfg := Config{SamplePeriod: 1, Horizon: nbti.SecondsPerYear}
-	b, err := NewBank(devs, &model, cfg, nil)
+	b, err := newBank(devs, &model, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +270,10 @@ func TestBankLDTracksStress(t *testing.T) {
 	}
 }
 
-func TestNewBankRejectsBadConfig(t *testing.T) {
+func TestBankInitRejectsBadConfig(t *testing.T) {
 	devs := devices(0.18)
-	if _, err := NewBank(devs, &model, Config{SamplePeriod: 0}, nil); err == nil {
-		t.Fatal("bad config accepted by NewBank")
+	if _, err := newBank(devs, &model, Config{SamplePeriod: 0}, nil); err == nil {
+		t.Fatal("bad config accepted by Init")
 	}
 }
 
@@ -279,7 +297,7 @@ func TestConfigStatic(t *testing.T) {
 // last refresh, Evaluate what a refresh would produce now.
 func TestBankHeldAndEvaluate(t *testing.T) {
 	devs := devices(0.178, 0.186, 0.181, 0.179)
-	b, err := NewBank(devs, &model, Config{SamplePeriod: 10, LSB: 0.5e-3}, nil)
+	b, err := newBank(devs, &model, Config{SamplePeriod: 10, LSB: 0.5e-3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

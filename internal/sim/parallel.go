@@ -15,8 +15,8 @@ import (
 type Pool struct {
 	// Workers caps the number of concurrently executing jobs.
 	// 0 (or negative) uses one worker per available core
-	// (runtime.GOMAXPROCS); 1 selects the legacy sequential path,
-	// where jobs run inline on the caller's goroutine in index order.
+	// (runtime.GOMAXPROCS). 1 is one worker like any other width: it
+	// runs the jobs one at a time in index order.
 	Workers int
 }
 
@@ -50,18 +50,6 @@ func (p Pool) Run(n int, job func(i int) error) error {
 	}
 	met := newPoolMetrics()
 	met.jobsTotal.Add(uint64(n))
-	if p.workers(n) <= 1 {
-		for i := 0; i < n; i++ {
-			met.busy.Inc()
-			err := job(i)
-			met.busy.Dec()
-			met.jobsDone.Inc()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		next atomic.Int64
 		stop atomic.Bool

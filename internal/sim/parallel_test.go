@@ -34,9 +34,10 @@ func TestPoolEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestPoolSequentialFallback pins the Workers = 1 contract: jobs run in
-// index order on the caller's goroutine semantics (strictly one at a
-// time), and the first error stops the batch immediately.
+// TestPoolSequentialFallback pins the Workers = 1 contract: one worker
+// through the same loop as every other width runs the jobs strictly one
+// at a time in index order, and the first error stops the batch
+// immediately.
 func TestPoolSequentialFallback(t *testing.T) {
 	var order []int
 	boom := errors.New("boom")
@@ -88,7 +89,7 @@ func TestPoolErrorCancelsBatch(t *testing.T) {
 
 // TestPoolReturnsLowestIndexedError holds all workers at a barrier until
 // every job is in flight, then fails all of them: Run must surface the
-// error of the lowest-indexed job, matching what the sequential path
+// error of the lowest-indexed job, matching what a one-worker pool
 // would have reported.
 func TestPoolReturnsLowestIndexedError(t *testing.T) {
 	const n = 4

@@ -39,8 +39,8 @@ type TableOptions struct {
 	// Table I pairs 64-bit flits with 32-bit links, i.e. 2 phits.
 	Phits int
 	// Parallelism caps the number of scenario simulations executed
-	// concurrently: 0 runs one worker per core, 1 selects the legacy
-	// sequential path. The produced tables are identical for every
+	// concurrently: 0 runs one worker per core, 1 runs one worker (one
+	// scenario at a time). The produced tables are identical for every
 	// setting — each scenario derives its seeds deterministically and
 	// owns its network, so no state is shared across workers.
 	Parallelism int
@@ -298,8 +298,8 @@ type RealOptions struct {
 	// Phits is the link serialization factor (see TableOptions.Phits).
 	Phits int
 	// Parallelism caps concurrent scenario simulations (see
-	// TableOptions.Parallelism): 0 = one worker per core, 1 = the
-	// legacy sequential path. Output is identical for every setting.
+	// TableOptions.Parallelism): 0 = one worker per core, 1 = one
+	// worker. Output is identical for every setting.
 	Parallelism int
 	// Cache memoizes scenario results (see TableOptions.Cache).
 	Cache *cache.Store

@@ -26,9 +26,6 @@ type Coordinator struct {
 	// Procs is the worker-process count; Workers the per-process pool
 	// width (-j).
 	Procs, Workers int
-	// Strategy decides what Assign hands each worker: a disjoint range
-	// or the whole rotated pending list (work-stealing).
-	Strategy Strategy
 	// Clock and Lease are the injected time hooks handed to every
 	// store this coordinator opens (and to in-process workers).
 	Clock func() int64
@@ -92,8 +89,8 @@ func (c *Coordinator) Run(out io.Writer) (*Result, error) {
 	if err := c.checkpoint(); err != nil {
 		return nil, err
 	}
-	c.logf("sweep %s: %d units, %d pending (%d resumed from cache), %d procs x %d workers, %s",
-		c.Manifest.Name, len(c.Manifest.Units), len(pending), res.Resumed, c.Procs, c.Workers, c.Strategy)
+	c.logf("sweep %s: %d units, %d pending (%d resumed from cache), %d procs x %d workers",
+		c.Manifest.Name, len(c.Manifest.Units), len(pending), res.Resumed, c.Procs, c.Workers)
 
 	if len(pending) > 0 {
 		if err := c.runWorkers(pending, res); err != nil {
@@ -142,7 +139,7 @@ func (c *Coordinator) checkpoint() error {
 // concurrently, and folds their reports back into the manifest and the
 // aggregated stats.
 func (c *Coordinator) runWorkers(pending []int, res *Result) error {
-	shares := Assign(pending, min(max(c.Procs, 1), len(pending)), c.Strategy)
+	shares := Assign(pending, min(max(c.Procs, 1), len(pending)))
 	spawn := c.Spawn
 	if spawn == nil {
 		spawn = func(_ int, a *Assignment) (*WorkerReport, error) {

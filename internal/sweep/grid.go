@@ -1,17 +1,19 @@
 // Package sweep is the sharded campaign layer. A campaign is a spec
 // list: a declarative scenario grid expanded point by point, or the run
 // set of a CLI's -sweep-manifest. Each distinct spec is one
-// content-addressed work unit (a unit's cache key IS its work id); the
-// units are sharded across worker processes that share one result
-// cache, and the finished campaign is merged through a
+// content-addressed work unit (a unit's cache key IS its work id);
+// every worker process gets the whole pending list, rotated to its own
+// starting point, against one shared result cache, and the finished
+// campaign is merged through a
 // strictly-sequential reduction — so the merged report is
 // byte-identical to a single-process run at any (processes × workers)
 // topology.
 //
 // Coordination happens through the cache directory itself: workers
 // claim units via internal/cache lease files (cross-process
-// single-flight), a killed worker's claims expire by heartbeat and are
-// taken over, and a campaign's progress is a schema-versioned manifest
+// single-flight, so each unit is computed once), a killed worker's
+// claims expire by heartbeat and the surviving workers take its units
+// over in the same round, and a campaign's progress is a schema-versioned manifest
 // that any later invocation can resume, skipping completed keys.
 package sweep
 

@@ -1,71 +1,20 @@
 package sweep
 
-import "fmt"
-
-// Strategy selects how pending units are divided among worker
-// processes.
-type Strategy string
-
-const (
-	// Range gives each worker a disjoint contiguous slice of the
-	// pending units — zero lease contention, but a dead worker's share
-	// waits for a resume.
-	Range Strategy = "range"
-	// Steal gives every worker the full pending list at a rotated
-	// starting offset; cross-process single-flight (leases) turns the
-	// overlap into claims instead of duplicate work, and a dead
-	// worker's claims expire and are taken over in-run.
-	Steal Strategy = "steal"
-)
-
-// ParseStrategy maps the CLI spelling to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch Strategy(s) {
-	case Range:
-		return Range, nil
-	case Steal:
-		return Steal, nil
-	default:
-		return "", fmt.Errorf("sweep: unknown shard strategy %q (range or steal)", s)
-	}
-}
-
-// Assign shards the pending unit positions across procs workers. The
-// assignment is deterministic in its inputs. Range mode returns
-// disjoint contiguous chunks whose sizes differ by at most one; steal
-// mode returns the full list per worker, rotated so workers start
-// claiming at different points. Workers with nothing to do get empty
-// (never absent) assignments, so the caller's worker count is the
-// slice length either way.
-func Assign(pending []int, procs int, strategy Strategy) [][]int {
-	if procs < 1 {
-		procs = 1
-	}
+// Assign shards the pending unit positions across procs workers: every
+// worker gets the full pending list, rotated so workers start claiming
+// at different points. Cross-process single-flight (leases) turns the
+// overlap into claims instead of duplicate work, and a dead worker's
+// units are taken over in-run by the workers still going. The
+// assignment is deterministic in its inputs; with nothing pending every
+// worker gets an empty (never absent) list, so the caller's worker
+// count is the slice length either way.
+func Assign(pending []int, procs int) [][]int {
+	procs = max(procs, 1)
+	n := len(pending)
 	out := make([][]int, procs)
-	if strategy == Steal {
-		n := len(pending)
-		for w := 0; w < procs; w++ {
-			rot := make([]int, 0, n)
-			if n > 0 {
-				start := w * n / procs
-				rot = append(rot, pending[start:]...)
-				rot = append(rot, pending[:start]...)
-			}
-			out[w] = rot
-		}
-		return out
-	}
-	// Range: the first len(pending)%procs chunks get one extra unit.
-	per := len(pending) / procs
-	extra := len(pending) % procs
-	next := 0
-	for w := 0; w < procs; w++ {
-		size := per
-		if w < extra {
-			size++
-		}
-		out[w] = append([]int{}, pending[next:next+size]...)
-		next += size
+	for w := range out {
+		start := w * n / procs
+		out[w] = append(append(make([]int, 0, n), pending[start:]...), pending[:start]...)
 	}
 	return out
 }

@@ -293,45 +293,36 @@ func TestSpecManifestResolves(t *testing.T) {
 	}
 }
 
-func TestAssignStrategies(t *testing.T) {
+// TestAssignRotates: every worker gets the whole pending list, as a
+// rotation starting at its own offset, and empty shares are present.
+func TestAssignRotates(t *testing.T) {
 	pending := []int{3, 5, 8, 9, 12, 20, 21}
-	ranges := Assign(pending, 3, Range)
-	if len(ranges) != 3 {
-		t.Fatalf("range procs = %d", len(ranges))
+	shares := Assign(pending, 3)
+	if len(shares) != 3 {
+		t.Fatalf("procs = %d", len(shares))
 	}
-	var flat []int
-	for _, chunk := range ranges {
-		flat = append(flat, chunk...)
-	}
-	if !reflect.DeepEqual(flat, pending) {
-		t.Errorf("range chunks reorder or drop: %v", ranges)
-	}
-	for _, chunk := range ranges {
-		if len(chunk) < 2 || len(chunk) > 3 {
-			t.Errorf("unbalanced range chunk %v", chunk)
-		}
-	}
-
-	steals := Assign(pending, 3, Steal)
-	for w, perm := range steals {
+	for w, perm := range shares {
 		if len(perm) != len(pending) {
-			t.Fatalf("steal worker %d got %d units, want all %d", w, len(perm), len(pending))
+			t.Fatalf("worker %d got %d units, want all %d", w, len(perm), len(pending))
 		}
 		sorted := append([]int{}, perm...)
 		sort.Ints(sorted)
 		if !reflect.DeepEqual(sorted, pending) {
-			t.Errorf("steal worker %d list is not a permutation: %v", w, perm)
+			t.Errorf("worker %d list is not a permutation: %v", w, perm)
 		}
 	}
-	if reflect.DeepEqual(steals[0], steals[1]) {
-		t.Error("steal workers start at the same offset")
+	if want := []int{8, 9, 12, 20, 21, 3, 5}; !reflect.DeepEqual(shares[1], want) {
+		t.Errorf("worker 1 list = %v, want the rotation %v", shares[1], want)
+	}
+	if reflect.DeepEqual(shares[0], shares[1]) {
+		t.Error("workers start at the same offset")
 	}
 
 	// Degenerate shapes.
-	if got := Assign(nil, 2, Range); len(got) != 2 || len(got[0]) != 0 {
+	if got := Assign(nil, 2); len(got) != 2 || got[0] == nil || len(got[0]) != 0 {
 		t.Errorf("empty pending: %v", got)
 	}
-	if got := Assign([]int{1}, 4, Steal); len(got) != 4 {
+	if got := Assign([]int{1}, 4); len(got) != 4 {
 		t.Errorf("more procs than units: %v", got)
 	}
 }
@@ -339,7 +330,7 @@ func TestAssignStrategies(t *testing.T) {
 // runCampaign builds the grid's campaign fresh and runs a full coordinator round
 // in the given topology, returning the merged report bytes and the
 // round result.
-func runCampaign(t *testing.T, dir string, procs, workers int, strategy Strategy) ([]byte, *Result) {
+func runCampaign(t *testing.T, dir string, procs, workers int) ([]byte, *Result) {
 	t.Helper()
 	c := &Coordinator{
 		Manifest:     gridManifest(t, testGrid()),
@@ -347,39 +338,35 @@ func runCampaign(t *testing.T, dir string, procs, workers int, strategy Strategy
 		CacheDir:     filepath.Join(dir, "cache"),
 		Procs:        procs,
 		Workers:      workers,
-		Strategy:     strategy,
 		Clock:        realClock(),
 		Lease:        testLease(),
 	}
 	var out bytes.Buffer
 	res, err := c.Run(&out)
 	if err != nil {
-		t.Fatalf("campaign (%d procs, %d workers, %s): %v", procs, workers, strategy, err)
+		t.Fatalf("campaign (%d procs, %d workers): %v", procs, workers, err)
 	}
 	return out.Bytes(), res
 }
 
 // TestMergedOutputByteIdenticalAcrossTopologies is the acceptance
-// pin: every (processes x workers x strategy) layout produces the
-// same merged bytes, each from its own cold cache.
+// pin: every (processes x workers) layout produces the same merged
+// bytes, each from its own cold cache.
 func TestMergedOutputByteIdenticalAcrossTopologies(t *testing.T) {
-	base, _ := runCampaign(t, t.TempDir(), 1, 1, Range)
+	base, _ := runCampaign(t, t.TempDir(), 1, 1)
 	if len(base) == 0 || !bytes.HasPrefix(base, []byte("# nbtinoc sweep t ")) {
 		t.Fatalf("unexpected report header: %q", base[:min(len(base), 60)])
 	}
-	for _, tc := range []struct {
-		procs, workers int
-		strategy       Strategy
-	}{
-		{1, 4, Range},
-		{2, 1, Range},
-		{2, 2, Steal},
-		{3, 1, Steal},
+	for _, tc := range []struct{ procs, workers int }{
+		{1, 4},
+		{2, 1},
+		{2, 2},
+		{3, 1},
 	} {
-		got, _ := runCampaign(t, t.TempDir(), tc.procs, tc.workers, tc.strategy)
+		got, _ := runCampaign(t, t.TempDir(), tc.procs, tc.workers)
 		if !bytes.Equal(got, base) {
-			t.Errorf("(%d procs, %d workers, %s) diverged from 1-proc/-j1:\n got: %s\nwant: %s",
-				tc.procs, tc.workers, tc.strategy, got, base)
+			t.Errorf("(%d procs, %d workers) diverged from 1-proc/-j1:\n got: %s\nwant: %s",
+				tc.procs, tc.workers, got, base)
 		}
 	}
 }
@@ -388,28 +375,43 @@ func TestMergedOutputByteIdenticalAcrossTopologies(t *testing.T) {
 // cache dir perform exactly one compute per unique key — the summed
 // stats prove the cross-process single-flight through the full stack.
 func TestSharedCacheSingleCompute(t *testing.T) {
-	for _, strategy := range []Strategy{Range, Steal} {
-		dir := t.TempDir()
-		out, res := runCampaign(t, dir, 2, 1, strategy)
+	for _, procs := range []int{2, 3} {
+		out, res := runCampaign(t, t.TempDir(), procs, 1)
 		if len(out) == 0 {
-			t.Fatalf("%s: empty report", strategy)
+			t.Fatalf("%d procs: empty report", procs)
 		}
 		if res.Stats.Misses != 4 {
-			t.Errorf("%s: %d misses across the campaign, want exactly 4 (one per key); stats %s",
-				strategy, res.Stats.Misses, res.Stats)
+			t.Errorf("%d procs: %d misses across the campaign, want exactly 4 (one per key); stats %s",
+				procs, res.Stats.Misses, res.Stats)
 		}
 		if res.Done != 4 || res.Failed != 0 {
-			t.Errorf("%s: done=%d failed=%d, want 4/0", strategy, res.Done, res.Failed)
+			t.Errorf("%d procs: done=%d failed=%d, want 4/0", procs, res.Done, res.Failed)
 		}
 	}
 }
 
-// TestKilledThenResumedMatchesUninterrupted kills a worker mid-batch
-// (its report is never written), checks the round fails resumably, then
-// resumes from the manifest and pins the merged bytes against an
-// uninterrupted run.
+// killAfterOne is a Spawn that "kills" the workers for which dies
+// reports true after one unit — it computes the first spec of the share
+// into the shared cache and never reports — and runs every other worker
+// in-process to the end.
+func killAfterOne(dies func(w int) bool) func(int, *Assignment) (*WorkerReport, error) {
+	return func(w int, a *Assignment) (*WorkerReport, error) {
+		env := WorkerEnv{Clock: realClock(), Lease: testLease()}
+		if dies(w) {
+			a.Specs = a.Specs[:1]
+			RunAssignment(a, env)
+			return nil, &killedError{}
+		}
+		return RunAssignment(a, env), nil
+	}
+}
+
+// TestKilledThenResumedMatchesUninterrupted kills every worker after
+// one unit (no report is ever written), checks the round fails
+// resumably with units left pending, then resumes from the manifest and
+// pins the merged bytes against an uninterrupted run.
 func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
-	want, _ := runCampaign(t, t.TempDir(), 1, 1, Range)
+	want, _ := runCampaign(t, t.TempDir(), 1, 1)
 
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "manifest.json")
@@ -420,24 +422,13 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 		CacheDir:     cacheDir,
 		Procs:        2,
 		Workers:      1,
-		Strategy:     Range,
 		Clock:        realClock(),
 		Lease:        testLease(),
-		Spawn: func(w int, a *Assignment) (*WorkerReport, error) {
-			env := WorkerEnv{Clock: realClock(), Lease: testLease()}
-			if w == 0 {
-				// "Kill" worker 0 after one unit: compute a partial
-				// share into the shared cache, never report.
-				a.Specs = a.Specs[:1]
-				RunAssignment(a, env)
-				return nil, &killedError{}
-			}
-			return RunAssignment(a, env), nil
-		},
+		Spawn:        killAfterOne(func(int) bool { return true }),
 	}
 	var out bytes.Buffer
 	if _, err := killed.Run(&out); err == nil {
-		t.Fatal("round with a killed worker reported success")
+		t.Fatal("round with killed workers reported success")
 	}
 	if out.Len() != 0 {
 		t.Fatalf("killed round wrote a merged report: %q", out.String())
@@ -449,7 +440,7 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p, _, _ := loaded.Counts(); p == 0 {
-		t.Fatal("checkpoint shows nothing pending after a killed worker")
+		t.Fatal("checkpoint shows nothing pending after every worker was killed")
 	}
 	resumed := &Coordinator{
 		Manifest:     loaded,
@@ -457,7 +448,6 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 		CacheDir:     cacheDir,
 		Procs:        1,
 		Workers:      1,
-		Strategy:     Range,
 		Clock:        realClock(),
 		Lease:        testLease(),
 	}
@@ -471,6 +461,40 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 	}
 	if res.Resumed == 0 {
 		t.Error("resume recomputed everything: no units were skipped via the cache")
+	}
+}
+
+// TestDeadWorkerShareTakenOverInRun: when one worker dies after one
+// unit, the survivor runs the rest of the pending list in the same
+// round. The round still fails (a worker died) and writes no report,
+// but its checkpoint has nothing left pending.
+func TestDeadWorkerShareTakenOverInRun(t *testing.T) {
+	dir := t.TempDir()
+	manifestPath := filepath.Join(dir, "manifest.json")
+	c := &Coordinator{
+		Manifest:     gridManifest(t, testGrid()),
+		ManifestPath: manifestPath,
+		CacheDir:     filepath.Join(dir, "cache"),
+		Procs:        2,
+		Workers:      1,
+		Clock:        realClock(),
+		Lease:        testLease(),
+		Spawn:        killAfterOne(func(w int) bool { return w == 0 }),
+	}
+	var out bytes.Buffer
+	if _, err := c.Run(&out); err == nil {
+		t.Fatal("round with a killed worker reported success")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("killed round wrote a merged report: %q", out.String())
+	}
+	loaded, err := LoadManifest(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, d, f := loaded.Counts(); p != 0 || f != 0 || d != len(loaded.Units) {
+		t.Errorf("checkpoint after the survivor's round: %d pending, %d done, %d failed; want all %d done",
+			p, d, f, len(loaded.Units))
 	}
 }
 
@@ -578,7 +602,6 @@ func TestStolenUnitKeepsDone(t *testing.T) {
 			Manifest: m,
 			CacheDir: filepath.Join(t.TempDir(), "cache"),
 			Procs:    2,
-			Strategy: Steal,
 			Spawn: func(w int, a *Assignment) (*WorkerReport, error) {
 				r := &WorkerReport{Schema: AssignmentSchema, Results: make([]UnitResult, len(a.Specs))}
 				for j, spec := range a.Specs {

@@ -27,9 +27,8 @@ type UnitResult struct {
 const AssignmentSchema = 2
 
 // Assignment is one worker's share of a campaign: the shared cache it
-// runs against, its local pool width (-j: 0 = one per core, 1 =
-// sequential), and the specs it runs — all a worker needs, so it never
-// loads the manifest.
+// runs against, its local pool width (-j: 0 = one per core), and the
+// specs it runs — all a worker needs, so it never loads the manifest.
 type Assignment struct {
 	Schema   int        `json:"schema"`
 	CacheDir string     `json:"cache_dir"`
@@ -64,13 +63,11 @@ type WorkerEnv struct {
 // The coordinator's in-process default calls it directly; an exec'd
 // worker reaches it through ServeWorker.
 //
-// Every worker claims in two passes, whatever the shard strategy. The
-// first is non-blocking: it computes or serves what is free and steps
-// aside from units another process holds a lease on. The second waits
-// those out, which usually ends in serving the holder's entry (or in
-// taking over a dead holder's claim), so no unit is ever dropped. Over
-// a disjoint share nothing is held elsewhere and the first pass does
-// all the work.
+// Every worker claims in two passes. The first is non-blocking: it
+// computes or serves what is free and steps aside from units another
+// process holds a lease on. The second waits those out, which usually
+// ends in serving the holder's entry (or in taking over a dead holder's
+// claim), so no unit is ever dropped.
 func RunAssignment(a *Assignment, env WorkerEnv) *WorkerReport {
 	met := newSweepMetrics()
 	met.unitsTotal.Add(uint64(len(a.Specs)))

@@ -118,38 +118,3 @@ func (r *Replayer) Tick(cycle uint64, emit Emit) {
 		r.idx++
 	}
 }
-
-// Recorder wraps a Generator, capturing every emitted packet so the
-// workload can be written to a trace file.
-type Recorder struct {
-	inner  Generator
-	events []Event
-}
-
-// NewRecorder wraps g.
-func NewRecorder(g Generator) *Recorder { return &Recorder{inner: g} }
-
-// Name implements Generator.
-func (r *Recorder) Name() string { return r.inner.Name() + "+record" }
-
-// NextEventCycle implements EventHorizon when the wrapped generator
-// does; recording adds no events of its own. If the inner generator has
-// no horizon, the Recorder reports "next cycle", conservatively
-// disabling fast-forward.
-func (r *Recorder) NextEventCycle(now uint64) uint64 {
-	if h, ok := r.inner.(EventHorizon); ok {
-		return h.NextEventCycle(now)
-	}
-	return now
-}
-
-// Tick implements Generator.
-func (r *Recorder) Tick(cycle uint64, emit Emit) {
-	r.inner.Tick(cycle, func(src, dst noc.NodeID, vnet, length int) {
-		r.events = append(r.events, Event{Cycle: cycle, Src: src, Dst: dst, VNet: vnet, Len: length})
-		emit(src, dst, vnet, length)
-	})
-}
-
-// Events returns the captured events.
-func (r *Recorder) Events() []Event { return r.events }
