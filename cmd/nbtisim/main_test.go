@@ -31,7 +31,7 @@ func shortArgs(extra ...string) []string {
 }
 
 // TestSweepManifestRecordsRun: -sweep-manifest records the flag run as
-// one pending unit labelled "cli" and exits without simulating or
+// one unit labelled "cli" and exits without simulating or
 // opening the cache; -config specs are labelled with their paths.
 func TestSweepManifestRecordsRun(t *testing.T) {
 	dir := t.TempDir()
@@ -49,7 +49,7 @@ func TestSweepManifestRecordsRun(t *testing.T) {
 	}
 	// LoadManifest re-keys every embedded spec, so a loaded unit is
 	// ready to run — the nbtisweep contract.
-	if len(m.Units) != 1 || m.Units[0].State != sweep.UnitPending || m.Units[0].Label != "cli" {
+	if len(m.Units) != 1 || m.Units[0].Label != "cli" {
 		t.Fatalf("manifest units: %+v", m.Units)
 	}
 

@@ -10,9 +10,11 @@
 //
 // Workers coordinate through the cache directory itself: lease files
 // give cross-process single-flight (no unit is ever computed twice
-// concurrently), a killed worker's claims expire by heartbeat, and the
-// manifest checkpoints per-unit state so a killed campaign resumes
-// exactly where it stopped:
+// concurrently), a killed worker's claims expire by heartbeat, and a
+// unit is done exactly when the cache holds its key. The manifest is
+// written once, when the campaign is created, and never rewritten; a
+// killed campaign resumes by running what the cache still lacks, and
+// -status counts done and pending units in the -cache-dir cache:
 //
 //	nbtisweep -manifest camp.json            # resume
 //	nbtisweep -manifest camp.json -status    # inspect progress
@@ -78,7 +80,7 @@ func run(args []string, out io.Writer) (err error) {
 		jobs         = fs.Int("j", 0, "per-process pool width: 0 = one per core, 1 = sequential")
 		cacheDir     = fs.String("cache-dir", "", "shared result cache directory (default: user cache dir)")
 		outPath      = fs.String("o", "", "write the merged report to this file (default stdout)")
-		status       = fs.Bool("status", false, "print the manifest's unit states and exit")
+		status       = fs.Bool("status", false, "print how many of the manifest's units the cache holds and exit")
 		leaseTTL     = fs.Duration("lease-ttl", 0, "override the lease staleness horizon (default 10s)")
 		killWorker   = fs.Int("kill-worker", -1, "crash injection: which spawned worker to kill (-1 = none)")
 		killAfter    = fs.Int("kill-after", 1, "crash injection: kill after this many completed units")
@@ -100,14 +102,9 @@ func run(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		pending, done, failed := m.Counts()
-		fmt.Fprintf(out, "campaign %s: %d units: %d done, %d failed, %d pending\n",
-			m.Name, len(m.Units), done, failed, pending)
-		for _, u := range m.Units {
-			if u.State == sweep.UnitFailed {
-				fmt.Fprintf(out, "  failed %d %s: %s\n", u.Index, u.Label, u.Err)
-			}
-		}
+		pending := len(m.Pending(cache.Open(cacheDirOr(*cacheDir), cache.ReadOnly)))
+		fmt.Fprintf(out, "campaign %s: %d units: %d done, %d pending\n",
+			m.Name, len(m.Units), len(m.Units)-pending, pending)
 		return nil
 	}
 	sess, err := cf.Start(*verbose)
@@ -120,18 +117,13 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	dir := *cacheDir
-	if dir == "" {
-		dir = cache.DefaultDir()
-	}
 	c := &sweep.Coordinator{
-		Manifest:     manifest,
-		ManifestPath: *manifestPath,
-		CacheDir:     dir,
-		Procs:        *procs,
-		Workers:      *jobs,
-		Clock:        cli.Now,
-		Lease:        cli.LeasePolicy(*leaseTTL),
+		Manifest: manifest,
+		CacheDir: cacheDirOr(*cacheDir),
+		Procs:    *procs,
+		Workers:  *jobs,
+		Clock:    cli.Now,
+		Lease:    cli.LeasePolicy(*leaseTTL),
 	}
 	if *verbose {
 		c.Logf = sess.Logf
@@ -170,11 +162,20 @@ func run(args []string, out io.Writer) (err error) {
 	return err
 }
 
+// cacheDirOr is dir, or the user cache directory when dir is empty.
+func cacheDirOr(dir string) string {
+	if dir == "" {
+		return cache.DefaultDir()
+	}
+	return dir
+}
+
 // resolveCampaign builds the campaign from the flag combination: fresh
-// from a grid, resumed from a manifest, or — both given and the
-// manifest file already existing — resumed after checking that the
-// grid expands to the recorded campaign (same name, same unit keys in
-// the same order).
+// from a grid (saved to the manifest path, when one is given — the
+// only time a manifest is written), resumed from a manifest, or — both
+// given and the manifest file already existing — resumed after checking
+// that the grid expands to the recorded campaign (same name, same unit
+// keys in the same order).
 func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, error) {
 	if gridPath == "" && manifestPath == "" {
 		return nil, fmt.Errorf("need -grid (new campaign) or -manifest (resume)")
@@ -208,6 +209,11 @@ func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, error) {
 	}
 	if fresh == nil {
 		return nil, fmt.Errorf("manifest %s does not exist and no -grid was given to create it", manifestPath)
+	}
+	if manifestPath != "" {
+		if err := fresh.Save(manifestPath); err != nil {
+			return nil, err
+		}
 	}
 	return fresh, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -56,6 +55,60 @@ func writeGrid(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// gridManifestBytes returns the bytes a campaign created from the
+// shared test grid writes to its manifest: NewManifest over the grid's
+// expansion, saved once.
+func gridManifestBytes(t *testing.T, grid string) []byte {
+	t.Helper()
+	g, err := sweep.LoadGridFile(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, specs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sweep.NewManifest(g.Name, labels, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "want.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkManifestBytes fails unless the manifest at path still holds
+// want: a campaign writes its manifest once and never rewrites it.
+func checkManifestBytes(t *testing.T, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("manifest %s changed after creation:\n got %s\nwant %s", path, got, want)
+	}
+}
+
+// status runs -status over manifest against cacheDir and checks its
+// output line.
+func status(t *testing.T, manifest, cacheDir, want string) {
+	t.Helper()
+	out, err := sweepRun(t, "-manifest", manifest, "-cache-dir", cacheDir, "-status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != want {
+		t.Errorf("status = %q, want %q", out, want)
+	}
 }
 
 // sweepRun invokes the CLI's run() and returns the report bytes.
@@ -124,14 +177,9 @@ func TestSweepKillThenResumeMatchesUninterrupted(t *testing.T) {
 	if out != "" {
 		t.Fatalf("killed campaign emitted report bytes: %q", out)
 	}
-	m, err := sweep.LoadManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pending, done, failed := m.Counts(); pending != 0 || failed != 0 || done != len(m.Units) {
-		t.Fatalf("after kill want the survivor to finish every unit, got %d pending %d done %d failed",
-			pending, done, failed)
-	}
+	created := gridManifestBytes(t, grid)
+	checkManifestBytes(t, manifest, created)
+	status(t, manifest, cacheDir, "campaign e2e: 4 units: 4 done, 0 pending\n")
 
 	// Resume from the manifest alone — no -grid needed.
 	got, err := sweepRun(t, "-manifest", manifest, "-cache-dir", cacheDir, "-procs", "1")
@@ -141,6 +189,8 @@ func TestSweepKillThenResumeMatchesUninterrupted(t *testing.T) {
 	if got != ref {
 		t.Errorf("resumed report differs from uninterrupted reference\nref:\n%s\ngot:\n%s", ref, got)
 	}
+	checkManifestBytes(t, manifest, created)
+	status(t, manifest, cacheDir, "campaign e2e: 4 units: 4 done, 0 pending\n")
 }
 
 // TestSweepLeavesOnlyManifestAndCache: a campaign round hands work to
@@ -201,41 +251,16 @@ func TestSweepStatusAndFlagErrors(t *testing.T) {
 		t.Error("want error for -status without -manifest")
 	}
 
-	// A real campaign, then -status over its manifest.
+	// A real campaign, then -status over its manifest and cache. The
+	// grid's campaign is NewManifest over its expanded points, saved
+	// once: running it does not change the file.
 	cacheDir := filepath.Join(dir, "cache")
 	if _, err := sweepRun(t, "-grid", grid, "-manifest", manifest, "-cache-dir", cacheDir, "-procs", "1"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := sweepRun(t, "-manifest", manifest, "-status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "campaign e2e: 4 units: 4 done, 0 failed, 0 pending\n"
-	if out != want {
-		t.Errorf("status = %q, want %q", out, want)
-	}
-
-	// The grid's campaign is NewManifest over its expanded points.
-	g, err := sweep.LoadGridFile(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, specs, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := sweep.NewManifest(g.Name, labels, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Units {
-		fresh.Units[i].State = sweep.UnitDone
-	}
-	if m, err := sweep.LoadManifest(manifest); err != nil {
-		t.Fatal(err)
-	} else if !reflect.DeepEqual(m, fresh) {
-		t.Errorf("grid campaign manifest differs from NewManifest over the expansion:\n got %+v\nwant %+v", m, fresh)
-	}
+	status(t, manifest, cacheDir, "campaign e2e: 4 units: 4 done, 0 pending\n")
+	created := gridManifestBytes(t, grid)
+	checkManifestBytes(t, manifest, created)
 
 	// Resuming with a drifted grid is refused.
 	drifted := strings.Replace(testGridJSON, "0.2", "0.3", 1)
@@ -259,6 +284,67 @@ func TestSweepStatusAndFlagErrors(t *testing.T) {
 	// The grid the campaign started from resumes it.
 	if _, err := sweepRun(t, "-grid", grid, "-manifest", manifest, "-cache-dir", cacheDir); err != nil {
 		t.Errorf("resuming with the campaign's own grid: %v", err)
+	}
+	checkManifestBytes(t, manifest, created)
+
+	// A manifest of an older schema, which journalled unit state, is
+	// refused with the way to regenerate it.
+	legacy := bytes.ReplaceAll(bytes.Replace(created, []byte(`"schema": 2`), []byte(`"schema": 1`), 1),
+		[]byte(`"label":`), []byte(`"state": "done", "label":`))
+	legacyPath := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-manifest", legacyPath, "-cache-dir", cacheDir, "-status"},
+		{"-manifest", legacyPath, "-cache-dir", cacheDir},
+	} {
+		if _, err := sweepRun(t, args...); err == nil || !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("%v: schema-1 manifest: err = %v, want a refusal saying how to regenerate", args, err)
+		}
+	}
+}
+
+// TestSweepStatusReadsCache: -status counts done and pending units from
+// the cache, not from the manifest. A manifest whose units another
+// campaign computed into the same cache is all done before it ever
+// runs; once an entry is removed, its unit is pending again.
+func TestSweepStatusReadsCache(t *testing.T) {
+	dir := t.TempDir()
+	grid := writeGrid(t, dir)
+	cacheDir := filepath.Join(dir, "cache")
+	if _, err := sweepRun(t, "-grid", grid, "-cache-dir", cacheDir, "-procs", "1"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := sweep.LoadGridFile(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, specs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := sweep.NewManifest("other", labels, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "other.json")
+	if err := other.Save(manifest); err != nil {
+		t.Fatal(err)
+	}
+	status(t, manifest, cacheDir, "campaign other: 4 units: 4 done, 0 pending\n")
+	status(t, manifest, filepath.Join(dir, "empty"), "campaign other: 4 units: 0 done, 4 pending\n")
+
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*", other.Units[2].Key+".json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("entry of unit 2: %q (%v), want one file", entries, err)
+	}
+	if err := os.Remove(entries[0]); err != nil {
+		t.Fatal(err)
+	}
+	status(t, manifest, cacheDir, "campaign other: 4 units: 3 done, 1 pending\n")
+	if _, err := os.Stat(filepath.Join(dir, "empty")); !os.IsNotExist(err) {
+		t.Errorf("-status created the cache directory it read (stat: %v)", err)
 	}
 }
 

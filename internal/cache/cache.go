@@ -275,6 +275,12 @@ func (s *Store) Do(key string, decode func([]byte) error, compute func() ([]byte
 		if f.err != nil {
 			return false, f.err
 		}
+		if f.data == nil {
+			// The leader was a TryDo that found the entry on disk
+			// without reading it: read it here.
+			hit, _, err := s.lead(key, &flight{}, decode, compute, true)
+			return hit, err
+		}
 		s.mu.Lock()
 		s.stats.Deduped++
 		s.stats.TimeSavedNS += f.saved
@@ -291,21 +297,21 @@ func (s *Store) Do(key string, decode func([]byte) error, compute func() ([]byte
 	return hit, err
 }
 
-// TryDo is Do without blocking on someone else's in-flight compute: it
-// serves hits, claims and computes unclaimed misses, but steps aside
-// (done=false, no error) when the key is already being computed by
-// another goroutine of this process or — with leases active — by
-// another live process. Work-stealing sweep workers use it to skip past
-// busy units instead of queueing behind them; stale and corrupt foreign
-// leases are still reaped and taken over, so a dead worker's units are
-// picked up on the first pass rather than the blocking one.
-func (s *Store) TryDo(key string, decode func([]byte) error, compute func() ([]byte, error)) (done, cached bool, err error) {
+// TryDo makes sure key has an entry without blocking on someone else's
+// in-flight compute and without reading an entry that exists: it claims
+// and computes an unclaimed miss, finds an existing entry (cached=true)
+// with the Has probe alone — nothing is read, and no hit is counted —
+// and steps aside (done=false, no error) when the key is already being
+// computed by another goroutine of this process or — with leases
+// active — by another live process. Work-stealing sweep workers use it
+// to skip past busy units instead of queueing behind them, and to leave
+// the reading of each entry to the campaign's merge; stale and corrupt
+// foreign leases are still reaped and taken over, so a dead worker's
+// units are picked up on the first pass rather than the blocking one.
+func (s *Store) TryDo(key string, compute func() ([]byte, error)) (done, cached bool, err error) {
 	if s == nil || s.mode == Off {
-		data, err := compute()
-		if err != nil {
-			return true, false, err
-		}
-		return true, false, decode(data)
+		_, err := compute()
+		return true, false, err
 	}
 
 	s.mu.Lock()
@@ -319,7 +325,7 @@ func (s *Store) TryDo(key string, decode func([]byte) error, compute func() ([]b
 	s.flights[key] = f
 	s.mu.Unlock()
 	defer s.land(key, f)
-	hit, busy, err := s.lead(key, f, decode, compute, false)
+	hit, busy, err := s.lead(key, f, nil, compute, false)
 	return !busy, hit, err
 }
 
@@ -335,7 +341,7 @@ func (s *Store) land(key string, f *flight) {
 // entry from disk, or compute and (in read-write mode) persist it —
 // under a cross-process lease when leases are active. With wait=false a
 // key held by another live process is left alone (busy=true) instead of
-// waited out.
+// waited out. A nil decode (TryDo) only needs the entry to exist.
 func (s *Store) lead(key string, f *flight, decode func([]byte) error, compute func() ([]byte, error), wait bool) (hit, busy bool, err error) {
 	if s.serve(key, f, decode) {
 		return true, false, nil
@@ -364,6 +370,9 @@ func (s *Store) lead(key string, f *flight, decode func([]byte) error, compute f
 	f.data, f.saved = data, computeNS
 	s.note(func(st *Stats) { st.Misses++ })
 	s.met.misses.Inc()
+	if decode == nil {
+		return false, false, nil
+	}
 	return false, false, decode(data)
 }
 
@@ -371,8 +380,12 @@ func (s *Store) lead(key string, f *flight, decode func([]byte) error, compute f
 // on f and in the stats. An entry whose envelope parses but whose
 // payload does not decode — e.g. written by an incompatible build — is
 // treated like a truncated file: counted corrupt and left to be
-// recomputed.
+// recomputed. A nil decode asks only whether the entry exists (Has):
+// nothing is read or counted.
 func (s *Store) serve(key string, f *flight, decode func([]byte) error) bool {
+	if decode == nil {
+		return s.Has(key)
+	}
 	value, computeNS, ok := s.load(key)
 	if !ok {
 		return false
@@ -396,11 +409,12 @@ func (s *Store) serve(key string, f *flight, decode func([]byte) error) bool {
 }
 
 // Has reports whether an entry file exists for key — the cheap
-// completion probe sweep coordinators use to mark manifest state
-// without decoding payloads. A truncated or corrupt entry may report
-// true; the merge pass decodes through Do, which recomputes such
-// entries, so a false positive costs one recompute, never a wrong
-// result.
+// completion probe from which a sweep campaign derives its progress
+// (which units are done, which pending) and with which its workers skip
+// finished units, without reading or decoding payloads. A truncated or
+// corrupt entry may report true; the merge pass decodes through Do,
+// which recomputes such entries, so a false positive costs one
+// recompute, never a wrong result.
 func (s *Store) Has(key string) bool {
 	if s == nil || s.mode == Off {
 		return false

@@ -302,36 +302,37 @@ func TestLeaseInertWhenReadOnlyOrUnconfigured(t *testing.T) {
 }
 
 // TestTryDoSkipsBusyAndServesIdle covers the non-blocking entry point:
-// hits and unclaimed misses complete, foreign fresh claims are stepped
-// around, stale foreign claims are taken over.
+// unclaimed misses are computed and persisted, existing entries are
+// found without being read, foreign fresh claims are stepped around,
+// stale foreign claims are taken over.
 func TestTryDoSkipsBusyAndServesIdle(t *testing.T) {
 	dir := t.TempDir()
 	now := int64(1_000_000)
 	s := fakeLeasedStore(dir, &now)
+	mustNotCompute := func() ([]byte, error) { return nil, errors.New("must not compute") }
 
-	// Unclaimed miss: computes.
+	// Unclaimed miss: computes and persists.
 	key := testKey(t, "trydo")
-	var got payload
-	done, cached, err := s.TryDo(key,
-		func(data []byte) error { return json.Unmarshal(data, &got) },
-		func() ([]byte, error) { return json.Marshal(payload{N: 1}) })
-	if err != nil || !done || cached || got.N != 1 {
-		t.Fatalf("miss TryDo = done=%v cached=%v err=%v got=%+v", done, cached, err, got)
+	done, cached, err := s.TryDo(key, func() ([]byte, error) { return json.Marshal(payload{N: 1}) })
+	if err != nil || !done || cached || !s.Has(key) {
+		t.Fatalf("miss TryDo = done=%v cached=%v err=%v has=%v", done, cached, err, s.Has(key))
 	}
-	// Second call: disk hit.
-	done, cached, err = s.TryDo(key,
-		func(data []byte) error { return json.Unmarshal(data, &got) },
-		func() ([]byte, error) { return nil, errors.New("must not compute") })
+	// Second call: found on disk, and nothing is read or counted a hit.
+	done, cached, err = s.TryDo(key, mustNotCompute)
 	if err != nil || !done || !cached {
 		t.Fatalf("hit TryDo = done=%v cached=%v err=%v", done, cached, err)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.BytesRead != 0 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want the one miss and nothing read", st)
+	}
+	if got, hit := do(t, s, key, func() (payload, error) { return payload{}, errors.New("must not compute") }); !hit || got.N != 1 {
+		t.Errorf("Do after TryDo = %+v hit=%v, want the persisted value", got, hit)
 	}
 
 	// Foreign fresh claim: steps aside without computing.
 	busyKey := testKey(t, "busy")
 	plantLease(t, s, busyKey, now-10)
-	done, cached, err = s.TryDo(busyKey,
-		func([]byte) error { return nil },
-		func() ([]byte, error) { return nil, errors.New("must not compute") })
+	done, cached, err = s.TryDo(busyKey, mustNotCompute)
 	if err != nil || done || cached {
 		t.Fatalf("busy TryDo = done=%v cached=%v err=%v, want step-aside", done, cached, err)
 	}
@@ -342,11 +343,9 @@ func TestTryDoSkipsBusyAndServesIdle(t *testing.T) {
 	// Foreign stale claim: taken over and computed on the spot.
 	staleKey := testKey(t, "stale-trydo")
 	plantLease(t, s, staleKey, 1)
-	done, cached, err = s.TryDo(staleKey,
-		func(data []byte) error { return json.Unmarshal(data, &got) },
-		func() ([]byte, error) { return json.Marshal(payload{N: 6}) })
-	if err != nil || !done || cached || got.N != 6 {
-		t.Fatalf("stale TryDo = done=%v cached=%v err=%v got=%+v", done, cached, err, got)
+	done, cached, err = s.TryDo(staleKey, func() ([]byte, error) { return json.Marshal(payload{N: 6}) })
+	if err != nil || !done || cached || !s.Has(staleKey) {
+		t.Fatalf("stale TryDo = done=%v cached=%v err=%v", done, cached, err)
 	}
 	if st := s.Stats(); st.LeaseTakeovers != 1 {
 		t.Errorf("stats = %+v, want 1 takeover", st)
@@ -371,9 +370,7 @@ func TestTryDoStepsAsideForLocalFlight(t *testing.T) {
 		})
 	}()
 	<-started
-	done, cached, err := s.TryDo(key,
-		func([]byte) error { return nil },
-		func() ([]byte, error) { return nil, errors.New("must not compute") })
+	done, cached, err := s.TryDo(key, func() ([]byte, error) { return nil, errors.New("must not compute") })
 	if err != nil || done || cached {
 		t.Fatalf("TryDo during local flight = done=%v cached=%v err=%v, want step-aside", done, cached, err)
 	}
@@ -381,15 +378,42 @@ func TestTryDoStepsAsideForLocalFlight(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTryDoOffAndNilCompute: the pass-through modes mirror Do.
+// TestTryDoOffAndNilCompute: the pass-through modes mirror Do: they
+// compute, and return compute's error.
 func TestTryDoOffAndNil(t *testing.T) {
 	var nilStore *Store
-	var got payload
-	done, cached, err := nilStore.TryDo("",
-		func(data []byte) error { return json.Unmarshal(data, &got) },
-		func() ([]byte, error) { return json.Marshal(payload{N: 2}) })
-	if err != nil || !done || cached || got.N != 2 {
-		t.Fatalf("nil-store TryDo = done=%v cached=%v err=%v got=%+v", done, cached, err, got)
+	computed := 0
+	done, cached, err := nilStore.TryDo("", func() ([]byte, error) {
+		computed++
+		return json.Marshal(payload{N: 2})
+	})
+	if err != nil || !done || cached || computed != 1 {
+		t.Fatalf("nil-store TryDo = done=%v cached=%v err=%v computes=%d", done, cached, err, computed)
+	}
+	boom := errors.New("boom")
+	if done, _, err := Open(t.TempDir(), Off).TryDo("", func() ([]byte, error) { return nil, boom }); !done || err != boom {
+		t.Fatalf("off-store TryDo = done=%v err=%v, want compute's error", done, err)
+	}
+}
+
+// TestDoFollowsUnreadTryDo: a Do that joins the flight of a TryDo which
+// found the entry without reading it reads the entry itself.
+func TestDoFollowsUnreadTryDo(t *testing.T) {
+	s := Open(t.TempDir(), ReadWrite)
+	key := testKey(t, "follow-trydo")
+	do(t, s, key, func() (payload, error) { return payload{N: 3}, nil })
+	// What a follower finds once such a flight lands: done, no data.
+	f := &flight{done: make(chan struct{})}
+	close(f.done)
+	s.mu.Lock()
+	s.flights[key] = f
+	s.mu.Unlock()
+	got, hit := do(t, s, key, func() (payload, error) { return payload{}, errors.New("must not compute") })
+	if !hit || got.N != 3 {
+		t.Errorf("follower of an unread TryDo = %+v hit=%v, want the entry", got, hit)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Deduped != 0 {
+		t.Errorf("stats = %+v, want the follower's own hit", st)
 	}
 }
 
@@ -509,16 +533,20 @@ func TestLeaseRecheckAfterAcquire(t *testing.T) {
 				computes.Add(1)
 				return json.Marshal(payload{N: 2})
 			}
+			// Do serves the holder's value; TryDo finds it without
+			// reading it.
 			var hit bool
 			var err error
+			wantHits, wantN := int64(1), 1
 			if mode == "Do" {
 				hit, err = waiter.Do(key, decode, compute)
 			} else {
 				var done bool
-				done, hit, err = waiter.TryDo(key, decode, compute)
+				done, hit, err = waiter.TryDo(key, compute)
 				if !done {
 					t.Error("TryDo stepped aside from a released key")
 				}
+				wantHits, wantN = 0, 0
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -526,11 +554,11 @@ func TestLeaseRecheckAfterAcquire(t *testing.T) {
 			if n := computes.Load(); n != 1 {
 				t.Errorf("computes = %d, want exactly 1", n)
 			}
-			if !hit || got.N != 1 {
-				t.Errorf("waiter: hit=%v got=%+v, want a hit of the holder's value", hit, got)
+			if !hit || got.N != wantN {
+				t.Errorf("waiter: hit=%v got=%+v, want the holder's entry (decoded: %d)", hit, got, wantN)
 			}
-			if st := waiter.Stats(); st.Hits != 1 || st.Misses != 0 || st.LeaseAcquired != 0 {
-				t.Errorf("waiter stats = %+v, want 1 hit, no miss, no lease counted", st)
+			if st := waiter.Stats(); st.Hits != wantHits || st.Misses != 0 || st.LeaseAcquired != 0 {
+				t.Errorf("waiter stats = %+v, want %d hits, no miss, no lease counted", st, wantHits)
 			}
 			if _, err := os.Stat(waiter.leasePath(key)); !errors.Is(err, os.ErrNotExist) {
 				t.Errorf("re-checked lease survives: %v", err)

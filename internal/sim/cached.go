@@ -236,24 +236,25 @@ func (r Runner) RunJob(spec Spec) (sum *RunSummary, cached bool, err error) {
 	return sum, cached, err
 }
 
-// TryRun is the non-blocking variant of Run for work-stealing sweeps:
-// it never waits on another process's lease. It returns done=false
-// (and a nil summary) when the spec's key is being computed elsewhere
-// right now — the caller moves on and revisits the unit later.
-func (r Runner) TryRun(spec Spec) (sum *RunSummary, done bool, err error) {
-	return r.run(spec, false)
+// TryRun is the non-blocking claim of a work-stealing sweep worker: it
+// makes sure the spec's summary is in the store, computing it on a
+// miss, without reading a summary already there (Store.TryDo), and it
+// never waits on another process's lease. It returns done=false when
+// the spec's key is being computed elsewhere right now — the caller
+// moves on and revisits the unit later.
+func (r Runner) TryRun(spec Spec) (done bool, err error) {
+	_, done, err = r.run(spec, false)
+	return done, err
 }
 
-// run is Run (wait) and TryRun (!wait): key the spec first, in every
-// cache mode, then serve or compute it through Store.Do or Store.TryDo
-// — which compute unconditionally on a nil or Off store.
+// run is Run (wait) and TryRun (!wait, no summary): key the spec first,
+// in every cache mode, then serve or compute it through Store.Do or
+// Store.TryDo — which compute unconditionally on a nil or Off store.
 func (r Runner) run(spec Spec, wait bool) (*RunSummary, bool, error) {
 	key, err := SpecKey(spec)
 	if err != nil {
 		return nil, true, err
 	}
-	var sum RunSummary
-	decode := func(data []byte) error { return json.Unmarshal(data, &sum) }
 	compute := func() ([]byte, error) {
 		s, err := spec.Compute()
 		if err != nil {
@@ -262,10 +263,12 @@ func (r Runner) run(spec Spec, wait bool) (*RunSummary, bool, error) {
 		return json.Marshal(s)
 	}
 	done, cached := true, false
+	var sum *RunSummary
 	if wait {
-		cached, err = r.Store.Do(key, decode, compute)
+		sum = new(RunSummary)
+		cached, err = r.Store.Do(key, func(data []byte) error { return json.Unmarshal(data, sum) }, compute)
 	} else {
-		done, cached, err = r.Store.TryDo(key, decode, compute)
+		done, cached, err = r.Store.TryDo(key, compute)
 	}
 	if err != nil || !done {
 		return nil, done, err
@@ -279,7 +282,7 @@ func (r Runner) run(spec Spec, wait bool) (*RunSummary, bool, error) {
 	if r.Record != nil {
 		r.Record(spec, key, cached)
 	}
-	return &sum, true, nil
+	return sum, true, nil
 }
 
 // RunAll runs every spec through the runner on a Pool of the given

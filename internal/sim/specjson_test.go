@@ -203,8 +203,9 @@ func TestRunnerRecordHook(t *testing.T) {
 	}
 }
 
-// TestRunnerTryRun: completes on idle keys, steps aside while the key
-// is claimed by a foreign lease, and matches Run's output exactly.
+// TestRunnerTryRun: completes on idle keys, persisting what Run then
+// serves byte for byte, steps aside while the key is claimed by a
+// foreign lease, and finds a finished key without reading it.
 func TestRunnerTryRun(t *testing.T) {
 	dir := t.TempDir()
 	store := cache.Open(dir, cache.ReadWrite)
@@ -218,16 +219,20 @@ func TestRunnerTryRun(t *testing.T) {
 	r := Runner{Store: store}
 	spec := quickSpec()
 
-	sum, done, err := r.TryRun(spec)
-	if err != nil || !done || sum == nil {
+	done, err := r.TryRun(spec)
+	if err != nil || !done {
 		t.Fatalf("TryRun on idle key: done=%v err=%v", done, err)
+	}
+	sum, err := r.Run(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, err := Runner{}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sum, want) {
-		t.Error("TryRun result differs from a direct compute")
+	if !reflect.DeepEqual(sum, want) || store.Stats().Hits != 1 {
+		t.Errorf("the entry TryRun persisted differs from a direct compute, or was not served: %s", store.Stats())
 	}
 
 	// Claim a second spec's key from a fake foreign holder: TryRun must
@@ -256,20 +261,21 @@ func TestRunnerTryRun(t *testing.T) {
 		donec <- err
 	}()
 	<-claimed
-	sum2, done, err := r.TryRun(spec2)
-	if err != nil || done || sum2 != nil {
-		t.Errorf("TryRun on claimed key: sum=%v done=%v err=%v, want step-aside", sum2, done, err)
+	done, err = r.TryRun(spec2)
+	if err != nil || done {
+		t.Errorf("TryRun on claimed key: done=%v err=%v, want step-aside", done, err)
 	}
 	close(release)
 	if err := <-donec; err != nil {
 		t.Fatal(err)
 	}
-	// Once released and persisted, TryRun serves the cached entry.
-	sum2, done, err = r.TryRun(spec2)
-	if err != nil || !done || sum2 == nil {
+	// Once released and persisted, TryRun finds the entry unread.
+	before := store.Stats()
+	done, err = r.TryRun(spec2)
+	if err != nil || !done {
 		t.Fatalf("TryRun after release: done=%v err=%v", done, err)
 	}
-	if store.Stats().Hits == 0 {
-		t.Error("expected the released entry to be served as a hit")
+	if st := store.Stats(); st.Hits != before.Hits || st.BytesRead != before.BytesRead || st.Misses != before.Misses {
+		t.Errorf("TryRun of a finished key touched it: %s, before %s", st, before)
 	}
 }

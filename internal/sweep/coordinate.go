@@ -10,17 +10,15 @@ import (
 	"nbtinoc/internal/sim"
 )
 
-// Coordinator drives one campaign round: shard the pending units across
-// worker processes, collect their reports, checkpoint the manifest, and
-// — when everything completed — merge the campaign through a
-// strictly-sequential reduction into the report writer.
+// Coordinator drives one campaign round: shard the units the cache
+// does not hold across worker processes, collect their reports, and —
+// when every unit is in the cache — merge the campaign through a
+// strictly-sequential reduction into the report writer. It never
+// writes the manifest: progress is the cache's.
 type Coordinator struct {
-	// Manifest is the campaign: its units and their state (from
-	// NewManifest or LoadManifest).
+	// Manifest is the campaign: its units (from NewManifest or
+	// LoadManifest).
 	Manifest *Manifest
-	// ManifestPath, when non-empty, is where checkpoints are saved
-	// (atomically) before workers start and after they finish.
-	ManifestPath string
 	// CacheDir is the shared result cache all workers open.
 	CacheDir string
 	// Procs is the worker-process count; Workers the per-process pool
@@ -35,20 +33,21 @@ type Coordinator struct {
 	// Nil runs RunAssignment in-process with its own Store handle: the
 	// same isolation an exec'd worker has, minus the address space.
 	Spawn func(w int, a *Assignment) (*WorkerReport, error)
-	// Logf, when non-nil, receives progress and the aggregated
-	// campaign cache stats. This is side-channel narration (stderr in
-	// the CLI) — never part of the merged report bytes.
+	// Logf, when non-nil, receives progress, per-unit errors and the
+	// aggregated campaign cache stats. This is side-channel narration
+	// (stderr in the CLI) — never part of the merged report bytes.
 	Logf func(format string, args ...any)
 }
 
-// Result summarises a completed coordinator round.
+// Result summarises a coordinator round.
 type Result struct {
 	// Stats aggregates cache stats across every worker process plus
 	// the coordinator's own merge pass.
 	Stats cache.Stats
-	// Done / Failed count unit outcomes after this round; Resumed
-	// counts units skipped because the cache already held their keys.
-	Done, Failed, Resumed int
+	// Done counts the units the cache holds after this round; Failed
+	// counts those it does not hold that a worker reported an error
+	// for.
+	Done, Failed int
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -65,53 +64,40 @@ func (c *Coordinator) openStore() *cache.Store {
 	return s
 }
 
-// Run executes one campaign round and, if every unit completes, merges
-// the report into out. On worker failure the manifest checkpoint is
-// still saved — the campaign is resumable — and the error says so.
+// Run executes one campaign round over the units the cache does not
+// hold and, if afterwards it holds them all, merges the report into
+// out. A round with a dead worker or a failed unit returns an error and
+// writes no report; rerunning retries whatever the cache still lacks.
 func (c *Coordinator) Run(out io.Writer) (*Result, error) {
-	res := &Result{}
+	m := c.Manifest
 	store := c.openStore()
+	pending := m.Pending(store)
+	c.logf("sweep %s: %d units, %d pending, %d procs x %d workers",
+		m.Name, len(m.Units), len(pending), c.Procs, c.Workers)
 
-	// Resume: a unit whose key is already in the cache is done no
-	// matter what the manifest last recorded — the cache is the ground
-	// truth, the manifest a progress journal.
-	var pending []int
-	for i := range c.Manifest.Units {
-		if c.Manifest.Units[i].State != UnitDone && store.Has(c.Manifest.Units[i].Key) {
-			c.Manifest.Units[i].State = UnitDone
-			c.Manifest.Units[i].Err = ""
-			res.Resumed++
-		}
-		if c.Manifest.Units[i].State != UnitDone {
-			pending = append(pending, i)
-		}
-	}
-	if err := c.checkpoint(); err != nil {
-		return nil, err
-	}
-	c.logf("sweep %s: %d units, %d pending (%d resumed from cache), %d procs x %d workers",
-		c.Manifest.Name, len(c.Manifest.Units), len(pending), res.Resumed, c.Procs, c.Workers)
-
+	res := &Result{}
+	var unitErrs map[int]string
+	var err error
+	left := pending
 	if len(pending) > 0 {
-		if err := c.runWorkers(pending, res); err != nil {
-			return nil, err
+		unitErrs, err = c.runWorkers(pending, res)
+		left = m.Pending(store)
+	}
+	res.Done = len(m.Units) - len(left)
+	var failed []error
+	for _, i := range left {
+		if msg, ok := unitErrs[i]; ok {
+			failed = append(failed, fmt.Errorf("unit %d (%s) failed: %s", i, m.Units[i].Label, msg))
+			c.logf("sweep %s: %v", m.Name, failed[len(failed)-1])
 		}
 	}
-	if err := c.checkpoint(); err != nil {
-		return nil, err
+	if res.Failed = len(failed); res.Failed > 0 {
+		err = errors.Join(err, fmt.Errorf("sweep: %d of %d units failed, rerun to retry: %w",
+			res.Failed, len(m.Units), errors.Join(failed...)))
 	}
-	for _, u := range c.Manifest.Units {
-		switch u.State {
-		case UnitDone:
-			res.Done++
-		case UnitFailed:
-			res.Failed++
-		}
-	}
-	if res.Failed > 0 {
+	if err != nil {
 		res.Stats = res.Stats.Add(store.Stats())
-		return res, fmt.Errorf("sweep: %d of %d units failed; manifest checkpointed, rerun to retry",
-			res.Failed, len(c.Manifest.Units))
+		return res, err
 	}
 
 	// Merge: strictly sequential, index order, reading through the
@@ -123,22 +109,15 @@ func (c *Coordinator) Run(out io.Writer) (*Result, error) {
 		}
 	}
 	res.Stats = res.Stats.Add(store.Stats())
-	c.logf("sweep %s: campaign cache totals: %s", c.Manifest.Name, res.Stats)
+	c.logf("sweep %s: campaign cache totals: %s", m.Name, res.Stats)
 	return res, nil
 }
 
-// checkpoint saves the manifest when a path is configured.
-func (c *Coordinator) checkpoint() error {
-	if c.ManifestPath == "" {
-		return nil
-	}
-	return c.Manifest.Save(c.ManifestPath)
-}
-
-// runWorkers shards pending across the worker processes, runs them
-// concurrently, and folds their reports back into the manifest and the
-// aggregated stats.
-func (c *Coordinator) runWorkers(pending []int, res *Result) error {
+// runWorkers shards pending across the worker processes and runs them
+// concurrently. It adds their stats to res and returns the unit errors
+// the reports name, by unit position, plus an error when a worker died
+// or its report does not fit its share.
+func (c *Coordinator) runWorkers(pending []int, res *Result) (map[int]string, error) {
 	shares := Assign(pending, min(max(c.Procs, 1), len(pending)))
 	spawn := c.Spawn
 	if spawn == nil {
@@ -167,17 +146,18 @@ func (c *Coordinator) runWorkers(pending []int, res *Result) error {
 	}
 	wg.Wait()
 
+	unitErrs := map[int]string{}
 	var spawnErr error
 	for w, share := range shares {
 		r, err := reports[w], errs[w]
-		if r != nil && len(r.Results) != len(share) {
-			err = errors.Join(err, fmt.Errorf("report has %d results for %d units", len(r.Results), len(share)))
+		if r != nil && len(r.Errs) != len(share) {
+			err = errors.Join(err, fmt.Errorf("report has %d entries for %d units", len(r.Errs), len(share)))
 			r = nil
 		}
 		if err != nil {
 			c.logf("sweep %s: worker %d: %v", c.Manifest.Name, w, err)
 			if spawnErr == nil {
-				spawnErr = fmt.Errorf("sweep: worker %d: %w", w, err)
+				spawnErr = fmt.Errorf("sweep: worker %d: %w (rerun to resume)", w, err)
 			}
 		}
 		if r == nil {
@@ -185,28 +165,12 @@ func (c *Coordinator) runWorkers(pending []int, res *Result) error {
 		}
 		res.Stats = res.Stats.Add(r.Stats)
 		for j, i := range share {
-			u := &c.Manifest.Units[i]
-			switch r.Results[j].State {
-			case UnitDone:
-				u.State = UnitDone
-				u.Err = ""
-			case UnitFailed:
-				// Don't let one worker's failure overwrite another's
-				// success on the same (stolen) unit.
-				if u.State != UnitDone {
-					u.State = UnitFailed
-					u.Err = r.Results[j].Err
-				}
+			if msg := r.Errs[j]; msg != "" {
+				unitErrs[i] = msg
 			}
 		}
 	}
-	if spawnErr != nil {
-		if err := c.checkpoint(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w (manifest checkpointed, rerun to resume)", spawnErr)
-	}
-	return nil
+	return unitErrs, spawnErr
 }
 
 // merge runs the sequential reduction: every unit in index order, read

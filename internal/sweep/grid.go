@@ -13,8 +13,10 @@
 // claim units via internal/cache lease files (cross-process
 // single-flight, so each unit is computed once), a killed worker's
 // claims expire by heartbeat and the surviving workers take its units
-// over in the same round, and a campaign's progress is a schema-versioned manifest
-// that any later invocation can resume, skipping completed keys.
+// over in the same round. A campaign's manifest is its spec list,
+// written once when the campaign is created; its progress is the cache
+// itself, so any later invocation resumes by skipping the keys the
+// cache holds, and workers skip them too without reading them.
 package sweep
 
 import (

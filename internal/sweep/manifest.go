@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,38 +12,26 @@ import (
 
 // ManifestSchema versions the manifest file format, like entrySchema
 // versions cache entries: an unknown schema is an error, never a guess.
-const ManifestSchema = 1
-
-// UnitState is the lifecycle of one unit within a campaign.
-type UnitState string
-
-const (
-	// UnitPending units have not been computed into the cache yet.
-	UnitPending UnitState = "pending"
-	// UnitDone units have their summary in the cache.
-	UnitDone UnitState = "done"
-	// UnitFailed units errored; Err holds the message.
-	UnitFailed UnitState = "failed"
-)
+// Schema 1 manifests also journalled each unit's state; schema 2 is the
+// spec list alone, and a campaign's progress is read from the cache.
+const ManifestSchema = 2
 
 // Unit is one run of a campaign: its position in the manifest, its
 // spec's content address (the work id every layer — cache entries,
-// leases, manifests — agrees on), a human-readable label, its state,
-// and the spec itself, so a loaded manifest is ready to run.
+// leases, manifests — agrees on), a human-readable label, and the spec
+// itself, so a loaded manifest is ready to run.
 type Unit struct {
-	Index int       `json:"index"`
-	Key   string    `json:"key"`
-	Label string    `json:"label"`
-	State UnitState `json:"state"`
-	Spec  sim.Spec  `json:"spec"`
-	Err   string    `json:"err,omitempty"`
+	Index int      `json:"index"`
+	Key   string   `json:"key"`
+	Label string   `json:"label"`
+	Spec  sim.Spec `json:"spec"`
 }
 
-// Manifest is the resumable record of a campaign: which units exist,
-// under which engine their keys were derived, and how far each got. It
-// is saved atomically (temp+rename) before workers start and after
-// they finish, so a killed campaign resumes from the last checkpoint
-// and the cache fills the gap in between.
+// Manifest is a campaign's spec list: which units exist and under
+// which engine their keys were derived. It is written once, when the
+// campaign is created, and never rewritten: a unit is done exactly
+// when the cache holds its key (Pending), so a killed campaign resumes
+// from the cache alone.
 type Manifest struct {
 	Schema int    `json:"schema"`
 	Name   string `json:"name"`
@@ -53,11 +42,10 @@ type Manifest struct {
 	Units  []Unit `json:"units"`
 }
 
-// NewManifest builds the campaign of a spec list with every unit
-// pending. labels[i] names specs[i]. Specs are deduplicated by content
-// address in enumeration order, so a run listed twice (a run several
-// tables share, or grid points that compile to one spec) is one unit
-// under its first label.
+// NewManifest builds the campaign of a spec list. labels[i] names
+// specs[i]. Specs are deduplicated by content address in enumeration
+// order, so a run listed twice (a run several tables share, or grid
+// points that compile to one spec) is one unit under its first label.
 func NewManifest(name string, labels []string, specs []sim.Spec) (*Manifest, error) {
 	if len(labels) != len(specs) {
 		return nil, fmt.Errorf("sweep: %d labels for %d specs", len(labels), len(specs))
@@ -77,7 +65,6 @@ func NewManifest(name string, labels []string, specs []sim.Spec) (*Manifest, err
 			Index: len(m.Units),
 			Key:   key,
 			Label: labels[i],
-			State: UnitPending,
 			Spec:  specs[i],
 		})
 	}
@@ -85,12 +72,12 @@ func NewManifest(name string, labels []string, specs []sim.Spec) (*Manifest, err
 }
 
 // validate checks a decoded manifest: its schema and engine, and that
-// each unit sits at its index, has a known state, and embeds a spec
-// that re-keys to its recorded key — an edited key or spec cannot
-// drift the unit list away from the runs it names.
+// each unit sits at its index and embeds a spec that re-keys to its
+// recorded key — an edited key or spec cannot drift the unit list away
+// from the runs it names.
 func (m *Manifest) validate() error {
-	if m.Schema != ManifestSchema {
-		return fmt.Errorf("sweep: manifest schema %d not supported (want %d)", m.Schema, ManifestSchema)
+	if err := checkSchema(m.Schema); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	if m.Engine != sim.EngineVersion {
 		return fmt.Errorf("sweep: manifest was built under engine %q, this build is %q — its keys are stale; start a fresh campaign",
@@ -99,11 +86,6 @@ func (m *Manifest) validate() error {
 	for i, u := range m.Units {
 		if u.Index != i {
 			return fmt.Errorf("sweep: manifest unit %d records index %d", i, u.Index)
-		}
-		switch u.State {
-		case UnitPending, UnitDone, UnitFailed:
-		default:
-			return fmt.Errorf("sweep: manifest unit %d has unknown state %q", i, u.State)
 		}
 		key, err := sim.SpecKey(u.Spec)
 		if err != nil {
@@ -116,18 +98,38 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
+// checkSchema refuses a manifest of another schema with the way to
+// regenerate it: a manifest holds nothing the cache does not, so a new
+// one over the same cache directory loses no finished work.
+func checkSchema(schema int) error {
+	if schema == ManifestSchema {
+		return nil
+	}
+	return fmt.Errorf("manifest schema %d not supported (want %d); regenerate it: rerun "+
+		"`tables ... -sweep-manifest` or `nbtisim ... -sweep-manifest`, or `nbtisweep -grid` with a new -manifest "+
+		"path — the cache serves every unit already finished", schema, ManifestSchema)
+}
+
 // LoadManifest reads and validates a manifest file, refusing unknown
 // fields and trailing data (a grid-form manifest of an older build
-// names "grid_key" and is refused here). The loaded manifest is ready
-// to run.
+// names "grid_key" and is refused here). A manifest of another schema
+// is refused by its schema before strict decoding would name the first
+// field it no longer has. The loaded manifest is ready to run.
 func LoadManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if json.Unmarshal(data, &head) == nil {
+		if err := checkSchema(head.Schema); err != nil {
+			return nil, fmt.Errorf("sweep: %s: %w", path, err)
+		}
+	}
 	var m Manifest
-	if err := sim.DecodeStrict(f, &m); err != nil {
+	if err := sim.DecodeStrict(bytes.NewReader(data), &m); err != nil {
 		return nil, fmt.Errorf("sweep: parsing manifest %s: %w", path, err)
 	}
 	if err := m.validate(); err != nil {
@@ -136,8 +138,8 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Save writes the manifest atomically (cache.WriteFileAtomic): a crash
-// mid-save leaves the previous checkpoint intact, never a torn file.
+// Save writes the manifest atomically (cache.WriteFileAtomic), never a
+// torn file. A campaign saves its manifest once, when it is created.
 func (m *Manifest) Save(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -146,17 +148,16 @@ func (m *Manifest) Save(path string) error {
 	return cache.WriteFileAtomic(path, append(data, '\n'))
 }
 
-// Counts tallies units by state.
-func (m *Manifest) Counts() (pending, done, failed int) {
-	for _, u := range m.Units {
-		switch u.State {
-		case UnitDone:
-			done++
-		case UnitFailed:
-			failed++
-		default:
-			pending++
+// Pending lists, in index order, the positions of the units whose keys
+// store does not hold. The cache is a campaign's only progress record:
+// a unit finished by any worker or any campaign on the same cache is
+// done, and one whose entry was removed is pending again.
+func (m *Manifest) Pending(store *cache.Store) []int {
+	var pending []int
+	for i, u := range m.Units {
+		if !store.Has(u.Key) {
+			pending = append(pending, i)
 		}
 	}
-	return pending, done, failed
+	return pending
 }

@@ -9,8 +9,8 @@ import "nbtinoc/internal/metrics"
 const (
 	// MetricUnitsTotal counts units handed to workers.
 	MetricUnitsTotal = "sweep_units_total"
-	// MetricUnitsDone counts units that reached a summary (computed or
-	// served from the cache).
+	// MetricUnitsDone counts units whose summary is in the cache
+	// (computed, or found there).
 	MetricUnitsDone = "sweep_units_done_total"
 	// MetricUnitsFailed counts units whose compute errored.
 	MetricUnitsFailed = "sweep_units_failed_total"
@@ -41,7 +41,7 @@ func newSweepMetrics() sweepMetrics {
 	}
 	return sweepMetrics{
 		unitsTotal:    r.Counter(MetricUnitsTotal, "Sweep units handed to workers."),
-		unitsDone:     r.Counter(MetricUnitsDone, "Sweep units that reached a summary."),
+		unitsDone:     r.Counter(MetricUnitsDone, "Sweep units whose summary is in the cache."),
 		unitsFailed:   r.Counter(MetricUnitsFailed, "Sweep units whose compute errored."),
 		unitsDeferred: r.Counter(MetricUnitsDeferred, "First-pass step-asides revisited later."),
 		workersActive: r.Gauge(MetricWorkersActive, "Worker batches currently executing."),

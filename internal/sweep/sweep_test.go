@@ -99,7 +99,7 @@ func TestGridExpandDeterministic(t *testing.T) {
 }
 
 // TestGridManifest: a grid's campaign is NewManifest over its expanded
-// labels and specs — one pending unit per point, each embedding its
+// labels and specs — one unit per point, each embedding its
 // spec under its key — and points that compile to one spec (app
 // ignores the injection rate) are one unit under the first label.
 func TestGridManifest(t *testing.T) {
@@ -117,7 +117,7 @@ func TestGridManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Unit{Index: i, Key: key, Label: labels[i], State: UnitPending, Spec: specs[i]}
+		want := Unit{Index: i, Key: key, Label: labels[i], Spec: specs[i]}
 		if !reflect.DeepEqual(u, want) {
 			t.Errorf("unit %d = %+v, want %+v", i, u, want)
 		}
@@ -158,9 +158,6 @@ func TestGridLoadRejectsBadPoints(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	m := gridManifest(t, testGrid())
 	path := filepath.Join(t.TempDir(), "m.json")
-	m.Units[1].State = UnitDone
-	m.Units[2].State = UnitFailed
-	m.Units[2].Err = "boom"
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +167,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, back) {
 		t.Errorf("round trip changed the manifest:\n got %+v\nwant %+v", back, m)
-	}
-	if p, d, f := back.Counts(); p != 2 || d != 1 || f != 1 {
-		t.Errorf("Counts = %d/%d/%d, want 2 pending, 1 done, 1 failed", p, d, f)
 	}
 }
 
@@ -217,7 +211,6 @@ func TestManifestValidation(t *testing.T) {
 		"schema.json":     func(m *Manifest) { m.Schema = 99 },
 		"engine.json":     func(m *Manifest) { m.Engine = "other-engine" },
 		"index.json":      func(m *Manifest) { m.Units[1].Index = 7 },
-		"state.json":      func(m *Manifest) { m.Units[0].State = "half-done" },
 		"key.json":        func(m *Manifest) { m.Units[0].Key = "" },
 		"edited-key.json": func(m *Manifest) { m.Units[0].Key = strings.Repeat("ab", 32) },
 		"swapped-key.json": func(m *Manifest) {
@@ -254,10 +247,29 @@ func TestManifestValidation(t *testing.T) {
 			t.Errorf("%s: manifest accepted", name)
 		}
 	}
+
+	// A schema-1 manifest journalled each unit's state. It is refused
+	// by its schema, with the way to regenerate it, not by the first
+	// field strict decoding trips on.
+	legacy := bytes.ReplaceAll(bytes.Replace(data, []byte(`"schema":2`), []byte(`"schema":1`), 1),
+		[]byte(`"label":`), []byte(`"state":"done","label":`))
+	p := filepath.Join(dir, "schema1.json")
+	if err := os.WriteFile(p, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadManifest(p)
+	if err == nil {
+		t.Fatal("schema-1 manifest accepted")
+	}
+	for _, want := range []string{"schema 1", "-sweep-manifest", "nbtisweep -grid", "-manifest", "cache serves"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("schema-1 refusal %q does not mention %q", err, want)
+		}
+	}
 }
 
 // TestSpecManifestResolves: a spec-list manifest is written before
-// anything runs — every unit pending, duplicates folded in enumeration
+// anything runs — duplicates folded in enumeration
 // order under their first label — and loads back ready to run.
 func TestSpecManifestResolves(t *testing.T) {
 	labels, specs, err := testGrid().Expand()
@@ -333,13 +345,12 @@ func TestAssignRotates(t *testing.T) {
 func runCampaign(t *testing.T, dir string, procs, workers int) ([]byte, *Result) {
 	t.Helper()
 	c := &Coordinator{
-		Manifest:     gridManifest(t, testGrid()),
-		ManifestPath: filepath.Join(dir, "manifest.json"),
-		CacheDir:     filepath.Join(dir, "cache"),
-		Procs:        procs,
-		Workers:      workers,
-		Clock:        realClock(),
-		Lease:        testLease(),
+		Manifest: gridManifest(t, testGrid()),
+		CacheDir: filepath.Join(dir, "cache"),
+		Procs:    procs,
+		Workers:  workers,
+		Clock:    realClock(),
+		Lease:    testLease(),
 	}
 	var out bytes.Buffer
 	res, err := c.Run(&out)
@@ -374,6 +385,10 @@ func TestMergedOutputByteIdenticalAcrossTopologies(t *testing.T) {
 // TestSharedCacheSingleCompute: multiple worker processes over ONE
 // cache dir perform exactly one compute per unique key — the summed
 // stats prove the cross-process single-flight through the full stack.
+// Workers skip keys the cache holds without reading them, so the only
+// hits are the merge's one per unit plus one per unit a worker waited
+// out on another's lease; reading every other worker's entries again
+// would make about twice as many.
 func TestSharedCacheSingleCompute(t *testing.T) {
 	for _, procs := range []int{2, 3} {
 		out, res := runCampaign(t, t.TempDir(), procs, 1)
@@ -387,6 +402,30 @@ func TestSharedCacheSingleCompute(t *testing.T) {
 		if res.Done != 4 || res.Failed != 0 {
 			t.Errorf("%d procs: done=%d failed=%d, want 4/0", procs, res.Done, res.Failed)
 		}
+		if res.Stats.Hits > 4+res.Stats.LeaseWaited {
+			t.Errorf("%d procs: %d hits, want at most 4 (the merge) + %d lease waits; stats %s",
+				procs, res.Stats.Hits, res.Stats.LeaseWaited, res.Stats)
+		}
+	}
+}
+
+// TestWorkerSkipsHeldKeysUnread: a worker handed units the cache
+// already holds skips them without reading a byte, and reports no
+// error for them.
+func TestWorkerSkipsHeldKeysUnread(t *testing.T) {
+	dir := t.TempDir()
+	runCampaign(t, dir, 1, 1)
+	m := gridManifest(t, testGrid())
+	a := &Assignment{Schema: AssignmentSchema, CacheDir: filepath.Join(dir, "cache"), Workers: 2}
+	for _, u := range m.Units {
+		a.Specs = append(a.Specs, u.Spec)
+	}
+	r := RunAssignment(a, WorkerEnv{Clock: realClock(), Lease: testLease()})
+	if want := make([]string, len(m.Units)); !reflect.DeepEqual(r.Errs, want) {
+		t.Errorf("errs = %q, want %d empty entries", r.Errs, len(want))
+	}
+	if r.Stats != (cache.Stats{}) {
+		t.Errorf("worker over a warm cache touched it: %s", r.Stats)
 	}
 }
 
@@ -406,25 +445,64 @@ func killAfterOne(dies func(w int) bool) func(int, *Assignment) (*WorkerReport, 
 	}
 }
 
+// createManifest saves g's campaign the way a CLI creates one and
+// returns its path and file bytes.
+func createManifest(t *testing.T, dir string, g *Grid) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	if err := gridManifest(t, g).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// loadUnchanged loads the manifest at path after checking its bytes
+// are still the ones it was created with: a campaign never rewrites
+// its manifest.
+func loadUnchanged(t *testing.T, path string, created []byte) *Manifest {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, created) {
+		t.Fatalf("manifest bytes changed after creation:\n got %s\nwant %s", data, created)
+	}
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// pendingIn counts m's units the cache at dir does not hold, through a
+// read-only handle as nbtisweep -status opens it.
+func pendingIn(m *Manifest, dir string) int {
+	return len(m.Pending(cache.Open(dir, cache.ReadOnly)))
+}
+
 // TestKilledThenResumedMatchesUninterrupted kills every worker after
-// one unit (no report is ever written), checks the round fails
-// resumably with units left pending, then resumes from the manifest and
-// pins the merged bytes against an uninterrupted run.
+// one unit (no report is ever written), checks the round fails with
+// units the cache does not hold, then resumes from the unchanged
+// manifest and pins the merged bytes against an uninterrupted run.
 func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 	want, _ := runCampaign(t, t.TempDir(), 1, 1)
 
 	dir := t.TempDir()
-	manifestPath := filepath.Join(dir, "manifest.json")
+	manifestPath, created := createManifest(t, dir, testGrid())
 	cacheDir := filepath.Join(dir, "cache")
 	killed := &Coordinator{
-		Manifest:     gridManifest(t, testGrid()),
-		ManifestPath: manifestPath,
-		CacheDir:     cacheDir,
-		Procs:        2,
-		Workers:      1,
-		Clock:        realClock(),
-		Lease:        testLease(),
-		Spawn:        killAfterOne(func(int) bool { return true }),
+		Manifest: loadUnchanged(t, manifestPath, created),
+		CacheDir: cacheDir,
+		Procs:    2,
+		Workers:  1,
+		Clock:    realClock(),
+		Lease:    testLease(),
+		Spawn:    killAfterOne(func(int) bool { return true }),
 	}
 	var out bytes.Buffer
 	if _, err := killed.Run(&out); err == nil {
@@ -434,22 +512,20 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("killed round wrote a merged report: %q", out.String())
 	}
 
-	// Resume: reload the checkpoint, as a fresh invocation would.
-	loaded, err := LoadManifest(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _, _ := loaded.Counts(); p == 0 {
-		t.Fatal("checkpoint shows nothing pending after every worker was killed")
+	// Resume from the manifest file, as a fresh invocation would.
+	loaded := loadUnchanged(t, manifestPath, created)
+	pending := pendingIn(loaded, cacheDir)
+	if pending == 0 || pending == len(loaded.Units) {
+		t.Fatalf("cache holds %d of %d units after every worker was killed after one, want some but not all",
+			len(loaded.Units)-pending, len(loaded.Units))
 	}
 	resumed := &Coordinator{
-		Manifest:     loaded,
-		ManifestPath: manifestPath,
-		CacheDir:     cacheDir,
-		Procs:        1,
-		Workers:      1,
-		Clock:        realClock(),
-		Lease:        testLease(),
+		Manifest: loaded,
+		CacheDir: cacheDir,
+		Procs:    1,
+		Workers:  1,
+		Clock:    realClock(),
+		Lease:    testLease(),
 	}
 	out.Reset()
 	res, err := resumed.Run(&out)
@@ -459,42 +535,42 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("resumed report diverged from uninterrupted:\n got: %s\nwant: %s", out.Bytes(), want)
 	}
-	if res.Resumed == 0 {
-		t.Error("resume recomputed everything: no units were skipped via the cache")
+	if res.Stats.Misses != int64(pending) || res.Done != len(loaded.Units) {
+		t.Errorf("resume computed %d units and ended with %d done, want the %d pending computed and all %d done",
+			res.Stats.Misses, res.Done, pending, len(loaded.Units))
 	}
+	loadUnchanged(t, manifestPath, created)
 }
 
 // TestDeadWorkerShareTakenOverInRun: when one worker dies after one
 // unit, the survivor runs the rest of the pending list in the same
 // round. The round still fails (a worker died) and writes no report,
-// but its checkpoint has nothing left pending.
+// but the cache holds every unit.
 func TestDeadWorkerShareTakenOverInRun(t *testing.T) {
 	dir := t.TempDir()
-	manifestPath := filepath.Join(dir, "manifest.json")
+	manifestPath, created := createManifest(t, dir, testGrid())
+	cacheDir := filepath.Join(dir, "cache")
 	c := &Coordinator{
-		Manifest:     gridManifest(t, testGrid()),
-		ManifestPath: manifestPath,
-		CacheDir:     filepath.Join(dir, "cache"),
-		Procs:        2,
-		Workers:      1,
-		Clock:        realClock(),
-		Lease:        testLease(),
-		Spawn:        killAfterOne(func(w int) bool { return w == 0 }),
+		Manifest: loadUnchanged(t, manifestPath, created),
+		CacheDir: cacheDir,
+		Procs:    2,
+		Workers:  1,
+		Clock:    realClock(),
+		Lease:    testLease(),
+		Spawn:    killAfterOne(func(w int) bool { return w == 0 }),
 	}
 	var out bytes.Buffer
-	if _, err := c.Run(&out); err == nil {
+	res, err := c.Run(&out)
+	if err == nil {
 		t.Fatal("round with a killed worker reported success")
 	}
 	if out.Len() != 0 {
 		t.Fatalf("killed round wrote a merged report: %q", out.String())
 	}
-	loaded, err := LoadManifest(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, d, f := loaded.Counts(); p != 0 || f != 0 || d != len(loaded.Units) {
-		t.Errorf("checkpoint after the survivor's round: %d pending, %d done, %d failed; want all %d done",
-			p, d, f, len(loaded.Units))
+	loaded := loadUnchanged(t, manifestPath, created)
+	if p := pendingIn(loaded, cacheDir); p != 0 || res.Done != len(loaded.Units) || res.Failed != 0 {
+		t.Errorf("after the survivor's round: %d pending in the cache, result %d done %d failed; want all %d done",
+			p, res.Done, res.Failed, len(loaded.Units))
 	}
 }
 
@@ -508,9 +584,8 @@ func (*killedError) Error() string { return "worker killed (simulated)" }
 // misspelled field (or the old reserved "server") never runs with that
 // field silently ignored.
 func TestHandoffBodiesDecodeStrictly(t *testing.T) {
-	const assignment = `{"schema": 2, "cache_dir": "c", "workers": 1, "specs": []%s}%s`
-	const report = `{"schema": 2, "results": [{"state": "done", "cached": false}],
-		"stats": {}%s}%s`
+	const assignment = `{"schema": 3, "cache_dir": "c", "workers": 1, "specs": []%s}%s`
+	const report = `{"schema": 3, "errs": ["", "boom"], "stats": {}%s}%s`
 	decodeAssignment := func(body string) error {
 		var a Assignment
 		return decodeHandoff(strings.NewReader(body), "assignment", &a, &a.Schema)
@@ -528,11 +603,12 @@ func TestHandoffBodiesDecodeStrictly(t *testing.T) {
 		{"assignment-server", fmt.Sprintf(assignment, `, "server": "http://127.0.0.1:8310"`, ""), decodeAssignment, false},
 		{"assignment-misspelled", fmt.Sprintf(assignment, `, "worker": 4`, ""), decodeAssignment, false},
 		{"assignment-trailing", fmt.Sprintf(assignment, "", "{}"), decodeAssignment, false},
-		{"assignment-schema", `{"schema": 1, "cache_dir": "c", "workers": 1, "specs": []}`, decodeAssignment, false},
+		{"assignment-schema", `{"schema": 2, "cache_dir": "c", "workers": 1, "specs": []}`, decodeAssignment, false},
 		{"assignment-units", `{"schema": 1, "cache_dir": "c", "workers": 1, "units": []}`, decodeAssignment, false},
 		{"report", fmt.Sprintf(report, "", "\n"), decodeReport, true},
 		{"report-misspelled", fmt.Sprintf(report, `, "stat": {}`, ""), decodeReport, false},
-		{"report-trailing", fmt.Sprintf(report, "", `{"schema": 2}`), decodeReport, false},
+		{"report-trailing", fmt.Sprintf(report, "", `{"schema": 3}`), decodeReport, false},
+		{"report-schema2", `{"schema": 2, "results": [{"state": "done", "cached": false}], "stats": {}}`, decodeReport, false},
 	}
 	for _, tc := range cases {
 		err := tc.decode(tc.body)
@@ -582,62 +658,92 @@ func TestHandoffBodiesDecodeStrictly(t *testing.T) {
 	if err := decodeHandoff(&out, "worker report", &r, &r.Schema); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Results) != 1 || r.Results[0].State != UnitDone || r.Stats.Misses != 1 {
+	if len(r.Errs) != 1 || r.Errs[0] != "" || r.Stats.Misses != 1 {
 		t.Errorf("report = %+v, want one computed unit", r)
 	}
 }
 
-// TestStolenUnitKeepsDone: when workers report conflicting outcomes
-// for one (stolen) unit, a done from one is never overwritten by a
-// failed from another, whichever reports first; a unit no worker
-// reports stays pending, and the round fails resumably.
-func TestStolenUnitKeepsDone(t *testing.T) {
-	for _, doneFirst := range []bool{true, false} {
-		m := gridManifest(t, testGrid())
-		index := map[string]int{}
-		for _, u := range m.Units {
-			index[u.Key] = u.Index
-		}
-		c := &Coordinator{
-			Manifest: m,
-			CacheDir: filepath.Join(t.TempDir(), "cache"),
-			Procs:    2,
-			Spawn: func(w int, a *Assignment) (*WorkerReport, error) {
-				r := &WorkerReport{Schema: AssignmentSchema, Results: make([]UnitResult, len(a.Specs))}
-				for j, spec := range a.Specs {
-					key, err := sim.SpecKey(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					i := index[key]
-					// Unit 0 is done by one worker and failed by the
-					// other; unit 1 is failed by both; units 2 and 3
-					// are left unreported (pending).
-					switch {
-					case i == 0 && (w == 0) == doneFirst:
-						r.Results[j] = UnitResult{State: UnitDone}
-					case i <= 1:
-						r.Results[j] = UnitResult{State: UnitFailed, Err: fmt.Sprintf("worker %d", w)}
-					default:
-						r.Results[j] = UnitResult{State: UnitPending}
-					}
-				}
-				return r, nil
-			},
-		}
-		var out bytes.Buffer
-		if _, err := c.Run(&out); err == nil {
-			t.Fatal("round with failed units reported success")
-		}
-		want := []UnitState{UnitDone, UnitFailed, UnitPending, UnitPending}
-		for i, u := range m.Units {
-			if u.State != want[i] {
-				t.Errorf("doneFirst=%v: unit %d ended %s, want %s", doneFirst, i, u.State, want[i])
+// failingSpawn is a Spawn whose worker w reports fail(w, key), when it
+// is non-empty, as the error of the unit with that key without running
+// it, and runs the worker's other units in-process.
+func failingSpawn(t *testing.T, fail func(w int, key string) string) func(int, *Assignment) (*WorkerReport, error) {
+	return func(w int, a *Assignment) (*WorkerReport, error) {
+		run := *a
+		run.Specs = nil
+		var at []int
+		errs := make([]string, len(a.Specs))
+		for j, spec := range a.Specs {
+			key, err := sim.SpecKey(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			if errs[j] = fail(w, key); errs[j] == "" {
+				run.Specs = append(run.Specs, spec)
+				at = append(at, j)
 			}
 		}
-		if m.Units[0].Err != "" {
-			t.Errorf("doneFirst=%v: done unit kept error %q", doneFirst, m.Units[0].Err)
+		r := RunAssignment(&run, WorkerEnv{Clock: realClock(), Lease: testLease()})
+		for k, j := range at {
+			errs[j] = r.Errs[k]
 		}
+		r.Errs = errs
+		return r, nil
+	}
+}
+
+// TestFailedUnitDoneElsewhereCountsDone: a unit one worker reports
+// failed but another finishes is done, because the cache holds it. A
+// unit every worker fails is pending in the cache, counted failed and
+// named in the round's error, and the next run retries it.
+func TestFailedUnitDoneElsewhereCountsDone(t *testing.T) {
+	want, _ := runCampaign(t, t.TempDir(), 1, 1)
+	m := gridManifest(t, testGrid())
+	newCoordinator := func(dir string) *Coordinator {
+		return &Coordinator{Manifest: m, CacheDir: dir, Procs: 2, Workers: 1, Clock: realClock(), Lease: testLease()}
+	}
+
+	// Worker 1 fails every unit; worker 0 finishes them all.
+	c := newCoordinator(filepath.Join(t.TempDir(), "cache"))
+	c.Spawn = failingSpawn(t, func(w int, _ string) string {
+		if w == 1 {
+			return "worker 1: boom"
+		}
+		return ""
+	})
+	var out bytes.Buffer
+	res, err := c.Run(&out)
+	if err != nil {
+		t.Fatalf("units another worker finished failed the round: %v", err)
+	}
+	if res.Done != len(m.Units) || res.Failed != 0 || !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("done=%d failed=%d, want %d/0 and the uninterrupted report; got:\n%s",
+			res.Done, res.Failed, len(m.Units), out.Bytes())
+	}
+
+	// Both workers fail unit 1.
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	c = newCoordinator(cacheDir)
+	c.Spawn = failingSpawn(t, func(w int, key string) string {
+		if key == m.Units[1].Key {
+			return fmt.Sprintf("worker %d: boom", w)
+		}
+		return ""
+	})
+	out.Reset()
+	res, err = c.Run(&out)
+	if err == nil || !strings.Contains(err.Error(), m.Units[1].Label) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("round error %v does not name failed unit %s", err, m.Units[1].Label)
+	}
+	if res.Done != len(m.Units)-1 || res.Failed != 1 || out.Len() != 0 {
+		t.Errorf("done=%d failed=%d report=%dB, want %d/1 and no report", res.Done, res.Failed, out.Len(), len(m.Units)-1)
+	}
+	if p := m.Pending(cache.Open(cacheDir, cache.ReadOnly)); !reflect.DeepEqual(p, []int{1}) {
+		t.Errorf("pending after the failed round = %v, want [1]", p)
+	}
+	c.Spawn = nil
+	out.Reset()
+	if res, err = c.Run(&out); err != nil || res.Stats.Misses != 1 || !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("retry: err=%v misses=%d, want the failed unit computed once and the uninterrupted report", err, res.Stats.Misses)
 	}
 }
 
@@ -649,12 +755,10 @@ func TestStolenUnitKeepsDone(t *testing.T) {
 // list from an omitted one).
 func FuzzHandoffJSON(f *testing.F) {
 	m := gridManifest(f, testGrid())
-	m.Units[1].State = UnitFailed
-	m.Units[1].Err = "boom"
 	for _, v := range []any{
 		m,
 		&Assignment{Schema: AssignmentSchema, CacheDir: "c", Workers: 2, Specs: []sim.Spec{m.Units[0].Spec, m.Units[1].Spec}},
-		&WorkerReport{Schema: AssignmentSchema, Results: []UnitResult{{State: UnitDone, Cached: true}, {State: UnitFailed, Err: "x"}}},
+		&WorkerReport{Schema: AssignmentSchema, Errs: []string{"", "x"}},
 	} {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -662,7 +766,8 @@ func FuzzHandoffJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"schema": 2, "cache_dir": "c", "workers": 1, "specs": []}{}`))
+	f.Add([]byte(`{"schema": 3, "cache_dir": "c", "workers": 1, "specs": []}{}`))
+	f.Add([]byte(`{"schema": 2, "results": [{"state": "done", "cached": true}], "stats": {}}`))
 	decoders := []func([]byte) (any, error){
 		func(b []byte) (any, error) {
 			var m Manifest
