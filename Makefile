@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s ./internal/traffic
 	$(GO) test -run='^FuzzSpecJSON$$' -fuzz=FuzzSpecJSON -fuzztime=30s ./internal/sim
 	$(GO) test -run='^FuzzHandoffJSON$$' -fuzz=FuzzHandoffJSON -fuzztime=30s ./internal/sweep
+	$(GO) test -run='^FuzzGridJSON$$' -fuzz=FuzzGridJSON -fuzztime=30s ./internal/sweep
 
 # Build and run the simulation service locally (SIGINT/SIGTERM drains).
 # Author request bodies with `nbtisim -emit-spec`, then:
@@ -109,7 +110,7 @@ cover:
 		if (min + 0 > 0) printf "cover: total %.1f%% meets COVER_MIN=%s%%\n", t, min }'
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt cold.txt warm.txt compare_cold.txt compare_warm.txt /tmp/bench_check.json
+	rm -f cover.out test_output.txt bench_output.txt cold.txt warm.txt /tmp/bench_check.json
 	rm -f spec.json ref.json got.json nbtisimd.log
 	rm -rf bin svc-cache
 

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -134,33 +135,27 @@ func BenchmarkTableII_CacheWarm(b *testing.B) {
 
 // benchSweepGrid is the campaign the sweep benchmarks run: the Table II
 // policy/rate cross at benchmark scale, expanded through the sharded
-// sweep layer instead of the table driver.
-func benchSweepGrid() *sweep.Grid {
-	return &sweep.Grid{
-		Name: "bench",
-		Base: sim.Scenario{
-			Name: "bench", Cores: 4, VCs: 2, Policy: "baseline",
-			Workload: "uniform", Rate: 0.1,
-			Warmup: 2_000, Measure: 20_000, Seed: 1, PVSeed: 1,
-		},
-		Axes: sweep.Axes{
-			Policies: []string{"baseline", "sensor-wise"},
-			Rates:    []float64{0.1, 0.2, 0.3},
-		},
-		Probes: []string{"0:E"},
-	}
-}
-
-// benchSweepRun drives one full coordinator round (expand, execute,
-// merge) against dir and fails the benchmark on any unit error.
-func benchSweepRun(b *testing.B, dir string) *sweep.Result {
+// sweep layer instead of the table driver. It is read once; each
+// campaign round expands it again.
+func benchSweepGrid(b *testing.B) *sweep.Grid {
 	b.Helper()
-	g := benchSweepGrid()
-	labels, specs, err := g.Expand()
+	f, err := os.Open(filepath.Join("internal", "sweep", "testdata", "bench.grid.json"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	manifest, err := sweep.NewManifest(g.Name, labels, specs)
+	defer f.Close()
+	g, err := sweep.ReadGrid(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// benchSweepRun drives one full coordinator round (expand, execute,
+// merge) of g against dir and fails the benchmark on any unit error.
+func benchSweepRun(b *testing.B, g *sweep.Grid, dir string) *sweep.Result {
+	b.Helper()
+	manifest, err := g.Manifest()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,15 +175,15 @@ func benchSweepRun(b *testing.B, dir string) *sweep.Result {
 // and the ratio between the pair is what the cache-as-coordination
 // layer buys a repeated or resumed campaign.
 func BenchmarkSweepCold(b *testing.B) {
-	root := b.TempDir()
+	g, root := benchSweepGrid(b), b.TempDir()
 	// One untimed campaign in a throwaway dir first: otherwise the
 	// process's one-time set-up is charged to the only iteration of a
 	// -benchtime 1x run that starts with this benchmark (~850 extra
 	// allocs/op, past the pinned gate).
-	benchSweepRun(b, filepath.Join(root, "setup"))
+	benchSweepRun(b, g, filepath.Join(root, "setup"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := benchSweepRun(b, filepath.Join(root, strconv.Itoa(i)))
+		res := benchSweepRun(b, g, filepath.Join(root, strconv.Itoa(i)))
 		// Every unit misses once; the merge pass then reads them back as
 		// hits, so only the miss count distinguishes cold from warm.
 		if res.Stats.Misses != int64(res.Done) {
@@ -199,11 +194,11 @@ func BenchmarkSweepCold(b *testing.B) {
 
 // BenchmarkSweepWarm: see BenchmarkSweepCold.
 func BenchmarkSweepWarm(b *testing.B) {
-	dir := b.TempDir()
-	benchSweepRun(b, dir)
+	g, dir := benchSweepGrid(b), b.TempDir()
+	benchSweepRun(b, g, dir)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := benchSweepRun(b, dir)
+		res := benchSweepRun(b, g, dir)
 		if res.Stats.Misses != 0 {
 			b.Fatalf("warm sweep recomputed: %+v", res.Stats)
 		}

@@ -43,7 +43,9 @@ import (
 	"nbtinoc/cmd/internal/cli"
 	"nbtinoc/internal/core"
 	"nbtinoc/internal/metrics"
+	"nbtinoc/internal/nbti"
 	"nbtinoc/internal/noc"
+	"nbtinoc/internal/pv"
 	"nbtinoc/internal/sim"
 	"nbtinoc/internal/sweep"
 	"nbtinoc/internal/traffic"
@@ -132,39 +134,23 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-config %q names no spec files", *cfgPath)
 		}
 	} else {
-		scen := &sim.Scenario{
-			Name:          "cli",
-			Cores:         *cores,
-			VCs:           *vcs,
-			VNets:         *vnets,
-			Policy:        *policy,
-			TechNode:      *tech,
-			Workload:      *workload,
-			Rate:          *rate,
-			PacketLen:     *pktLen,
-			Phits:         *phits,
-			WakeupLatency: *wakeup,
-			Warmup:        *warmup,
-			Measure:       *measure,
-			Seed:          *seed,
-			PVSeed:        *pvSeed,
+		spec, err := flagSpec(*mesh, *cores, *vcs, *tech, *workload, *rate, *pktLen, *seed)
+		if err != nil {
+			return err
 		}
-		if *mesh != "" {
-			m, err := sim.ParseMesh(*mesh)
-			if err != nil {
-				return err
-			}
-			scen.Width, scen.Height, scen.Cores = m.Width, m.Height, m.Cores()
+		spec.Net.VNets, spec.Net.PVSeed = *vnets, *pvSeed
+		spec.Net.PhitsPerFlit, spec.Net.WakeupLatency = *phits, *wakeup
+		spec.Policy.Name = *policy
+		spec.Warmup, spec.Measure = *warmup, *measure
+		if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
+			return err
 		}
 		probe, err := sim.ParsePortProbe(*probeStr)
 		if err != nil {
 			return err
 		}
-		spec, err := scen.Spec([]sim.PortProbe{probe})
-		if err != nil {
-			return err
-		}
-		if spec.Net.Routing, err = noc.ParseRouting(*routing); err != nil {
+		spec.Probes = []sim.PortProbe{probe}
+		if err := spec.Validate(); err != nil {
 			return err
 		}
 		specs, names = []sim.Spec{spec}, []string{"cli"}
@@ -292,6 +278,44 @@ func run(args []string, out io.Writer) (err error) {
 		sess.Logf("cache: %s", store.Stats())
 	}
 	return nil
+}
+
+// flagSpec compiles the geometry, technology and workload flags into a
+// spec: the paper's configuration on the -mesh geometry, or the square
+// -cores mesh, at the 45 or 32 nm corner, driven by the -workload
+// generator.
+func flagSpec(mesh string, cores, vcs, tech int, workload string, rate float64, pktLen int, seed uint64) (sim.Spec, error) {
+	m, err := sim.SquareMesh(cores)
+	if mesh != "" {
+		m, err = sim.ParseMesh(mesh)
+	}
+	if err != nil {
+		return sim.Spec{}, err
+	}
+	net, err := m.Config(vcs)
+	if err != nil {
+		return sim.Spec{}, err
+	}
+	switch tech {
+	case 45:
+	case 32:
+		net.NBTI, net.PV = nbti.Default32nm(), pv.Default32nm()
+	default:
+		return sim.Spec{}, fmt.Errorf("tech node %d nm not modelled (45 or 32)", tech)
+	}
+	gen := sim.GenSpec{Kind: workload, Width: m.Width, Height: m.Height, Seed: seed}
+	switch workload {
+	case "app": // the benchmark mix sets its own injection
+	case "req-resp":
+		gen.Rate = rate
+	default:
+		gen.Kind, gen.Pattern = "synthetic", workload
+		gen.Rate, gen.PacketLen = rate, pktLen
+		if workload == "hotspot" {
+			gen.HotspotFraction = 0.3
+		}
+	}
+	return sim.Spec{Net: net, Gen: gen}, nil
 }
 
 // renderHeatmap prints the mesh as a grid; each tile shows the worst

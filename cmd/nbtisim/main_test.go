@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -128,6 +129,7 @@ func TestBadFlagsRejected(t *testing.T) {
 		shortArgs("-probe", "0:Q"),
 		shortArgs("-format", "xml"),
 		shortArgs("-routing", "zigzag"),
+		{"-cores", "0"},
 		{"-cores", "5"},
 		shortArgs("-trace", "/nonexistent/file.trace"),
 	}
@@ -197,6 +199,101 @@ func TestAllPortsCSV(t *testing.T) {
 	}
 	if mdCount != 12 { // one MD VC per port
 		t.Errorf("md markers = %d, want 12", mdCount)
+	}
+}
+
+// emitSpec decodes the spec -emit-spec prints for the flags.
+func emitSpec(t *testing.T, flags ...string) sim.Spec {
+	t.Helper()
+	var spec sim.Spec
+	if err := sim.DecodeStrict(strings.NewReader(runCLI(t, append(flags, "-emit-spec")...)), &spec); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestEmitSpecGolden pins the spec the flags compile to, byte for byte:
+// the defaults and each flag with a compile rule of its own. The golden
+// was written by the scenario compiler this one replaced, so flag runs
+// keep their cache keys. Regenerate for an intentional change with the
+// flag sets listed in its headers.
+func TestEmitSpecGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "emit_spec.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(string(data), "=== nbtisim")[1:]
+	if len(sections) != 9 {
+		t.Fatalf("golden holds %d flag sets, want 9", len(sections))
+	}
+	for _, sec := range sections {
+		header, want, _ := strings.Cut(sec, " -emit-spec ===\n")
+		flags := strings.Fields(header)
+		name := strings.Join(flags, "_")
+		if name == "" {
+			name = "defaults"
+		}
+		t.Run(name, func(t *testing.T) {
+			if got := runCLI(t, append(flags, "-emit-spec")...); got != want {
+				t.Errorf("nbtisim %v -emit-spec:\n got %s\nwant %s", flags, got, want)
+			}
+		})
+	}
+}
+
+// TestFlagSpecKeysLikeTableSpec: a uniform run keys the same whether a
+// table driver or the nbtisim flags describe it, so both share one
+// cache entry.
+func TestFlagSpecKeysLikeTableSpec(t *testing.T) {
+	opt := sim.DefaultTableOptions()
+	opt.Cores, opt.Rates = []int{4}, []float64{0.1}
+	opt.Warmup, opt.Measure = 500, 5000
+	tables, err := sim.PaperTables(opt, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *sim.Spec
+	for _, tbl := range tables {
+		for i, spec := range tbl.Specs {
+			if tbl.ID == "3" && spec.Policy.Name == "sensor-wise" {
+				want = &tbl.Specs[i]
+			}
+		}
+	}
+	if want == nil {
+		t.Fatal("Table III has no sensor-wise run")
+	}
+	got := emitSpec(t, "-cores", "4", "-vcs", "2", "-policy", "sensor-wise", "-rate", "0.1",
+		"-phits", "2", "-warmup", "500", "-cycles", "5000",
+		"-seed", fmt.Sprint(want.Gen.Seed), "-pv-seed", fmt.Sprint(want.Net.PVSeed))
+	gk, err := sim.SpecKey(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wk, err := sim.SpecKey(*want); err != nil || gk != wk {
+		t.Errorf("flag spec keys %s, table spec %s (%v):\n%+v\n%+v", gk[:12], wk, err, got, *want)
+	}
+	// Only the hotspot pattern carries the hotspot knobs.
+	if hot := emitSpec(t, shortArgs("-workload", "hotspot")...); hot.Gen.HotspotFraction != 0.3 {
+		t.Errorf("hotspot flag run: fraction %v", hot.Gen.HotspotFraction)
+	}
+}
+
+// TestFlagSpecErrors: a bad flag run is refused with the field-tagged
+// SpecErrors a nbtisimd submission of the same run gets.
+func TestFlagSpecErrors(t *testing.T) {
+	for field, flags := range map[string][]string{
+		"net":         {"-vcs", "0"},
+		"measure":     {"-cycles", "0"},
+		"gen.kind":    {"-workload", "req-resp", "-vnets", "1"},
+		"gen.pattern": {"-workload", "spiral"},
+		"policy.name": {"-policy", "bogus"},
+	} {
+		err := run(append(shortArgs(flags...), "-emit-spec"), &bytes.Buffer{})
+		var errs sim.SpecErrors
+		if !errors.As(err, &errs) || errs[0].Field != field {
+			t.Errorf("%v: error %v, want SpecErrors tagged %s", flags, err, field)
+		}
 	}
 }
 
@@ -338,6 +435,12 @@ func TestMeshFlag(t *testing.T) {
 		t.Errorf("-mesh 3x3 and -cores 9 outputs differ:\n--- mesh\n%s\n--- cores\n%s",
 			square, cores)
 	}
+	// The geometry reaches both the network and the generator.
+	spec := emitSpec(t, "-mesh", "8x4", "-vcs", "2", "-cycles", "1000")
+	if spec.Net.Width != 8 || spec.Net.Height != 4 || spec.Gen.Width != 8 || spec.Gen.Height != 4 {
+		t.Errorf("-mesh 8x4: net %dx%d, gen %dx%d",
+			spec.Net.Width, spec.Net.Height, spec.Gen.Width, spec.Gen.Height)
+	}
 	// Malformed geometries are rejected.
 	for _, bad := range []string{"4", "0x4", "4x-1", "axb"} {
 		if err := run([]string{"-mesh", bad, "-cycles", "100"}, &bytes.Buffer{}); err == nil {
@@ -373,6 +476,15 @@ func TestTechFlag(t *testing.T) {
 	out32 := runCLI(t, shortArgs("-tech", "32", "-format", "json")...)
 	if out45 == out32 {
 		t.Error("tech node flag had no effect")
+	}
+	// The corner sets the paper's Vth0 in both the PV draw and the
+	// aging model: 0.180 V at 45 nm, 0.160 V at 32 nm.
+	for tech, vth := range map[string]float64{"45": 0.180, "32": 0.160} {
+		spec := emitSpec(t, shortArgs("-tech", tech)...)
+		if spec.Net.PV.MeanVth != vth || spec.Net.NBTI.Vth0 != vth {
+			t.Errorf("-tech %s: PV mean Vth0 %v, model Vth0 %v, want %v",
+				tech, spec.Net.PV.MeanVth, spec.Net.NBTI.Vth0, vth)
+		}
 	}
 	if err := run(shortArgs("-tech", "28"), &bytes.Buffer{}); err == nil {
 		t.Error("unsupported tech node accepted")

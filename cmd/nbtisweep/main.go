@@ -1,10 +1,11 @@
-// Command nbtisweep runs sharded scenario campaigns: it shards a
-// campaign's content-addressed work units across worker processes that
-// share one result cache, and merges the finished campaign into a
-// deterministic CSV report — byte-identical at any (processes ×
-// workers) topology. A campaign is a spec list, one unit per distinct
-// spec: a declarative grid (JSON) expanded point by point, or a
-// manifest written by tables or nbtisim -sweep-manifest:
+// Command nbtisweep runs sharded campaigns: it shards a campaign's
+// content-addressed work units across worker processes that share one
+// result cache, and merges the finished campaign into a deterministic
+// CSV report — byte-identical at any (processes × workers) topology. A
+// campaign is a spec list, one unit per distinct spec: a grid (JSON: a
+// base spec as nbtisim -emit-spec prints it, plus axes that sweep spec
+// fields by their JSON paths) expanded point by point, or a manifest
+// written by tables or nbtisim -sweep-manifest:
 //
 //	nbtisweep -grid grid.json -manifest camp.json -procs 4 -j 2
 //
@@ -182,15 +183,8 @@ func resolveCampaign(gridPath, manifestPath string) (*sweep.Manifest, error) {
 	}
 	var fresh *sweep.Manifest
 	if gridPath != "" {
-		g, err := sweep.LoadGridFile(gridPath)
-		if err != nil {
-			return nil, err
-		}
-		labels, specs, err := g.Expand()
-		if err != nil {
-			return nil, err
-		}
-		if fresh, err = sweep.NewManifest(g.Name, labels, specs); err != nil {
+		var err error
+		if fresh, err = sweep.LoadGridFile(gridPath); err != nil {
 			return nil, err
 		}
 	}

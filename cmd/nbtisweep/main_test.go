@@ -25,52 +25,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-const testGridJSON = `{
-  "name": "e2e",
-  "base": {
-    "name": "e2e",
-    "cores": 4,
-    "vcs": 1,
-    "policy": "baseline",
-    "workload": "uniform",
-    "rate": 0.1,
-    "warmup": 200,
-    "measure": 2000,
-    "seed": 1,
-    "pv_seed": 1
-  },
-  "axes": {
-    "policies": ["baseline", "sensor-wise"],
-    "rates": [0.1, 0.2]
-  },
-  "probes": ["0:E"]
+// testGridJSON is the sweep package's test grid, 2 policies x 2 rates
+// on a 2x2 mesh, under the campaign name e2e.
+func testGridJSON(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "sweep", "testdata", "test.grid.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Replace(string(data), `"name": "t"`, `"name": "e2e"`, 1)
 }
-`
 
 // writeGrid drops the shared test grid into dir and returns its path.
 func writeGrid(t *testing.T, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(path, []byte(testGridJSON), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(testGridJSON(t)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 // gridManifestBytes returns the bytes a campaign created from the
-// shared test grid writes to its manifest: NewManifest over the grid's
-// expansion, saved once.
+// shared test grid writes to its manifest: the grid's campaign, saved
+// once.
 func gridManifestBytes(t *testing.T, grid string) []byte {
 	t.Helper()
-	g, err := sweep.LoadGridFile(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, specs, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sweep.NewManifest(g.Name, labels, specs)
+	m, err := sweep.LoadGridFile(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +244,16 @@ func TestSweepStatusAndFlagErrors(t *testing.T) {
 	checkManifestBytes(t, manifest, created)
 
 	// Resuming with a drifted grid is refused.
-	drifted := strings.Replace(testGridJSON, "0.2", "0.3", 1)
+	drifted := strings.Replace(testGridJSON(t), "0.2\n", "0.3\n", 1)
+	if drifted == testGridJSON(t) {
+		t.Fatal("rate axis not edited")
+	}
 	driftPath := filepath.Join(dir, "drift.json")
 	if err := os.WriteFile(driftPath, []byte(drifted), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// So is a grid that expands to the same units under another name.
-	renamed := strings.Replace(testGridJSON, `"name": "e2e"`, `"name": "other"`, 1)
+	renamed := strings.Replace(testGridJSON(t), `"name": "e2e"`, `"name": "other"`, 1)
 	renamePath := filepath.Join(dir, "renamed.json")
 	if err := os.WriteFile(renamePath, []byte(renamed), 0o644); err != nil {
 		t.Fatal(err)
@@ -316,18 +300,11 @@ func TestSweepStatusReadsCache(t *testing.T) {
 	if _, err := sweepRun(t, "-grid", grid, "-cache-dir", cacheDir, "-procs", "1"); err != nil {
 		t.Fatal(err)
 	}
-	g, err := sweep.LoadGridFile(grid)
+	other, err := sweep.LoadGridFile(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, specs, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := sweep.NewManifest("other", labels, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other.Name = "other"
 	manifest := filepath.Join(dir, "other.json")
 	if err := other.Save(manifest); err != nil {
 		t.Fatal(err)

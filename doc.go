@@ -8,7 +8,7 @@
 //
 // The implementation lives under internal/; see README.md for the
 // public entry points (cmd/nbtisim, cmd/tables, cmd/nbtisweep,
-// cmd/tracegen, cmd/compare, the cmd/nbtilint determinism analyzers
+// cmd/nbtisimd, cmd/tracegen, the cmd/nbtilint determinism analyzers
 // and the runnable examples), DESIGN.md for the system inventory,
 // per-experiment index and static-analysis contract, and
 // EXPERIMENTS.md for the paper-vs-measured record.

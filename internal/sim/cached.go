@@ -35,7 +35,7 @@ type PolicySpec struct {
 
 // GenSpec is the declarative form of a traffic generator: everything
 // needed to rebuild it, and nothing that cannot be serialised. Kind is
-// "synthetic", "app" or "req-resp", mirroring Scenario workloads.
+// "synthetic", "app" or "req-resp", as nbtisim's -workload names them.
 type GenSpec struct {
 	Kind    string  `json:"kind"`
 	Pattern string  `json:"pattern,omitempty"`

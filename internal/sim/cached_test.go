@@ -288,32 +288,6 @@ func TestSyntheticTableCacheTransparent(t *testing.T) {
 	}
 }
 
-// TestAllPortProbesMatchesLiveMesh checks the static enumeration against
-// the instantiated routers: same ports, same order as a live walk.
-func TestAllPortProbesMatchesLiveMesh(t *testing.T) {
-	for _, side := range []int{2, 4} {
-		cfg := noc.DefaultConfig()
-		cfg.Width, cfg.Height = side, side
-		net, err := noc.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var live []PortProbe
-		for n := 0; n < net.Nodes(); n++ {
-			r := net.Router(noc.NodeID(n))
-			for p := noc.Port(0); p < noc.NumPorts; p++ {
-				if r.Input(p) != nil {
-					live = append(live, PortProbe{Node: noc.NodeID(n), Port: p})
-				}
-			}
-		}
-		got := AllPortProbes(side, side)
-		if !reflect.DeepEqual(got, live) {
-			t.Errorf("%dx%d: AllPortProbes = %v, live walk = %v", side, side, got, live)
-		}
-	}
-}
-
 func TestRunSummaryJSONRoundTrip(t *testing.T) {
 	sum, err := quickSpec().Compute()
 	if err != nil {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestParseMesh(t *testing.T) {
 	cases := []struct {
@@ -54,37 +57,6 @@ func TestMeshConfig(t *testing.T) {
 	}
 }
 
-func TestScenarioMeshGeometry(t *testing.T) {
-	// Explicit geometry: cores derived, rectangular allowed.
-	s := Scenario{Name: "m", Width: 8, Height: 4, VCs: 2, Measure: 1000, Workload: "uniform"}
-	spec, err := s.Spec(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Net.Width != 8 || spec.Net.Height != 4 || s.Cores != 32 {
-		t.Errorf("geometry not threaded: %dx%d cores %d", spec.Net.Width, spec.Net.Height, s.Cores)
-	}
-	if spec.Gen.Width != 8 || spec.Gen.Height != 4 {
-		t.Errorf("GenSpec geometry = %dx%d", spec.Gen.Width, spec.Gen.Height)
-	}
-
-	// Cores disagreeing with the geometry is rejected; agreeing passes.
-	bad := Scenario{Name: "b", Cores: 30, Width: 8, Height: 4, VCs: 2, Measure: 1000}
-	if err := bad.Validate(); err == nil {
-		t.Error("cores/geometry mismatch accepted")
-	}
-	ok := Scenario{Name: "ok", Cores: 32, Width: 8, Height: 4, VCs: 2, Measure: 1000}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("consistent cores+geometry rejected: %v", err)
-	}
-
-	// Half-specified geometry is rejected.
-	half := Scenario{Name: "h", Width: 8, VCs: 2, Measure: 1000}
-	if err := half.Validate(); err == nil {
-		t.Error("width without height accepted")
-	}
-}
-
 func TestSyntheticTableMeshOverride(t *testing.T) {
 	opt := DefaultTableOptions()
 	opt.Warmup, opt.Measure = 200, 1_000
@@ -100,4 +72,51 @@ func TestSyntheticTableMeshOverride(t *testing.T) {
 	if tbl.Rows[0].Scenario != "4x2-inj0.10" || tbl.Rows[0].Cores != 8 {
 		t.Errorf("mesh row = %q cores %d", tbl.Rows[0].Scenario, tbl.Rows[0].Cores)
 	}
+}
+
+// TestScenarioMeshGeometry: a rectangular geometry from Mesh.Config
+// validates and runs on every node; a generator geometry that disagrees
+// with the mesh, or a half-specified mesh, is rejected.
+func TestScenarioMeshGeometry(t *testing.T) {
+	cfg, err := (Mesh{Width: 8, Height: 4}).Config(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := quickSpec()
+	s.Net = cfg
+	s.Gen.Width, s.Gen.Height = 8, 4
+	s.Warmup, s.Measure = 200, 1_000
+	if err := s.Validate(); err != nil {
+		t.Fatalf("8x4 spec rejected: %v", err)
+	}
+	res := compute(t, s)
+	if res.Nodes != 32 {
+		t.Errorf("8x4 run simulated %d nodes, want 32", res.Nodes)
+	}
+
+	// The generator geometry must agree with the mesh's.
+	bad := s
+	bad.Gen.Width, bad.Gen.Height = 4, 8
+	var errs SpecErrors
+	if err := bad.Validate(); !errors.As(err, &errs) {
+		t.Errorf("generator/mesh geometry mismatch: got %v, want SpecErrors", err)
+	} else if !hasField(errs, "gen") {
+		t.Errorf("generator/mesh geometry mismatch not tagged \"gen\": %v", errs)
+	}
+
+	// Half-specified geometry is rejected.
+	half := s
+	half.Net.Height, half.Gen.Height = 0, 0
+	if err := half.Validate(); err == nil {
+		t.Error("width without height accepted")
+	}
+}
+
+func hasField(errs SpecErrors, field string) bool {
+	for _, e := range errs {
+		if e.Field == field {
+			return true
+		}
+	}
+	return false
 }

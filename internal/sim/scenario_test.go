@@ -1,136 +1,21 @@
 package sim
 
 import (
-	"errors"
+	"math"
 	"testing"
 
-	"nbtinoc/internal/noc"
+	"nbtinoc/internal/nbti"
+	"nbtinoc/internal/pv"
 )
 
-func validScenario() Scenario {
-	return Scenario{
-		Name:     "unit",
-		Cores:    4,
-		VCs:      2,
-		Policy:   "sensor-wise",
-		Workload: "uniform",
-		Rate:     0.1,
-		Warmup:   500,
-		Measure:  5000,
-		Seed:     1,
-		PVSeed:   2,
-	}
-}
-
-func TestScenarioDefaults(t *testing.T) {
-	s := validScenario()
+// compute runs a spec the way every run path does, after the checks a
+// submission of it gets.
+func compute(t *testing.T, s Spec) *RunSummary {
+	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.VNets != 1 || s.TechNode != 45 || s.PacketLen != 4 || s.Phits != 1 {
-		t.Errorf("defaults not applied: %+v", s)
-	}
-}
-
-func TestScenarioValidation(t *testing.T) {
-	// Validate rejects what only a scenario can get wrong: its cores
-	// shorthand and its tech node.
-	for i, mutate := range []func(*Scenario){
-		func(s *Scenario) { s.Cores = 0 },
-		func(s *Scenario) { s.Cores = 5 },
-		func(s *Scenario) { s.Width, s.Height = 4, 2 },
-		func(s *Scenario) { s.TechNode = 28 },
-	} {
-		s := validScenario()
-		mutate(&s)
-		if _, err := s.Spec(nil); err == nil {
-			t.Errorf("case %d accepted: %+v", i, s)
-		}
-	}
-	// Everything else reaches Spec.Validate, so Spec reports the
-	// field-tagged SpecErrors a daemon submission of the same run gets.
-	for field, mutate := range map[string]func(*Scenario){
-		"net":         func(s *Scenario) { s.VCs = 0 },
-		"measure":     func(s *Scenario) { s.Measure = 0 },
-		"gen.kind":    func(s *Scenario) { s.Workload = "req-resp"; s.VNets = 1 },
-		"gen.pattern": func(s *Scenario) { s.Workload = "spiral" },
-		"policy.name": func(s *Scenario) { s.Policy = "bogus" },
-	} {
-		s := validScenario()
-		mutate(&s)
-		_, err := s.Spec(nil)
-		var errs SpecErrors
-		if !errors.As(err, &errs) || errs[0].Field != field {
-			t.Errorf("%s: error %v, want SpecErrors tagged %s", field, err, field)
-		}
-	}
-}
-
-// TestScenarioSpecKeysLikeTableSpec: a uniform run keys the same
-// whether a table driver or a Scenario (the CLI flags, a grid point)
-// describes it, so both share one cache entry.
-func TestScenarioSpecKeysLikeTableSpec(t *testing.T) {
-	opt := DefaultTableOptions()
-	m := Mesh{Width: 2, Height: 2}
-	want := opt.syntheticSpec(m, 2, 0.1, "sensor-wise")
-	s := Scenario{
-		Cores:    4,
-		VCs:      2,
-		Policy:   "sensor-wise",
-		Workload: "uniform",
-		Rate:     0.1,
-		Phits:    opt.Phits,
-		Warmup:   opt.Warmup,
-		Measure:  opt.Measure,
-		Seed:     want.Gen.Seed,
-		PVSeed:   want.Net.PVSeed,
-	}
-	got, err := s.Spec(want.Probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gk, wk := mustKey(t, got), mustKey(t, want); gk != wk {
-		t.Errorf("scenario spec keys %s, table spec %s:\n%+v\n%+v", gk[:12], wk[:12], got.Gen, want.Gen)
-	}
-	// Only the hotspot pattern carries the hotspot knobs.
-	s.Workload = "hotspot"
-	if hot, err := s.Spec(nil); err != nil || hot.Gen.HotspotFraction != 0.3 {
-		t.Errorf("hotspot scenario: fraction %v, err %v", hot.Gen.HotspotFraction, err)
-	}
-}
-
-func TestScenario32nmConfig(t *testing.T) {
-	s := validScenario()
-	s.TechNode = 32
-	spec, err := s.Spec(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Net.PV.MeanVth != 0.160 {
-		t.Errorf("32 nm mean Vth0 = %v, want 0.160", spec.Net.PV.MeanVth)
-	}
-	if spec.Net.NBTI.Vth0 != 0.160 {
-		t.Errorf("32 nm model Vth0 = %v", spec.Net.NBTI.Vth0)
-	}
-	s45 := validScenario()
-	spec45, err := s45.Spec(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec45.Net.PV.MeanVth != 0.180 {
-		t.Errorf("45 nm mean Vth0 = %v, want 0.180", spec45.Net.PV.MeanVth)
-	}
-}
-
-// execute runs a scenario the way every run path does: compile it to a
-// spec, then compute the spec.
-func execute(t *testing.T, s Scenario, probes []PortProbe) *RunSummary {
-	t.Helper()
-	spec, err := s.Spec(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := spec.Compute()
+	sum, err := s.Compute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +23,7 @@ func execute(t *testing.T, s Scenario, probes []PortProbe) *RunSummary {
 }
 
 func TestScenarioExecute(t *testing.T) {
-	res := execute(t, validScenario(), []PortProbe{{Node: 0, Port: noc.East}})
+	res := compute(t, quickSpec())
 	if res.Policy != "sensor-wise" || len(res.Ports) != 1 {
 		t.Errorf("unexpected result: %+v", res)
 	}
@@ -148,28 +33,62 @@ func TestScenarioExecute(t *testing.T) {
 }
 
 func TestScenarioExecuteReqResp(t *testing.T) {
-	s := validScenario()
-	s.Workload = "req-resp"
-	s.VNets = 2
-	s.Rate = 0.02
-	if res := execute(t, s, nil); res.EjectedPackets == 0 {
-		t.Error("req-resp scenario delivered nothing")
+	s := quickSpec()
+	s.Net.VNets = 2
+	s.Gen = GenSpec{Kind: "req-resp", Width: 2, Height: 2, Rate: 0.02, Seed: 1}
+	if res := compute(t, s); res.EjectedPackets == 0 {
+		t.Error("req-resp run delivered nothing")
 	}
 }
 
 func TestScenarioExecuteApp(t *testing.T) {
-	s := validScenario()
-	s.Workload = "app"
+	s := quickSpec()
+	s.Gen = GenSpec{Kind: "app", Width: 2, Height: 2, Seed: 1}
 	s.Measure = 20000
-	if res := execute(t, s, nil); res.Workload != "app-mix" {
+	if res := compute(t, s); res.Workload != "app-mix" {
 		t.Errorf("workload = %q", res.Workload)
 	}
 }
 
+// TestScenarioBadWorkload: an unknown synthetic pattern is refused by
+// Validate, and a spec that skipped validation still does not run.
 func TestScenarioBadWorkload(t *testing.T) {
-	s := validScenario()
-	s.Workload = "spiral"
-	if _, err := s.Spec(nil); err == nil {
-		t.Fatal("unknown workload accepted")
+	s := quickSpec()
+	s.Gen.Pattern = "spiral"
+	if err := s.Validate(); err == nil {
+		t.Error("unknown workload validated")
+	}
+	if _, err := s.Compute(); err == nil {
+		t.Error("unknown workload computed")
+	}
+}
+
+// TestScenario32nmConfig: the 32 nm corner (the NBTI model and PV draw
+// nbtisim's -tech 32 sets) validates, keys apart from the 45 nm
+// default, and reaches the run's sampled Vth0.
+func TestScenario32nmConfig(t *testing.T) {
+	s45 := quickSpec()
+	s32 := quickSpec()
+	s32.Net.NBTI, s32.Net.PV = nbti.Default32nm(), pv.Default32nm()
+	if s32.Net.NBTI.Vth0 != 0.160 || s32.Net.PV.MeanVth != 0.160 {
+		t.Errorf("32 nm Vth0: model %v, PV mean %v, want 0.160", s32.Net.NBTI.Vth0, s32.Net.PV.MeanVth)
+	}
+	if s45.Net.NBTI.Vth0 != 0.180 || s45.Net.PV.MeanVth != 0.180 {
+		t.Errorf("45 nm Vth0: model %v, PV mean %v, want 0.180", s45.Net.NBTI.Vth0, s45.Net.PV.MeanVth)
+	}
+	if mustKey(t, s32) == mustKey(t, s45) {
+		t.Error("32 nm and 45 nm specs share a key")
+	}
+	// Both corners share sigma and the PV seed, so each VC draws the
+	// same deviate and its Vth0 sits 20 mV lower at 32 nm.
+	r45, r32 := compute(t, s45), compute(t, s32)
+	if len(r45.Ports) != 1 || len(r32.Ports) != 1 || len(r45.Ports[0].Vth0) == 0 ||
+		len(r45.Ports[0].Vth0) != len(r32.Ports[0].Vth0) {
+		t.Fatalf("Vth0 readings: 45 nm %+v, 32 nm %+v", r45.Ports, r32.Ports)
+	}
+	for vc, v45 := range r45.Ports[0].Vth0 {
+		if v32 := r32.Ports[0].Vth0[vc]; math.Abs(v45-v32-0.020) > 1e-9 {
+			t.Errorf("VC %d sampled Vth0: 45 nm %v, 32 nm %v, want 20 mV apart", vc, v45, v32)
+		}
 	}
 }

@@ -52,32 +52,3 @@ func (r *RunResult) Summary() *RunSummary {
 	}
 	return s
 }
-
-// AllPortProbes enumerates every instantiated input port of a
-// width×height mesh for vnet 0, in (node ascending, port Local, North,
-// East, South, West) order — the same order a walk over the live
-// routers produces. A mesh router has an input port for a direction
-// exactly when a neighbour exists on that side; the Local (NI) input
-// always exists.
-func AllPortProbes(width, height int) []PortProbe {
-	var probes []PortProbe
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			node := noc.NodeID(y*width + x)
-			probes = append(probes, PortProbe{Node: node, Port: noc.Local})
-			if y > 0 {
-				probes = append(probes, PortProbe{Node: node, Port: noc.North})
-			}
-			if x < width-1 {
-				probes = append(probes, PortProbe{Node: node, Port: noc.East})
-			}
-			if y < height-1 {
-				probes = append(probes, PortProbe{Node: node, Port: noc.South})
-			}
-			if x > 0 {
-				probes = append(probes, PortProbe{Node: node, Port: noc.West})
-			}
-		}
-	}
-	return probes
-}

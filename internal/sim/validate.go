@@ -37,9 +37,9 @@ func (e SpecErrors) Error() string {
 
 // Validate reports every structural problem that would make the spec
 // unrunnable (or silently meaningless), as a SpecErrors value. Specs
-// arrive fully explicit — over the wire, from -config files, or
-// compiled from a Scenario whose Validate only filled defaults — and
-// are rejected rather than patched.
+// arrive fully explicit — over the wire, from -config files, compiled
+// from nbtisim's flags, or as grid points — and are rejected rather
+// than patched.
 func (s Spec) Validate() error {
 	var errs SpecErrors
 	add := func(field, format string, args ...any) {

@@ -1,6 +1,6 @@
 // Package sweep is the sharded campaign layer. A campaign is a spec
-// list: a declarative scenario grid expanded point by point, or the run
-// set of a CLI's -sweep-manifest. Each distinct spec is one
+// list: a grid of specs expanded point by point, or the run set of a
+// CLI's -sweep-manifest. Each distinct spec is one
 // content-addressed work unit (a unit's cache key IS its work id);
 // every worker process gets the whole pending list, rotated to its own
 // starting point, against one shared result cache, and the finished
@@ -20,190 +20,310 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
-	"strconv"
+	"reflect"
+	"sort"
+	"strings"
 
 	"nbtinoc/internal/sim"
 )
 
-// Axes are the swept dimensions of a grid. Every non-empty axis
-// multiplies the point count; an empty axis leaves the base scenario's
-// value in place. Expansion order is fixed (meshes outermost, PV seeds
-// innermost), so a grid always enumerates to the same points in the
-// same order on every machine, and so to the same unit keys.
-type Axes struct {
-	// Meshes lists geometries as "WxH" strings (e.g. "4x4").
-	Meshes []string `json:"meshes,omitempty"`
-	// Policies lists recovery-policy registry names.
-	Policies []string `json:"policies,omitempty"`
-	// Workloads lists synthetic pattern names, "app" or "req-resp".
-	Workloads []string `json:"workloads,omitempty"`
-	// Rates lists injection rates in flits/cycle/node.
-	Rates []float64 `json:"rates,omitempty"`
-	// VCs lists VC-per-vnet counts.
-	VCs []int `json:"vcs,omitempty"`
-	// Seeds lists traffic seeds; PVSeeds lists silicon seeds.
-	Seeds   []uint64 `json:"seeds,omitempty"`
-	PVSeeds []uint64 `json:"pv_seeds,omitempty"`
+// MaxPoints caps a grid's expansion. A grid whose axes multiply past
+// it is refused before anything is enumerated, so a grid file cannot
+// ask for an unbounded walk.
+const MaxPoints = 1 << 16
+
+// Axis is one swept dimension of a grid: the spec field at Path and
+// the values it takes. Path is dotted JSON names as nbtisim -emit-spec
+// prints them ("net.NBTI.TempK", "gen.rate", "policy.name"); the empty
+// path names the whole spec. A value is written at the path; an object
+// value at a struct merges into it key by key, so one value can move
+// several fields together, e.g. a mesh on the empty path:
+// {"net": {"Width": 8, "Height": 4}, "gen": {"width": 8, "height": 4}}.
+type Axis struct {
+	Path   string            `json:"path"`
+	Values []json.RawMessage `json:"values"`
 }
 
-// Grid is the authoring format of a sweep campaign: a base scenario
-// plus the axes swept around it, expanded into the spec list a
-// manifest holds.
+// Grid is the authoring format of a sweep campaign: a base spec, as
+// nbtisim -emit-spec writes it, plus the axes swept around it. Its
+// points are the cross product of the axes, first axis outermost; each
+// is the base with one value of every axis written in, checked by
+// Spec.Validate. A point's label joins its values' JSON text (strings
+// unquoted) with "/"; a grid without axes is the one point "base".
 type Grid struct {
 	// Name labels the campaign in manifests and reports.
-	Name string `json:"name"`
-	// Base is the scenario every unit starts from.
-	Base sim.Scenario `json:"base"`
-	// Axes are the swept dimensions.
-	Axes Axes `json:"axes"`
-	// Probes lists observed ports in "node:port" syntax. The single
-	// entry "all" probes every instantiated input port of each unit's
-	// mesh.
-	Probes []string `json:"probes,omitempty"`
+	Name string   `json:"name"`
+	Base sim.Spec `json:"base"`
+	Axes []Axis   `json:"axes"`
 }
 
-// axisLen is the number of grid points along an axis of n values: n
-// when the axis is set, or 1 (the base scenario's value) when empty.
-func axisLen(n int) int {
-	if n == 0 {
-		return 1
-	}
-	return n
+// fieldSet is one field assignment of a resolved axis value: the field
+// at index within a Spec takes v.
+type fieldSet struct {
+	index []int
+	v     reflect.Value
 }
 
-// Expand enumerates the grid's points in the fixed axis order,
-// validating each, and returns every point's label (axis values joined)
-// and spec. The enumeration is deterministic: same grid, same labels
-// and specs in the same order, everywhere.
+// axisValue is one resolved axis value: its label part and field sets.
+type axisValue struct {
+	label string
+	sets  []fieldSet
+}
+
+// Expand enumerates the grid's points, validating each, and returns
+// every point's label and spec, in odometer order (the last axis
+// varies fastest). Every path is resolved and every value decoded once,
+// up front, so a point costs a struct copy plus its field sets. The
+// points share the slices of the base and of slice-valued axis values.
 func (g *Grid) Expand() (labels []string, specs []sim.Spec, err error) {
 	if g.Name == "" {
 		return nil, nil, fmt.Errorf("sweep: grid needs a name")
 	}
-	n := axisLen(len(g.Axes.Meshes)) * axisLen(len(g.Axes.Policies)) *
-		axisLen(len(g.Axes.Workloads)) * axisLen(len(g.Axes.Rates)) *
-		axisLen(len(g.Axes.VCs)) * axisLen(len(g.Axes.Seeds)) *
-		axisLen(len(g.Axes.PVSeeds))
+	n, err := pointCount(g.Axes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sweep: grid %q %w", g.Name, err)
+	}
+	axes := make([][]axisValue, len(g.Axes))
+	for i, a := range g.Axes {
+		if axes[i], err = resolveAxis(a); err != nil {
+			return nil, nil, fmt.Errorf("sweep: grid %q %w", g.Name, err)
+		}
+	}
 	labels, specs = make([]string, 0, n), make([]sim.Spec, 0, n)
-	for mi := 0; mi < axisLen(len(g.Axes.Meshes)); mi++ {
-		for pi := 0; pi < axisLen(len(g.Axes.Policies)); pi++ {
-			for wi := 0; wi < axisLen(len(g.Axes.Workloads)); wi++ {
-				for ri := 0; ri < axisLen(len(g.Axes.Rates)); ri++ {
-					for vi := 0; vi < axisLen(len(g.Axes.VCs)); vi++ {
-						for si := 0; si < axisLen(len(g.Axes.Seeds)); si++ {
-							for qi := 0; qi < axisLen(len(g.Axes.PVSeeds)); qi++ {
-								label, spec, err := g.point(mi, pi, wi, ri, vi, si, qi)
-								if err != nil {
-									return nil, nil, err
-								}
-								labels, specs = append(labels, label), append(specs, spec)
-							}
-						}
-					}
-				}
+	at := make([]int, len(axes))
+	var label []byte
+	for range n {
+		specs = append(specs, g.Base)
+		spec := &specs[len(specs)-1]
+		fields := reflect.ValueOf(spec).Elem()
+		label = label[:0]
+		for i, values := range axes {
+			p := values[at[i]]
+			for _, s := range p.sets {
+				fields.FieldByIndex(s.index).Set(s.v)
 			}
+			if i > 0 {
+				label = append(label, '/')
+			}
+			label = append(label, p.label...)
+		}
+		if len(axes) == 0 {
+			label = append(label, "base"...)
+		}
+		if err := spec.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
+		}
+		labels = append(labels, string(label))
+		for i := len(at) - 1; i >= 0; i-- {
+			if at[i]++; at[i] < len(axes[i]) {
+				break
+			}
+			at[i] = 0
 		}
 	}
 	return labels, specs, nil
 }
 
-// point builds the label and spec at one coordinate of the axis
-// lattice.
-func (g *Grid) point(mi, pi, wi, ri, vi, si, qi int) (string, sim.Spec, error) {
-	s := g.Base // scenario is a value type: a fresh copy per point
-	var label []byte
-	add := func(part string) {
-		if len(label) > 0 {
-			label = append(label, '/')
+// pointCount is the product of the axis lengths, refused when an axis
+// is empty or the product passes MaxPoints. The product is kept exact
+// past MaxPoints so the error can quote it.
+func pointCount(axes []Axis) (uint64, error) {
+	var n uint64 = 1
+	overflow := false
+	for _, a := range axes {
+		if len(a.Values) == 0 {
+			return 0, fmt.Errorf("axis %q has no values", a.Path)
 		}
-		label = append(label, part...)
+		hi, lo := bits.Mul64(n, uint64(len(a.Values)))
+		overflow, n = overflow || hi != 0, lo
 	}
-	if len(g.Axes.Meshes) > 0 {
-		m, err := sim.ParseMesh(g.Axes.Meshes[mi])
-		if err != nil {
-			return "", sim.Spec{}, fmt.Errorf("sweep: grid %q: %v", g.Name, err)
-		}
-		s.Width, s.Height, s.Cores = m.Width, m.Height, 0
-		add(g.Axes.Meshes[mi])
+	switch {
+	case overflow:
+		return 0, fmt.Errorf("has 2^64 or more points, over the %d-point limit", MaxPoints)
+	case n > MaxPoints:
+		return 0, fmt.Errorf("has %d points, over the %d-point limit", n, MaxPoints)
 	}
-	if len(g.Axes.Policies) > 0 {
-		s.Policy = g.Axes.Policies[pi]
-		add(s.Policy)
-	}
-	if len(g.Axes.Workloads) > 0 {
-		s.Workload = g.Axes.Workloads[wi]
-		add(s.Workload)
-	}
-	if len(g.Axes.Rates) > 0 {
-		s.Rate = g.Axes.Rates[ri]
-		add("r" + strconv.FormatFloat(s.Rate, 'g', -1, 64))
-	}
-	if len(g.Axes.VCs) > 0 {
-		s.VCs = g.Axes.VCs[vi]
-		add("vc" + strconv.Itoa(s.VCs))
-	}
-	if len(g.Axes.Seeds) > 0 {
-		s.Seed = g.Axes.Seeds[si]
-		add("s" + strconv.FormatUint(s.Seed, 10))
-	}
-	if len(g.Axes.PVSeeds) > 0 {
-		s.PVSeed = g.Axes.PVSeeds[qi]
-		add("pv" + strconv.FormatUint(s.PVSeed, 10))
-	}
-	if len(label) == 0 {
-		label = append(label, "base"...)
-	}
-	spec, err := s.Spec(nil)
-	if err == nil {
-		spec.Probes, err = g.probes(spec.Net.Width, spec.Net.Height)
-	}
-	if err != nil {
-		return "", sim.Spec{}, fmt.Errorf("sweep: grid %q point %s: %w", g.Name, label, err)
-	}
-	return string(label), spec, nil
+	return n, nil
 }
 
-// probes resolves the grid's probe list for one unit's width×height
-// mesh.
-func (g *Grid) probes(width, height int) ([]sim.PortProbe, error) {
-	if len(g.Probes) == 0 {
-		return nil, nil
+// Manifest expands the grid into its campaign.
+func (g *Grid) Manifest() (*Manifest, error) {
+	labels, specs, err := g.Expand()
+	if err != nil {
+		return nil, err
 	}
-	if len(g.Probes) == 1 && g.Probes[0] == "all" {
-		return sim.AllPortProbes(width, height), nil
+	return NewManifest(g.Name, labels, specs)
+}
+
+// resolveAxis walks the axis path through Spec's JSON names once and
+// compiles each value into its field sets.
+func resolveAxis(a Axis) ([]axisValue, error) {
+	t, index := reflect.TypeFor[sim.Spec](), []int(nil)
+	if a.Path != "" {
+		for _, name := range strings.Split(a.Path, ".") {
+			f, err := jsonField(t, name)
+			if err != nil {
+				return nil, fmt.Errorf("path %q: %w", a.Path, err)
+			}
+			t, index = f.Type, append(index, f.Index...)
+		}
 	}
-	probes := make([]sim.PortProbe, 0, len(g.Probes))
-	for _, p := range g.Probes {
-		probe, err := sim.ParsePortProbe(p)
+	values := make([]axisValue, len(a.Values))
+	for i, raw := range a.Values {
+		raw = bytes.TrimSpace(raw)
+		sets, err := resolveValue(t, index, a.Path, raw, nil)
 		if err != nil {
 			return nil, err
 		}
-		probes = append(probes, probe)
+		values[i] = axisValue{label: valueLabel(raw, sets), sets: sets}
 	}
-	return probes, nil
+	return values, nil
 }
 
-// LoadGrid parses and structurally checks a grid from JSON, refusing
-// unknown fields and trailing data.
-func LoadGrid(r io.Reader) (*Grid, error) {
-	var g Grid
-	if err := sim.DecodeStrict(r, &g); err != nil {
-		return nil, fmt.Errorf("sweep: parsing grid: %w", err)
+// jsonField finds the field of struct type t that encoding/json writes
+// under name. Fields json ignores ("-") have no name, so a path cannot
+// reach them.
+func jsonField(t reflect.Type, name string) (reflect.StructField, error) {
+	if t.Kind() != reflect.Struct {
+		return reflect.StructField{}, fmt.Errorf("%s is not a struct and has no field %q", t, name)
 	}
-	if _, _, err := g.Expand(); err != nil {
+	for i := range t.NumField() {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if tag == "" {
+			tag = f.Name
+		}
+		if f.IsExported() && tag != "-" && tag == name {
+			return f, nil
+		}
+	}
+	return reflect.StructField{}, fmt.Errorf("%s has no field %q", t, name)
+}
+
+// resolveValue compiles raw, the value for the field of type t at
+// index and path, into field sets appended to sets: an object at a
+// struct merges key by key, anything else is decoded whole into one
+// set.
+func resolveValue(t reflect.Type, index []int, path string, raw json.RawMessage, sets []fieldSet) ([]fieldSet, error) {
+	if t.Kind() == reflect.Struct && len(raw) > 0 && raw[0] == '{' {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			return nil, fmt.Errorf("path %q: value %s: %w", path, raw, err)
+		}
+		names := make([]string, 0, len(fields))
+		for name := range fields {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			f, err := jsonField(t, name)
+			if err != nil {
+				return nil, fmt.Errorf("path %q: %w", path, err)
+			}
+			sub := name
+			if path != "" {
+				sub = path + "." + name
+			}
+			fi := append(index[:len(index):len(index)], f.Index...)
+			if sets, err = resolveValue(f.Type, fi, sub, bytes.TrimSpace(fields[name]), sets); err != nil {
+				return nil, err
+			}
+		}
+		return sets, nil
+	}
+	if len(raw) == 0 || string(raw) == "null" {
+		return nil, fmt.Errorf("path %q: value %q is not a %s", path, raw, t)
+	}
+	v := reflect.New(t)
+	var err error
+	switch t.Kind() {
+	case reflect.Struct, reflect.Slice, reflect.Array, reflect.Map:
+		// Composite values decode strictly, as every JSON input does.
+		err = sim.DecodeStrict(bytes.NewReader(raw), v.Interface())
+	default:
+		err = json.Unmarshal(raw, v.Interface())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("path %q: value %s is not a %s: %w", path, raw, t, err)
+	}
+	return append(sets, fieldSet{index: index, v: v.Elem()}), nil
+}
+
+// valueLabel is a value's part of a point label: its JSON text,
+// compacted, with a string's quotes dropped. A JSON string decodes
+// only into a string field, whose decoded value is the label.
+func valueLabel(raw json.RawMessage, sets []fieldSet) string {
+	if raw[0] == '"' {
+		return sets[0].v.String()
+	}
+	var b bytes.Buffer
+	_ = json.Compact(&b, raw) // raw has decoded, so it is valid JSON
+	return b.String()
+}
+
+// ReadGrid decodes a grid, refusing unknown fields and trailing data.
+// A grid in the scenario form of earlier builds is refused with the
+// rewrite it needs.
+func ReadGrid(r io.Reader) (*Grid, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
+	}
+	var g Grid
+	if err := sim.DecodeStrict(bytes.NewReader(data), &g); err != nil {
+		if scenarioForm(data) {
+			return nil, errScenarioForm
+		}
+		return nil, fmt.Errorf("sweep: parsing grid: %w", err)
 	}
 	return &g, nil
 }
 
-// LoadGridFile parses a grid from a JSON file.
-func LoadGridFile(path string) (*Grid, error) {
+// errScenarioForm refuses a grid written before grids took spec paths.
+var errScenarioForm = errors.New("sweep: grid is in the retired scenario form; rewrite it: " +
+	"take the base from nbtisim -emit-spec with the old base's flags, " +
+	`and write the axes as a list of {"path", "values"} (e.g. {"path": "gen.rate", "values": [0.1, 0.2]}); ` +
+	"a campaign created from the old grid still resumes unchanged from -manifest alone")
+
+// scenarioForm reports whether data is a grid in the retired scenario
+// form: its axes an object, or its base carrying scenario fields.
+func scenarioForm(data []byte) bool {
+	var g struct {
+		Base map[string]json.RawMessage `json:"base"`
+		Axes json.RawMessage            `json:"axes"`
+	}
+	if json.Unmarshal(data, &g) != nil {
+		return false
+	}
+	if bytes.HasPrefix(bytes.TrimSpace(g.Axes), []byte("{")) {
+		return true
+	}
+	for _, k := range []string{"cores", "width", "height", "vcs", "workload", "rate", "seed", "pv_seed"} {
+		if _, ok := g.Base[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// LoadGridFile reads the grid at path and returns its campaign: the
+// manifest of its expansion.
+func LoadGridFile(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadGrid(f)
+	g, err := ReadGrid(f)
+	if err != nil {
+		return nil, err
+	}
+	return g.Manifest()
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"nbtinoc/internal/sim"
 )
@@ -12,7 +13,9 @@ import (
 // the bytes derives from unit identity and summaries — no timing, no
 // topology, no cache disposition — which is what makes the report
 // byte-identical across every (processes × workers) layout and across
-// killed-then-resumed runs.
+// killed-then-resumed runs. A label holding a comma, a quote or a line
+// break (an object-valued grid axis) is quoted as encoding/csv quotes
+// it, so it stays one field.
 func WriteReport(w io.Writer, name string, units []Unit, sums []*sim.RunSummary) error {
 	if len(units) != len(sums) {
 		return fmt.Errorf("sweep: %d units, %d summaries", len(units), len(sums))
@@ -31,13 +34,22 @@ func WriteReport(w io.Writer, name string, units []Unit, sums []*sim.RunSummary)
 			return fmt.Errorf("sweep: unit %d (%s) has no summary", i, u.Label)
 		}
 		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%.6f,%.6f,%d,%d,%.6f\n",
-			u.Index, u.Label, u.Key[:12], s.Policy, s.Workload,
+			u.Index, csvField(u.Label), u.Key[:12], s.Policy, s.Workload,
 			s.AvgLatency, s.Throughput, s.InjectedPackets, s.EjectedPackets,
 			maxDuty(s)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// csvField quotes s for a CSV row when it needs it, doubling its
+// quotes, as RFC 4180 and encoding/csv do.
+func csvField(s string) string {
+	if !strings.ContainsAny(s, ",\"\r\n") {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
 // maxDuty is the worst NBTI duty cycle over every probed port and VC —

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,34 +20,29 @@ import (
 	"nbtinoc/internal/sim"
 )
 
-// testGrid is a small campaign: 2 policies x 2 rates on a 2x2 mesh,
-// cheap enough to simulate many times over in one test run.
-func testGrid() *Grid {
-	return &Grid{
-		Name: "t",
-		Base: sim.Scenario{
-			Name: "base", Cores: 4, VCs: 1,
-			Workload: "uniform", Rate: 0.1,
-			Warmup: 200, Measure: 2_000,
-			Seed: 1, PVSeed: 1,
-		},
-		Axes: Axes{
-			Policies: []string{"baseline", "sensor-wise"},
-			Rates:    []float64{0.1, 0.2},
-		},
-		Probes: []string{"0:E"},
-	}
-}
-
-// gridManifest builds g's campaign the way nbtisweep does: the grid's
-// expanded labels and specs through NewManifest.
-func gridManifest(t testing.TB, g *Grid) *Manifest {
+// readGrid reads a grid file.
+func readGrid(t testing.TB, path string) *Grid {
 	t.Helper()
-	labels, specs, err := g.Expand()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManifest(g.Name, labels, specs)
+	defer f.Close()
+	g, err := ReadGrid(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// testGrid is a small campaign: 2 policies x 2 rates on a 2x2 mesh,
+// cheap enough to simulate many times over in one test run.
+func testGrid(t testing.TB) *Grid { return readGrid(t, "testdata/test.grid.json") }
+
+// gridManifest builds g's campaign the way nbtisweep does.
+func gridManifest(t testing.TB, g *Grid) *Manifest {
+	t.Helper()
+	m, err := g.Manifest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func realClock() func() int64 {
 }
 
 func TestGridExpandDeterministic(t *testing.T) {
-	g := testGrid()
+	g := testGrid(t)
 	labels, specs, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +77,8 @@ func TestGridExpandDeterministic(t *testing.T) {
 		t.Fatal("two expansions of one grid differ")
 	}
 	wantLabels := []string{
-		"baseline/r0.1", "baseline/r0.2",
-		"sensor-wise/r0.1", "sensor-wise/r0.2",
+		"baseline/0.1", "baseline/0.2",
+		"sensor-wise/0.1", "sensor-wise/0.2",
 	}
 	if !reflect.DeepEqual(labels, wantLabels) || len(specs) != len(labels) {
 		t.Fatalf("expanded to labels %q and %d specs, want %q", labels, len(specs), wantLabels)
@@ -96,14 +94,18 @@ func TestGridExpandDeterministic(t *testing.T) {
 		}
 		keys[key] = true
 	}
+	g.Axes = nil
+	if labels, _, err := g.Expand(); err != nil || !reflect.DeepEqual(labels, []string{"base"}) {
+		t.Errorf("grid without axes expands to %q (%v), want the one point base", labels, err)
+	}
 }
 
 // TestGridManifest: a grid's campaign is NewManifest over its expanded
-// labels and specs — one unit per point, each embedding its
-// spec under its key — and points that compile to one spec (app
-// ignores the injection rate) are one unit under the first label.
+// labels and specs — one unit per point, each embedding its spec under
+// its key — and points that are one spec are one unit under the first
+// label.
 func TestGridManifest(t *testing.T) {
-	g := testGrid()
+	g := testGrid(t)
 	labels, specs, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -123,40 +125,215 @@ func TestGridManifest(t *testing.T) {
 		}
 	}
 
-	app := testGrid()
-	app.Axes.Policies = nil
-	app.Axes.Workloads = []string{"app"}
-	if labels, _, err = app.Expand(); err != nil || len(labels) != 2 {
-		t.Fatalf("app grid expands to %q (%v), want two points", labels, err)
-	}
-	if m := gridManifest(t, app); len(m.Units) != 1 || m.Units[0].Label != "app/r0.1" {
-		t.Errorf("app x 2 rates: units %+v, want one unit labelled app/r0.1", m.Units)
+	g.Axes[0].Values = []json.RawMessage{json.RawMessage(`"baseline"`), json.RawMessage(`"baseline"`)}
+	if m := gridManifest(t, g); len(m.Units) != 2 || m.Units[0].Label != "baseline/0.1" || m.Units[1].Label != "baseline/0.2" {
+		t.Errorf("repeated policy value: units %+v, want two units under the first labels", m.Units)
 	}
 	if _, err := NewManifest("short", labels[:1], specs); err == nil {
 		t.Error("manifest with fewer labels than specs accepted")
 	}
 }
 
+// TestGridMatchesScenarioForm: the grids of earlier builds (the CI
+// grid, the test grid and its app variant, the benchmark grid; kept as
+// testdata/*.old.json) expanded to the specs in testdata/*.specs.json.
+// Their spec-path forms (testdata/*.grid.json) expand to the same spec
+// bytes in the same order, so a campaign keeps its unit keys. The old
+// app variant's rate axis compiled to one spec twice, so it is compared
+// as the campaign's units.
+func TestGridMatchesScenarioForm(t *testing.T) {
+	for _, name := range []string{"ci", "test", "app", "bench"} {
+		data, err := os.ReadFile("testdata/" + name + ".specs.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old []json.RawMessage
+		if err := json.Unmarshal(data, &old); err != nil {
+			t.Fatal(err)
+		}
+		var want []json.RawMessage
+		var wantKeys []string
+		seen := map[string]bool{}
+		for _, raw := range old {
+			var spec sim.Spec
+			if err := sim.DecodeStrict(bytes.NewReader(raw), &spec); err != nil {
+				t.Fatal(err)
+			}
+			key, err := sim.SpecKey(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seen[key] {
+				seen[key] = true
+				want, wantKeys = append(want, raw), append(wantKeys, key)
+			}
+		}
+		g := readGrid(t, "testdata/"+name+".grid.json")
+		_, specs, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := gridManifest(t, g)
+		if len(specs) != len(want) || len(m.Units) != len(want) {
+			t.Fatalf("%s: %d points, %d units, want %d", name, len(specs), len(m.Units), len(want))
+		}
+		for i, u := range m.Units {
+			got, err := json.Marshal(specs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) || u.Key != wantKeys[i] {
+				t.Errorf("%s point %d:\n got %s\nwant %s", name, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestGridRefusesScenarioForm: a grid in the scenario form is refused
+// with the rewrite it needs, whichever half of it is old.
+func TestGridRefusesScenarioForm(t *testing.T) {
+	newForm, err := os.ReadFile("testdata/test.grid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g map[string]json.RawMessage
+	if err := json.Unmarshal(newForm, &g); err != nil {
+		t.Fatal(err)
+	}
+	oldAxes := maps.Clone(g)
+	oldAxes["axes"] = json.RawMessage(`{"policies": ["baseline", "sensor-wise"]}`)
+	oldBase := maps.Clone(g)
+	oldBase["base"] = json.RawMessage(`{"cores": 4, "vcs": 1, "workload": "uniform", "measure": 2000}`)
+	cases := map[string][]byte{}
+	for name, v := range map[string]any{"object axes": oldAxes, "scenario base": oldBase} {
+		if cases[name], err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"ci", "test", "app", "bench"} {
+		if cases[name+".old.json"], err = os.ReadFile("testdata/" + name + ".old.json"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range cases {
+		_, err := ReadGrid(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "nbtisim -emit-spec") ||
+			!strings.Contains(err.Error(), `{"path", "values"}`) || !strings.Contains(err.Error(), "-manifest") {
+			t.Errorf("%s: error %v, want the rewrite instructions", name, err)
+		}
+	}
+}
+
+// axisGrid is the test grid with its axes replaced by the given JSON
+// list.
+func axisGrid(t *testing.T, axes string) *Grid {
+	t.Helper()
+	g := testGrid(t)
+	if err := json.Unmarshal([]byte(axes), &g.Axes); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGridLoadRejectsBadPoints: a grid that cannot expand is refused with an error
+// naming the offending axis path or point, and a grid too large to
+// walk with its point count.
 func TestGridLoadRejectsBadPoints(t *testing.T) {
-	bad := `{"name":"x","base":{"cores":4,"vcs":1,"measure":100},"axes":{"meshes":["nonsense"]}}`
-	if _, err := LoadGrid(strings.NewReader(bad)); err == nil {
-		t.Error("grid with unparsable mesh accepted")
+	overflow := make([]string, 64)
+	for i := range overflow {
+		overflow[i] = `{"path": "gen.seed", "values": [1, 2]}`
 	}
-	unknown := `{"name":"x","base":{"cores":4,"vcs":1,"measure":100},"axis":{}}`
-	if _, err := LoadGrid(strings.NewReader(unknown)); err == nil {
-		t.Error("grid with unknown field accepted")
+	for axes, want := range map[string]string{
+		`[{"path": "net.Bogus", "values": [1]}]`:                     `"net.Bogus"`,
+		`[{"path": "gen.rate.x", "values": [1]}]`:                    `"gen.rate.x"`,
+		`[{"path": "net.Policy", "values": [1]}]`:                    `"net.Policy"`,
+		`[{"path": "gen.rate", "values": ["fast"]}]`:                 `"gen.rate"`,
+		`[{"path": "gen.rate", "values": [null]}]`:                   `"gen.rate"`,
+		`[{"path": "probes", "values": [[{"Node": 0, "Prot": 2}]]}]`: `"probes"`,
+		`[{"path": "net", "values": [{"Width": 3, "Bogus": 1}]}]`:    `"net"`,
+		`[{"path": "gen.rate", "values": []}]`:                       `"gen.rate" has no values`,
+		`[{"path": "gen.pattern", "values": ["uniform", "spiral"]}]`: "point spiral",
+		"[" + strings.Join(overflow[:17], ",") + "]":                 "131072 points, over the 65536-point limit",
+		"[" + strings.Join(overflow, ",") + "]":                      "2^64 or more points",
+	} {
+		_, _, err := axisGrid(t, axes).Expand()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("axes %.60s: error %v, want one containing %s", axes, err, want)
+		}
 	}
-	good := `{"name":"x","base":{"cores":4,"vcs":1,"measure":100}}`
-	if _, err := LoadGrid(strings.NewReader(good + "\n")); err != nil {
-		t.Errorf("well-formed grid refused: %v", err)
+	for name, body := range map[string]string{
+		"unknown field": `{"name":"x","base":{"measure":100},"axis":[]}`,
+		"trailing data": `{"name":"x","base":{"measure":100}}{"junk":1}`,
+	} {
+		if _, err := ReadGrid(strings.NewReader(body)); err == nil {
+			t.Errorf("grid with %s accepted", name)
+		}
 	}
-	if _, err := LoadGrid(strings.NewReader(good + `{"junk":1}`)); err == nil {
-		t.Error("grid with trailing data accepted")
+}
+
+// TestGridSweepsAgingAndVariation: any spec field is an axis — here the
+// joint temperature × process-variation study — and the campaign runs.
+func TestGridSweepsAgingAndVariation(t *testing.T) {
+	g := axisGrid(t, `[{"path": "net.NBTI.TempK", "values": [330, 370]},
+		{"path": "net.PV.Sigma", "values": [0.005, 0.01, 0.02]}]`)
+	labels, specs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"330/0.005", "330/0.01", "330/0.02", "370/0.005", "370/0.01", "370/0.02"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("labels %q, want %q", labels, want)
+	}
+	for i, spec := range specs {
+		temp, sigma := []float64{330, 370}[i/3], []float64{0.005, 0.01, 0.02}[i%3]
+		if spec.Net.NBTI.TempK != temp || spec.Net.PV.Sigma != sigma {
+			t.Errorf("point %s: TempK %v Sigma %v", labels[i], spec.Net.NBTI.TempK, spec.Net.PV.Sigma)
+		}
+		spec.Net.NBTI.TempK, spec.Net.PV.Sigma = g.Base.Net.NBTI.TempK, g.Base.Net.PV.Sigma
+		if !reflect.DeepEqual(spec, g.Base) {
+			t.Errorf("point %s changed fields off its axes", labels[i])
+		}
+	}
+	res, err := (&Coordinator{Manifest: gridManifest(t, g), CacheDir: t.TempDir(), Workers: 1}).Run(io.Discard)
+	if err != nil || res.Done != len(want) {
+		t.Fatalf("campaign: %+v, %v", res, err)
+	}
+}
+
+// TestGridObjectValue: an object value merges key by key, so one axis
+// moves the mesh and the generator geometry together; its label is its
+// compact JSON, which the report quotes as one CSV field.
+func TestGridObjectValue(t *testing.T) {
+	g := axisGrid(t, `[{"path": "", "values": [
+		{"net": {"Width": 4, "Height": 1}, "gen": {"width": 4, "height": 1}},
+		{"net": {"Width": 2, "Height": 2}, "gen": {"width": 2, "height": 2}}]}]`)
+	labels, specs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels[0] != `{"net":{"Width":4,"Height":1},"gen":{"width":4,"height":1}}` {
+		t.Errorf("label %s", labels[0])
+	}
+	if s := specs[0]; s.Net.Width != 4 || s.Net.Height != 1 || s.Gen.Width != 4 || s.Gen.Height != 1 ||
+		s.Net.VCsPerVNet != g.Base.Net.VCsPerVNet || s.Gen.Rate != g.Base.Gen.Rate {
+		t.Errorf("merged spec %+v", s)
+	}
+	if !reflect.DeepEqual(specs[1], g.Base) {
+		t.Error("the base geometry written back is not the base")
+	}
+	m := gridManifest(t, g)
+	var out bytes.Buffer
+	if _, err := (&Coordinator{Manifest: m, CacheDir: t.TempDir(), Workers: 1}).Run(&out); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(strings.SplitN(out.String(), "\n", 2)[1])).ReadAll()
+	if err != nil || len(rows) != 3 || rows[1][1] != labels[0] || rows[2][1] != labels[1] {
+		t.Errorf("report rows %q (%v), want the labels as single fields", rows, err)
 	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	m := gridManifest(t, testGrid())
+	m := gridManifest(t, testGrid(t))
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -174,7 +351,7 @@ func TestManifestRoundTrip(t *testing.T) {
 // the 0600 of its temp file, so a campaign can be shared.
 func TestManifestSaveIsReadable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
-	if err := gridManifest(t, testGrid()).Save(path); err != nil {
+	if err := gridManifest(t, testGrid(t)).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -190,7 +367,7 @@ func TestManifestSaveIsReadable(t *testing.T) {
 // including one whose units drifted from their specs, so a loaded
 // manifest is always ready to run.
 func TestManifestValidation(t *testing.T) {
-	m := gridManifest(t, testGrid())
+	m := gridManifest(t, testGrid(t))
 	dir := t.TempDir()
 	save := func(name string, mutate func(*Manifest)) string {
 		t.Helper()
@@ -272,11 +449,11 @@ func TestManifestValidation(t *testing.T) {
 // anything runs — duplicates folded in enumeration
 // order under their first label — and loads back ready to run.
 func TestSpecManifestResolves(t *testing.T) {
-	labels, specs, err := testGrid().Expand()
+	labels, specs, err := testGrid(t).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := gridManifest(t, testGrid())
+	want := gridManifest(t, testGrid(t))
 	labels = append(labels, "again-1", "again-0")
 	specs = append(specs, specs[1], specs[0])
 	m, err := NewManifest(want.Name, labels, specs)
@@ -345,7 +522,7 @@ func TestAssignRotates(t *testing.T) {
 func runCampaign(t *testing.T, dir string, procs, workers int) ([]byte, *Result) {
 	t.Helper()
 	c := &Coordinator{
-		Manifest: gridManifest(t, testGrid()),
+		Manifest: gridManifest(t, testGrid(t)),
 		CacheDir: filepath.Join(dir, "cache"),
 		Procs:    procs,
 		Workers:  workers,
@@ -415,7 +592,7 @@ func TestSharedCacheSingleCompute(t *testing.T) {
 func TestWorkerSkipsHeldKeysUnread(t *testing.T) {
 	dir := t.TempDir()
 	runCampaign(t, dir, 1, 1)
-	m := gridManifest(t, testGrid())
+	m := gridManifest(t, testGrid(t))
 	a := &Assignment{Schema: AssignmentSchema, CacheDir: filepath.Join(dir, "cache"), Workers: 2}
 	for _, u := range m.Units {
 		a.Specs = append(a.Specs, u.Spec)
@@ -493,7 +670,7 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 	want, _ := runCampaign(t, t.TempDir(), 1, 1)
 
 	dir := t.TempDir()
-	manifestPath, created := createManifest(t, dir, testGrid())
+	manifestPath, created := createManifest(t, dir, testGrid(t))
 	cacheDir := filepath.Join(dir, "cache")
 	killed := &Coordinator{
 		Manifest: loadUnchanged(t, manifestPath, created),
@@ -548,7 +725,7 @@ func TestKilledThenResumedMatchesUninterrupted(t *testing.T) {
 // but the cache holds every unit.
 func TestDeadWorkerShareTakenOverInRun(t *testing.T) {
 	dir := t.TempDir()
-	manifestPath, created := createManifest(t, dir, testGrid())
+	manifestPath, created := createManifest(t, dir, testGrid(t))
 	cacheDir := filepath.Join(dir, "cache")
 	c := &Coordinator{
 		Manifest: loadUnchanged(t, manifestPath, created),
@@ -623,7 +800,7 @@ func TestHandoffBodiesDecodeStrictly(t *testing.T) {
 	// A refused assignment never runs: the worker writes no report and
 	// touches no cache.
 	cacheDir := filepath.Join(t.TempDir(), "cache")
-	_, specs, err := testGrid().Expand()
+	_, specs, err := testGrid(t).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +874,7 @@ func failingSpawn(t *testing.T, fail func(w int, key string) string) func(int, *
 // named in the round's error, and the next run retries it.
 func TestFailedUnitDoneElsewhereCountsDone(t *testing.T) {
 	want, _ := runCampaign(t, t.TempDir(), 1, 1)
-	m := gridManifest(t, testGrid())
+	m := gridManifest(t, testGrid(t))
 	newCoordinator := func(dir string) *Coordinator {
 		return &Coordinator{Manifest: m, CacheDir: dir, Procs: 2, Workers: 1, Clock: realClock(), Lease: testLease()}
 	}
@@ -754,7 +931,7 @@ func TestFailedUnitDoneElsewhereCountsDone(t *testing.T) {
 // same value (compared by encoding, since JSON does not tell an empty
 // list from an omitted one).
 func FuzzHandoffJSON(f *testing.F) {
-	m := gridManifest(f, testGrid())
+	m := gridManifest(f, testGrid(f))
 	for _, v := range []any{
 		m,
 		&Assignment{Schema: AssignmentSchema, CacheDir: "c", Workers: 2, Specs: []sim.Spec{m.Units[0].Spec, m.Units[1].Spec}},
@@ -806,6 +983,34 @@ func FuzzHandoffJSON(f *testing.F) {
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("round trip changed the value:\n%s\n%s", enc1, enc2)
 			}
+		}
+	})
+}
+
+// FuzzGridJSON drives grid decoding and expansion with arbitrary bytes.
+// Neither may panic, and a grid that expands stays within MaxPoints
+// with one label per spec.
+func FuzzGridJSON(f *testing.F) {
+	for _, path := range []string{"testdata/ci.grid.json", "testdata/ci.old.json"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	overflow := make([]string, 64)
+	for i := range overflow {
+		overflow[i] = `{"path": "gen.seed", "values": [1, 2]}`
+	}
+	f.Add([]byte(`{"name": "x", "base": {}, "axes": [` + strings.Join(overflow, ",") + `]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		labels, specs, err := g.Expand()
+		if err == nil && (len(labels) != len(specs) || len(specs) > MaxPoints) {
+			t.Fatalf("expanded to %d labels and %d specs", len(labels), len(specs))
 		}
 	})
 }
