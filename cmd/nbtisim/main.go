@@ -334,9 +334,8 @@ func renderHeatmap(out io.Writer, res *sim.RunResult) error {
 		for x := 0; x < cfg.Width; x++ {
 			node := noc.Coord{X: x, Y: y}.NodeOf(cfg.Width)
 			worst := 0.0
-			r := net.Router(node)
 			for p := noc.Port(0); p < noc.NumPorts; p++ {
-				if r.Input(p) == nil {
+				if net.Input(node, p) == nil {
 					continue
 				}
 				for vc := 0; vc < cfg.TotalVCs(); vc++ {
@@ -424,9 +423,8 @@ func renderAllPorts(out io.Writer, res *sim.RunResult) error {
 	net := res.Net
 	cfg := net.Config()
 	for node := noc.NodeID(0); int(node) < net.Nodes(); node++ {
-		r := net.Router(node)
 		for p := noc.Port(0); p < noc.NumPorts; p++ {
-			iu := r.Input(p)
+			iu := net.Input(node, p)
 			if iu == nil {
 				continue
 			}

@@ -141,9 +141,12 @@ func TestSweepManifestIgnoresCacheMode(t *testing.T) {
 }
 
 // TestSweepManifestDedupsSharedRuns: the ΔVth analysis reruns Table
-// III's sensor-wise scenarios and one Table IV mix per architecture, so
-// a manifest of all tables holds each of those runs once, labelled
-// <table id>/<index> after the first table that lists it.
+// III's sensor-wise scenarios and one Table IV mix per architecture,
+// the energy extension runs Table III's, the cooperation table's and
+// the corners table's policies on one scenario, and the rotation-period
+// study's default period is Table II's rr-no-sensor row, so a manifest
+// of all tables holds each of those runs once, labelled <table
+// id>/<index> after the first table that lists it.
 func TestSweepManifestDedupsSharedRuns(t *testing.T) {
 	dir := t.TempDir()
 	all := map[string]bool{}
@@ -164,8 +167,8 @@ func TestSweepManifestDedupsSharedRuns(t *testing.T) {
 		}
 		labels[u.Label] = true
 	}
-	if len(m.Units) != 99 || len(labels) != 99 {
-		t.Errorf("-table all manifest has %d units with %d distinct labels, want 99 of each", len(m.Units), len(labels))
+	if len(m.Units) != 93 || len(labels) != 93 {
+		t.Errorf("-table all manifest has %d units with %d distinct labels, want 93 of each", len(m.Units), len(labels))
 	}
 	if first := m.Units[0].Label; first != "2/0" {
 		t.Errorf("first unit labelled %q, want 2/0 (Table II's first run)", first)

@@ -201,16 +201,15 @@ func TestGatedVCsNeverHoldFlits(t *testing.T) {
 		}
 		n.Step()
 		for node := noc.NodeID(0); node < 4; node++ {
-			r := n.Router(node)
 			for p := noc.Port(0); p < noc.NumPorts; p++ {
-				iu := r.Input(p)
+				iu := n.Input(node, p)
 				if iu == nil {
 					continue
 				}
-				for vc := 0; vc < iu.NumVCs(); vc++ {
-					if !iu.Powered(vc) && iu.Occupancy(vc) > 0 {
+				for vc := 0; vc < n.Config().TotalVCs(); vc++ {
+					if !iu.Powered(vc) && iu.Occupancy(n, vc) > 0 {
 						t.Fatalf("cycle %d: gated VC %d at node %d port %v holds %d flits",
-							n.Cycle(), vc, node, p, iu.Occupancy(vc))
+							n.Cycle(), vc, node, p, iu.Occupancy(n, vc))
 					}
 				}
 			}
@@ -222,7 +221,7 @@ func TestRecoveryActuallyHappens(t *testing.T) {
 	// Under gating with low load, recovery cycles must dominate stress
 	// cycles on lightly used ports.
 	n := runPolicy(t, NewSensorWise, 2, 2, 2, 0.05, 10000, 1, 2)
-	dev := n.Router(0).Input(noc.East).Device(0)
+	dev := n.Device(0, noc.East, 0)
 	if dev.Tracker.RecoveryCycles() == 0 {
 		t.Fatal("no recovery cycles recorded under sensor-wise gating")
 	}

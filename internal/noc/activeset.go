@@ -47,19 +47,22 @@ type activeSet struct {
 	live, sum, snap, snapSum []uint64
 }
 
-// newActiveSet returns a set over nodes units with every unit a member.
-func newActiveSet(nodes int) activeSet {
+// newActiveSets returns the router and NI sets over nodes units each,
+// with every unit a member; both share one backing allocation.
+func newActiveSets(nodes int) (rtr, ni activeSet) {
 	words := (nodes + 63) / 64
 	sums := (words + 63) / 64
-	back := make([]uint64, 2*(words+sums))
-	s := activeSet{
-		live: take(&back, words), snap: take(&back, words),
-		sum: take(&back, sums), snapSum: take(&back, sums),
+	back := make([]uint64, 4*(words+sums))
+	for _, s := range []*activeSet{&rtr, &ni} {
+		*s = activeSet{
+			live: take(&back, words), snap: take(&back, words),
+			sum: take(&back, sums), snapSum: take(&back, sums),
+		}
+		for id := 0; id < nodes; id++ {
+			s.wake(id)
+		}
 	}
-	for id := 0; id < nodes; id++ {
-		s.wake(id)
-	}
-	return s
+	return rtr, ni
 }
 
 // wake puts unit id on the set.
@@ -111,21 +114,6 @@ func (s *activeSet) snapped(id int) bool {
 	return s.snapSum[w>>6]>>uint(w&63)&1 != 0 && s.snap[w]>>uint(id&63)&1 != 0
 }
 
-// waker is the active-set entry a unit wakes when it emits something
-// another unit must observe: the target's set and node id. The zero
-// waker wakes nothing.
-type waker struct {
-	set *activeSet
-	id  int
-}
-
-// wake puts the target back on its active set.
-func (k waker) wake() {
-	if k.set != nil {
-		k.set.wake(k.id)
-	}
-}
-
 // debugCheckSkipped asserts (under -tags nbtidebug) that every unit the
 // just-finished Step skipped — not on the cycle's snapshot and not
 // woken during the cycle — is quiescent, i.e. its skipped phases would
@@ -154,20 +142,21 @@ func (n *Network) debugCheckSkipped() {
 // i.e. no Vth0 changed behind RestoreAging's back.
 func (n *Network) debugCheckHeld() {
 	check := func(iu *InputUnit) {
-		for i := range iu.banks {
-			b := &iu.banks[i]
+		banks := iu.banks(n)
+		for i := range banks {
+			b := &banks[i]
 			md, ld := b.Evaluate()
 			if hmd, hld := b.Held(); md != hmd || ld != hld {
 				panic(fmt.Sprintf("noc: elided sweep of node %d port %v would publish md=%d ld=%d, held md=%d ld=%d",
-					iu.owner, iu.port, md, ld, hmd, hld))
+					iu.owner, iu.Port(), md, ld, hmd, hld))
 			}
 		}
 	}
 	for i := range n.routers {
-		for _, iu := range n.routers[i].in {
-			if iu != nil {
-				check(iu)
-			}
+		r := &n.routers[i]
+		ins, _ := r.units(n)
+		for pm := r.ports; pm != 0; pm &= pm - 1 {
+			check(&ins[bits.TrailingZeros64(pm)])
 		}
 	}
 	for i := range n.nis {

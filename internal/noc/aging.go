@@ -42,12 +42,12 @@ func (n *Network) AgingSnapshot() AgingState {
 	for i := range n.routers {
 		r := &n.routers[i]
 		for p := Port(0); p < NumPorts; p++ {
-			iu := r.in[p]
-			if iu == nil {
+			if r.ports>>uint(p)&1 == 0 {
 				continue
 			}
-			for vc := range iu.devs {
-				d := &iu.devs[vc]
+			ins, _ := r.units(n)
+			for vc, devs := 0, ins[p].devs(n); vc < len(devs); vc++ {
+				d := &devs[vc]
 				st.VCs = append(st.VCs, VCAging{
 					Node:     int(r.id),
 					Port:     p.String(),
@@ -84,12 +84,12 @@ func (n *Network) RestoreAging(st AgingState) error {
 		if err != nil {
 			return err
 		}
-		iu := n.routers[rec.Node].in[p]
+		iu := n.Input(NodeID(rec.Node), p)
 		if iu == nil {
 			return fmt.Errorf("noc: snapshot addresses missing port %s of node %d",
 				rec.Port, rec.Node)
 		}
-		if rec.VC < 0 || rec.VC >= len(iu.vcs) {
+		if rec.VC < 0 || rec.VC >= n.total {
 			return fmt.Errorf("noc: snapshot VC %d out of range at node %d port %s",
 				rec.VC, rec.Node, rec.Port)
 		}
@@ -97,14 +97,14 @@ func (n *Network) RestoreAging(st AgingState) error {
 			return fmt.Errorf("noc: snapshot busy %d > stress %d at node %d port %s vc %d",
 				rec.Busy, rec.Stress, rec.Node, rec.Port, rec.VC)
 		}
-		d := &iu.devs[rec.VC]
+		d := &iu.devs(n)[rec.VC]
 		d.Vth0 = rec.Vth0
 		d.Tracker.Reset()
 		d.Tracker.Stress(rec.Stress, rec.Busy)
 		d.Tracker.Recover(rec.Recovery)
 		n.unitMet.spans.Stress(rec.Stress)
 		n.unitMet.spans.Recover(rec.Recovery)
-		iu.vcs[rec.VC].acc = n.cycle
+		iu.buf(n, rec.VC).acc = n.cycle
 	}
 	return nil
 }

@@ -101,14 +101,13 @@ func assertTableEmpty(t *testing.T, n *Network) {
 func assertGatedEmpty(t *testing.T, n *Network) {
 	t.Helper()
 	for node := NodeID(0); int(node) < n.Nodes(); node++ {
-		r := n.Router(node)
 		for p := Port(0); p < NumPorts; p++ {
-			iu := r.Input(p)
+			iu := n.Input(node, p)
 			if iu == nil {
 				continue
 			}
-			for vc := 0; vc < iu.NumVCs(); vc++ {
-				if !iu.Powered(vc) && iu.Occupancy(vc) > 0 {
+			for vc := 0; vc < n.Config().TotalVCs(); vc++ {
+				if !iu.Powered(vc) && iu.Occupancy(n, vc) > 0 {
 					t.Fatalf("gated VC %d at node %d port %v holds flits", vc, node, p)
 				}
 			}

@@ -15,13 +15,28 @@ func TestDebugCatchesStaleHeldSensors(t *testing.T) {
 	n := settleTestNet(t)
 	// Make whichever VC of an East input port is not the most degraded
 	// one the clear winner.
-	iu := n.Router(0).Input(East)
-	md, _ := iu.banks[0].Held()
-	iu.Device(1 - md).Vth0 = 1
+	iu := n.Input(0, East)
+	md, _ := iu.banks(n)[0].Held()
+	n.Device(0, East, 1-md).Vth0 = 1
 	defer func() {
 		if r := recover(); !strings.Contains(fmt.Sprint(r), "elided sweep") {
 			t.Errorf("stale held sensor outputs went unnoticed (recovered %v)", r)
 		}
 	}()
 	n.RunUntil(n.Cycle() + 2*n.Config().Sensor.SamplePeriod)
+}
+
+// The nbtidebug build asserts the link capacity the config bounds: a
+// second send into one cycle's position of a one-value ring panics.
+func TestDebugCatchesPipelineOverCapacity(t *testing.T) {
+	lens := make([]int32, 2)
+	r := newPipeRing[int](1, 2, 1, &lens)
+	var p pipeline
+	r.send(&p, 0, 1)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "over capacity") {
+			t.Errorf("over-capacity send went unnoticed (recovered %v)", r)
+		}
+	}()
+	r.send(&p, 0, 2)
 }

@@ -66,7 +66,7 @@ func sensorView(t *testing.T, n *noc.Network, reg *metrics.Registry) string {
 	cfg := n.Config()
 	for id := 0; id < n.Nodes(); id++ {
 		for p := noc.Port(0); p < noc.NumPorts; p++ {
-			if n.Router(noc.NodeID(id)).Input(p) == nil {
+			if n.Input(noc.NodeID(id), p) == nil {
 				continue
 			}
 			for vn := 0; vn < cfg.VNets; vn++ {

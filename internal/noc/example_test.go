@@ -31,7 +31,7 @@ func Example() {
 	// Every VC of router 0's east input port has been either stressed
 	// (powered) or recovering (gated) on every cycle.
 	for vc := 0; vc < 2; vc++ {
-		dev := n.Router(0).Input(noc.East).Device(vc)
+		dev := n.Device(0, noc.East, vc)
 		total := dev.Tracker.TotalCycles()
 		fmt.Printf("VC%d: %d cycles accounted, duty %.0f%%\n",
 			vc, total, dev.Tracker.DutyCycle())

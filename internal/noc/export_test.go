@@ -37,15 +37,18 @@ func CheckPacketTable(n *Network) (int, error) {
 	}
 	for i := range n.iunits {
 		iu := &n.iunits[i]
-		for _, batch := range iu.flitIn.slots {
-			for _, f := range batch {
+		for q := i * n.flits.lat; q < (i+1)*n.flits.lat; q++ {
+			for _, f := range n.flits.batch(q) {
 				held[f.pkt] = true
 			}
 		}
-		for v := range iu.vcs {
-			b := &iu.vcs[v]
+		if iu.depth == 0 {
+			continue // the zero record of an absent edge port
+		}
+		for v, bufs := 0, iu.bufs(n); v < len(bufs); v++ {
+			b := &bufs[v]
 			for k := int32(0); k < b.size; k++ {
-				held[iu.fifo[iu.slot(v, (b.head+k)%iu.depth)].pkt] = true
+				held[iu.fifoAt(n, v, (b.head+k)%iu.depth).pkt] = true
 			}
 		}
 	}

@@ -108,7 +108,7 @@ func TestRunUntilMatchesStepByStep(t *testing.T) {
 			// Both networks must agree on every sensor designation too.
 			for r := NodeID(0); int(r) < a.Nodes(); r++ {
 				for port := Port(0); port < NumPorts; port++ {
-					if a.Router(r).Input(port) == nil {
+					if a.Input(r, port) == nil {
 						continue
 					}
 					if ma, mb := a.MostDegradedVC(r, port, 0), b.MostDegradedVC(r, port, 0); ma != mb {

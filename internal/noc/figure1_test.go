@@ -27,14 +27,19 @@ func TestFigure1(t *testing.T) {
 		// mesh link direction. 2x2 mesh: 4 horizontal + 4 vertical
 		// directed links + 8 local channels = 16.
 		wantChannels := 16
+		// A wired output unit drives the Up_Down link of its downstream
+		// input unit, which drives the Down_Up link back to it; absent
+		// edge ports keep zero records.
 		upDown, downUp := 0, 0
 		for i := range n.ounits {
-			if n.ounits[i].powerOut != nil {
+			ou := &n.ounits[i]
+			if ou.depth != 0 && n.iunits[ou.dnUnit()].upUnit() == i {
 				upDown++
 			}
 		}
 		for i := range n.iunits {
-			if n.iunits[i].mdOut != nil {
+			iu := &n.iunits[i]
+			if iu.depth != 0 && n.ounits[iu.upUnit()].dnUnit() == i {
 				downUp++
 			}
 		}
@@ -51,7 +56,7 @@ func TestFigure1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ou := n.Router(0).Output(East)
+		ou := n.Output(0, East)
 		if ou == nil {
 			t.Fatal("router 0 has no east output unit")
 		}
@@ -59,9 +64,9 @@ func TestFigure1(t *testing.T) {
 			if ou.StateOf(vc) != VCIdle {
 				t.Errorf("outVCstate[%d] not idle at reset", vc)
 			}
-			if ou.Credits(vc) != cfg.BufferDepth {
+			if ou.Credits(n, vc) != cfg.BufferDepth {
 				t.Errorf("outVCstate[%d] credits = %d, want %d",
-					vc, ou.Credits(vc), cfg.BufferDepth)
+					vc, ou.Credits(n, vc), cfg.BufferDepth)
 			}
 		}
 	})
@@ -73,15 +78,16 @@ func TestFigure1(t *testing.T) {
 		}
 		for node := NodeID(0); node < 4; node++ {
 			for p := Port(0); p < NumPorts; p++ {
-				iu := n.Router(node).Input(p)
+				iu := n.Input(node, p)
 				if iu == nil {
 					continue
 				}
-				if len(iu.banks) != cfg.VNets {
+				banks := iu.banks(n)
+				if len(banks) != cfg.VNets {
 					t.Fatalf("node %d port %v: %d sensor banks, want %d",
-						node, p, len(iu.banks), cfg.VNets)
+						node, p, len(banks), cfg.VNets)
 				}
-				for vn, bank := range iu.banks {
+				for vn, bank := range banks {
 					if bank.Size() != cfg.VCsPerVNet {
 						t.Fatalf("node %d port %v vnet %d: %d sensors, want %d",
 							node, p, vn, bank.Size(), cfg.VCsPerVNet)
@@ -101,13 +107,12 @@ func TestFigure1(t *testing.T) {
 		// After a few cycles the Down_Up value at every upstream output
 		// unit must equal the argmax-Vth0 VC of its downstream port.
 		n.Run(4)
-		r1 := n.Router(1) // downstream of router 0's East output
+		// Router 1's West input is downstream of router 0's East output.
 		wantMD := n.MostDegradedVC(1, West, 0)
-		ou := n.Router(0).Output(East)
-		if got := ou.mdIn.Current(0); got != wantMD {
+		ou := n.Output(0, East)
+		if got := ou.mdIn.Current(ou.vnets(n), 0); got != wantMD {
 			t.Errorf("upstream most_degraded marker = %d, want %d", got, wantMD)
 		}
-		_ = r1
 	})
 
 	t.Run("BaselineNeverGates", func(t *testing.T) {
@@ -138,7 +143,7 @@ func TestFigure1(t *testing.T) {
 		n.Run(3)
 		for node := NodeID(0); node < 4; node++ {
 			for p := Port(0); p < NumPorts; p++ {
-				iu := n.Router(node).Input(p)
+				iu := n.Input(node, p)
 				if iu == nil {
 					continue
 				}

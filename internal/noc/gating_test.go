@@ -257,7 +257,7 @@ func TestAgingSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := b.Router(NodeID(rec.Node)).Input(p).Device(rec.VC)
+		d := b.Device(NodeID(rec.Node), p, rec.VC)
 		if d.Vth0 != rec.Vth0 {
 			t.Fatalf("Vth0 not restored at node %d port %s vc %d", rec.Node, rec.Port, rec.VC)
 		}
@@ -414,7 +414,7 @@ func TestPerVNetPolicyIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(4)
-	iu := n.Router(1).Input(West)
+	iu := n.Input(1, West)
 	// vnet 0 slice (VCs 0,1) gated; vnet 1 slice (VCs 2,3) powered.
 	for vc := 0; vc < 2; vc++ {
 		if iu.Powered(vc) {
@@ -427,10 +427,10 @@ func TestPerVNetPolicyIsolation(t *testing.T) {
 		}
 	}
 	// NBTI accounting reflects the split.
-	if iu.Device(0).Tracker.RecoveryCycles() == 0 {
+	if iu.device(n, 0).Tracker.RecoveryCycles() == 0 {
 		t.Error("vnet-0 buffers recorded no recovery")
 	}
-	if iu.Device(2).Tracker.RecoveryCycles() != 0 {
+	if iu.device(n, 2).Tracker.RecoveryCycles() != 0 {
 		t.Error("vnet-1 buffers recorded recovery")
 	}
 }
@@ -453,8 +453,8 @@ func TestGateEjection(t *testing.T) {
 	var rec uint64
 	for node := NodeID(0); node < 4; node++ {
 		ej := n.NI(node).Ejection()
-		for vc := 0; vc < ej.NumVCs(); vc++ {
-			rec += ej.Device(vc).Tracker.RecoveryCycles()
+		for vc := 0; vc < cfg.TotalVCs(); vc++ {
+			rec += ej.device(n, vc).Tracker.RecoveryCycles()
 		}
 	}
 	if rec == 0 {
@@ -469,8 +469,8 @@ func TestGateEjection(t *testing.T) {
 	driveUniform(t, n2, 0.1, 4, 2000, 23)
 	for node := NodeID(0); node < 4; node++ {
 		ej := n2.NI(node).Ejection()
-		for vc := 0; vc < ej.NumVCs(); vc++ {
-			if ej.Device(vc).Tracker.RecoveryCycles() != 0 {
+		for vc := 0; vc < cfg2.TotalVCs(); vc++ {
+			if ej.device(n2, vc).Tracker.RecoveryCycles() != 0 {
 				t.Fatal("ejection buffers gated without GateEjection")
 			}
 		}

@@ -13,9 +13,9 @@ import (
 // vcBuffer is the allocation and accounting state of one
 // virtual-channel buffer of an input unit. It is plain data (32 bytes,
 // no pointers): the VC's flit ring and NBTI device are found by index
-// in the owning InputUnit's fifo and devs windows, and its power state
-// lives in the unit's poweredMask, so the network's buffer arena is a
-// span the garbage collector never scans.
+// in the network's FIFO and device arenas, and its power state lives in
+// the unit's poweredMask, so the network's buffer arena is a span the
+// garbage collector never scans.
 type vcBuffer struct {
 	// acc is the last cycle whose stress/recovery has been charged to
 	// the device tracker. Accounting is span-batched: between state
@@ -45,85 +45,19 @@ func (b *vcBuffer) route() Port { return Port(b.outPort) }
 
 func (b *vcBuffer) len() int { return int(b.size) }
 
-// slot returns the FIFO-window index of position pos of VC vc's ring:
-// each VC owns depth consecutive slots, in VC order.
-func (iu *InputUnit) slot(vc int, pos int32) int {
-	return flatIndex(vc, int(iu.depth), int(pos))
-}
-
-func (iu *InputUnit) push(vc int, f flit) {
-	b := &iu.vcs[vc]
-	if b.size == iu.depth {
-		panic("noc: VC buffer overflow (credit protocol violated)")
-	}
-	pos := b.head + b.size
-	if pos >= iu.depth {
-		pos -= iu.depth
-	}
-	iu.fifo[iu.slot(vc, pos)] = f
-	b.size++
-}
-
-// peek returns the head flit of VC vc.
-func (iu *InputUnit) peek(vc int) flit {
-	b := &iu.vcs[vc]
-	if b.size == 0 {
-		panic("noc: peek on empty VC buffer")
-	}
-	return iu.fifo[iu.slot(vc, b.head)]
-}
-
-// pop removes and returns the head flit of VC vc.
-func (iu *InputUnit) pop(vc int) flit {
-	f := iu.peek(vc)
-	b := &iu.vcs[vc]
-	b.head++
-	if b.head == iu.depth {
-		b.head = 0
-	}
-	b.size--
-	return f
-}
-
 // InputUnit is the set of VC buffers of one input port, downstream end
 // of a channel. It receives flits and the Up_Down power commands, sends
 // credits back, and hosts the NBTI sensor banks that drive the Down_Up
 // link. Per-VC status is tracked in packed bitmasks (bit v = flattened
 // VC v) so the router stages sweep set bits instead of scanning every
 // VC.
+//
+// The record is plain data. Its per-VC buffers, FIFO rings, devices and
+// sensor banks are windows of the network's arenas at its own slot
+// index (unit), and its upstream output unit is the slot (up, upSlot)
+// that the mesh topology assigns; the methods take the network to reach
+// them.
 type InputUnit struct {
-	owner NodeID
-	port  Port
-	cfg   *Config
-	//nbtilint:arena
-	vcs []vcBuffer
-	// fifo holds the VCs' flit rings, depth slots each in VC order;
-	// devs holds the VCs' NBTI devices (their critical PMOS networks).
-	// Both are windows of the network's flat arenas.
-	//nbtilint:arena
-	fifo []flit
-	//nbtilint:arena
-	devs []nbti.Device
-	// flitIn is the inbound flit pipeline. The receiving end of every
-	// channel is embedded in its reader so the per-cycle receive pass
-	// touches only unit-resident cache lines; the upstream holds a
-	// pointer (OutputUnit.flitOut).
-	flitIn Pipeline[flit]
-	// power is the downstream end of the Up_Down channel carrying the
-	// desired power mask; the upstream writes through powerOut.
-	power powerLink
-	// creditOut returns freed buffer slots to the upstream output unit
-	// (points at the upstream's embedded creditIn pipeline).
-	creditOut *Pipeline[int]
-	// mdOut is the Down_Up channel publishing the most degraded VC
-	// (points at the upstream's embedded mdIn link).
-	mdOut *mdLink
-	// banks are the per-vnet sensor banks (nil when sensors disabled).
-	//nbtilint:arena
-	banks []sensor.Bank
-	// writes and reads count buffer write/read events (flits in/out),
-	// feeding the energy model.
-	writes, reads uint64
 	// occMask marks VCs with at least one buffered flit; activeMask
 	// marks VCs hosting a resident packet (state VCActive — a superset
 	// of occMask); vaPendMask marks VCs holding a routed head that still
@@ -134,84 +68,80 @@ type InputUnit struct {
 	// poweredMask is the buffers' supply state: a clear bit is a power
 	// gated VC (NBTI recovery).
 	poweredMask uint64
-	// vcAll has one bit per existing VC (TotalVCs low bits).
-	vcAll uint64
+	// power is the downstream end of the Up_Down channel carrying the
+	// desired power mask; the upstream output unit writes it.
+	power powerLink
+	// writes and reads count buffer write/read events (flits in/out),
+	// feeding the energy model.
+	writes, reads uint64
+	// flitIn is the inbound flit pipeline. The receiving end of every
+	// channel is embedded in its reader so the per-cycle receive pass
+	// touches only unit-resident cache lines; the upstream output unit
+	// writes it.
+	flitIn pipeline
+	// owner is the node of the unit's router or NI; up is the node of
+	// its upstream output unit.
+	owner, up NodeID
+	// vc0 is the index of the unit's first VC in the per-VC arenas (its
+	// unit slot times TotalVCs) and fifo0 the offset of its flit rings
+	// in its node group's FIFO storage: the two windows the hot path
+	// indexes, derived once from the slot at construction.
+	vc0, fifo0 int32
+	// depth is the flit capacity of each VC buffer.
+	depth int32
+	// slot is the unit's pseudo-port: the router input port, or ejPort
+	// for an NI's ejection buffers. upSlot is the upstream output unit's
+	// slot: the upstream router's output port, or ejPort for an NI's
+	// injection side. A slot below NumPorts is a router port, whose
+	// router keeps the port-summary masks the unit maintains.
+	slot, upSlot uint8
 	// pwrDirty marks that the next applyPower call can act: the Up_Down
 	// mask ticked to a new value or a VC left the active state. While
 	// clear, applyPower is a provable no-op and returns immediately.
 	pwrDirty bool
-	// depth is the flit capacity of each VC buffer.
-	depth int32
-	// occPorts/pendPorts/actPorts point at the owning router's
-	// port-summary masks (nil for NI ejection units); portBit is this
-	// unit's bit. The unit keeps each summary
-	// exact across every empty <-> non-empty transition of occMask /
-	// vaPendMask / activeMask.
-	occPorts, pendPorts, actPorts *uint64
-	portBit                       uint64
-	// ownPow points at the owning router's powPorts summary (shares
-	// portBit); popFlit arms it when a tail retire leaves a pending
-	// applyPower. upCred/upMD point at the UPSTREAM router's credPorts
-	// and mdPorts summaries (upBit is this channel's port bit there):
-	// credit and Down_Up sends arm the upstream port so its next
-	// receive pass processes them. All nil when the respective consumer
-	// is not a port-gated router.
-	ownPow, upCred, upMD *uint64
-	upBit                uint64
-	// clk points at the owning network's cycle counter so read accessors
-	// can flush open accounting spans transparently; nil outside a
-	// network (bare unit tests flush explicitly).
-	clk *uint64
-	// wakeUp re-activates the upstream unit on the network active-set
-	// when this unit emits something the upstream must observe (a
-	// credit, a changed Down_Up value); the zero waker outside a network.
-	wakeUp waker
-	// met points at the network's instruments for credit returns and
-	// NBTI span flushes; all-nil handles when instrumentation is
-	// disabled.
-	met *unitMetrics
 }
 
-// unitMetrics are the input-unit instruments, resolved once per network
-// and shared by all of its input units.
+// unitMetrics are the unit instruments, resolved once per network and
+// shared by all of its units: flit launches, credit returns and NBTI
+// span flushes.
 type unitMetrics struct {
-	credits *metrics.Counter
-	spans   nbti.SpanMetrics
+	flits, credits *metrics.Counter
+	spans          nbti.SpanMetrics
 }
 
-// newUnitMetrics resolves the input-unit instruments from the process
-// default registry.
+// newUnitMetrics resolves the unit instruments from the process default
+// registry.
 func newUnitMetrics() unitMetrics {
-	return unitMetrics{credits: creditsReturnedCounter(), spans: nbti.NewSpanMetrics()}
+	return unitMetrics{
+		flits: flitsRoutedCounter(), credits: creditsReturnedCounter(),
+		spans: nbti.NewSpanMetrics(),
+	}
 }
 
-// initInputUnit initialises the zero input unit iu in place over
-// caller-owned backing storage: vcs (TotalVCs buffers), fifo
-// (TotalVCs*depth flits) and devs (TotalVCs devices), all typically
-// subslices of the network's flat arenas, plus the flit pipeline's slot
-// ring carved from st. vth0 supplies the per-VC initial threshold
-// voltages; met the shared instruments.
-func initInputUnit(iu *InputUnit, owner NodeID, port Port, cfg *Config,
-	vcs []vcBuffer, fifo []flit, devs []nbti.Device, depth int, vth0 []float64,
-	met *unitMetrics, st *unitStore) {
-	total := cfg.TotalVCs()
+// initInputUnit initialises the input unit at slot (owner, slot), fed by
+// the output unit at (up, upSlot), over its arena windows: every VC
+// powered and idle, with the initial threshold voltages vth0.
+func (n *Network) initInputUnit(owner NodeID, slot int, up NodeID, upSlot int, depth int, vth0 []float64) {
+	total := n.total
 	if len(vth0) != total {
 		panic(fmt.Sprintf("noc: %d Vth0 samples for %d VCs", len(vth0), total))
 	}
-	iu.owner, iu.port, iu.cfg, iu.met = owner, port, cfg, met
-	iu.vcs = vcs[:total:total]
-	iu.fifo = window(fifo, 0, total*depth)
-	iu.devs = devs[:total:total]
-	iu.depth = int32(depth)
-	iu.vcAll = vcAllMask(total)
-	iu.power = powerLink{cur: ^uint64(0), next: ^uint64(0)}
-	iu.flitIn.slots = take(&st.flitSlots, cfg.LinkLatency+cfg.PhitsPerFlit-1)
-	for i := range iu.vcs {
-		iu.devs[i] = nbti.Device{Vth0: vth0[i]}
-		iu.vcs[i].outVC = -1
+	u := unitIndex(int(owner), slot)
+	iu := &n.iunits[u]
+	*iu = InputUnit{
+		owner: owner, up: up, slot: uint8(slot), upSlot: uint8(upSlot),
+		vc0:         int32(flatIndex(u, total, 0)),
+		fifo0:       int32(n.fifoBase(int(owner), slot)),
+		depth:       int32(depth),
+		power:       powerLink{cur: ^uint64(0), next: ^uint64(0)},
+		poweredMask: n.vcAll,
+		pwrDirty:    true,
 	}
-	iu.poweredMask = iu.vcAll
-	iu.pwrDirty = true
+	devs, bufs := iu.devs(n), iu.bufs(n)
+	for i := range bufs {
+		devs[i] = nbti.Device{Vth0: vth0[i]}
+		bufs[i].outVC = -1
+	}
 }
 
 // vcAllMask returns the mask with the total low bits set.
@@ -222,123 +152,205 @@ func vcAllMask(total int) uint64 {
 	return 1<<uint(total) - 1
 }
 
+// unit returns the unit's slot index in the network's unit arenas.
+func (iu *InputUnit) unit() int { return unitIndex(int(iu.owner), int(iu.slot)) }
+
+// upUnit returns the slot index of the upstream output unit.
+func (iu *InputUnit) upUnit() int { return unitIndex(int(iu.up), int(iu.upSlot)) }
+
+// bufs returns the unit's VC buffers, devs their NBTI devices (their
+// critical PMOS networks) and banks its per-vnet sensor banks: windows
+// of the network's arenas at the unit's slot.
+func (iu *InputUnit) bufs(n *Network) []vcBuffer {
+	return n.vcbufs[iu.vc0 : int(iu.vc0)+n.total]
+}
+
+func (iu *InputUnit) devs(n *Network) []nbti.Device {
+	return n.devices[iu.vc0 : int(iu.vc0)+n.total]
+}
+
+func (iu *InputUnit) banks(n *Network) []sensor.Bank {
+	return window(n.banks, iu.unit(), n.cfg.VNets)
+}
+
+// buf returns VC vc's buffer.
+func (iu *InputUnit) buf(n *Network, vc int) *vcBuffer { return &n.vcbufs[int(iu.vc0)+vc] }
+
+// fifoAt returns position pos of VC vc's flit ring: each VC owns depth
+// consecutive slots of the unit's FIFO storage, in VC order.
+func (iu *InputUnit) fifoAt(n *Network, vc int, pos int32) *flit {
+	return &n.fifos[int(iu.owner)/fifoGroup][int(iu.fifo0)+flatIndex(vc, int(iu.depth), int(pos))]
+}
+
+// router returns the owning router, whose port summaries the unit keeps
+// exact, or nil for an NI's ejection buffers.
+func (iu *InputUnit) router(n *Network) *Router {
+	if iu.slot >= uint8(NumPorts) {
+		return nil
+	}
+	return &n.routers[iu.owner]
+}
+
+// portBit is the unit's bit in its router's port summaries.
+func (iu *InputUnit) portBit() uint64 { return 1 << iu.slot }
+
+// push appends f to VC vc, whose buffer is b.
+func (iu *InputUnit) push(n *Network, vc int, b *vcBuffer, f flit) {
+	if b.size == iu.depth {
+		panic("noc: VC buffer overflow (credit protocol violated)")
+	}
+	pos := b.head + b.size
+	if pos >= iu.depth {
+		pos -= iu.depth
+	}
+	*iu.fifoAt(n, vc, pos) = f
+	b.size++
+}
+
+// peek returns the head flit of VC vc.
+func (iu *InputUnit) peek(n *Network, vc int) flit {
+	b := iu.buf(n, vc)
+	if b.size == 0 {
+		panic("noc: peek on empty VC buffer")
+	}
+	return *iu.fifoAt(n, vc, b.head)
+}
+
+// pop removes and returns the head flit of VC vc, whose buffer is b.
+func (iu *InputUnit) pop(n *Network, vc int, b *vcBuffer) flit {
+	if b.size == 0 {
+		panic("noc: pop on empty VC buffer")
+	}
+	f := *iu.fifoAt(n, vc, b.head)
+	b.head++
+	if b.head == iu.depth {
+		b.head = 0
+	}
+	b.size--
+	return f
+}
+
 // flushVC charges VC vc's open accounting span up to and including cycle
 // upTo with the buffer's current (powered, busy) state. Callers flush
 // with upTo = cycle-1 immediately before mutating the supply state or
 // the empty/non-empty status, so every cycle is charged with its
 // end-of-cycle state exactly as the per-cycle accounting did.
-func (iu *InputUnit) flushVC(vc int, upTo uint64) {
-	b := &iu.vcs[vc]
+func (iu *InputUnit) flushVC(n *Network, vc int, upTo uint64) {
+	b := iu.buf(n, vc)
 	if upTo <= b.acc {
 		return
 	}
-	n := upTo - b.acc
+	k := upTo - b.acc
 	b.acc = upTo
-	tr := &iu.devs[vc].Tracker
+	tr := &n.devices[int(iu.vc0)+vc].Tracker
 	if iu.poweredMask>>uint(vc)&1 != 0 {
 		busy := uint64(0)
 		if b.size > 0 {
-			busy = n
+			busy = k
 		}
-		tr.Stress(n, busy)
-		iu.met.spans.Stress(n)
+		tr.Stress(k, busy)
+		n.unitMet.spans.Stress(k)
 	} else {
-		tr.Recover(n)
-		iu.met.spans.Recover(n)
+		tr.Recover(k)
+		n.unitMet.spans.Recover(k)
 	}
 }
 
 // attachSensors instantiates one sensor bank per vnet over the unit's
-// device window, carving banks and noise sources from st. With read
-// noise each bank splits one source off src and each of its sensors one
-// off that (src may be nil for noiseless configs).
-func (iu *InputUnit) attachSensors(cfg *sensor.Config, st *unitStore, src *rng.Source) error {
-	per := iu.cfg.VCsPerVNet
-	iu.banks = take(&st.banks, iu.cfg.VNets)
-	for vn := range iu.banks {
-		var noise []rng.Source
-		if cfg.NoiseSigma > 0 {
+// device window. With read noise each bank splits one source off src
+// and each of its sensors one off that (src may be nil for noiseless
+// configs); the sources live in the noise arena at the unit's slot.
+func (iu *InputUnit) attachSensors(n *Network, noise []rng.Source, src *rng.Source) error {
+	cfg := &n.cfg
+	per := cfg.VCsPerVNet
+	devs, banks := iu.devs(n), iu.banks(n)
+	for vn := range banks {
+		var bankNoise []rng.Source
+		if cfg.Sensor.NoiseSigma > 0 {
 			var bankSrc rng.Source
 			src.SplitInto(&bankSrc)
-			noise = take(&st.noise, per)
-			for i := range noise {
-				bankSrc.SplitInto(&noise[i])
+			bankNoise = window(noise, flatIndex(iu.unit(), cfg.VNets, vn), per)
+			for i := range bankNoise {
+				bankSrc.SplitInto(&bankNoise[i])
 			}
 		}
-		if err := iu.banks[vn].Init(window(iu.devs, vn, per), noise, &iu.cfg.NBTI, cfg); err != nil {
+		if err := banks[vn].Init(window(devs, vn, per), bankNoise, &cfg.NBTI, &cfg.Sensor); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Port returns the input port this unit serves.
-func (iu *InputUnit) Port() Port { return iu.port }
+// Port returns the input port this unit serves (Local for an NI's
+// ejection buffers).
+func (iu *InputUnit) Port() Port {
+	if iu.slot >= uint8(NumPorts) {
+		return Local
+	}
+	return Port(iu.slot)
+}
 
-// NumVCs returns the flattened VC count.
-func (iu *InputUnit) NumVCs() int { return len(iu.vcs) }
-
-// Device returns the NBTI device of flattened VC vc, with the open
-// accounting span flushed so the tracker is current. The device's Vth0
-// is construction- or RestoreAging-time state: static sensor banks hold
-// the ranking they took of it (see Network.nextSample), so callers must
-// not rewrite it in place.
-func (iu *InputUnit) Device(vc int) *nbti.Device {
-	iu.flushVC(vc, *iu.clk)
-	return &iu.devs[vc]
+// device returns the NBTI device of flattened VC vc, with the open
+// accounting span flushed so the tracker is current.
+func (iu *InputUnit) device(n *Network, vc int) *nbti.Device {
+	iu.flushVC(n, vc, n.cycle)
+	return &iu.devs(n)[vc]
 }
 
 // Powered reports the current power state of flattened VC vc.
 func (iu *InputUnit) Powered(vc int) bool { return iu.poweredMask>>uint(vc)&1 != 0 }
 
-// VCStateOf returns the allocation state of flattened VC vc.
-func (iu *InputUnit) VCStateOf(vc int) VCState { return iu.vcs[vc].state }
+// VCStateOf returns the allocation state of flattened VC vc of the unit,
+// which lives in network n.
+func (iu *InputUnit) VCStateOf(n *Network, vc int) VCState { return iu.buf(n, vc).state }
 
-// Occupancy returns the number of buffered flits in flattened VC vc.
-func (iu *InputUnit) Occupancy(vc int) int { return iu.vcs[vc].len() }
+// Occupancy returns the number of buffered flits in flattened VC vc of
+// the unit, which lives in network n.
+func (iu *InputUnit) Occupancy(n *Network, vc int) int { return iu.buf(n, vc).len() }
 
 // bufferWrite performs the BW stage for an arriving flit. route gives
 // the output port for head flits (RC); it is ignored for body/tail.
 // A unit receives at most one flit per cycle: its one upstream output
 // unit sends at most one per cycle (sendFlit's linkFreeAt), which
 // headReady relies on.
-func (iu *InputUnit) bufferWrite(f flit, cycle uint64, route Port) {
+func (iu *InputUnit) bufferWrite(n *Network, f flit, cycle uint64, route Port) {
 	bit := uint64(1) << f.vc
-	vc := &iu.vcs[f.vc]
+	vc := iu.buf(n, int(f.vc))
 	if iu.poweredMask&bit == 0 {
 		panic(fmt.Sprintf("noc: flit arrived at gated VC %d of node %d port %v",
-			f.vc, iu.owner, iu.port))
+			f.vc, iu.owner, iu.Port()))
 	}
 	if nbtiDebug && vc.size > 0 && vc.lastArrive == cycle {
 		panic(fmt.Sprintf("noc: two flits written into VC %d of node %d port %v in cycle %d",
-			f.vc, iu.owner, iu.port, cycle))
+			f.vc, iu.owner, iu.Port(), cycle))
 	}
+	r := iu.router(n)
 	if f.typ.IsHead() {
 		if vc.state != VCIdle {
 			panic(fmt.Sprintf("noc: head flit into busy VC %d of node %d port %v (packet mixing)",
-				f.vc, iu.owner, iu.port))
+				f.vc, iu.owner, iu.Port()))
 		}
 		vc.state = VCActive
 		vc.outPort = uint8(route)
 		vc.outVC = -1
 		iu.vaPendMask |= bit
 		iu.activeMask |= bit
-		if iu.pendPorts != nil {
-			*iu.pendPorts |= iu.portBit
-			*iu.actPorts |= iu.portBit
+		if r != nil {
+			r.pendPorts |= iu.portBit()
+			r.busyIn |= iu.portBit()
 		}
 	} else if vc.state != VCActive {
 		panic("noc: body/tail flit into idle VC")
 	}
 	if vc.size == 0 {
 		// Empty -> busy transition: close the idle-stress span.
-		iu.flushVC(int(f.vc), cycle-1)
+		iu.flushVC(n, int(f.vc), cycle-1)
 		iu.occMask |= bit
-		if iu.occPorts != nil {
-			*iu.occPorts |= iu.portBit
+		if r != nil {
+			r.occPorts |= iu.portBit()
 		}
 	}
-	iu.push(int(f.vc), f)
+	iu.push(n, int(f.vc), vc, f)
 	vc.lastArrive = cycle
 	iu.writes++
 }
@@ -346,26 +358,27 @@ func (iu *InputUnit) bufferWrite(f flit, cycle uint64, route Port) {
 // popFlit removes the head flit of vc (the ST stage of the downstream
 // router or the NI ejection drain), returns it, and sends a credit back
 // upstream. When the tail leaves, the VC returns to idle.
-func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
+func (iu *InputUnit) popFlit(n *Network, vc int, cycle uint64) flit {
 	bit := uint64(1) << uint(vc)
-	b := &iu.vcs[vc]
+	b := iu.buf(n, vc)
+	r := iu.router(n)
 	if b.size == 1 {
 		// Busy -> empty transition: close the busy-stress span.
-		iu.flushVC(vc, cycle-1)
+		iu.flushVC(n, vc, cycle-1)
 		iu.occMask &^= bit
-		if iu.occMask == 0 && iu.occPorts != nil {
-			*iu.occPorts &^= iu.portBit
+		if iu.occMask == 0 && r != nil {
+			r.occPorts &^= iu.portBit()
 		}
 	}
-	f := iu.pop(vc)
+	f := iu.pop(n, vc, b)
 	iu.reads++
 	if f.typ.IsTail() {
 		if b.outVC == -1 {
 			// Only ejection VCs retire without a VA grant; router VCs
 			// left vaPending at the grant.
 			iu.vaPendMask &^= bit
-			if iu.vaPendMask == 0 && iu.pendPorts != nil {
-				*iu.pendPorts &^= iu.portBit
+			if iu.vaPendMask == 0 && r != nil {
+				r.pendPorts &^= iu.portBit()
 			}
 		}
 		b.state = VCIdle
@@ -373,19 +386,23 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
 		iu.activeMask &^= bit
 		// The VC may now be gated by the current mask.
 		iu.pwrDirty = true
-		if iu.ownPow != nil {
-			*iu.ownPow |= iu.portBit
+		if r != nil {
+			r.powPorts |= iu.portBit()
 			if iu.activeMask == 0 {
-				*iu.actPorts &^= iu.portBit
+				r.busyIn &^= iu.portBit()
 			}
 		}
 	}
-	iu.creditOut.Send(vc)
-	if iu.upCred != nil {
-		*iu.upCred |= iu.upBit
+	// Return the credit and arm the upstream's receive pass: the
+	// upstream router's credit summary (an NI's receive pass is not
+	// port-gated) and its active-set entry.
+	up := iu.upUnit()
+	n.credits.send(&n.ounits[up].creditIn, up, uint8(vc))
+	if iu.upSlot < uint8(NumPorts) {
+		n.routers[iu.up].credPorts |= 1 << iu.upSlot
 	}
-	iu.met.credits.Inc()
-	iu.wakeUp.wake()
+	n.unitMet.credits.Inc()
+	n.wakeUnit(iu.up, iu.upSlot)
 	return f
 }
 
@@ -395,8 +412,7 @@ func (iu *InputUnit) popFlit(vc int, cycle uint64) flit {
 // takes at most one flit per cycle (see bufferWrite), so with two or
 // more buffered the head arrived before the latest write, hence before
 // this cycle; a lone flit is the latest write itself.
-func (iu *InputUnit) headReady(vc int, cycle uint64) bool {
-	b := &iu.vcs[vc]
+func (b *vcBuffer) headReady(cycle uint64) bool {
 	return b.size > 1 || b.size == 1 && b.lastArrive < cycle
 }
 
@@ -405,7 +421,7 @@ func (iu *InputUnit) headReady(vc int, cycle uint64) bool {
 // from the upstream outVCstate, always keeps them on — asserted here).
 // The whole update is three mask operations plus one span flush per
 // supply transition.
-func (iu *InputUnit) applyPower(cycle uint64) {
+func (iu *InputUnit) applyPower(n *Network, cycle uint64) {
 	if !iu.pwrDirty {
 		// Neither the mask nor any VC's active state changed since the
 		// last application (flit arrivals cannot change a VC's supply
@@ -414,26 +430,26 @@ func (iu *InputUnit) applyPower(cycle uint64) {
 		return
 	}
 	iu.pwrDirty = false
-	mask := iu.power.Current() & iu.vcAll
+	mask := iu.power.Current() & n.vcAll
 	busy := iu.activeMask | iu.occMask
 	if bad := busy &^ mask; bad != 0 {
 		panic(fmt.Sprintf("noc: power mask gates busy VC %d of node %d port %v",
-			bits.TrailingZeros64(bad), iu.owner, iu.port))
+			bits.TrailingZeros64(bad), iu.owner, iu.Port()))
 	}
 	on := mask | busy
 	// Flush transitioning VCs (ascending, as the per-VC sweep did) under
 	// their pre-transition supply state, then commit the new mask.
 	for diff := on ^ iu.poweredMask; diff != 0; diff &= diff - 1 {
-		iu.flushVC(bits.TrailingZeros64(diff), cycle-1)
+		iu.flushVC(n, bits.TrailingZeros64(diff), cycle-1)
 	}
 	iu.poweredMask = on
 }
 
 // flushNBTI closes the open accounting span of every VC up to and
 // including upTo — the read-side barrier used before any tracker access.
-func (iu *InputUnit) flushNBTI(upTo uint64) {
-	for i := range iu.vcs {
-		iu.flushVC(i, upTo)
+func (iu *InputUnit) flushNBTI(n *Network, upTo uint64) {
+	for vc := 0; vc < n.total; vc++ {
+		iu.flushVC(n, vc, upTo)
 	}
 }
 
@@ -441,20 +457,20 @@ func (iu *InputUnit) flushNBTI(upTo uint64) {
 // degraded VC over the Down_Up link. A change in either comparator
 // output re-activates the upstream unit so it observes the new value
 // after the one-cycle link delay.
-func (iu *InputUnit) publishMostDegraded(cycle uint64) {
-	if iu.banks == nil {
-		return
-	}
-	for vn := range iu.banks {
-		bank := &iu.banks[vn]
+func (iu *InputUnit) publishMostDegraded(n *Network, cycle uint64) {
+	ou := &n.ounits[iu.upUnit()]
+	w := ou.vnets(n)
+	banks := iu.banks(n)
+	for vn := range banks {
+		bank := &banks[vn]
 		md, ld := bank.MostDegraded(cycle), bank.LeastDegraded(cycle)
-		if iu.mdOut.nextMD[vn] != md || iu.mdOut.nextLD[vn] != ld {
-			iu.wakeUp.wake()
+		if int(w[vn].nextMD) != md || int(w[vn].nextLD) != ld {
+			n.wakeUnit(iu.up, iu.upSlot)
 		}
-		iu.mdOut.Send(vn, md, ld)
+		ou.mdIn.Send(w, vn, md, ld)
 	}
-	if iu.upMD != nil && !iu.mdOut.settled() {
-		*iu.upMD |= iu.upBit
+	if iu.upSlot < uint8(NumPorts) && !ou.mdIn.settled() {
+		n.routers[iu.up].mdPorts |= 1 << iu.upSlot
 	}
 }
 
@@ -465,10 +481,10 @@ func (iu *InputUnit) Writes() uint64 { return iu.writes }
 func (iu *InputUnit) Reads() uint64 { return iu.reads }
 
 // bufferedFlits returns the total number of flits held across all VCs.
-func (iu *InputUnit) bufferedFlits() int {
-	n := 0
-	for i := range iu.vcs {
-		n += int(iu.vcs[i].size)
+func (iu *InputUnit) bufferedFlits(n *Network) int {
+	k := 0
+	for _, b := range iu.bufs(n) {
+		k += int(b.size)
 	}
-	return n
+	return k
 }

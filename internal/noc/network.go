@@ -15,33 +15,37 @@ import (
 // and all flit/credit/control channels, advanced one cycle at a time.
 //
 // All hot per-(router, port, vc) state lives in flat contiguous arenas
-// owned by the network — routers, NIs, input/output units, VC buffers,
-// flit FIFOs, NBTI devices, link pipelines and control links are value
-// slices, and units hold subslices into them. The packed index scheme is
+// owned by the network — routers, input/output units, VC buffers, flit
+// FIFOs, NBTI devices, sensor banks, link rings and control-link values
+// are value slices. The packed index scheme is
 //
 //	unit slot = node*(NumPorts+1) + port   (port NumPorts = NI side)
 //	vc slot   = unit slot*TotalVCs + vc
 //
 // so the active-set sweep walks memory nearly linearly instead of
-// chasing per-unit heap objects.
+// chasing per-unit heap objects. The router and unit records are plain
+// data: a unit finds its per-VC state, its neighbours and its router by
+// index in these arenas, so every large arena is a span the garbage
+// collector never scans.
 //
 // A network is confined to a single goroutine: units reach into each
-// other's state through bare back-pointers with no synchronisation.
-// The netshare analyzer enforces the confinement (the marker below is
-// its root declaration), and sim.Pool's one-network-per-job pattern is
-// the blessed way to use many networks in parallel.
+// other's state with no synchronisation. The netshare analyzer enforces
+// the confinement (the marker below is its root declaration), and
+// sim.Pool's one-network-per-job pattern is the blessed way to use many
+// networks in parallel.
 //
 //nbtilint:network single-goroutine simulation state root
 type Network struct {
-	cfg     Config
+	cfg Config
+	//nbtilint:arena
 	routers []Router
 	nis     []NI
 
 	// Unit and VC-state arenas; see the packed index scheme above.
 	// Channel endpoint state (flit/credit pipelines, Up_Down and Down_Up
 	// links) is embedded in the unit that reads it — the writing end
-	// holds a pointer — so the per-cycle receive pass touches only the
-	// reader's own cache lines.
+	// finds it by its peer's slot — so the per-cycle receive pass touches
+	// only the reader's own cache lines.
 	//nbtilint:arena
 	iunits []InputUnit
 	//nbtilint:arena
@@ -59,9 +63,36 @@ type Network struct {
 	fifos [][]flit
 	//nbtilint:arena
 	flows []niFlow
+	// banks holds each input unit's per-vnet sensor banks and outvnets
+	// each output unit's per-vnet records, both per unit slot.
+	//nbtilint:arena
+	banks []sensor.Bank
+	//nbtilint:arena
+	outvnets []outVNet
+	// vaArbs holds each router's VA arbiters, per (output port, vnet).
+	//nbtilint:arena
+	vaArbs []RoundRobin
+	// flits and credits are the ring storage of the flit and credit
+	// pipelines, one ring per unit slot (each pipeline's ring sits at
+	// the slot of the unit that reads it).
+	flits   pipeRing[flit]
+	credits pipeRing[uint8]
 	// pkts holds the header of every packet between NI-VA and tail
 	// ejection; flits carry its slot.
 	pkts packetTable
+	// coords is the NodeID -> Coord table, so RC is a load instead of a
+	// div/mod per head flit.
+	//nbtilint:arena
+	coords []Coord
+	// vaCands is the VA stage's candidate scratch, sized at construction
+	// for the most requests one router can field.
+	vaCands []vaCand
+	// total is Config.TotalVCs, the VCs of a port, and vcAll has one bit
+	// per VC (total low bits). Hot paths read the cached count: calling
+	// the Config value method through the network copies the whole
+	// Config.
+	total int
+	vcAll uint64
 
 	// pol is the gating domain of Config.Policy; ejPol that of the
 	// router→NI ejection channels, which is pol itself under
@@ -111,7 +142,7 @@ type Network struct {
 	// tracer, when set, receives flit-level pipeline events.
 	tracer Tracer
 	// met and unitMet hold the observability handles resolved at
-	// construction (unitMet is shared by every input unit); all-nil (one
+	// construction (unitMet is shared by every unit); all-nil (one
 	// branch per site) when instrumentation is disabled.
 	met     netMetrics
 	unitMet unitMetrics
@@ -149,9 +180,9 @@ const unitSlots = int(NumPorts) + 1
 // New builds a network from the configuration. The same PVSeed yields
 // the same initial Vth values regardless of the policy, as the paper's
 // methodology requires. Construction allocates no per-unit objects:
-// every per-unit slice is a window of a flat arena or of the unitStore
-// sized for the whole network, so the count grows only with the flit
-// storage groups (one per fifoGroup nodes).
+// every per-unit record and window lives in a flat arena sized for the
+// whole network, so the count grows only with the flit storage groups
+// (one per fifoGroup nodes).
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -161,7 +192,8 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, met: newNetMetrics(), unitMet: newUnitMetrics()}
 	nodes := cfg.Nodes()
-	total := cfg.TotalVCs()
+	total, vnets := cfg.TotalVCs(), cfg.VNets
+	n.total, n.vcAll = total, vcAllMask(total)
 	n.vmap = pv.SampleNetwork(cfg.PV, cfg.PVSeed, nodes, unitSlots, total)
 
 	// Unit arenas: slots for absent edge ports stay zero values (the
@@ -172,6 +204,19 @@ func New(cfg Config) (*Network, error) {
 	n.vcbufs = make([]vcBuffer, slots*total)
 	n.outvcs = make([]outVC, slots*total)
 	n.devices = make([]nbti.Device, slots*total)
+	n.banks = make([]sensor.Bank, slots*vnets)
+	n.outvnets = make([]outVNet, slots*vnets)
+	n.vaArbs = make([]RoundRobin, nodes*int(NumPorts)*vnets)
+	// A link carries at most one flit per cycle (sendFlit's linkFreeAt)
+	// and returns at most one credit per pop: one per cycle from a
+	// router input port, which switch allocation drains one flit at a
+	// time, and up to EjectRate from an NI's ejection buffers — never
+	// more than they hold.
+	flitLat := cfg.LinkLatency + cfg.PhitsPerFlit - 1
+	lens := make([]int32, slots*(flitLat+cfg.LinkLatency))
+	n.flits = newPipeRing[flit](slots, flitLat, 1, &lens)
+	n.credits = newPipeRing[uint8](slots, cfg.LinkLatency,
+		min(cfg.EjectRate, total*cfg.EjectBufferDepth), &lens)
 	// FIFO storage: router-port slots use BufferDepth, the NI-side slot
 	// EjectBufferDepth. A slot is an 8-byte flit handle, so a 32×32 mesh
 	// needs 0.8 MB, reached only through the units' windows. It comes in
@@ -188,68 +233,57 @@ func New(cfg Config) (*Network, error) {
 	// The packet table starts with a slot per node and grows only when
 	// more packets are in flight at once than ever before.
 	n.pkts.slots = make([]packet, 0, nodes)
+	n.vaCands = make([]vaCand, 0, int(NumPorts)*total)
 
 	n.pol = newPolicyDomain(cfg.Policy)
 	n.ejPol = n.pol
 	if !cfg.GateEjection {
 		n.ejPol = newPolicyDomain(NewBaseline)
 	}
-	st := newUnitStore(&n.cfg, nodes)
 
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
-	coords := make([]Coord, nodes)
+	n.coords = make([]Coord, nodes)
 	for id := 0; id < nodes; id++ {
-		coords[id] = CoordOf(NodeID(id), cfg.Width)
+		n.coords[id] = CoordOf(NodeID(id), cfg.Width)
 	}
+	queues := make([][]Packet, nodes*vnets)
 	for id := 0; id < nodes; id++ {
-		initRouter(&n.routers[id], NodeID(id), coords[id], &n.cfg, st)
-		n.routers[id].net = n
-		n.routers[id].coords = coords
-		initNI(&n.nis[id], NodeID(id), &n.cfg, window(n.flows, id, total), st)
-		n.nis[id].net = n
-	}
-
-	for id := 0; id < nodes; id++ {
-		r := &n.routers[id]
-		ni := &n.nis[id]
-		rtrWaker, niWaker := waker{&n.rtr, id}, waker{&n.ni, id}
-
-		// NI → router Local input port (gated like any router port).
-		ni.out = n.initOU(id, ejPort, NodeID(id), Local, cfg.BufferDepth, n.pol, st)
-		r.in[Local] = n.initIU(id, int(Local), NodeID(id), Local, cfg.BufferDepth,
-			n.vmap.PortVths(id, int(Local)), st)
-		n.connect(ni.out, r.in[Local])
-		ni.out.wakeDown = rtrWaker
-		ni.out.dnFlit, ni.out.dnPow, ni.out.dnBit = &r.flitPorts, &r.powPorts, 1<<uint(Local)
-		r.in[Local].wakeUp = niWaker
-
-		// Router Local output port → NI ejection buffers.
-		r.out[Local] = n.initOU(id, int(Local), NodeID(id), Local, cfg.EjectBufferDepth, n.ejPol, st)
-		ni.ej = n.initIU(id, ejPort, NodeID(id), Local, cfg.EjectBufferDepth,
-			n.vmap.PortVths(id, ejPort), st)
-		n.connect(r.out[Local], ni.ej)
-		r.out[Local].wakeDown = niWaker
-		ni.ej.wakeUp = rtrWaker
-		ni.ej.upCred, ni.ej.upMD, ni.ej.upBit = &r.credPorts, &r.mdPorts, 1<<uint(Local)
-
-		// Mesh links: create the outgoing channel for each direction.
-		c := r.Coord()
+		node := NodeID(id)
+		ports := uint64(1) << uint(Local)
 		for _, dir := range [...]Port{North, East, South, West} {
-			nb, ok := n.neighbour(c, dir)
+			if _, ok := n.neighbour(n.coords[id], dir); ok {
+				ports |= 1 << uint(dir)
+			}
+		}
+		n.initRouter(node, ports)
+		n.nis[id] = NI{
+			id: node, cfg: &n.cfg, net: n,
+			srcQ:    window(queues, id, vnets),
+			flows:   window(n.flows, id, total),
+			flowArb: RoundRobin{n: total},
+			ejArb:   RoundRobin{n: total},
+		}
+
+		// NI → router Local input port (gated like any router port), and
+		// router Local output port → NI ejection buffers.
+		n.initOutputUnit(node, ejPort, node, int(Local), cfg.BufferDepth)
+		n.initInputUnit(node, int(Local), node, ejPort, cfg.BufferDepth, n.vmap.PortVths(id, int(Local)))
+		n.initOutputUnit(node, int(Local), node, ejPort, cfg.EjectBufferDepth)
+		n.initInputUnit(node, ejPort, node, int(Local), cfg.EjectBufferDepth, n.vmap.PortVths(id, ejPort))
+		n.nis[id].out = &n.ounits[unitIndex(id, ejPort)]
+		n.nis[id].ej = &n.iunits[unitIndex(id, ejPort)]
+
+		// Mesh links: the outgoing channel of each direction feeds the
+		// neighbour's opposite input port.
+		for _, dir := range [...]Port{North, East, South, West} {
+			nb, ok := n.neighbour(n.coords[id], dir)
 			if !ok {
 				continue
 			}
-			down := &n.routers[nb]
-			inPort := dir.Opposite()
-			r.out[dir] = n.initOU(id, int(dir), NodeID(id), dir, cfg.BufferDepth, n.pol, st)
-			down.in[inPort] = n.initIU(int(nb), int(inPort), nb, inPort, cfg.BufferDepth,
-				n.vmap.PortVths(int(nb), int(inPort)), st)
-			n.connect(r.out[dir], down.in[inPort])
-			r.out[dir].wakeDown = waker{&n.rtr, int(nb)}
-			r.out[dir].dnFlit, r.out[dir].dnPow, r.out[dir].dnBit = &down.flitPorts, &down.powPorts, 1<<uint(inPort)
-			down.in[inPort].wakeUp = rtrWaker
-			down.in[inPort].upCred, down.in[inPort].upMD, down.in[inPort].upBit = &r.credPorts, &r.mdPorts, 1<<uint(dir)
+			in := dir.Opposite()
+			n.initOutputUnit(node, int(dir), nb, int(in), cfg.BufferDepth)
+			n.initInputUnit(nb, int(in), node, int(dir), cfg.BufferDepth, n.vmap.PortVths(int(nb), int(in)))
 		}
 	}
 
@@ -257,24 +291,15 @@ func New(cfg Config) (*Network, error) {
 	// router's receive summary): the initial policy runs and gating
 	// transitions must execute before a unit can prove itself quiescent
 	// and drop off.
-	for id := 0; id < nodes; id++ {
+	for id := range n.routers {
 		r := &n.routers[id]
-		r.steadyAll = true
-		for p := Port(0); p < NumPorts; p++ {
-			if r.in[p] != nil {
-				r.flitPorts |= 1 << uint(p)
-				r.powPorts |= 1 << uint(p)
-			}
-			if r.out[p] != nil {
-				r.credPorts |= 1 << uint(p)
-				r.mdPorts |= 1 << uint(p)
-				r.polPorts |= 1 << uint(p)
-				r.steadyAll = r.steadyAll && r.out[p].pol.steady
-			}
-		}
+		r.flitPorts, r.powPorts = r.ports, r.ports
+		r.credPorts, r.mdPorts, r.polPorts = r.ports, r.ports, r.ports
+		// The Local output is in the ejection domain, the mesh ports in
+		// the policy domain.
+		r.steadyAll = n.ejPol.steady && (r.ports == 1<<uint(Local) || n.pol.steady)
 	}
-	n.rtr = newActiveSet(nodes)
-	n.ni = newActiveSet(nodes)
+	n.rtr, n.ni = newActiveSets(nodes)
 	n.nextSample = 1
 	n.heldSample = sampleNever
 	n.elideSweeps = cfg.Sensor.Static()
@@ -283,17 +308,21 @@ func New(cfg Config) (*Network, error) {
 	// The iteration order fixes the rng split sequence and must not
 	// change: nodes ascending, router ports 0..NumPorts-1, then the NI
 	// ejection unit.
+	var noise []rng.Source
+	if cfg.Sensor.NoiseSigma > 0 {
+		noise = make([]rng.Source, slots*total)
+	}
 	sensorSrc := rng.New(cfg.SensorSeed)
-	for id := 0; id < nodes; id++ {
-		for p := Port(0); p < NumPorts; p++ {
-			if iu := n.routers[id].in[p]; iu != nil {
-				if err := iu.attachSensors(&n.cfg.Sensor, st, sensorSrc); err != nil {
-					return nil, err
-				}
-				n.sensors += uint64(total)
+	for id := range n.routers {
+		r := &n.routers[id]
+		ins, _ := r.units(n)
+		for pm := r.ports; pm != 0; pm &= pm - 1 {
+			if err := ins[bits.TrailingZeros64(pm)].attachSensors(n, noise, sensorSrc); err != nil {
+				return nil, err
 			}
+			n.sensors += uint64(total)
 		}
-		if err := n.nis[id].ej.attachSensors(&n.cfg.Sensor, st, sensorSrc); err != nil {
+		if err := n.nis[id].ej.attachSensors(n, noise, sensorSrc); err != nil {
 			return nil, err
 		}
 		n.sensors += uint64(total)
@@ -301,113 +330,26 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// unitStore is the construction-time backing of every per-unit slice
-// outside the packed hot-state arenas: allocation pointers, Down_Up
-// link values, link pipeline slot rings, VA arbiters, source queues,
-// sensor banks and their noise sources. New sizes it
-// once for the whole network, so wiring carves each unit's windows with
-// take instead of allocating them.
-type unitStore struct {
-	ints        []int
-	flitSlots   [][]flit
-	creditSlots [][]int
-	arbs        []RoundRobin
-	queues      [][]Packet
-	banks       []sensor.Bank
-	noise       []rng.Source
-}
-
-// newUnitStore sizes a store for a nodes-node network. Sizes are per
-// unit slot, absent edge ports included, like the hot-state arenas.
-func newUnitStore(cfg *Config, nodes int) *unitStore {
-	slots := nodes * unitSlots
-	vnets, total := cfg.VNets, cfg.TotalVCs()
-	st := &unitStore{
-		// Per output unit: allocPtr plus the four Down_Up link values.
-		ints:        make([]int, slots*5*vnets),
-		flitSlots:   make([][]flit, slots*(cfg.LinkLatency+cfg.PhitsPerFlit-1)),
-		creditSlots: make([][]int, slots*cfg.LinkLatency),
-		arbs:        make([]RoundRobin, nodes*int(NumPorts)*vnets),
-		queues:      make([][]Packet, nodes*vnets),
-		banks:       make([]sensor.Bank, slots*vnets),
-	}
-	if cfg.Sensor.NoiseSigma > 0 {
-		st.noise = make([]rng.Source, slots*total)
-	}
-	return st
-}
-
-// fifoOf returns the FIFO storage of a unit slot: router ports use
+// fifoBase returns the offset of a unit slot's FIFO storage in its
+// node group's block (n.fifos[node/fifoGroup]): router ports use
 // BufferDepth flits per VC, the NI-side slot EjectBufferDepth. It is a
 // packing helper in its own right — the FIFO storage's stride is
 // per-node, not per-unit, because the two buffer depths differ.
 //
 //nbtilint:packed
-func (n *Network) fifoOf(node, slot int) []flit {
-	total := n.cfg.TotalVCs()
-	nodeFifo := (int(NumPorts)*n.cfg.BufferDepth + n.cfg.EjectBufferDepth) * total
-	group := n.fifos[node/fifoGroup]
-	base := node % fifoGroup * nodeFifo
-	var off, size int
-	if slot < int(NumPorts) {
-		off = slot * n.cfg.BufferDepth * total
-		size = n.cfg.BufferDepth * total
+func (n *Network) fifoBase(node, slot int) int {
+	nodeFifo := (int(NumPorts)*n.cfg.BufferDepth + n.cfg.EjectBufferDepth) * n.total
+	return node%fifoGroup*nodeFifo + slot*n.cfg.BufferDepth*n.total
+}
+
+// wakeUnit puts the router or NI owning unit slot (node, slot) on its
+// active set: a router for slots below NumPorts, the NI for ejPort.
+func (n *Network) wakeUnit(node NodeID, slot uint8) {
+	if slot < uint8(NumPorts) {
+		n.rtr.wake(int(node))
 	} else {
-		off = int(NumPorts) * n.cfg.BufferDepth * total
-		size = n.cfg.EjectBufferDepth * total
+		n.ni.wake(int(node))
 	}
-	return group[base+off : base+off+size : base+off+size]
-}
-
-// initIU initialises the input unit at arena slot (node, slot) over its
-// arena subslices and returns it. Router-port slots (slot < NumPorts)
-// are wired into their router's port-summary masks; the NI ejection
-// slot has no router and leaves the back pointers nil.
-func (n *Network) initIU(node, slot int, owner NodeID, port Port, depth int, vth0 []float64, st *unitStore) *InputUnit {
-	total := n.cfg.TotalVCs()
-	u := unitIndex(node, slot)
-	iu := &n.iunits[u]
-	initInputUnit(iu, owner, port, &n.cfg,
-		window(n.vcbufs, u, total), n.fifoOf(node, slot),
-		window(n.devices, u, total), depth, vth0, &n.unitMet, st)
-	iu.clk = &n.cycle
-	if slot < int(NumPorts) {
-		r := &n.routers[node]
-		iu.occPorts = &r.occPorts
-		iu.pendPorts = &r.pendPorts
-		iu.actPorts = &r.busyIn
-		iu.ownPow = &r.powPorts
-		iu.portBit = 1 << uint(slot)
-	}
-	return iu
-}
-
-// initOU initialises the output unit at arena slot (node, slot) over its
-// arena subslice and returns it.
-func (n *Network) initOU(node, slot int, owner NodeID, port Port, depth int, pol *policyDomain, st *unitStore) *OutputUnit {
-	total := n.cfg.TotalVCs()
-	u := unitIndex(node, slot)
-	ou := &n.ounits[u]
-	initOutputUnit(ou, owner, port, &n.cfg, window(n.outvcs, u, total), depth, pol, st)
-	if slot < int(NumPorts) {
-		r := &n.routers[node]
-		ou.ownPol = &r.polPorts
-		ou.ownAct = &r.busyOut
-		ou.ownPolBit = 1 << uint(slot)
-	}
-	return ou
-}
-
-// connect wires an upstream output unit to a downstream input unit.
-// Each channel's endpoint state is embedded in its reader (flit pipeline
-// and power link in the input unit, credit pipeline and Down_Up link in
-// the output unit), so wiring is pure pointer exchange.
-func (n *Network) connect(ou *OutputUnit, iu *InputUnit) {
-	ou.flitOut = &iu.flitIn
-	ou.powerOut = &iu.power
-	iu.creditOut = &ou.creditIn
-	iu.mdOut = &ou.mdIn
-	iu.clk = &n.cycle
 }
 
 // neighbour returns the node id in direction dir from c, if it exists.
@@ -437,6 +379,38 @@ func (n *Network) Cycle() uint64 { return n.cycle }
 
 // Router returns router id.
 func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
+
+// Input returns the input unit at port p of router node (nil on mesh
+// edges).
+func (n *Network) Input(node NodeID, p Port) *InputUnit {
+	r := &n.routers[node]
+	if r.ports>>uint(p)&1 == 0 {
+		return nil
+	}
+	ins, _ := r.units(n)
+	return &ins[p]
+}
+
+// Output returns the output unit at port p of router node (nil on mesh
+// edges).
+func (n *Network) Output(node NodeID, p Port) *OutputUnit {
+	r := &n.routers[node]
+	if r.ports>>uint(p)&1 == 0 {
+		return nil
+	}
+	_, outs := r.units(n)
+	return &outs[p]
+}
+
+// Device returns the NBTI device of flattened VC vc of router input
+// port p at node, with the open accounting span flushed so the tracker
+// is current. The device's Vth0 is construction- or RestoreAging-time
+// state: static sensor banks hold the ranking they took of it (see
+// nextSample), so callers must not rewrite it in place.
+func (n *Network) Device(node NodeID, p Port, vc int) *nbti.Device {
+	ins, _ := n.routers[node].units(n)
+	return ins[p].device(n, vc)
+}
 
 // NI returns the network interface of node id.
 func (n *Network) NI(id NodeID) *NI { return &n.nis[id] }
@@ -519,7 +493,7 @@ func (n *Network) Step() {
 		for sb := sw; sb != 0; sb &= sb - 1 {
 			w := i<<6 + bits.TrailingZeros64(sb)
 			for b := rtr.snap[w]; b != 0; b &= b - 1 {
-				n.routers[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
+				n.routers[w<<6+bits.TrailingZeros64(b)].phaseRecv(n, cycle)
 			}
 		}
 	}
@@ -535,7 +509,7 @@ func (n *Network) Step() {
 		for sb := sw; sb != 0; sb &= sb - 1 {
 			w := i<<6 + bits.TrailingZeros64(sb)
 			for b := rtr.snap[w]; b != 0; b &= b - 1 {
-				n.routers[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
+				n.routers[w<<6+bits.TrailingZeros64(b)].phaseCompute(n, cycle)
 			}
 		}
 	}
@@ -582,7 +556,7 @@ func (n *Network) Step() {
 // consumer. A static network then stops sweeping (see nextSample).
 func (n *Network) sampleSweep(cycle uint64) {
 	for i := range n.routers {
-		n.routers[i].samplePhase(cycle)
+		n.routers[i].samplePhase(n, cycle)
 	}
 	for i := range n.nis {
 		n.nis[i].samplePhase(cycle)
@@ -699,10 +673,10 @@ func (n *Network) InFlightFlits() int {
 		total += n.iunits[i].flitIn.InFlight()
 	}
 	for i := range n.routers {
-		total += n.routers[i].bufferedFlits()
+		total += n.routers[i].bufferedFlits(n)
 	}
 	for i := range n.nis {
-		total += n.nis[i].ej.bufferedFlits() + n.nis[i].pendingFlits()
+		total += n.nis[i].ej.bufferedFlits(n) + n.nis[i].pendingFlits()
 	}
 	return total
 }
@@ -723,14 +697,13 @@ func (n *Network) Quiescent() bool {
 func (n *Network) flushNBTI() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		for p := Port(0); p < NumPorts; p++ {
-			if iu := r.in[p]; iu != nil {
-				iu.flushNBTI(n.cycle)
-			}
+		ins, _ := r.units(n)
+		for pm := r.ports; pm != 0; pm &= pm - 1 {
+			ins[bits.TrailingZeros64(pm)].flushNBTI(n, n.cycle)
 		}
 	}
 	for i := range n.nis {
-		n.nis[i].ej.flushNBTI(n.cycle)
+		n.nis[i].ej.flushNBTI(n, n.cycle)
 	}
 }
 
@@ -772,21 +745,20 @@ func (n *Network) Events() EventCounts {
 	var e EventCounts
 	for i := range n.routers {
 		r := &n.routers[i]
+		ins, outs := r.units(n)
 		e.CrossbarTraversals += r.stFlits
 		e.VAGrants += r.vaGrants
 		e.SAGrants += r.saGrants
-		for p := Port(0); p < NumPorts; p++ {
-			if iu := r.in[p]; iu != nil {
-				e.BufferWrites += iu.writes
-				e.BufferReads += iu.reads
-				for vc := range iu.devs {
-					e.StressCycles += iu.devs[vc].Tracker.StressCycles()
-					e.RecoveryCycles += iu.devs[vc].Tracker.RecoveryCycles()
-				}
+		for pm := r.ports; pm != 0; pm &= pm - 1 {
+			p := Port(bits.TrailingZeros64(pm))
+			iu, ou := &ins[p], &outs[p]
+			e.BufferWrites += iu.writes
+			e.BufferReads += iu.reads
+			for _, d := range iu.devs(n) {
+				e.StressCycles += d.Tracker.StressCycles()
+				e.RecoveryCycles += d.Tracker.RecoveryCycles()
 			}
-			if ou := r.out[p]; ou != nil {
-				e.LinkFlits += ou.flitsSent
-			}
+			e.LinkFlits += ou.flitsSent
 		}
 	}
 	for i := range n.nis {
@@ -804,14 +776,12 @@ func (n *Network) Events() EventCounts {
 func (n *Network) ResetEventCounters() {
 	for i := range n.routers {
 		r := &n.routers[i]
+		ins, outs := r.units(n)
 		r.stFlits, r.vaGrants, r.saGrants = 0, 0, 0
-		for p := Port(0); p < NumPorts; p++ {
-			if iu := r.in[p]; iu != nil {
-				iu.writes, iu.reads = 0, 0
-			}
-			if ou := r.out[p]; ou != nil {
-				ou.flitsSent = 0
-			}
+		for pm := r.ports; pm != 0; pm &= pm - 1 {
+			p := Port(bits.TrailingZeros64(pm))
+			ins[p].writes, ins[p].reads = 0, 0
+			outs[p].flitsSent = 0
 		}
 	}
 	for i := range n.nis {
@@ -834,7 +804,7 @@ func (n *Network) ResetTrafficStats() {
 
 // DutyCycle returns the NBTI-duty-cycle (percent) of a router input VC.
 func (n *Network) DutyCycle(node NodeID, port Port, vc int) float64 {
-	return n.routers[node].in[port].Device(vc).Tracker.DutyCycle()
+	return n.Device(node, port, vc).Tracker.DutyCycle()
 }
 
 // MostDegradedVC returns the most degraded VC (index within the vnet
@@ -844,13 +814,14 @@ func (n *Network) DutyCycle(node NodeID, port Port, vc int) float64 {
 // hold their outputs from the first sweep on, so the read returns them
 // without sampling, as it would between the sweeps the hardware runs.
 func (n *Network) MostDegradedVC(node NodeID, port Port, vnet int) int {
-	iu := n.routers[node].in[port]
-	bank := &iu.banks[vnet]
+	ins, _ := n.routers[node].units(n)
+	iu := &ins[port]
+	bank := &iu.banks(n)[vnet]
 	if n.elideSweeps && n.cycle > 0 {
 		md, _ := bank.Held()
 		return md
 	}
-	iu.flushNBTI(n.cycle)
+	iu.flushNBTI(n, n.cycle)
 	return bank.MostDegraded(n.cycle)
 }
 

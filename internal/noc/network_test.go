@@ -53,20 +53,18 @@ func TestMeshWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Upper-left router: no North, no West neighbours.
-	r0 := n.Router(0)
-	if r0.Input(North) != nil || r0.Input(West) != nil {
+	if n.Input(0, North) != nil || n.Input(0, West) != nil {
 		t.Error("corner router has phantom north/west inputs")
 	}
-	if r0.Input(East) == nil || r0.Input(South) == nil || r0.Input(Local) == nil {
+	if n.Input(0, East) == nil || n.Input(0, South) == nil || n.Input(0, Local) == nil {
 		t.Error("corner router missing east/south/local inputs")
 	}
 	// Centre-top router (1,0) has all but North.
-	r1 := n.Router(1)
-	if r1.Input(North) != nil {
+	if n.Input(1, North) != nil || n.Output(1, North) != nil {
 		t.Error("top-row router has north input")
 	}
 	for _, p := range []Port{East, South, West, Local} {
-		if r1.Input(p) == nil {
+		if n.Input(1, p) == nil || n.Output(1, p) == nil {
 			t.Errorf("router 1 missing input %v", p)
 		}
 	}
@@ -185,9 +183,8 @@ func TestBaselineDutyCycleIs100(t *testing.T) {
 	cfg := testConfig(2, 2, 2)
 	n := runUniform(t, cfg, 0.1, 4, 2000, 5)
 	for node := NodeID(0); node < 4; node++ {
-		r := n.Router(node)
 		for p := Port(0); p < NumPorts; p++ {
-			if r.Input(p) == nil {
+			if n.Input(node, p) == nil {
 				continue
 			}
 			for vc := 0; vc < cfg.TotalVCs(); vc++ {
@@ -252,13 +249,13 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 func TestResetNBTIStats(t *testing.T) {
 	n := runUniform(t, testConfig(2, 2, 2), 0.2, 4, 500, 3)
 	n.ResetNBTIStats()
-	if got := n.Router(0).Input(Local).Device(0).Tracker.TotalCycles(); got != 0 {
+	if got := n.Device(0, Local, 0).Tracker.TotalCycles(); got != 0 {
 		t.Fatal("tracker not reset")
 	}
 	n.Step()
 	// Device flushes the open accounting span, so the stepped cycle is
 	// visible through the accessor.
-	if got := n.Router(0).Input(Local).Device(0).Tracker.TotalCycles(); got != 1 {
+	if got := n.Device(0, Local, 0).Tracker.TotalCycles(); got != 1 {
 		t.Fatalf("tracker = %d cycles after one step", got)
 	}
 }
@@ -374,16 +371,16 @@ func TestAccessorsSmoke(t *testing.T) {
 	if r.ID() != 0 || r.Coord() != (Coord{0, 0}) {
 		t.Error("router identity accessors wrong")
 	}
-	iu := r.Input(East)
-	if iu.Port() != East || iu.NumVCs() != 2 {
+	iu := n.Input(0, East)
+	if iu.Port() != East {
 		t.Error("input unit accessors wrong")
 	}
-	ou := r.Output(East)
-	if ou.Port() != East || ou.PolicyName() != "baseline" {
-		t.Errorf("output unit accessors wrong: %v %q", ou.Port(), ou.PolicyName())
+	ou := n.Output(0, East)
+	if ou.Port() != East || ou.domain(n).policy.Name() != "baseline" {
+		t.Errorf("output unit accessors wrong: %v %q", ou.Port(), ou.domain(n).policy.Name())
 	}
 	ni := n.NI(0)
-	if ni.ID() != 0 || ni.Ejection() == nil || ni.InjectionOutput() == nil {
+	if ni.ID() != 0 || ni.Ejection().Port() != Local || ni.InjectionOutput().Port() != Local {
 		t.Error("NI accessors wrong")
 	}
 	if n.Config().Width != 2 {
@@ -405,11 +402,11 @@ func TestAccessorsSmoke(t *testing.T) {
 	if NewRoundRobin(3).Size() != 3 {
 		t.Error("arbiter Size wrong")
 	}
-	local := n.Router(0).Input(Local)
+	local := n.Input(0, Local)
 	if local.Writes() == 0 || local.Reads() == 0 {
 		t.Error("access counters empty after traffic")
 	}
-	if got := n.Router(0).Output(East); got.FlitsSent() == 0 {
+	if got := n.Output(0, East); got.FlitsSent() == 0 {
 		t.Error("FlitsSent zero after traffic through east link")
 	}
 	_ = n.Router(0).CrossbarTraversals()

@@ -87,19 +87,6 @@ type NI struct {
 	stats NIStats
 }
 
-// initNI initialises the zero NI shell ni in place, carving its source
-// queues from st; its output unit and ejection input unit are attached
-// by the network wiring. flows is caller-owned backing storage with
-// TotalVCs entries.
-func initNI(ni *NI, id NodeID, cfg *Config, flows []niFlow, st *unitStore) {
-	total := cfg.TotalVCs()
-	ni.id, ni.cfg = id, cfg
-	ni.srcQ = take(&st.queues, cfg.VNets)
-	ni.flows = flows[:total:total]
-	ni.flowArb = RoundRobin{n: total}
-	ni.ejArb = RoundRobin{n: total}
-}
-
 // ID returns the NI's node id.
 func (ni *NI) ID() NodeID { return ni.id }
 
@@ -146,16 +133,17 @@ func (ni *NI) inject(p Packet) error {
 // deliverEject writes flits arriving from the router into the ejection
 // buffers.
 func (ni *NI) deliverEject(cycle uint64) {
-	for _, f := range ni.ej.flitIn.Receive() {
-		ni.ej.bufferWrite(f, cycle, Local)
+	n := ni.net
+	for _, f := range n.flits.receive(&ni.ej.flitIn, ni.ej.unit()) {
+		ni.ej.bufferWrite(n, f, cycle, Local)
 	}
 }
 
 // pickEject returns the first VC of mask (ascending bit order) whose
 // head flit is ready, or -1.
-func (ni *NI) pickEject(mask, cycle uint64) int {
+func (ni *NI) pickEject(bufs []vcBuffer, mask, cycle uint64) int {
 	for ; mask != 0; mask &= mask - 1 {
-		if vc := bits.TrailingZeros64(mask); ni.ej.headReady(vc, cycle) {
+		if vc := bits.TrailingZeros64(mask); bufs[vc].headReady(cycle) {
 			return vc
 		}
 	}
@@ -167,18 +155,22 @@ func (ni *NI) pickEject(mask, cycle uint64) int {
 // occupied-VC mask from the arbiter pointer upward, then wraps —
 // identical to the modular scan over all VCs.
 func (ni *NI) drainEject(cycle uint64) {
+	if ni.ej.occMask == 0 {
+		return
+	}
+	bufs := ni.ej.bufs(ni.net)
 	for k := 0; k < ni.cfg.EjectRate; k++ {
 		occ := ni.ej.occMask
 		low := uint64(1)<<uint(ni.ejArb.next) - 1
-		vc := ni.pickEject(occ&^low, cycle)
+		vc := ni.pickEject(bufs, occ&^low, cycle)
 		if vc < 0 {
-			vc = ni.pickEject(occ&low, cycle)
+			vc = ni.pickEject(bufs, occ&low, cycle)
 		}
 		if vc < 0 {
 			return
 		}
-		ni.ejArb.next = (vc + 1) % ni.ej.NumVCs()
-		f := ni.ej.popFlit(vc, cycle)
+		ni.ejArb.next = (vc + 1) % len(bufs)
+		f := ni.ej.popFlit(ni.net, vc, cycle)
 		ni.stats.EjectedFlits++
 		ni.net.noteProgress()
 		if ni.net.tracer != nil {
@@ -223,10 +215,10 @@ func (ni *NI) stageSend(cycle uint64) {
 	if picked < 0 {
 		return
 	}
-	ni.flowArb.next = (picked + 1) % ni.cfg.TotalVCs()
+	ni.flowArb.next = (picked + 1) % ni.net.total
 	fl := &ni.flows[picked]
 	f := fl.flit()
-	ni.out.sendFlit(f, picked, cycle)
+	ni.out.sendFlit(ni.net, f, picked, cycle)
 	fl.next++
 	ni.stats.InjectedFlits++
 	ni.net.noteProgress()
@@ -240,10 +232,10 @@ func (ni *NI) stageSend(cycle uint64) {
 // queue (at most one per vnet per cycle), mirroring the router VA rate.
 func (ni *NI) stageVA(cycle uint64) {
 	for vn := 0; vn < ni.cfg.VNets; vn++ {
-		if len(ni.srcQ[vn]) == 0 || !ni.out.hasFreeVC(vn) {
+		if len(ni.srcQ[vn]) == 0 || !ni.out.hasFreeVC(ni.cfg, vn) {
 			continue
 		}
-		vc := ni.out.allocVC(vn)
+		vc := ni.out.allocVC(ni.net, vn)
 		if vc < 0 {
 			continue
 		}
@@ -276,8 +268,8 @@ func (ni *NI) stagePolicy(cycle uint64) {
 			}
 		}
 	}
-	if !ni.out.policyHolds(nt) {
-		ni.out.runPolicy(nt, cycle)
+	if !ni.out.policyHolds(ni.net.pol, nt) {
+		ni.out.runPolicy(ni.net, nt, cycle)
 	}
 }
 
@@ -290,14 +282,14 @@ func (ni *NI) phaseRecv(cycle uint64) {
 	if ni.ej.power.Tick() {
 		ni.ej.pwrDirty = true
 	}
-	if ni.out.mdIn.Tick() {
+	if ni.out.mdIn.Tick(ni.out.vnets(ni.net)) {
 		ni.out.polDirty = true
 	}
 	if ni.out.creditIn.n != 0 {
-		ni.out.creditTick()
+		ni.out.creditTick(ni.net)
 	}
 	ni.deliverEject(cycle)
-	ni.ej.applyPower(cycle)
+	ni.ej.applyPower(ni.net, cycle)
 }
 
 // phaseCompute is the send half of a cycle: drain the ejection buffers,
@@ -315,8 +307,8 @@ func (ni *NI) phaseCompute(cycle uint64) {
 // output unit is the consumer; with the default always-on policy the
 // value is unused).
 func (ni *NI) samplePhase(cycle uint64) {
-	ni.ej.flushNBTI(cycle)
-	ni.ej.publishMostDegraded(cycle)
+	ni.ej.flushNBTI(ni.net, cycle)
+	ni.ej.publishMostDegraded(ni.net, cycle)
 }
 
 // quiescent reports whether every per-cycle phase of this NI is
@@ -328,5 +320,5 @@ func (ni *NI) quiescent() bool {
 		!ni.ej.power.settled() || ni.ej.activeMask != 0 {
 		return false
 	}
-	return ni.out.quiescent()
+	return ni.out.quiescent(ni.net.pol)
 }

@@ -126,9 +126,9 @@ type policyDomain struct {
 	// gateEvents and wakeEvents count the power-state transitions (1->0
 	// and 0->1) the domain's units commanded.
 	gateEvents, wakeEvents uint64
-	// mFlits mirrors link launches, mGate and mWake the counts above,
-	// into the process metrics registry.
-	mFlits, mGate, mWake *metrics.Counter
+	// mGate and mWake mirror the counts above into the process metrics
+	// registry.
+	mGate, mWake *metrics.Counter
 }
 
 // newPolicyDomain builds factory's one instance (nil means the
@@ -146,7 +146,6 @@ func newPolicyDomain(factory PolicyFactory) *policyDomain {
 	if c, ok := p.(CycleFreePolicy); ok {
 		d.pure = c.CycleFree()
 	}
-	d.mFlits = flitsRoutedCounter()
 	d.mGate, d.mWake = gatingCounters(p.Name())
 	return d
 }

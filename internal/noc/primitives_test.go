@@ -125,8 +125,23 @@ func TestQuickRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// testPipe is one pipeline over a one-unit ring arena.
+type testPipe struct {
+	r pipeRing[int]
+	p pipeline
+}
+
+func newTestPipe(lat, width int) *testPipe {
+	lens := make([]int32, lat)
+	return &testPipe{r: newPipeRing[int](1, lat, width, &lens)}
+}
+
+func (tp *testPipe) Send(v int)     { tp.r.send(&tp.p, 0, v) }
+func (tp *testPipe) Receive() []int { return tp.r.receive(&tp.p, 0) }
+func (tp *testPipe) InFlight() int  { return tp.p.InFlight() }
+
 func TestPipelineLatency1(t *testing.T) {
-	p := NewPipeline[int](1)
+	p := newTestPipe(1, 1)
 	if got := p.Receive(); len(got) != 0 {
 		t.Fatalf("initial receive = %v", got)
 	}
@@ -140,7 +155,7 @@ func TestPipelineLatency1(t *testing.T) {
 }
 
 func TestPipelineLatency3(t *testing.T) {
-	p := NewPipeline[int](3)
+	p := newTestPipe(3, 1)
 	p.Send(42)
 	for i := 0; i < 2; i++ {
 		if got := p.Receive(); len(got) != 0 {
@@ -159,7 +174,7 @@ func TestPipelineLatency3(t *testing.T) {
 }
 
 func TestPipelineBatching(t *testing.T) {
-	p := NewPipeline[int](2)
+	p := newTestPipe(2, 2)
 	p.Send(1)
 	p.Send(2)
 	p.Receive()
@@ -180,11 +195,11 @@ func TestPipelinePanicsOnZeroLatency(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewPipeline[int](0)
+	newPipeRing[int](1, 0, 1, new([]int32))
 }
 
 func TestPowerLinkDelay(t *testing.T) {
-	l := newPowerLink()
+	l := &powerLink{cur: ^uint64(0), next: ^uint64(0)}
 	if l.Current() != ^uint64(0) {
 		t.Fatal("power link must start all-on")
 	}
@@ -203,21 +218,22 @@ func TestPowerLinkDelay(t *testing.T) {
 }
 
 func TestMDLinkDelay(t *testing.T) {
-	l := newMDLink(2)
-	if l.Current(0) != 0 || l.Current(1) != 0 {
+	var l mdLink
+	w := make([]outVNet, 2)
+	if l.Current(w, 0) != 0 || l.Current(w, 1) != 0 {
 		t.Fatal("md link must start at VC 0")
 	}
-	l.Send(0, 3, 1)
-	l.Send(1, 1, 0)
-	if l.Current(0) != 0 || l.CurrentLD(0) != 0 {
+	l.Send(w, 0, 3, 1)
+	l.Send(w, 1, 1, 0)
+	if l.Current(w, 0) != 0 || l.CurrentLD(w, 0) != 0 {
 		t.Fatal("md applied without delay")
 	}
-	l.Tick()
-	if l.Current(0) != 3 || l.Current(1) != 1 {
-		t.Fatalf("md after tick = %d/%d", l.Current(0), l.Current(1))
+	l.Tick(w)
+	if l.Current(w, 0) != 3 || l.Current(w, 1) != 1 {
+		t.Fatalf("md after tick = %d/%d", l.Current(w, 0), l.Current(w, 1))
 	}
-	if l.CurrentLD(0) != 1 || l.CurrentLD(1) != 0 {
-		t.Fatalf("ld after tick = %d/%d", l.CurrentLD(0), l.CurrentLD(1))
+	if l.CurrentLD(w, 0) != 1 || l.CurrentLD(w, 1) != 0 {
+		t.Fatalf("ld after tick = %d/%d", l.CurrentLD(w, 0), l.CurrentLD(w, 1))
 	}
 }
 
@@ -254,9 +270,12 @@ func TestFlitSize(t *testing.T) {
 // TestRecordSizes pins the per-VC records, which a 32×32 mesh holds
 // 24 576 of each: the VC buffer finds its ring and device by index and
 // the device shares its model, so both stay within 32 bytes; the
-// output-side VC record is two 32-bit counters. It also pins the output
-// unit, which a 32×32 mesh holds 6 144 of: its policy, declarations,
-// transition counts and metric handles live once per gating domain.
+// output-side VC record is two 32-bit counters. It also pins the unit
+// records, which a 32×32 mesh holds 6 144 of each, and the router: a
+// unit finds its per-VC state, link rings, neighbours and router by
+// index, and reaches its config, policy domain and instruments through
+// the network, so it keeps only masks, counters, its slot coordinates
+// and two arena offsets.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -264,7 +283,9 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"vcBuffer", unsafe.Sizeof(vcBuffer{}), 32},
 		{"nbti.Device", unsafe.Sizeof(nbti.Device{}), 32},
-		{"OutputUnit", unsafe.Sizeof(OutputUnit{}), 384},
+		{"InputUnit", unsafe.Sizeof(InputUnit{}), 96},
+		{"OutputUnit", unsafe.Sizeof(OutputUnit{}), 96},
+		{"Router", unsafe.Sizeof(Router{}), 416},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
@@ -276,10 +297,11 @@ func TestRecordSizes(t *testing.T) {
 }
 
 // TestArenasPointerFree checks that the records the network keeps in
-// flat arenas hold no pointer, slice, map, channel, function or
-// interface, at any depth: the arenas are then no-scan spans the
-// garbage collector never walks, and a record cannot alias another
-// arena's storage.
+// flat arenas — per-VC and per-vnet records, flits, packets, and the
+// input unit, output unit and router records — hold no pointer, slice,
+// map, channel, function or interface, at any depth: the arenas are then
+// no-scan spans the garbage collector never walks, and a record cannot
+// alias another arena's storage.
 func TestArenasPointerFree(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -296,7 +318,8 @@ func TestArenasPointerFree(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []any{vcBuffer{}, outVC{}, nbti.Device{}, flit{}, niFlow{}, packet{}} {
+	for _, v := range []any{vcBuffer{}, outVC{}, outVNet{}, nbti.Device{}, flit{}, niFlow{}, packet{},
+		InputUnit{}, OutputUnit{}, Router{}, RoundRobin{}, Coord{}} {
 		typ := reflect.TypeOf(v)
 		walk(typ.String(), typ)
 	}
@@ -408,7 +431,7 @@ func abs(x int) int {
 func TestQuickPipelineDelivery(t *testing.T) {
 	f := func(latRaw uint8, sends []uint8) bool {
 		lat := int(latRaw%5) + 1
-		p := NewPipeline[int](lat)
+		p := newTestPipe(lat, 1)
 		type sent struct{ value, cycle int }
 		var pending []sent
 		var delivered []sent

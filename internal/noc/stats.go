@@ -154,13 +154,13 @@ func (n *Network) LinkUtilizations(window uint64) []LinkUtilization {
 			Utilization: float64(flits) * phits / float64(window),
 		})
 	}
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
+		_, outs := r.units(n)
 		for p := Port(0); p < NumPorts; p++ {
-			ou := r.out[p]
-			if ou == nil {
-				continue
+			if r.ports>>uint(p)&1 != 0 {
+				add(r.id, p, false, p == Local, outs[p].flitsSent)
 			}
-			add(r.id, p, false, p == Local, ou.flitsSent)
 		}
 	}
 	for _, ni := range n.nis {

@@ -25,13 +25,12 @@ func TestPipelineTiming(t *testing.T) {
 	// then the cycle it lands in router 1's West input port, then
 	// ejection completion.
 	var bwLocal, bwWest, done uint64
-	r0, r1 := n.Router(0), n.Router(1)
 	for c := 0; c < 60; c++ {
 		n.Step()
-		if bwLocal == 0 && r0.Input(Local).bufferedFlits() > 0 {
+		if bwLocal == 0 && n.Input(0, Local).bufferedFlits(n) > 0 {
 			bwLocal = n.Cycle()
 		}
-		if bwWest == 0 && r1.Input(West).bufferedFlits() > 0 {
+		if bwWest == 0 && n.Input(1, West).bufferedFlits(n) > 0 {
 			bwWest = n.Cycle()
 		}
 		if done == 0 && n.TotalEjectedPackets() == 1 {
@@ -69,7 +68,7 @@ func TestBackToBackFlits(t *testing.T) {
 	if err := n.Inject(0, 1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	iu := n.Router(1).Input(West)
+	iu := n.Input(1, West)
 	var arrivals []uint64
 	seen := 0
 	for c := 0; c < 80 && seen < 4; c++ {
@@ -105,7 +104,7 @@ func TestPhitTimingSpacing(t *testing.T) {
 	if err := n.Inject(0, 1, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	iu := n.Router(1).Input(West)
+	iu := n.Input(1, West)
 	var arrivals []uint64
 	for c := 0; c < 100 && len(arrivals) < 3; c++ {
 		before := iu.Writes()
@@ -148,8 +147,8 @@ func TestSwitchFairness(t *testing.T) {
 	}
 	// Count per-source deliveries via the east/west input ports of
 	// router 1: flits from node 0 arrive on West, node 2 on East.
-	west := n.Router(1).Input(West).Writes()
-	east := n.Router(1).Input(East).Writes()
+	west := n.Input(1, West).Writes()
+	east := n.Input(1, East).Writes()
 	if west == 0 || east == 0 {
 		t.Fatalf("one side starved: west=%d east=%d", west, east)
 	}

@@ -113,8 +113,10 @@ func RunEnergy(cores, vcs int, rate float64, opt TableOptions) (*EnergyTable, er
 	return energyDriver(cores, vcs, rate, opt).run(opt)
 }
 
-// energyDriver enumerates the energy extension: one unprobed run per
-// policy on a common scenario.
+// energyDriver enumerates the energy extension: one run per policy on a
+// common scenario. The specs keep the scenario's probes, which the
+// reduction ignores, so each run is the same spec (and cache key) as the
+// Table III, cooperation and corners run of that policy.
 func energyDriver(cores, vcs int, rate float64, opt TableOptions) driver[*EnergyTable] {
 	m, err := SquareMesh(cores)
 	if err != nil {
@@ -125,7 +127,6 @@ func energyDriver(cores, vcs int, rate float64, opt TableOptions) driver[*Energy
 	specs := make([]Spec, len(policies))
 	for i, policy := range policies {
 		specs[i] = opt.syntheticSpec(m, vcs, rate, policy)
-		specs[i].Probes = nil
 	}
 	return driver[*EnergyTable]{specs: specs, reduce: func(sums []*RunSummary) (*EnergyTable, error) {
 		out := &EnergyTable{Cores: cores, VCs: vcs, Rate: rate, Cycles: opt.Measure}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"nbtinoc/internal/core"
 )
 
 // RRPeriodRow is one rotation-period point of the rr-no-sensor study.
@@ -35,7 +37,9 @@ func RunRRPeriodStudy(cores, vcs int, rate float64, periods []uint64, opt TableO
 }
 
 // rrPeriodDriver enumerates one run per rotation period. The period is
-// declared through PolicySpec, so the sweep stays cacheable by content.
+// declared through PolicySpec, so the sweep stays cacheable by content;
+// the default period is plain rr-no-sensor, the same run (and cache key)
+// as that policy's row of Table II.
 func rrPeriodDriver(cores, vcs int, rate float64, periods []uint64, opt TableOptions) driver[*RRPeriodTable] {
 	if len(periods) == 0 {
 		return driver[*RRPeriodTable]{err: fmt.Errorf("sim: empty period sweep")}
@@ -46,6 +50,10 @@ func rrPeriodDriver(cores, vcs int, rate float64, periods []uint64, opt TableOpt
 	}
 	specs := make([]Spec, len(periods))
 	for i, period := range periods {
+		if period == core.DefaultRotatePeriod {
+			specs[i] = opt.syntheticSpec(m, vcs, rate, "rr-no-sensor")
+			continue
+		}
 		specs[i] = opt.syntheticSpec(m, vcs, rate, "")
 		specs[i].Policy.RRPeriod = period
 	}

@@ -254,9 +254,7 @@ func Run(rc RunConfig, probes []PortProbe) (*RunResult, error) {
 
 // ReadPort extracts a port reading from a network.
 func ReadPort(net *noc.Network, p PortProbe) (PortReading, error) {
-	r := net.Router(p.Node)
-	iu := r.Input(p.Port)
-	if iu == nil {
+	if net.Input(p.Node, p.Port) == nil {
 		return PortReading{}, fmt.Errorf("sim: node %d has no %v input port", p.Node, p.Port)
 	}
 	cfg := net.Config()
@@ -266,7 +264,7 @@ func ReadPort(net *noc.Network, p PortProbe) (PortReading, error) {
 	reading := PortReading{Probe: p, MostDegraded: net.MostDegradedVC(p.Node, p.Port, p.VNet)}
 	for i := 0; i < cfg.VCsPerVNet; i++ {
 		vc := p.VNet*cfg.VCsPerVNet + i
-		tr := &iu.Device(vc).Tracker
+		tr := &net.Device(p.Node, p.Port, vc).Tracker
 		reading.Duty = append(reading.Duty, tr.DutyCycle())
 		busy := 0.0
 		if tot := tr.TotalCycles(); tot > 0 {

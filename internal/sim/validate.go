@@ -48,12 +48,19 @@ func (s Spec) Validate() error {
 	if s.Measure == 0 {
 		add("measure", "measurement window must be at least 1 cycle")
 	}
-	if s.Policy.Name != "" {
-		if s.Policy.RRPeriod > 0 {
+	switch {
+	case s.Policy.RRPeriod > 0:
+		if s.Policy.Name != "" {
 			// RRPeriod overrides the name: a spec carrying both would be
 			// a second content address for the run without the name.
 			add("policy.name", "must be empty when rr_period is set (got %q)", s.Policy.Name)
-		} else if _, err := core.Lookup(s.Policy.Name); err != nil {
+		}
+	case s.Policy.Name == "":
+		// Run treats an empty name as the always-on network, which
+		// "baseline" already names: one run, one content address.
+		add("policy.name", `must name the policy; the always-on network is "baseline"`)
+	default:
+		if _, err := core.Lookup(s.Policy.Name); err != nil {
 			add("policy.name", "unknown policy %q (known: %s)",
 				s.Policy.Name, strings.Join(core.Names(), ", "))
 		}

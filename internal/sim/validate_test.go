@@ -97,6 +97,13 @@ func TestValidateFieldCases(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Errorf("rr-period spec rejected: %v", err)
 	}
+	// An empty name would run the always-on network that "baseline"
+	// names, under a second content address.
+	s.Policy = PolicySpec{}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "policy.name:") ||
+		!strings.Contains(err.Error(), `"baseline"`) {
+		t.Errorf("spec with an empty policy: error %v, want a policy.name error naming baseline", err)
+	}
 	s = quickSpec()
 	s.Gen.Pattern, s.Gen.HotspotNode, s.Gen.HotspotFraction = "hotspot", 3, 0.3
 	if err := s.Validate(); err != nil {
