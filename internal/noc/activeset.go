@@ -95,6 +95,20 @@ func (s *activeSet) snapshot() int {
 	return count
 }
 
+// each calls visit with the id of every member of the snapshot, in
+// ascending id order: the summary's set bits, then the set bits of each
+// summarised word. Members may leave the live set during the walk.
+func (s *activeSet) each(visit func(id int)) {
+	for i, sw := range s.snapSum {
+		for sb := sw; sb != 0; sb &= sb - 1 {
+			w := i<<6 + bits.TrailingZeros64(sb)
+			for b := s.snap[w]; b != 0; b &= b - 1 {
+				visit(w<<6 + bits.TrailingZeros64(b))
+			}
+		}
+	}
+}
+
 // empty reports whether the set has no member.
 func (s *activeSet) empty() bool {
 	for _, sw := range s.sum {
@@ -131,35 +145,28 @@ func (n *Network) debugCheckSkipped() {
 		if n.ni.snapped(id) || n.ni.has(id) {
 			continue
 		}
-		if !n.nis[id].quiescent() {
+		if !n.nis[id].quiescent(n) {
 			panic("noc: skipped NI is not quiescent (missing wake)")
 		}
 	}
 }
 
-// debugCheckHeld asserts (under -tags nbtidebug) that every sensor bank
-// of a static network still holds what an elided sweep would compute,
-// i.e. no Vth0 changed behind RestoreAging's back.
+// debugCheckHeld asserts (under -tags nbtidebug) that every Down_Up
+// link of a static network still holds what an elided sweep would
+// publish, i.e. no Vth0 changed behind RestoreAging's back.
 func (n *Network) debugCheckHeld() {
-	check := func(iu *InputUnit) {
-		banks := iu.banks(n)
-		for i := range banks {
-			b := &banks[i]
-			md, ld := b.Evaluate()
-			if hmd, hld := b.Held(); md != hmd || ld != hld {
+	for i := range n.iunits {
+		iu := &n.iunits[i]
+		if iu.depth == 0 {
+			continue // the zero record of an absent edge port
+		}
+		w := n.ounits[iu.upUnit()].vnets(n)
+		for vn := range w {
+			md, ld := iu.sweep(n, vn, false)
+			if hmd, hld := int(w[vn].nextMD), int(w[vn].nextLD); md != hmd || ld != hld {
 				panic(fmt.Sprintf("noc: elided sweep of node %d port %v would publish md=%d ld=%d, held md=%d ld=%d",
 					iu.owner, iu.Port(), md, ld, hmd, hld))
 			}
 		}
-	}
-	for i := range n.routers {
-		r := &n.routers[i]
-		ins, _ := r.units(n)
-		for pm := r.ports; pm != 0; pm &= pm - 1 {
-			check(&ins[bits.TrailingZeros64(pm)])
-		}
-	}
-	for i := range n.nis {
-		check(n.nis[i].ej)
 	}
 }

@@ -67,7 +67,7 @@ func (n *Network) AgingSnapshot() AgingState {
 // snapshot must address existing buffers; Vth0 values are restored too,
 // so a snapshot carries its silicon with it (overriding the PV draw).
 // A static network whose sweeps are elided re-arms the next
-// period-aligned sample, so the banks rank the restored Vth0 exactly
+// period-aligned sample, so the sensors rank the restored Vth0 exactly
 // when a sweeping network would.
 func (n *Network) RestoreAging(st AgingState) error {
 	n.flushNBTI()

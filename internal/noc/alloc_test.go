@@ -10,15 +10,14 @@ import (
 )
 
 // maxNewBytes bounds the heap bytes of a 32×32 sensor-wise noc.New:
-// the 5.49 MB measured with pointer-free unit and router records (96-byte
-// input and output units) that find their per-VC state, link rings and
-// neighbours by index, plus 10%.
-const maxNewBytes = 6_036_000
+// the 4.80 MB measured with pointer-free unit, router and NI records
+// that find their per-VC state, link rings, neighbours and source queues
+// by index and no sensor-bank arena, plus 10%.
+const maxNewBytes = 5_276_000
 
 // maxNewAllocs bounds the allocations of a 32×32 noc.New. A normal
-// build makes 42–43, as the pointer-wired units did, and under -race
-// the count reads up to 46; one allocation per node or per unit would
-// add at least a thousand.
+// build makes 41, and under -race the count reads a few more; one
+// allocation per node or per unit would add at least a thousand.
 const maxNewAllocs = 64
 
 // TestNewAllocations pins construction's heap allocations: every

@@ -15,8 +15,7 @@ func TestDebugCatchesStaleHeldSensors(t *testing.T) {
 	n := settleTestNet(t)
 	// Make whichever VC of an East input port is not the most degraded
 	// one the clear winner.
-	iu := n.Input(0, East)
-	md, _ := iu.banks(n)[0].Held()
+	md := n.MostDegradedVC(0, East, 0)
 	n.Device(0, East, 1-md).Vth0 = 1
 	defer func() {
 		if r := recover(); !strings.Contains(fmt.Sprint(r), "elided sweep") {

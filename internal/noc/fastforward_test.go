@@ -173,7 +173,7 @@ func TestRunUntilStaticJumpsWholeSpan(t *testing.T) {
 }
 
 // Waking exactly on a sample cycle: an injection scheduled for the very
-// cycle the sensor sweep runs (or, for a static bank, would run) must be
+// cycle the sensor sweep runs (or, for static sensors, would run) must be
 // processed normally afterwards, and exactly as a step-by-step run
 // processes it.
 func TestRunUntilWakeOnSampleCycle(t *testing.T) {

@@ -76,24 +76,23 @@ func TestFigure1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ports := 0
 		for node := NodeID(0); node < 4; node++ {
 			for p := Port(0); p < NumPorts; p++ {
 				iu := n.Input(node, p)
 				if iu == nil {
 					continue
 				}
-				banks := iu.banks(n)
-				if len(banks) != cfg.VNets {
-					t.Fatalf("node %d port %v: %d sensor banks, want %d",
-						node, p, len(banks), cfg.VNets)
+				if got := len(iu.devs(n)); got != cfg.TotalVCs() {
+					t.Fatalf("node %d port %v: %d sensed devices, want one per VC (%d)",
+						node, p, got, cfg.TotalVCs())
 				}
-				for vn, bank := range banks {
-					if bank.Size() != cfg.VCsPerVNet {
-						t.Fatalf("node %d port %v vnet %d: %d sensors, want %d",
-							node, p, vn, bank.Size(), cfg.VCsPerVNet)
-					}
-				}
+				ports++
 			}
+		}
+		// The NI ejection buffers are sensed too.
+		if want := uint64((ports + 4) * cfg.TotalVCs()); n.sensors != want {
+			t.Fatalf("a sweep reads %d sensors, want %d", n.sensors, want)
 		}
 	})
 

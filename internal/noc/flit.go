@@ -91,23 +91,24 @@ type flit struct {
 }
 
 // packet is one packet-table slot: the header every flit of a packet
-// shares, stored once. A slot is taken when the NI grants the packet
-// its first VC (NI-VA) and freed when its tail is ejected.
+// shares, stored once. A packet is one slot from Inject to tail
+// ejection: Inject takes it and appends it to its NI's source queue,
+// NI-VA dequeues it and stamps netInject, and the tail's ejection frees
+// it. A slot is free, queued or in flight, never two of these at once.
 type packet struct {
 	id, inject, netInject uint64
 	src, dst              NodeID
 	vnet, len             uint16
-	// nextFree links a free slot to the next one on the free list, as
-	// packetTable.free does.
-	nextFree uint32
+	// next links a free slot to the next one on the free list, or a
+	// queued slot to the next one in its source queue: 1 + that slot, 0
+	// at the end of the list. An in-flight slot's link is 0.
+	next uint32
 }
 
-// packetTable holds the header of every packet between NI-VA and tail
-// ejection. Freed slots form a LIFO list threaded through nextFree, so
-// the table grows only when more packets are live at once than ever
-// before, and never shrinks. A live packet holds a distinct input VC
-// (the one its tail occupies or is heading to, or its injection VC), so
-// the table never outgrows the network's input VC count.
+// packetTable holds the header of every packet between Inject and tail
+// ejection. Freed slots form a LIFO list threaded through next, so the
+// table grows only when more packets are queued or in flight at once
+// than ever before, and never shrinks.
 type packetTable struct {
 	slots []packet
 	// free is 1 + the first free slot, 0 while none is free, so the zero
@@ -123,15 +124,37 @@ func (t *packetTable) take(p packet) uint32 {
 		return uint32(len(t.slots) - 1)
 	}
 	s := t.free - 1
-	t.free = t.slots[s].nextFree
+	t.free = t.slots[s].next
 	t.slots[s] = p
 	return s
 }
 
 // release frees slot s for the next take.
 func (t *packetTable) release(s uint32) {
-	t.slots[s] = packet{nextFree: t.free}
+	t.slots[s] = packet{next: t.free}
 	t.free = s + 1
+}
+
+// enqueue appends slot s, whose link is 0, to source queue q.
+func (t *packetTable) enqueue(q *niQueue, s uint32) {
+	if q.tail == 0 {
+		q.head = s + 1
+	} else {
+		t.slots[q.tail-1].next = s + 1
+	}
+	q.tail = s + 1
+}
+
+// dequeue removes the head slot of the non-empty source queue q and
+// returns it, unlinked.
+func (t *packetTable) dequeue(q *niQueue) uint32 {
+	s := q.head - 1
+	p := &t.slots[s]
+	q.head, p.next = p.next, 0
+	if q.head == 0 {
+		q.tail = 0
+	}
+	return s
 }
 
 // export builds the exported view of f from its packet's slot.
@@ -149,15 +172,6 @@ func (t *packetTable) export(f flit) Flit {
 		InjectCycle:    p.inject,
 		NetInjectCycle: p.netInject,
 	}
-}
-
-// Packet describes a packet to be injected by a network interface.
-type Packet struct {
-	ID          uint64
-	Src, Dst    NodeID
-	VNet        int
-	Len         int
-	InjectCycle uint64
 }
 
 // flitType returns the position type of flit seq in a packet of n flits.

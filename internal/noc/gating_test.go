@@ -452,7 +452,7 @@ func TestGateEjection(t *testing.T) {
 	// The NI ejection buffers must have recorded recovery cycles.
 	var rec uint64
 	for node := NodeID(0); node < 4; node++ {
-		ej := n.NI(node).Ejection()
+		_, ej := n.NI(node).units(n)
 		for vc := 0; vc < cfg.TotalVCs(); vc++ {
 			rec += ej.device(n, vc).Tracker.RecoveryCycles()
 		}
@@ -468,7 +468,7 @@ func TestGateEjection(t *testing.T) {
 	}
 	driveUniform(t, n2, 0.1, 4, 2000, 23)
 	for node := NodeID(0); node < 4; node++ {
-		ej := n2.NI(node).Ejection()
+		_, ej := n2.NI(node).units(n2)
 		for vc := 0; vc < cfg2.TotalVCs(); vc++ {
 			if ej.device(n2, vc).Tracker.RecoveryCycles() != 0 {
 				t.Fatal("ejection buffers gated without GateEjection")

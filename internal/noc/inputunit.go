@@ -47,16 +47,16 @@ func (b *vcBuffer) len() int { return int(b.size) }
 
 // InputUnit is the set of VC buffers of one input port, downstream end
 // of a channel. It receives flits and the Up_Down power commands, sends
-// credits back, and hosts the NBTI sensor banks that drive the Down_Up
-// link. Per-VC status is tracked in packed bitmasks (bit v = flattened
-// VC v) so the router stages sweep set bits instead of scanning every
-// VC.
+// credits back, and hosts the NBTI sensors and comparators that drive
+// the Down_Up link. Per-VC status is tracked in packed bitmasks (bit v =
+// flattened VC v) so the router stages sweep set bits instead of
+// scanning every VC.
 //
 // The record is plain data. Its per-VC buffers, FIFO rings, devices and
-// sensor banks are windows of the network's arenas at its own slot
-// index (unit), and its upstream output unit is the slot (up, upSlot)
-// that the mesh topology assigns; the methods take the network to reach
-// them.
+// sensor noise sources are windows of the network's arenas at its own
+// slot index (unit), and its upstream output unit is the slot (up,
+// upSlot) that the mesh topology assigns; the methods take the network
+// to reach them.
 type InputUnit struct {
 	// occMask marks VCs with at least one buffered flit; activeMask
 	// marks VCs hosting a resident packet (state VCActive — a superset
@@ -158,19 +158,15 @@ func (iu *InputUnit) unit() int { return unitIndex(int(iu.owner), int(iu.slot)) 
 // upUnit returns the slot index of the upstream output unit.
 func (iu *InputUnit) upUnit() int { return unitIndex(int(iu.up), int(iu.upSlot)) }
 
-// bufs returns the unit's VC buffers, devs their NBTI devices (their
-// critical PMOS networks) and banks its per-vnet sensor banks: windows
-// of the network's arenas at the unit's slot.
+// bufs returns the unit's VC buffers and devs their NBTI devices (their
+// critical PMOS networks): windows of the network's arenas at the
+// unit's slot.
 func (iu *InputUnit) bufs(n *Network) []vcBuffer {
 	return n.vcbufs[iu.vc0 : int(iu.vc0)+n.total]
 }
 
 func (iu *InputUnit) devs(n *Network) []nbti.Device {
 	return n.devices[iu.vc0 : int(iu.vc0)+n.total]
-}
-
-func (iu *InputUnit) banks(n *Network) []sensor.Bank {
-	return window(n.banks, iu.unit(), n.cfg.VNets)
 }
 
 // buf returns VC vc's buffer.
@@ -256,29 +252,35 @@ func (iu *InputUnit) flushVC(n *Network, vc int, upTo uint64) {
 	}
 }
 
-// attachSensors instantiates one sensor bank per vnet over the unit's
-// device window. With read noise each bank splits one source off src
-// and each of its sensors one off that (src may be nil for noiseless
-// configs); the sources live in the noise arena at the unit's slot.
-func (iu *InputUnit) attachSensors(n *Network, noise []rng.Source, src *rng.Source) error {
-	cfg := &n.cfg
-	per := cfg.VCsPerVNet
-	devs, banks := iu.devs(n), iu.banks(n)
-	for vn := range banks {
-		var bankNoise []rng.Source
-		if cfg.Sensor.NoiseSigma > 0 {
-			var bankSrc rng.Source
-			src.SplitInto(&bankSrc)
-			bankNoise = window(noise, flatIndex(iu.unit(), cfg.VNets, vn), per)
-			for i := range bankNoise {
-				bankSrc.SplitInto(&bankNoise[i])
-			}
-		}
-		if err := banks[vn].Init(window(devs, vn, per), bankNoise, &cfg.NBTI, &cfg.Sensor); err != nil {
-			return err
+// attachSensors seeds the read-noise sources of the unit's sensors in
+// the noise arena: per vnet, one source splits off src and each of the
+// vnet's sensors one off that. A noiseless network has no sources and
+// draws nothing.
+func (iu *InputUnit) attachSensors(n *Network, src *rng.Source) {
+	if n.noise == nil {
+		return
+	}
+	for vn := 0; vn < n.cfg.VNets; vn++ {
+		var vnSrc rng.Source
+		src.SplitInto(&vnSrc)
+		noise := window(n.noise, flatIndex(iu.unit(), n.cfg.VNets, vn), n.cfg.VCsPerVNet)
+		for i := range noise {
+			vnSrc.SplitInto(&noise[i])
 		}
 	}
-	return nil
+}
+
+// sweep samples the sensors of vnet vn's VCs and returns the
+// comparators' most and least degraded VC (indices within the vnet
+// slice). A noisy sweep draws each sensor's read noise from the noise
+// arena; otherwise the sensors read noiselessly.
+func (iu *InputUnit) sweep(n *Network, vn int, noisy bool) (md, ld int) {
+	i, per := flatIndex(iu.unit(), n.cfg.VNets, vn), n.cfg.VCsPerVNet
+	var noise []rng.Source
+	if noisy && n.noise != nil {
+		noise = window(n.noise, i, per)
+	}
+	return sensor.Sweep(window(n.devices, i, per), noise, &n.cfg.Sensor, &n.cfg.NBTI)
 }
 
 // Port returns the input port this unit serves (Local for an NI's
@@ -453,17 +455,16 @@ func (iu *InputUnit) flushNBTI(n *Network, upTo uint64) {
 	}
 }
 
-// publishMostDegraded runs the sensor banks and sends the per-vnet most
-// degraded VC over the Down_Up link. A change in either comparator
-// output re-activates the upstream unit so it observes the new value
-// after the one-cycle link delay.
-func (iu *InputUnit) publishMostDegraded(n *Network, cycle uint64) {
+// publishMostDegraded samples the unit's sensors and sends the per-vnet
+// most and least degraded VC over the Down_Up link, which holds them
+// until the next sample. A change in either comparator output
+// re-activates the upstream unit so it observes the new value after the
+// one-cycle link delay.
+func (iu *InputUnit) publishMostDegraded(n *Network) {
 	ou := &n.ounits[iu.upUnit()]
 	w := ou.vnets(n)
-	banks := iu.banks(n)
-	for vn := range banks {
-		bank := &banks[vn]
-		md, ld := bank.MostDegraded(cycle), bank.LeastDegraded(cycle)
+	for vn := range w {
+		md, ld := iu.sweep(n, vn, true)
 		if int(w[vn].nextMD) != md || int(w[vn].nextLD) != ld {
 			n.wakeUnit(iu.up, iu.upSlot)
 		}

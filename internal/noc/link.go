@@ -130,13 +130,13 @@ func (l *powerLink) Current() uint64 { return l.cur }
 // for the reading unit to leave the active set.
 func (l *powerLink) settled() bool { return l.cur == l.next }
 
-// mdLink is the Down_Up control channel: the downstream sensor banks
+// mdLink is the Down_Up control channel: the downstream comparators
 // publish the most degraded VC per vnet (the paper's marker) plus the
 // least degraded VC (the wear-steering extension); values reach the
 // upstream outVCstate one cycle later. A valid VC id is always present
 // (the link needs no enable line, as the paper notes). The per-vnet
-// values live in the reading output unit's outVNet records; the methods
-// take that window.
+// values live in the reading output unit's outVNet records, which hold
+// the comparator outputs between samples; the methods take that window.
 type mdLink struct {
 	// stale is set by Send whenever a pending value differs from the one
 	// in effect and cleared by Tick; while clear, next == cur holds for

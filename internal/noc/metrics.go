@@ -43,8 +43,9 @@ type netMetrics struct {
 	routersSkipped *metrics.Counter
 	nisActive      *metrics.Counter
 	nisSkipped     *metrics.Counter
-	// sensorSamples is the banks' own sample counter, advanced by the
-	// network for the sweeps a static sensor config elides.
+	// sensorSamples counts sensor measurements: each executed sweep adds
+	// the network's sensor count, and so does each sweep a static sensor
+	// config elides.
 	sensorSamples *metrics.Counter
 }
 

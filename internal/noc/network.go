@@ -8,7 +8,6 @@ import (
 	"nbtinoc/internal/nbti"
 	"nbtinoc/internal/pv"
 	"nbtinoc/internal/rng"
-	"nbtinoc/internal/sensor"
 )
 
 // Network is a complete mesh NoC instance: routers, network interfaces
@@ -16,16 +15,16 @@ import (
 //
 // All hot per-(router, port, vc) state lives in flat contiguous arenas
 // owned by the network — routers, input/output units, VC buffers, flit
-// FIFOs, NBTI devices, sensor banks, link rings and control-link values
-// are value slices. The packed index scheme is
+// FIFOs, NBTI devices, sensor noise sources, link rings, control-link
+// values and packet slots are value slices. The packed index scheme is
 //
 //	unit slot = node*(NumPorts+1) + port   (port NumPorts = NI side)
 //	vc slot   = unit slot*TotalVCs + vc
 //
 // so the active-set sweep walks memory nearly linearly instead of
-// chasing per-unit heap objects. The router and unit records are plain
-// data: a unit finds its per-VC state, its neighbours and its router by
-// index in these arenas, so every large arena is a span the garbage
+// chasing per-unit heap objects. The router, unit and NI records are
+// plain data: each finds its per-VC state, its neighbours and its router
+// by index in these arenas, so every large arena is a span the garbage
 // collector never scans.
 //
 // A network is confined to a single goroutine: units reach into each
@@ -39,7 +38,8 @@ type Network struct {
 	cfg Config
 	//nbtilint:arena
 	routers []Router
-	nis     []NI
+	//nbtilint:arena
+	nis []NI
 
 	// Unit and VC-state arenas; see the packed index scheme above.
 	// Channel endpoint state (flit/credit pipelines, Up_Down and Down_Up
@@ -61,12 +61,19 @@ type Network struct {
 	// fifos holds the flit storage in groups of fifoGroup nodes; see
 	// New.
 	fifos [][]flit
+	// flows holds each NI's flows, one per local-port VC, and queues its
+	// per-vnet source queues, both per node.
 	//nbtilint:arena
 	flows []niFlow
-	// banks holds each input unit's per-vnet sensor banks and outvnets
-	// each output unit's per-vnet records, both per unit slot.
 	//nbtilint:arena
-	banks []sensor.Bank
+	queues []niQueue
+	// noise holds one read-noise source per sensor, indexed like the
+	// devices they read; nil for a noiseless sensor config.
+	//nbtilint:arena
+	noise []rng.Source
+	// outvnets holds each output unit's per-vnet records, per unit slot:
+	// among them the Down_Up link values, the one home of the sensors'
+	// comparator outputs.
 	//nbtilint:arena
 	outvnets []outVNet
 	// vaArbs holds each router's VA arbiters, per (output port, vnet).
@@ -77,8 +84,8 @@ type Network struct {
 	// the slot of the unit that reads it).
 	flits   pipeRing[flit]
 	credits pipeRing[uint8]
-	// pkts holds the header of every packet between NI-VA and tail
-	// ejection; flits carry its slot.
+	// pkts holds the header of every packet between Inject and tail
+	// ejection; source queues and flits carry its slot.
 	pkts packetTable
 	// coords is the NodeID -> Coord table, so RC is a load instead of a
 	// div/mod per head flit.
@@ -112,12 +119,13 @@ type Network struct {
 	// set bits directly (ascending NodeID — a deterministic order by
 	// construction).
 	rtr, ni activeSet
-	// nextSample is the next cycle whose sensor sweep executes; between
-	// samples the banks hold their outputs, so the publish phase is
-	// skipped. With a static sensor config (sensor.Config.Static) every
-	// sweep after the first is a provable no-op: each reading is its
-	// device's Vth0, so the comparator outputs cannot change and the
-	// Down_Up links settle after the first publish. elideSweeps networks
+	// nextSample is the next cycle whose sensor sweep executes, the
+	// sensors' one clock; between samples the Down_Up links hold the
+	// comparator outputs, so the publish phase is skipped. With a static
+	// sensor config (sensor.Config.Static) every sweep after the first
+	// is a provable no-op: each reading is its device's Vth0, so the
+	// comparator outputs cannot change and the Down_Up links settle
+	// after the first publish. elideSweeps networks
 	// therefore set nextSample to sampleNever after each executed sweep;
 	// RestoreAging, the only in-package writer of Vth0, re-arms it.
 	// Skipping the sweep's span flush is exact too: splitting a span adds
@@ -204,7 +212,6 @@ func New(cfg Config) (*Network, error) {
 	n.vcbufs = make([]vcBuffer, slots*total)
 	n.outvcs = make([]outVC, slots*total)
 	n.devices = make([]nbti.Device, slots*total)
-	n.banks = make([]sensor.Bank, slots*vnets)
 	n.outvnets = make([]outVNet, slots*vnets)
 	n.vaArbs = make([]RoundRobin, nodes*int(NumPorts)*vnets)
 	// A link carries at most one flit per cycle (sendFlit's linkFreeAt)
@@ -230,8 +237,9 @@ func New(cfg Config) (*Network, error) {
 		n.fifos[g] = make([]flit, min(fifoGroup, nodes-g*fifoGroup)*nodeFifo)
 	}
 	n.flows = make([]niFlow, nodes*total)
+	n.queues = make([]niQueue, nodes*vnets)
 	// The packet table starts with a slot per node and grows only when
-	// more packets are in flight at once than ever before.
+	// more packets are queued or in flight at once than ever before.
 	n.pkts.slots = make([]packet, 0, nodes)
 	n.vaCands = make([]vaCand, 0, int(NumPorts)*total)
 
@@ -247,7 +255,6 @@ func New(cfg Config) (*Network, error) {
 	for id := 0; id < nodes; id++ {
 		n.coords[id] = CoordOf(NodeID(id), cfg.Width)
 	}
-	queues := make([][]Packet, nodes*vnets)
 	for id := 0; id < nodes; id++ {
 		node := NodeID(id)
 		ports := uint64(1) << uint(Local)
@@ -257,13 +264,7 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 		n.initRouter(node, ports)
-		n.nis[id] = NI{
-			id: node, cfg: &n.cfg, net: n,
-			srcQ:    window(queues, id, vnets),
-			flows:   window(n.flows, id, total),
-			flowArb: RoundRobin{n: total},
-			ejArb:   RoundRobin{n: total},
-		}
+		n.nis[id] = NI{id: node, flowArb: RoundRobin{n: total}, ejArb: RoundRobin{n: total}}
 
 		// NI → router Local input port (gated like any router port), and
 		// router Local output port → NI ejection buffers.
@@ -271,8 +272,6 @@ func New(cfg Config) (*Network, error) {
 		n.initInputUnit(node, int(Local), node, ejPort, cfg.BufferDepth, n.vmap.PortVths(id, int(Local)))
 		n.initOutputUnit(node, int(Local), node, ejPort, cfg.EjectBufferDepth)
 		n.initInputUnit(node, ejPort, node, int(Local), cfg.EjectBufferDepth, n.vmap.PortVths(id, ejPort))
-		n.nis[id].out = &n.ounits[unitIndex(id, ejPort)]
-		n.nis[id].ej = &n.iunits[unitIndex(id, ejPort)]
 
 		// Mesh links: the outgoing channel of each direction feeds the
 		// neighbour's opposite input port.
@@ -308,23 +307,18 @@ func New(cfg Config) (*Network, error) {
 	// The iteration order fixes the rng split sequence and must not
 	// change: nodes ascending, router ports 0..NumPorts-1, then the NI
 	// ejection unit.
-	var noise []rng.Source
 	if cfg.Sensor.NoiseSigma > 0 {
-		noise = make([]rng.Source, slots*total)
+		n.noise = make([]rng.Source, slots*total)
 	}
 	sensorSrc := rng.New(cfg.SensorSeed)
 	for id := range n.routers {
 		r := &n.routers[id]
 		ins, _ := r.units(n)
 		for pm := r.ports; pm != 0; pm &= pm - 1 {
-			if err := ins[bits.TrailingZeros64(pm)].attachSensors(n, noise, sensorSrc); err != nil {
-				return nil, err
-			}
+			ins[bits.TrailingZeros64(pm)].attachSensors(n, sensorSrc)
 			n.sensors += uint64(total)
 		}
-		if err := n.nis[id].ej.attachSensors(n, noise, sensorSrc); err != nil {
-			return nil, err
-		}
+		n.iunits[unitIndex(id, ejPort)].attachSensors(n, sensorSrc)
 		n.sensors += uint64(total)
 	}
 	return n, nil
@@ -405,8 +399,8 @@ func (n *Network) Output(node NodeID, p Port) *OutputUnit {
 // Device returns the NBTI device of flattened VC vc of router input
 // port p at node, with the open accounting span flushed so the tracker
 // is current. The device's Vth0 is construction- or RestoreAging-time
-// state: static sensor banks hold the ranking they took of it (see
-// nextSample), so callers must not rewrite it in place.
+// state: a static network's Down_Up links hold the ranking its sensors
+// took of it (see nextSample), so callers must not rewrite it in place.
 func (n *Network) Device(node NodeID, p Port, vc int) *nbti.Device {
 	ins, _ := n.routers[node].units(n)
 	return ins[p].device(n, vc)
@@ -438,23 +432,13 @@ func (n *Network) Inject(src, dst NodeID, vnet, length int) error {
 	if src == dst {
 		return fmt.Errorf("noc: self-addressed packet at node %d", src)
 	}
-	p := Packet{
-		ID:          n.nextPacketID,
-		Src:         src,
-		Dst:         dst,
-		VNet:        vnet,
-		Len:         length,
-		InjectCycle: n.cycle,
-	}
-	if err := n.nis[src].inject(p); err != nil {
+	slot, err := n.nis[src].inject(n, dst, vnet, length)
+	if err != nil {
 		return err
 	}
 	n.ni.wake(int(src))
 	if n.tracer != nil {
-		n.trace(EvInject, src, Local, -1, Flit{
-			PacketID: p.ID, Src: src, Dst: dst, VNet: int32(vnet),
-			Type: HeadFlit, Len: int32(length), InjectCycle: n.cycle,
-		})
+		n.trace(EvInject, src, Local, -1, n.pkts.export(flit{pkt: slot, typ: HeadFlit}))
 	}
 	n.nextPacketID++
 	return nil
@@ -471,7 +455,7 @@ func (n *Network) Inject(src, dst NodeID, vnet, length int) error {
 // and compute passes only send into them, so within a pass the unit
 // order cannot matter — which lets each pass run fused per unit (one
 // cache-resident visit) instead of one sweep per pipeline stage.
-// Finally the sensor banks sample at their due cycles (NBTI accounting
+// Finally the sensors sample at their due cycles (NBTI accounting
 // itself is span-batched and flushed lazily). Each pass sweeps the set
 // bits of this cycle's active-set snapshot in ascending id order; see
 // activeset.go for why skipping the rest is exact.
@@ -486,72 +470,33 @@ func (n *Network) Step() {
 	n.met.nisActive.Add(uint64(nNI))
 	n.met.nisSkipped.Add(uint64(len(n.nis) - nNI))
 
-	// Every loop below walks the snapshot summary's set bits, then the
-	// set bits of each summarised word: ascending NodeID order.
+	// Every pass visits the snapshot's members in ascending NodeID order.
 	rtr, ni := &n.rtr, &n.ni
-	for i, sw := range rtr.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := rtr.snap[w]; b != 0; b &= b - 1 {
-				n.routers[w<<6+bits.TrailingZeros64(b)].phaseRecv(n, cycle)
-			}
-		}
-	}
-	for i, sw := range ni.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := ni.snap[w]; b != 0; b &= b - 1 {
-				n.nis[w<<6+bits.TrailingZeros64(b)].phaseRecv(cycle)
-			}
-		}
-	}
-	for i, sw := range rtr.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := rtr.snap[w]; b != 0; b &= b - 1 {
-				n.routers[w<<6+bits.TrailingZeros64(b)].phaseCompute(n, cycle)
-			}
-		}
-	}
-	for i, sw := range ni.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := ni.snap[w]; b != 0; b &= b - 1 {
-				n.nis[w<<6+bits.TrailingZeros64(b)].phaseCompute(cycle)
-			}
-		}
-	}
+	rtr.each(func(id int) { n.routers[id].phaseRecv(n, cycle) })
+	ni.each(func(id int) { n.nis[id].phaseRecv(n, cycle) })
+	rtr.each(func(id int) { n.routers[id].phaseCompute(n, cycle) })
+	ni.each(func(id int) { n.nis[id].phaseCompute(n, cycle) })
 	if cycle == n.nextSample {
 		n.sampleSweep(cycle)
 	} else if cycle == n.heldSample {
 		n.holdSamples(cycle)
 	}
-	for i, sw := range rtr.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := rtr.snap[w]; b != 0; b &= b - 1 {
-				if id := w<<6 + bits.TrailingZeros64(b); n.routers[id].quiescent() {
-					rtr.sleep(id)
-				}
-			}
+	rtr.each(func(id int) {
+		if n.routers[id].quiescent() {
+			rtr.sleep(id)
 		}
-	}
-	for i, sw := range ni.snapSum {
-		for sb := sw; sb != 0; sb &= sb - 1 {
-			w := i<<6 + bits.TrailingZeros64(sb)
-			for b := ni.snap[w]; b != 0; b &= b - 1 {
-				if id := w<<6 + bits.TrailingZeros64(b); n.nis[id].quiescent() {
-					ni.sleep(id)
-				}
-			}
+	})
+	ni.each(func(id int) {
+		if n.nis[id].quiescent(n) {
+			ni.sleep(id)
 		}
-	}
+	})
 	if nbtiDebug {
 		n.debugCheckSkipped()
 	}
 }
 
-// sampleSweep runs every unit's sensor banks, active or not: sensor
+// sampleSweep samples every unit's sensors, active or not: sensor
 // cadence is global, and a changed comparator output wakes the upstream
 // consumer. A static network then stops sweeping (see nextSample).
 func (n *Network) sampleSweep(cycle uint64) {
@@ -559,8 +504,9 @@ func (n *Network) sampleSweep(cycle uint64) {
 		n.routers[i].samplePhase(n, cycle)
 	}
 	for i := range n.nis {
-		n.nis[i].samplePhase(cycle)
+		n.nis[i].samplePhase(n, cycle)
 	}
+	n.met.sensorSamples.Add(n.sensors)
 	period := n.cfg.Sensor.SamplePeriod
 	if !n.elideSweeps {
 		n.nextSample += period
@@ -574,8 +520,8 @@ func (n *Network) sampleSweep(cycle uint64) {
 
 // holdSamples accounts the elided sweeps of a static network at every
 // modelled sample cycle from heldSample through upTo: the sample
-// counter advances as if each had run, and nbtidebug builds recompute
-// the banks to prove the held outputs are what a sweep would publish.
+// counter advances as if each had run, and nbtidebug builds re-sweep
+// the sensors to prove the held outputs are what a sweep would publish.
 func (n *Network) holdSamples(upTo uint64) {
 	period := n.cfg.Sensor.SamplePeriod
 	k := (upTo-n.heldSample)/period + 1
@@ -676,7 +622,9 @@ func (n *Network) InFlightFlits() int {
 		total += n.routers[i].bufferedFlits(n)
 	}
 	for i := range n.nis {
-		total += n.nis[i].ej.bufferedFlits(n) + n.nis[i].pendingFlits()
+		ni := &n.nis[i]
+		_, ej := ni.units(n)
+		total += ej.bufferedFlits(n) + ni.pendingFlits(n)
 	}
 	return total
 }
@@ -703,7 +651,8 @@ func (n *Network) flushNBTI() {
 		}
 	}
 	for i := range n.nis {
-		n.nis[i].ej.flushNBTI(n, n.cycle)
+		_, ej := n.nis[i].units(n)
+		ej.flushNBTI(n, n.cycle)
 	}
 }
 
@@ -762,7 +711,8 @@ func (n *Network) Events() EventCounts {
 		}
 	}
 	for i := range n.nis {
-		e.LinkFlits += n.nis[i].out.flitsSent
+		out, _ := n.nis[i].units(n)
+		e.LinkFlits += out.flitsSent
 	}
 	e.GateEvents, e.WakeEvents = n.pol.gateEvents, n.pol.wakeEvents
 	if n.ejPol != n.pol {
@@ -785,9 +735,9 @@ func (n *Network) ResetEventCounters() {
 		}
 	}
 	for i := range n.nis {
-		ni := &n.nis[i]
-		ni.out.flitsSent = 0
-		ni.ej.writes, ni.ej.reads = 0, 0
+		out, ej := n.nis[i].units(n)
+		out.flitsSent = 0
+		ej.writes, ej.reads = 0, 0
 	}
 	n.pol.gateEvents, n.pol.wakeEvents = 0, 0
 	n.ejPol.gateEvents, n.ejPol.wakeEvents = 0, 0
@@ -808,21 +758,18 @@ func (n *Network) DutyCycle(node NodeID, port Port, vc int) float64 {
 }
 
 // MostDegradedVC returns the most degraded VC (index within the vnet
-// slice) of a router input port, as the port's sensor bank reports it.
-// Open NBTI spans are flushed first in case the read triggers a fresh
-// sample of closed-loop (Horizon > 0) sensors. A static network's banks
-// hold their outputs from the first sweep on, so the read returns them
-// without sampling, as it would between the sweeps the hardware runs.
+// slice) of a router input port, as the port's comparator last sent it
+// over the Down_Up link: the value the upstream output unit takes into
+// effect. The read never samples. Before the first Step no sweep has run
+// yet, so the port's sensors are ranked noiselessly on the spot.
 func (n *Network) MostDegradedVC(node NodeID, port Port, vnet int) int {
 	ins, _ := n.routers[node].units(n)
 	iu := &ins[port]
-	bank := &iu.banks(n)[vnet]
-	if n.elideSweeps && n.cycle > 0 {
-		md, _ := bank.Held()
+	if n.cycle == 0 {
+		md, _ := iu.sweep(n, vnet, false)
 		return md
 	}
-	iu.flushNBTI(n, n.cycle)
-	return bank.MostDegraded(n.cycle)
+	return int(n.ounits[iu.upUnit()].vnets(n)[vnet].nextMD)
 }
 
 // Vth0 returns the process-variation initial threshold voltage sampled

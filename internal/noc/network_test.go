@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nbtinoc/internal/rng"
+	"nbtinoc/internal/sensor"
 )
 
 func testConfig(w, h, vcs int) Config {
@@ -304,6 +305,40 @@ func TestMostDegradedVCIsArgmaxVth0(t *testing.T) {
 	}
 }
 
+// TestSensorOutputsChangeOnlyAtSampleCycles checks that the network's
+// sampling clock is the sensors' only one: the comparator outputs of
+// noisy sensors, held on the Down_Up links, change only at cycles
+// 1 + k·SamplePeriod, and MostDegradedVC reads the held value.
+func TestSensorOutputsChangeOnlyAtSampleCycles(t *testing.T) {
+	const period = 16
+	cfg := testConfig(2, 2, 4)
+	cfg.Sensor = sensor.Config{SamplePeriod: period, NoiseSigma: 20e-3}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := append([]outVNet(nil), n.outvnets...)
+	changes := 0
+	for c := 0; c < 40*period; c++ {
+		n.Step()
+		for i, v := range n.outvnets {
+			if v.nextMD != prev[i].nextMD || v.nextLD != prev[i].nextLD {
+				if (n.Cycle()-1)%period != 0 {
+					t.Fatalf("Down_Up record %d changed at cycle %d, between sample cycles", i, n.Cycle())
+				}
+				changes++
+			}
+		}
+		copy(prev, n.outvnets)
+		if want := int(n.Output(0, East).vnets(n)[0].nextMD); n.MostDegradedVC(1, West, 0) != want {
+			t.Fatalf("cycle %d: MostDegradedVC = %d, the link holds %d", n.Cycle(), n.MostDegradedVC(1, West, 0), want)
+		}
+	}
+	if changes == 0 {
+		t.Fatal("noisy sensors never changed their outputs")
+	}
+}
+
 func TestMultiVNetIsolation(t *testing.T) {
 	cfg := testConfig(2, 2, 2)
 	cfg.VNets = 3
@@ -380,7 +415,7 @@ func TestAccessorsSmoke(t *testing.T) {
 		t.Errorf("output unit accessors wrong: %v %q", ou.Port(), ou.domain(n).policy.Name())
 	}
 	ni := n.NI(0)
-	if ni.ID() != 0 || ni.Ejection().Port() != Local || ni.InjectionOutput().Port() != Local {
+	if inj, ej := ni.units(n); ni.ID() != 0 || ej.Port() != Local || inj.Port() != Local {
 		t.Error("NI accessors wrong")
 	}
 	if n.Config().Width != 2 {

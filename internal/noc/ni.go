@@ -55,30 +55,31 @@ func (fl *niFlow) flit() flit {
 	return flit{pkt: fl.pkt, seq: fl.next, typ: flitType(int(fl.next), int(fl.len))}
 }
 
+// niQueue is one NI source queue, per node and vnet: a FIFO of
+// packet-table slots threaded through the slots' next links. head and
+// tail are 1 + the first and last queued slot, 0 while the queue is
+// empty, so the zero queue is ready.
+type niQueue struct {
+	head, tail uint32
+}
+
 // NI is a tile's network interface. On the injection side it is the
 // *upstream* of the router's Local input port: it owns an output unit
 // (with outVCstate and a recovery policy) and performs VA for new
 // packets, so the local port participates in NBTI gating exactly like
 // router-to-router channels. On the ejection side it hosts the always-on
 // ejection buffers fed by the router's Local output port.
+//
+// The record is plain data. Its two units sit at the NI-side slot
+// (ejPort) of its node in the network's unit arenas, its flows and
+// source queues in the network's flow and queue arenas at its node, and
+// its methods take the network; each phase takes the unit records once.
 type NI struct {
-	id  NodeID
-	cfg *Config
-	net *Network
-	// out is the injection-side output unit (downstream: router local
-	// input port).
-	out *OutputUnit
-	// ej holds the ejection buffers (downstream of the router's Local
-	// output port); its embedded flitIn is the router→NI flit pipeline.
-	ej    *InputUnit
+	id    NodeID
 	ejArb RoundRobin
-
-	srcQ [][]Packet // per-vnet source queues
 	// queued counts packets across all source queues, so the per-cycle
-	// quiescence check is O(1) instead of a sweep over the queue slices.
-	queued int
-	//nbtilint:arena
-	flows   []niFlow // per flattened local-port VC
+	// quiescence check is O(1) instead of a sweep over the queues.
+	queued  int
 	flowArb RoundRobin
 	// flowMask marks VCs whose flow still has unlaunched flits, so
 	// stageSend sweeps only live flows (and skips entirely when zero).
@@ -93,55 +94,63 @@ func (ni *NI) ID() NodeID { return ni.id }
 // Stats returns a copy of the NI's statistics.
 func (ni *NI) Stats() NIStats { return ni.stats }
 
-// Ejection returns the NI's ejection input unit.
-func (ni *NI) Ejection() *InputUnit { return ni.ej }
-
-// InjectionOutput returns the NI's injection-side output unit.
-func (ni *NI) InjectionOutput() *OutputUnit { return ni.out }
-
 // QueuedPackets returns the number of packets waiting in source queues.
 func (ni *NI) QueuedPackets() int { return ni.queued }
 
+// units returns the NI's injection-side output unit (upstream of the
+// router's Local input port) and its ejection buffers (downstream of the
+// router's Local output port, whose embedded flitIn is the router→NI
+// flit pipeline).
+func (ni *NI) units(n *Network) (*OutputUnit, *InputUnit) {
+	u := unitIndex(int(ni.id), ejPort)
+	return &n.ounits[u], &n.iunits[u]
+}
+
+// flows returns the NI's flows, one per flattened local-port VC, and
+// queues its per-vnet source queues: windows of the network's arenas at
+// the NI's node.
+func (ni *NI) flows(n *Network) []niFlow { return window(n.flows, int(ni.id), n.total) }
+
+func (ni *NI) queues(n *Network) []niQueue { return window(n.queues, int(ni.id), n.cfg.VNets) }
+
 // pendingFlits returns flits buffered in open flows (allocated but not
 // yet launched).
-func (ni *NI) pendingFlits() int {
-	n := 0
+func (ni *NI) pendingFlits(n *Network) int {
+	flows, k := ni.flows(n), 0
 	for m := ni.flowMask; m != 0; m &= m - 1 {
-		fl := &ni.flows[bits.TrailingZeros64(m)]
-		n += int(fl.len) - int(fl.next)
+		fl := &flows[bits.TrailingZeros64(m)]
+		k += int(fl.len) - int(fl.next)
 	}
-	return n
+	return k
 }
 
-// inject appends a packet to its vnet source queue.
-func (ni *NI) inject(p Packet) error {
-	if p.VNet < 0 || p.VNet >= ni.cfg.VNets {
-		return fmt.Errorf("noc: packet vnet %d out of range", p.VNet)
+// inject stores a packet of length flits for dst on vnet in a fresh
+// packet-table slot, stamped with the network's next packet id and the
+// current cycle, appends the slot to the vnet's source queue and
+// returns it.
+func (ni *NI) inject(n *Network, dst NodeID, vnet, length int) (uint32, error) {
+	if vnet < 0 || vnet >= n.cfg.VNets {
+		return 0, fmt.Errorf("noc: packet vnet %d out of range", vnet)
 	}
-	if p.Len < 1 || p.Len > MaxPacketLen {
-		return fmt.Errorf("noc: packet length %d outside [1, %d]", p.Len, MaxPacketLen)
+	if length < 1 || length > MaxPacketLen {
+		return 0, fmt.Errorf("noc: packet length %d outside [1, %d]", length, MaxPacketLen)
 	}
-	ni.srcQ[p.VNet] = append(ni.srcQ[p.VNet], p)
+	slot := n.pkts.take(packet{
+		id: n.nextPacketID, inject: n.cycle,
+		src: ni.id, dst: dst, vnet: uint16(vnet), len: uint16(length),
+	})
+	n.pkts.enqueue(&ni.queues(n)[vnet], slot)
 	ni.queued++
 	ni.stats.InjectedPackets++
-	if q := ni.QueuedPackets(); q > ni.stats.MaxQueueLen {
-		ni.stats.MaxQueueLen = q
+	if ni.queued > ni.stats.MaxQueueLen {
+		ni.stats.MaxQueueLen = ni.queued
 	}
-	return nil
-}
-
-// deliverEject writes flits arriving from the router into the ejection
-// buffers.
-func (ni *NI) deliverEject(cycle uint64) {
-	n := ni.net
-	for _, f := range n.flits.receive(&ni.ej.flitIn, ni.ej.unit()) {
-		ni.ej.bufferWrite(n, f, cycle, Local)
-	}
+	return slot, nil
 }
 
 // pickEject returns the first VC of mask (ascending bit order) whose
 // head flit is ready, or -1.
-func (ni *NI) pickEject(bufs []vcBuffer, mask, cycle uint64) int {
+func pickEject(bufs []vcBuffer, mask, cycle uint64) int {
 	for ; mask != 0; mask &= mask - 1 {
 		if vc := bits.TrailingZeros64(mask); bufs[vc].headReady(cycle) {
 			return vc
@@ -150,126 +159,130 @@ func (ni *NI) pickEject(bufs []vcBuffer, mask, cycle uint64) int {
 	return -1
 }
 
-// drainEject consumes up to EjectRate flits from the ejection buffers,
-// completing packets and recording latency. The rotating scan sweeps the
-// occupied-VC mask from the arbiter pointer upward, then wraps —
+// drainEject consumes up to EjectRate flits from the ejection buffers
+// ej, completing packets and recording latency. The rotating scan sweeps
+// the occupied-VC mask from the arbiter pointer upward, then wraps —
 // identical to the modular scan over all VCs.
-func (ni *NI) drainEject(cycle uint64) {
-	if ni.ej.occMask == 0 {
+func (ni *NI) drainEject(n *Network, ej *InputUnit, cycle uint64) {
+	if ej.occMask == 0 {
 		return
 	}
-	bufs := ni.ej.bufs(ni.net)
-	for k := 0; k < ni.cfg.EjectRate; k++ {
-		occ := ni.ej.occMask
+	bufs := ej.bufs(n)
+	for k := 0; k < n.cfg.EjectRate; k++ {
+		occ := ej.occMask
 		low := uint64(1)<<uint(ni.ejArb.next) - 1
-		vc := ni.pickEject(bufs, occ&^low, cycle)
+		vc := pickEject(bufs, occ&^low, cycle)
 		if vc < 0 {
-			vc = ni.pickEject(bufs, occ&low, cycle)
+			vc = pickEject(bufs, occ&low, cycle)
 		}
 		if vc < 0 {
 			return
 		}
 		ni.ejArb.next = (vc + 1) % len(bufs)
-		f := ni.ej.popFlit(ni.net, vc, cycle)
+		f := ej.popFlit(n, vc, cycle)
 		ni.stats.EjectedFlits++
-		ni.net.noteProgress()
-		if ni.net.tracer != nil {
-			ni.net.trace(EvEject, ni.id, Local, vc, ni.net.pkts.export(f))
+		n.noteProgress()
+		if n.tracer != nil {
+			n.trace(EvEject, ni.id, Local, vc, n.pkts.export(f))
 		}
 		if f.typ.IsTail() {
-			p := &ni.net.pkts.slots[f.pkt]
+			p := &n.pkts.slots[f.pkt]
 			lat, netLat := cycle-p.inject, cycle-p.netInject
 			ni.stats.EjectedPackets++
 			ni.stats.LatencySum += lat
 			ni.stats.NetLatencySum += netLat
-			ni.net.latency.Add(lat)
-			if ni.net.deliverHook != nil {
-				ni.net.deliverHook(ni.net.pkts.export(f), cycle)
+			n.latency.Add(lat)
+			if n.deliverHook != nil {
+				n.deliverHook(n.pkts.export(f), cycle)
 			}
-			ni.net.pkts.release(f.pkt)
+			n.pkts.release(f.pkt)
 		}
 	}
 }
 
-// pickFlow returns the first VC of mask (ascending bit order) that can
-// send this cycle, or -1.
-func (ni *NI) pickFlow(mask, cycle uint64) int {
+// pickFlow returns the first VC of mask (ascending bit order) that out
+// can send on this cycle, or -1.
+func pickFlow(out *OutputUnit, mask, cycle uint64) int {
 	for ; mask != 0; mask &= mask - 1 {
-		if vc := bits.TrailingZeros64(mask); ni.out.canSend(vc, cycle) {
+		if vc := bits.TrailingZeros64(mask); out.canSend(vc, cycle) {
 			return vc
 		}
 	}
 	return -1
 }
 
-// stageSend launches at most one flit from an open flow (the NI's ST).
-func (ni *NI) stageSend(cycle uint64) {
+// stageSend launches at most one flit from an open flow through out (the
+// NI's ST).
+func (ni *NI) stageSend(n *Network, out *OutputUnit, cycle uint64) {
 	if ni.flowMask == 0 {
 		return
 	}
 	low := uint64(1)<<uint(ni.flowArb.next) - 1
-	picked := ni.pickFlow(ni.flowMask&^low, cycle)
+	picked := pickFlow(out, ni.flowMask&^low, cycle)
 	if picked < 0 {
-		picked = ni.pickFlow(ni.flowMask&low, cycle)
+		picked = pickFlow(out, ni.flowMask&low, cycle)
 	}
 	if picked < 0 {
 		return
 	}
-	ni.flowArb.next = (picked + 1) % ni.net.total
-	fl := &ni.flows[picked]
-	f := fl.flit()
-	ni.out.sendFlit(ni.net, f, picked, cycle)
+	ni.flowArb.next = (picked + 1) % n.total
+	fl := &ni.flows(n)[picked]
+	out.sendFlit(n, fl.flit(), picked, cycle)
 	fl.next++
 	ni.stats.InjectedFlits++
-	ni.net.noteProgress()
+	n.noteProgress()
 	if fl.next == fl.len {
 		*fl = niFlow{}
 		ni.flowMask &^= 1 << uint(picked)
 	}
 }
 
-// stageVA allocates a local-port VC to the head packet of each vnet
-// queue (at most one per vnet per cycle), mirroring the router VA rate.
-func (ni *NI) stageVA(cycle uint64) {
-	for vn := 0; vn < ni.cfg.VNets; vn++ {
-		if len(ni.srcQ[vn]) == 0 || !ni.out.hasFreeVC(ni.cfg, vn) {
+// stageVA allocates a local-port VC of out to the head packet of each
+// vnet queue (at most one per vnet per cycle), mirroring the router VA
+// rate: the packet leaves its queue in O(1) and its slot, stamped with
+// the cycle it enters the network, opens the VC's flow.
+func (ni *NI) stageVA(n *Network, out *OutputUnit, cycle uint64) {
+	if ni.queued == 0 {
+		return
+	}
+	qs := ni.queues(n)
+	for vn := range qs {
+		q := &qs[vn]
+		if q.head == 0 || !out.hasFreeVC(&n.cfg, vn) {
 			continue
 		}
-		vc := ni.out.allocVC(ni.net, vn)
+		vc := out.allocVC(n, vn)
 		if vc < 0 {
 			continue
 		}
-		pkt := ni.srcQ[vn][0]
-		copy(ni.srcQ[vn], ni.srcQ[vn][1:])
-		ni.srcQ[vn] = ni.srcQ[vn][:len(ni.srcQ[vn])-1]
+		slot := n.pkts.dequeue(q)
 		ni.queued--
-		slot := ni.net.pkts.take(packet{
-			id: pkt.ID, inject: pkt.InjectCycle, netInject: cycle,
-			src: ni.id, dst: pkt.Dst, vnet: uint16(pkt.VNet), len: uint16(pkt.Len),
-		})
-		ni.flows[vc] = niFlow{pkt: slot, len: uint16(pkt.Len)}
+		p := &n.pkts.slots[slot]
+		p.netInject = cycle
+		fl := &ni.flows(n)[vc]
+		*fl = niFlow{pkt: slot, len: p.len}
 		ni.flowMask |= 1 << uint(vc)
-		if ni.net.tracer != nil {
+		if n.tracer != nil {
 			// The granted VC is not the flit's yet: it is traced with VC 0.
-			ni.net.trace(EvNIAlloc, ni.id, Local, vc, ni.net.pkts.export(ni.flows[vc].flit()))
+			n.trace(EvNIAlloc, ni.id, Local, vc, n.pkts.export(fl.flit()))
 		}
 	}
 }
 
-// stagePolicy runs the injection-side pre-VA recovery policy: new
-// traffic exists for a vnet (bit vn of the packed mask) whenever a
+// stagePolicy runs the injection-side pre-VA recovery policy of out:
+// new traffic exists for a vnet (bit vn of the packed mask) whenever a
 // packet waits in its source queue.
-func (ni *NI) stagePolicy(cycle uint64) {
+func (ni *NI) stagePolicy(n *Network, out *OutputUnit, cycle uint64) {
 	var nt uint64
 	if ni.queued > 0 {
-		for vn := 0; vn < ni.cfg.VNets; vn++ {
-			if len(ni.srcQ[vn]) > 0 {
+		for vn, q := range ni.queues(n) {
+			if q.head != 0 {
 				nt |= 1 << uint(vn)
 			}
 		}
 	}
-	if !ni.out.policyHolds(ni.net.pol, nt) {
-		ni.out.runPolicy(ni.net, nt, cycle)
+	if !out.policyHolds(n.pol, nt) {
+		out.runPolicy(n, nt, cycle)
 	}
 }
 
@@ -278,47 +291,55 @@ func (ni *NI) stagePolicy(cycle uint64) {
 // injection side's Down_Up feedback), consumes returned credits,
 // buffers arriving ejection flits and enacts the power mask. Like
 // Router.phaseRecv it never sends into a channel.
-func (ni *NI) phaseRecv(cycle uint64) {
-	if ni.ej.power.Tick() {
-		ni.ej.pwrDirty = true
+func (ni *NI) phaseRecv(n *Network, cycle uint64) {
+	out, ej := ni.units(n)
+	if ej.power.Tick() {
+		ej.pwrDirty = true
 	}
-	if ni.out.mdIn.Tick(ni.out.vnets(ni.net)) {
-		ni.out.polDirty = true
+	if out.mdIn.Tick(out.vnets(n)) {
+		out.polDirty = true
 	}
-	if ni.out.creditIn.n != 0 {
-		ni.out.creditTick(ni.net)
+	if out.creditIn.n != 0 {
+		out.creditTick(n)
 	}
-	ni.deliverEject(cycle)
-	ni.ej.applyPower(ni.net, cycle)
+	for _, f := range n.flits.receive(&ej.flitIn, ej.unit()) {
+		ej.bufferWrite(n, f, cycle, Local)
+	}
+	ej.applyPower(n, cycle)
 }
 
 // phaseCompute is the send half of a cycle: drain the ejection buffers,
 // launch at most one flit from an open flow, allocate local-port VCs to
 // queued packets, and run the injection-side recovery policy.
-func (ni *NI) phaseCompute(cycle uint64) {
-	ni.drainEject(cycle)
-	ni.stageSend(cycle)
-	ni.stageVA(cycle)
-	ni.stagePolicy(cycle)
+func (ni *NI) phaseCompute(n *Network, cycle uint64) {
+	out, ej := ni.units(n)
+	ni.drainEject(n, ej, cycle)
+	ni.stageSend(n, out, cycle)
+	ni.stageVA(n, out, cycle)
+	ni.stagePolicy(n, out, cycle)
 }
 
 // samplePhase flushes the ejection buffers' NBTI spans and publishes
 // their most-degraded VC at sensor-sampling cycles (the router's Local
 // output unit is the consumer; with the default always-on policy the
 // value is unused).
-func (ni *NI) samplePhase(cycle uint64) {
-	ni.ej.flushNBTI(ni.net, cycle)
-	ni.ej.publishMostDegraded(ni.net, cycle)
+func (ni *NI) samplePhase(n *Network, cycle uint64) {
+	_, ej := ni.units(n)
+	ej.flushNBTI(n, cycle)
+	ej.publishMostDegraded(n)
 }
 
 // quiescent reports whether every per-cycle phase of this NI is
 // provably a no-op: nothing queued or mid-flow on the injection side,
 // nothing buffered or in flight on the ejection side, and the
 // injection output unit idle under a settled, steady policy.
-func (ni *NI) quiescent() bool {
-	if ni.queued > 0 || ni.flowMask != 0 || ni.ej.flitIn.InFlight() > 0 ||
-		!ni.ej.power.settled() || ni.ej.activeMask != 0 {
+func (ni *NI) quiescent(n *Network) bool {
+	if ni.queued > 0 || ni.flowMask != 0 {
 		return false
 	}
-	return ni.out.quiescent(ni.net.pol)
+	out, ej := ni.units(n)
+	if ej.flitIn.InFlight() > 0 || !ej.power.settled() || ej.activeMask != 0 {
+		return false
+	}
+	return out.quiescent(n.pol)
 }

@@ -85,6 +85,75 @@ func TestPacketTableMesh32LowRate(t *testing.T) {
 	}
 }
 
+// allocTracer records the packet ids of the NI VC grants at one node,
+// per vnet, in grant order.
+type allocTracer struct {
+	node  noc.NodeID
+	grant [][]uint64
+}
+
+func (a *allocTracer) Event(cycle uint64, kind noc.EventKind, node noc.NodeID, port noc.Port, vc int, f noc.Flit) {
+	if kind == noc.EvNIAlloc && node == a.node {
+		a.grant[f.VNet] = append(a.grant[f.VNet], f.PacketID)
+	}
+}
+
+// TestSourceQueueBacklog injects a backlog of thousands of packets at
+// one NI in a single cycle, alternating two vnets: each vnet's queue
+// grants its packets in injection order, MaxQueueLen and QueuedPackets
+// read the whole backlog, the packet table holds it, and every packet
+// is delivered.
+func TestSourceQueueBacklog(t *testing.T) {
+	const backlog = 3000
+	cfg := noc.DefaultConfig()
+	cfg.Width, cfg.Height, cfg.VNets = 2, 1, 2
+	n, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &allocTracer{node: 0, grant: make([][]uint64, cfg.VNets)}
+	n.SetTracer(tr)
+	for i := 0; i < backlog; i++ {
+		if err := n.Inject(0, 1, i%2, 1+i%4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ni := n.NI(0)
+	if q, m := ni.QueuedPackets(), ni.Stats().MaxQueueLen; q != backlog || m != backlog {
+		t.Fatalf("after the backlog: %d queued, MaxQueueLen %d; want %d", q, m, backlog)
+	}
+	if live, err := noc.CheckPacketTable(n); err != nil || live != backlog {
+		t.Fatalf("packet table after the backlog: %d live, %v", live, err)
+	}
+	for i := 0; i < 100*backlog && !n.Quiescent(); i++ {
+		n.Step()
+		if i%97 == 0 {
+			if _, err := noc.CheckPacketTable(n); err != nil {
+				t.Fatalf("cycle %d: %v", n.Cycle(), err)
+			}
+		}
+	}
+	if got := n.TotalEjectedPackets(); got != backlog {
+		t.Fatalf("delivered %d packets, want %d", got, backlog)
+	}
+	if live, err := noc.CheckPacketTable(n); err != nil || live != 0 {
+		t.Fatalf("drained packet table: %d live, %v", live, err)
+	}
+	if m := ni.Stats().MaxQueueLen; m != backlog {
+		t.Fatalf("MaxQueueLen %d after the drain, want %d", m, backlog)
+	}
+	for vn, ids := range tr.grant {
+		if len(ids) != backlog/2 {
+			t.Fatalf("vnet %d: %d grants, want %d", vn, len(ids), backlog/2)
+		}
+		for i, id := range ids {
+			if want := uint64(2*i + vn); id != want {
+				t.Fatalf("vnet %d grant %d went to packet %d, want %d (FIFO order)", vn, i, id, want)
+			}
+		}
+	}
+}
+
 // TestInjectPacketLenBound pins the packet-length ceiling at the
 // network boundary: a noc.MaxPacketLen-flit packet is accepted and
 // delivered whole, one flit more is refused, never wrapped.

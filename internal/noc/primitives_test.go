@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"nbtinoc/internal/nbti"
+	"nbtinoc/internal/rng"
 )
 
 func TestPortOpposite(t *testing.T) {
@@ -271,11 +272,13 @@ func TestFlitSize(t *testing.T) {
 // 24 576 of each: the VC buffer finds its ring and device by index and
 // the device shares its model, so both stay within 32 bytes; the
 // output-side VC record is two 32-bit counters. It also pins the unit
-// records, which a 32×32 mesh holds 6 144 of each, and the router: a
-// unit finds its per-VC state, link rings, neighbours and router by
-// index, and reaches its config, policy domain and instruments through
-// the network, so it keeps only masks, counters, its slot coordinates
-// and two arena offsets.
+// records, which a 32×32 mesh holds 6 144 of each, the router and the
+// NI: a unit finds its per-VC state, link rings, neighbours and router
+// by index, and reaches its config, policy domain and instruments
+// through the network, so it keeps only masks, counters, its slot
+// coordinates and two arena offsets; an NI finds its units, flows and
+// source queues by its node id, so it keeps two arbiters, its flow mask,
+// a queue count and its statistics.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -286,6 +289,7 @@ func TestRecordSizes(t *testing.T) {
 		{"InputUnit", unsafe.Sizeof(InputUnit{}), 96},
 		{"OutputUnit", unsafe.Sizeof(OutputUnit{}), 96},
 		{"Router", unsafe.Sizeof(Router{}), 416},
+		{"NI", unsafe.Sizeof(NI{}), 112},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
@@ -297,8 +301,9 @@ func TestRecordSizes(t *testing.T) {
 }
 
 // TestArenasPointerFree checks that the records the network keeps in
-// flat arenas — per-VC and per-vnet records, flits, packets, and the
-// input unit, output unit and router records — hold no pointer, slice,
+// flat arenas — per-VC and per-vnet records, flits, packets, noise
+// sources, source queues, and the input unit, output unit, router and
+// NI records — hold no pointer, slice,
 // map, channel, function or interface, at any depth: the arenas are then
 // no-scan spans the garbage collector never walks, and a record cannot
 // alias another arena's storage.
@@ -319,7 +324,7 @@ func TestArenasPointerFree(t *testing.T) {
 		}
 	}
 	for _, v := range []any{vcBuffer{}, outVC{}, outVNet{}, nbti.Device{}, flit{}, niFlow{}, packet{},
-		InputUnit{}, OutputUnit{}, Router{}, RoundRobin{}, Coord{}} {
+		rng.Source{}, niQueue{}, InputUnit{}, OutputUnit{}, Router{}, NI{}, RoundRobin{}, Coord{}} {
 		typ := reflect.TypeOf(v)
 		walk(typ.String(), typ)
 	}

@@ -438,16 +438,16 @@ func (r *Router) stagePolicy(n *Network, cycle uint64) {
 
 // samplePhase runs at sensor-sampling cycles: it flushes the open NBTI
 // spans (so closed-loop sensors observe current duty-cycles) and lets
-// every input port's sensor banks publish their comparator outputs over
-// the Down_Up links. Between sampling cycles the banks hold their
-// values, so the per-cycle publish of the original engine was a no-op
-// and is elided entirely.
+// every input port's sensors publish their comparator outputs over the
+// Down_Up links. Between sampling cycles the links hold the values, so
+// the per-cycle publish of the original engine was a no-op and is
+// elided entirely.
 func (r *Router) samplePhase(n *Network, cycle uint64) {
 	ins, _ := r.units(n)
 	for pm := r.ports; pm != 0; pm &= pm - 1 {
 		iu := &ins[bits.TrailingZeros64(pm)]
 		iu.flushNBTI(n, cycle)
-		iu.publishMostDegraded(n, cycle)
+		iu.publishMostDegraded(n)
 	}
 }
 

@@ -163,8 +163,10 @@ func (n *Network) LinkUtilizations(window uint64) []LinkUtilization {
 			}
 		}
 	}
-	for _, ni := range n.nis {
-		add(ni.id, Local, true, false, ni.out.flitsSent)
+	for i := range n.nis {
+		ni := &n.nis[i]
+		inj, _ := ni.units(n)
+		add(ni.id, Local, true, false, inj.flitsSent)
 	}
 	return out
 }

@@ -249,7 +249,7 @@ func TestMDLinkPropagation(t *testing.T) {
 	iu.devs(n)[2].Vth0 = 0.25
 	cycle := uint64(1)
 	n.tickChannel(t, ou, iu, cycle)
-	iu.publishMostDegraded(n, cycle)
+	iu.publishMostDegraded(n)
 	// The upstream still sees the initial value (one-cycle delay).
 	if got := ou.mdIn.Current(ou.vnets(n), 0); got != 0 {
 		t.Fatalf("md visible upstream without delay: %d", got)

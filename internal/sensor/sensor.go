@@ -5,10 +5,15 @@
 // (a synthesizable 45 nm multi-degradation sensor, reference [20]) and a
 // comparator that selects the single most degraded VC of an input port;
 // that VC identifier is sent to the upstream router over the Down_Up
-// link. This package reproduces the measurement path: each sensor reads
-// the absolute threshold voltage of its buffer's critical PMOS —
-// the process-variation Vth0 plus the stress-history-dependent ΔVth —
-// subject to configurable quantisation, read noise and a sampling period.
+// link. This package reproduces the measurement path as a reading fed
+// to a controller: Sweep samples a window of devices — each sensor reads
+// the absolute threshold voltage of its buffer's critical PMOS, the
+// process-variation Vth0 plus the stress-history-dependent ΔVth, subject
+// to configurable quantisation and read noise — and returns the
+// comparator outputs. The package keeps no state: the network owns the
+// devices and noise sources, samples on its own clock (Config.
+// SamplePeriod) and holds the outputs where the hardware does, on the
+// Down_Up link.
 //
 // With the default configuration the ΔVth projection horizon is zero, so
 // the ranking is driven purely by the process-variation Vth0 values and
@@ -29,8 +34,9 @@ import (
 	"nbtinoc/internal/rng"
 )
 
-// MetricSamples counts actual sensor measurements (bank refreshes times
-// bank size); held-value reads between sampling periods do not count.
+// MetricSamples counts actual sensor measurements (sweeps times the
+// sensors each reads); held outputs between sampling periods do not
+// count.
 const MetricSamples = "sensor_samples_total"
 
 // Config describes the non-idealities of an NBTI sensor.
@@ -63,7 +69,7 @@ func IdealConfig() Config {
 
 // Static reports whether every reading is a pure function of the
 // device's Vth0: no read noise and no ΔVth projection (quantisation is
-// deterministic). A static bank's comparator outputs can then change
+// deterministic). A static sweep's comparator outputs can then change
 // only when some Vth0 is rewritten, so an owner that knows every such
 // write may hold them instead of re-sampling.
 func (c Config) Static() bool {
@@ -74,7 +80,7 @@ func (c Config) Static() bool {
 // default registry (nil, a no-op, when instrumentation is disabled).
 func SamplesCounter() *metrics.Counter {
 	return metrics.Default().Counter(MetricSamples,
-		"Actual sensor measurements taken by bank refreshes.")
+		"Actual sensor measurements taken by sensor sweeps.")
 }
 
 // Validate reports whether the configuration is usable.
@@ -92,155 +98,57 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Bank models the sensors of one router input port (or one vnet slice
-// of it) together with the most- and least-degraded comparators. A
-// bank holds no per-sensor records: each sensor is one device of the
-// window the bank reads, and every sensor samples on the bank's clock,
-// so a refresh measures the whole window and the bank keeps only the
-// comparator outputs it held since.
-type Bank struct {
-	// devs is the window of devices the bank's sensors read, owned by
-	// the caller (typically a subslice of a network's device arena).
-	devs []nbti.Device
-	// noise holds one read-noise source per device, owned by the
-	// caller; nil for a noiseless config.
-	noise []rng.Source
-	cfg   *Config
-	// model projects a device's stress history into ΔVth when
-	// cfg.Horizon is non-zero.
-	model *nbti.Params
-	// mSamples mirrors actual measurements into the process metrics
-	// registry; nil when instrumentation is disabled.
-	mSamples *metrics.Counter
-	// lastUpdate is the cycle of the last refresh; primed is false
-	// until the first one.
-	lastUpdate uint64
-	// md and ld hold the comparator outputs between refreshes.
-	md, ld int32
-	primed bool
-}
-
-// Init makes b the bank over devs, with noise the per-sensor read-noise
-// sources (one per device when cfg.NoiseSigma > 0, else nil) — typically
-// windows of flat slices holding every bank's devices and sources. b
-// must be the zero Bank. devs, noise, model and cfg are shared, not
-// copied, so they must outlive the bank; cfg and model must stay
-// unchanged.
-func (b *Bank) Init(devs []nbti.Device, noise []rng.Source, model *nbti.Params, cfg *Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// Sweep is one sampling of a port's sensors and its comparators: each
+// sensor of the window measures its device in index order — the
+// observed threshold voltage, plus read noise from the sensor's noise
+// source when noise is not nil, quantised — and the comparators return
+// the index of the highest reading (the most degraded VC) and of the
+// lowest (the least degraded VC, used by the wear-steering extension).
+// Ties resolve to the lowest index (hardware priority encoder
+// behaviour). A nil noise window reads noiselessly and draws nothing,
+// which for a static cfg is exactly what a noisy sweep would return.
+// Sweep holds no state: the caller owns the devices, the noise sources
+// and the comparator outputs, and decides when to sample.
+func Sweep(devs []nbti.Device, noise []rng.Source, cfg *Config, model *nbti.Params) (md, ld int) {
 	switch {
 	case len(devs) == 0:
-		return errors.New("sensor: empty bank")
-	case cfg.NoiseSigma > 0 && len(noise) != len(devs):
-		return errors.New("sensor: NoiseSigma > 0 requires one rng source per sensor")
+		panic("sensor: sweep over an empty sensor window")
+	case noise != nil && len(noise) != len(devs):
+		panic("sensor: a noisy sweep needs one noise source per sensor")
 	case cfg.Horizon > 0 && model == nil:
-		return errors.New("sensor: Horizon > 0 requires an NBTI model")
+		panic("sensor: Horizon > 0 requires an NBTI model")
 	}
-	b.devs, b.noise, b.model, b.cfg = devs, noise, model, cfg
-	b.mSamples = SamplesCounter()
-	return nil
+	maxV, minV := math.Inf(-1), math.Inf(1)
+	for i := range devs {
+		var src *rng.Source
+		if noise != nil {
+			src = &noise[i]
+		}
+		v := measure(&devs[i], src, cfg, model)
+		if v > maxV {
+			md, maxV = i, v
+		}
+		if v < minV {
+			ld, minV = i, v
+		}
+	}
+	return md, ld
 }
 
-// Size returns the number of sensors in the bank.
-func (b *Bank) Size() int { return len(b.devs) }
-
-// trueVth returns the noiseless quantity sensor i observes.
-func (b *Bank) trueVth(i int) float64 {
-	d := &b.devs[i]
-	if floats.ExactZero(b.cfg.Horizon) {
-		// Horizon is a config field: 0 means "report current Vth", any
-		// projection is set explicitly and never computed.
-		return d.Vth0
+// measure takes one reading of device d: the observed threshold voltage
+// plus read noise drawn from src (none when src is nil), quantised.
+func measure(d *nbti.Device, src *rng.Source, cfg *Config, model *nbti.Params) float64 {
+	// Horizon is a config field: 0 means "report current Vth", any
+	// projection is set explicitly and never computed.
+	v := d.Vth0
+	if !floats.ExactZero(cfg.Horizon) {
+		v = d.Vth(model, cfg.Horizon)
 	}
-	return d.Vth(b.model, b.cfg.Horizon)
-}
-
-// measure takes one reading of sensor i: the observed threshold voltage
-// plus read noise, quantised.
-func (b *Bank) measure(i int) float64 {
-	v := b.trueVth(i)
-	if b.cfg.NoiseSigma > 0 {
-		v += b.noise[i].Norm(0, b.cfg.NoiseSigma)
+	if src != nil && cfg.NoiseSigma > 0 {
+		v += src.Norm(0, cfg.NoiseSigma)
 	}
-	return b.quantise(v)
-}
-
-// quantise rounds v to the readout's LSB (identity for an ideal
-// readout).
-func (b *Bank) quantise(v float64) float64 {
-	if b.cfg.LSB > 0 {
-		return math.Round(v/b.cfg.LSB) * b.cfg.LSB
+	if cfg.LSB > 0 {
+		return math.Round(v/cfg.LSB) * cfg.LSB
 	}
 	return v
-}
-
-// refresh re-evaluates the comparators when the sampling period has
-// elapsed (and always on the first call), measuring every sensor in
-// index order.
-func (b *Bank) refresh(cycle uint64) {
-	if b.primed && cycle-b.lastUpdate < b.cfg.SamplePeriod {
-		return
-	}
-	e := newExtremes()
-	for i := range b.devs {
-		e.add(i, b.measure(i))
-	}
-	b.md, b.ld = int32(e.maxI), int32(e.minI)
-	b.lastUpdate = cycle
-	b.primed = true
-	b.mSamples.Add(uint64(len(b.devs)))
-}
-
-// extremes is the comparator pair over one sweep of readings: the first
-// maximum and the first minimum, so ties resolve to the lowest index.
-type extremes struct {
-	maxI, minI int
-	maxV, minV float64
-}
-
-func newExtremes() extremes { return extremes{maxV: math.Inf(-1), minV: math.Inf(1)} }
-
-func (e *extremes) add(i int, v float64) {
-	if v > e.maxV {
-		e.maxI, e.maxV = i, v
-	}
-	if v < e.minV {
-		e.minI, e.minV = i, v
-	}
-}
-
-// Held returns the most- and least-degraded outputs of the last refresh
-// without sampling.
-func (b *Bank) Held() (md, ld int) { return int(b.md), int(b.ld) }
-
-// Evaluate recomputes the comparator outputs from noiseless readings of
-// the devices' current state, touching neither the held outputs, the
-// sampling clock nor the sample counter. For a static config it is
-// exactly what the next refresh would produce, which lets an owner
-// holding a static bank verify the hold.
-func (b *Bank) Evaluate() (md, ld int) {
-	e := newExtremes()
-	for i := range b.devs {
-		e.add(i, b.quantise(b.trueVth(i)))
-	}
-	return e.maxI, e.minI
-}
-
-// MostDegraded returns the index of the VC whose sensor currently reads
-// the highest threshold voltage. The comparator re-evaluates at the bank
-// sampling period; ties resolve to the lowest index (hardware priority
-// encoder behaviour).
-func (b *Bank) MostDegraded(cycle uint64) int {
-	b.refresh(cycle)
-	return int(b.md)
-}
-
-// LeastDegraded returns the index of the VC with the lowest sensor
-// reading — the healthiest buffer, used by the wear-steering policy
-// extension. Ties resolve to the lowest index.
-func (b *Bank) LeastDegraded(cycle uint64) int {
-	b.refresh(cycle)
-	return int(b.ld)
 }

@@ -55,6 +55,11 @@ func (s Spec) Validate() error {
 			// a second content address for the run without the name.
 			add("policy.name", "must be empty when rr_period is set (got %q)", s.Policy.Name)
 		}
+		if s.Policy.RRPeriod == core.DefaultRotatePeriod {
+			// The default period builds the rr-no-sensor network, which
+			// that name already addresses: one run, one content address.
+			add("policy.rr_period", `%d is the default period; name the policy "rr-no-sensor" instead`, s.Policy.RRPeriod)
+		}
 	case s.Policy.Name == "":
 		// Run treats an empty name as the always-on network, which
 		// "baseline" already names: one run, one content address.

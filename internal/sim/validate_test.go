@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nbtinoc/internal/cache"
+	"nbtinoc/internal/core"
 	"nbtinoc/internal/noc"
 )
 
@@ -96,6 +97,13 @@ func TestValidateFieldCases(t *testing.T) {
 	s.Policy.Name = ""
 	if err := s.Validate(); err != nil {
 		t.Errorf("rr-period spec rejected: %v", err)
+	}
+	// The default period is the rr-no-sensor network under a second
+	// content address.
+	s.Policy.RRPeriod = core.DefaultRotatePeriod
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "policy.rr_period:") ||
+		!strings.Contains(err.Error(), `"rr-no-sensor"`) {
+		t.Errorf("default-period spec: error %v, want a policy.rr_period error naming rr-no-sensor", err)
 	}
 	// An empty name would run the always-on network that "baseline"
 	// names, under a second content address.
